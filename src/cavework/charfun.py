@@ -23,17 +23,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .driving import ResonanceCase, ResonanceKind
 from .errors import (
-    BranchTrackingError,
     CoupledResonanceError,
     DegenerateResonanceError,
     MomentConvergenceError,
 )
+from .symplectic import tracked_sqrt
 
 __all__ = [
     "CharfunParams",
@@ -149,41 +149,6 @@ class GeneralCharfun(NamedTuple):
     g: complex
 
 
-def _tracked_sqrt(radicand: Callable[[float], complex]) -> complex:
-    """sqrt(radicand(1)) on the branch reached continuously from s=0.
-
-    The anchor radicand(0) must be real positive (it is a thermal
-    normalization in every use here); the root is propagated by
-    multiplicative updates, doubling the step count when a ratio's real
-    part stops being positive.
-    """
-    d0 = radicand(0.0)
-    if not (abs(d0.imag) <= 1e-12 * abs(d0) and d0.real > 0.0):
-        raise BranchTrackingError("branch anchor is not positive real")
-    steps = 16
-    while True:
-        root = cmath.sqrt(d0)
-        prev = d0
-        ok = True
-        for j in range(1, steps + 1):
-            cur = radicand(j / steps)
-            if abs(cur) < 1e-14 * abs(d0):
-                raise BranchTrackingError(
-                    "radicand vanished along the branch path; perturb u or v"
-                )
-            ratio = cur / prev
-            if ratio.real <= 0.0:
-                ok = False
-                break
-            root *= cmath.sqrt(ratio)
-            prev = cur
-        if ok:
-            return root
-        steps *= 2
-        if steps > 1024:
-            raise BranchTrackingError("no continuous branch found by refinement")
-
-
 def _sinh_half(beta: float, x: float) -> float:
     return math.sinh(beta * x / 2.0)
 
@@ -209,7 +174,7 @@ def closed_form(params: CharfunParams, u: complex, v: complex) -> complex:
 
         # the scaled path multiplies u and v jointly so the (u - i beta)
         # argument scales as s*(u*xk + v) - i*s*beta*xk
-        return sk / _tracked_sqrt(rad)
+        return sk / tracked_sqrt(rad, steps=16, anchor_tol=1e-12)
     xp = hb * params.omega_p[0]
     sksp = _sinh_half(beta, xk) * _sinh_half(beta, xp)
     if params.variant is ResonanceKind.SUM:
@@ -302,7 +267,8 @@ def closed_form_general(
                 s * (u * xk0 + v) - 1j * s * beta * xk0
             ) * amp
 
-        g = cmath.exp(-1j * u * dxk / 2.0) * sk / _tracked_sqrt(rad)
+        root = tracked_sqrt(rad, steps=16, anchor_tol=1e-12)
+        g = cmath.exp(-1j * u * dxk / 2.0) * sk / root
         dphi = _pair_dphi([params.omega_k], beta, hb)
         return GeneralCharfun(g * cmath.exp(-1j * u * dphi), g)
 
@@ -396,8 +362,10 @@ def classical_charfun(
     ut = complex(u_tilde)
     amp = _classical_amp(variant, g_tau)
     if variant is ResonanceKind.DOUBLE:
-        return 1.0 / _tracked_sqrt(
-            lambda s: 1.0 + c * ((s * ut) ** 2 - 1j * s * ut) * amp
+        return 1.0 / tracked_sqrt(
+            lambda s: 1.0 + c * ((s * ut) ** 2 - 1j * s * ut) * amp,
+            steps=16,
+            anchor_tol=1e-12,
         )
     return 1.0 / (1.0 + c * (ut * ut - 1j * ut) * amp)
 

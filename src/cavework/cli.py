@@ -33,8 +33,6 @@ inverse temperature are required, everything else has defaults.
     n_max = 40                # Fock cutoff per mode (--oracle / --freeze)
     lattice_count = 256       # starting Fourier sample count
     freeze_tol = 5e-3         # closed-form vs oracle gate for --freeze
-    grid_u = 32               # reserved for grid-evaluation commands
-    grid_v = 8
 
     [sweep]                   # cmd_moments only
     variable = beta           # beta | hbar
@@ -45,8 +43,7 @@ inverse temperature are required, everything else has defaults.
     prefix = run
 
 Environment variables override the numerics block only, uniformly
-prefixed: CAVEWORK_N_MAX, CAVEWORK_LATTICE_COUNT, CAVEWORK_FREEZE_TOL,
-CAVEWORK_GRID_U, CAVEWORK_GRID_V.
+prefixed: CAVEWORK_N_MAX, CAVEWORK_LATTICE_COUNT, CAVEWORK_FREEZE_TOL.
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
 usage or config error.  CSV output is deterministic: 12 significant
@@ -67,8 +64,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import fock
 from .cavity import (
@@ -107,7 +102,7 @@ from .driving import (
     interaction_generator,
 )
 from .errors import CaveworkError, ConfigError
-from .symplectic import QuadraticForm, charfun_general
+from .symplectic import charfun_general
 
 _KNOWN_KEYS = {
     "geometry": {
@@ -116,7 +111,7 @@ _KNOWN_KEYS = {
     },
     "protocol": {"lambda0", "epsilon", "omega_drive", "tau", "phi", "hbar"},
     "thermal": {"beta"},
-    "numerics": {"n_max", "lattice_count", "freeze_tol", "grid_u", "grid_v"},
+    "numerics": {"n_max", "lattice_count", "freeze_tol"},
     "sweep": {"variable", "values"},
     "output": {"directory", "prefix"},
 }
@@ -125,8 +120,6 @@ _NUMERIC_DEFAULTS = {
     "n_max": "40",
     "lattice_count": "256",
     "freeze_tol": "5e-3",
-    "grid_u": "32",
-    "grid_v": "8",
 }
 
 _ENV_PREFIX = "CAVEWORK_"
@@ -155,8 +148,6 @@ class RunConfig:
     n_max: int
     lattice_count: int
     freeze_tol: float
-    grid_u: int
-    grid_v: int
     sweep_variable: str | None
     sweep_values: tuple[float, ...]
     directory: str
@@ -285,8 +276,6 @@ def load_config(path: str) -> RunConfig:
         n_max=_int("n_max"),
         lattice_count=_int("lattice_count"),
         freeze_tol=float(numerics["freeze_tol"]),
-        grid_u=_int("grid_u"),
-        grid_v=_int("grid_v"),
         sweep_variable=sweep_var,
         sweep_values=sweep_vals,
         directory=out.get("directory", "out"),
@@ -401,25 +390,6 @@ def _out_path(cfg: RunConfig, suffix: str) -> str:
     return os.path.join(cfg.directory, f"{cfg.prefix}_{suffix}")
 
 
-def _common_spacing(quanta: list[float]) -> float:
-    """Greatest common work quantum, or raise for incommensurate combs."""
-    top = max(quanta)
-    a = quanta[0]
-    for b in quanta[1:]:
-        x, y = max(a, b), min(a, b)
-        while y > 1e-9 * top:
-            x, y = y, math.fmod(x, y)
-            if 0.0 < y < 1e-9 * top or abs(y - x) < 1e-9 * top:
-                break
-        a = x if y <= 1e-9 * top else y
-    if a < 1e-6 * top:
-        raise ConfigError(
-            "work quanta of the active resonances are incommensurate; "
-            "use --oracle for the joint distribution"
-        )
-    return a
-
-
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
     spec = _spectrum(cfg)
@@ -433,18 +403,14 @@ def _closed_evaluator(cfg: RunConfig, protocol, plan):
     """(G(u,v) callable, work spacing) for a closed boundary protocol."""
     singleton_params = []
     coupled_groups = []
-    quanta = []
     for group in plan.case_groups():
         if len(group) == 1:
             case = group[0]
             singleton_params.append(
                 CharfunParams.from_case(case, cfg.beta, protocol.tau, hbar=cfg.hbar)
             )
-            quanta.append(cfg.hbar * protocol.omega_drive)
         else:
             coupled_groups.append(group)
-            for case in group:
-                quanta.append(cfg.hbar * protocol.omega_drive)
 
     def evaluate(u: complex, v: complex) -> complex:
         g = 1.0 + 0.0j
@@ -454,7 +420,8 @@ def _closed_evaluator(cfg: RunConfig, protocol, plan):
             g *= charfun_general(group, protocol, cfg.beta, u, v)
         return g
 
-    return evaluate, _common_spacing(quanta)
+    # every resonance channel under one drive exchanges the quantum hbar Omega
+    return evaluate, cfg.hbar * protocol.omega_drive
 
 
 def _oracle_joint(cfg: RunConfig, protocol, plan) -> fock.JointDistribution:
@@ -477,22 +444,8 @@ def _oracle_joint(cfg: RunConfig, protocol, plan) -> fock.JointDistribution:
             "resonant modes; reduce n_max or narrow the resonance"
         )
     space = fock.TruncatedFockSpace(tuple(modes), cfg.n_max, budget=dim)
-    slot = {m: i for i, (m, _, _) in enumerate(space.modes)}
-    n = space.mode_count
-    s_total = np.zeros((2 * n, 2 * n), dtype=complex)
-    for group in plan.case_groups():
-        gen = interaction_generator(group, phi=protocol.phi)
-        for a, ma in enumerate(gen.modes):
-            for b, mb in enumerate(gen.modes):
-                ia, ib = slot[ma], slot[mb]
-                s_total[ia, ib] += gen.S[a, b]
-                s_total[n + ia, ib] += gen.S[len(gen.modes) + a, b]
-                s_total[ia, n + ib] += gen.S[a, len(gen.modes) + b]
-                s_total[n + ia, n + ib] += gen.S[
-                    len(gen.modes) + a, len(gen.modes) + b
-                ]
-    combined = QuadraticForm(S=s_total, modes=tuple(m for m, _, _ in space.modes))
-    u_matrix = fock.build_evolution(space, combined, protocol)
+    generator = interaction_generator(list(plan.cases), phi=protocol.phi)
+    u_matrix = fock.build_evolution(space, generator, protocol)
     return fock.two_point_measurement(space, u_matrix, cfg.beta, hbar=cfg.hbar)
 
 

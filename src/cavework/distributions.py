@@ -5,6 +5,8 @@ multiples of the drive quantum, so inversion is an exact discrete
 Fourier sum, not a quadrature: sampling G on one u-period and applying
 an FFT returns the peak weights directly.  The number of samples is
 doubled until the outer half of the lattice carries negligible mass.
+One N-dimensional inverter does this for P(w), P(delta_n) and their
+joint law.
 
 Also here: cumulative step functions with Gaussian fits, the
 Kolmogorov-Smirnov comparison against the classical work law, and the
@@ -14,7 +16,7 @@ identities through two independent routes each.
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -50,7 +52,8 @@ _TAIL_TOL = 1e-10
 _IMAG_TOL = 1e-10
 _NEG_TOL = -1e-10
 _PEAK_FLOOR = 1e-12
-_MAX_SAMPLES = 1 << 16
+_MAX_SAMPLES = 1 << 16  # per axis
+_MAX_TOTAL = 1 << 20
 # Inverted weights are printed to 12 significant digits or to
 # 10**-_PROB_DECIMALS absolute, whichever is coarser.  The Fourier
 # weights carry a few 1e-17 of absolute roundoff (FFT summation order
@@ -86,27 +89,30 @@ def _next_pow2(n: int) -> int:
     return m
 
 
-def _fourier_weights(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed lattice indices and weights from one period of samples."""
-    m = len(samples)
-    coeff = np.fft.fft(samples) / m
-    idx = np.arange(m)
-    signed = np.where(idx < m // 2, idx, idx - m)
-    return signed, coeff
-
-
 def _adaptive_comb(
-    evaluate: Callable[[float], complex], period: float, start: int
-) -> tuple[np.ndarray, np.ndarray]:
-    m = _next_pow2(start)
-    while m <= _MAX_SAMPLES:
-        us = period * np.arange(m) / m
-        samples = np.array([evaluate(float(x)) for x in us])
-        signed, coeff = _fourier_weights(samples)
-        outer = np.abs(signed) >= m // 4
+    evaluate: Callable[..., complex],
+    periods: Sequence[float],
+    starts: Sequence[int],
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Signed lattice indices per axis and validated weights of an N-D comb.
+
+    evaluate takes one coordinate per axis and is sampled on one period
+    of each.  Every axis doubles its sample count until the weights at
+    |index| >= count / 4 on any axis sum below _TAIL_TOL, within a
+    budget of _MAX_SAMPLES per axis and _MAX_TOTAL in all.
+    """
+    counts = [_next_pow2(s) for s in starts]
+    while max(counts) <= _MAX_SAMPLES and math.prod(counts) <= _MAX_TOTAL:
+        axes = [(p * np.arange(m) / m).tolist() for p, m in zip(periods, counts)]
+        samples = np.array([evaluate(*x) for x in itertools.product(*axes)])
+        coeff = np.fft.fftn(samples.reshape(counts)) / math.prod(counts)
+        # lattice index of each FFT slot: 0..m/2-1, then -m/2..-1
+        signed = [np.fft.fftfreq(m, 1.0 / m).astype(int) for m in counts]
+        tails = [np.abs(s) >= len(s) // 4 for s in signed]
+        outer = np.logical_or.reduce(np.meshgrid(*tails, indexing="ij"))
         if float(np.abs(coeff[outer]).sum()) < _TAIL_TOL:
-            return signed, coeff
-        m *= 2
+            return signed, _validated_probs(coeff)
+        counts = [2 * m for m in counts]
     raise InversionError(
         "comb weights did not decay within the sample budget; "
         "the distribution tail is too heavy for this lattice"
@@ -147,8 +153,8 @@ def _work_weights(
                 "characteristic function is not periodic on this lattice "
                 "(incommensurate work support); use the Fock simulation"
             )
-    signed, coeff = _adaptive_comb(charfun_eval, period, lattice.count)
-    return signed, _validated_probs(coeff)
+    (signed,), probs = _adaptive_comb(charfun_eval, (period,), (lattice.count,))
+    return signed, probs
 
 
 def extract_marginal_work(
@@ -168,8 +174,8 @@ def extract_marginal_photons(
     charfun_eval: Callable[[float], complex], start: int = 64
 ) -> list[tuple[int, float]]:
     """Weights of P(delta_n) from G(0, v); the v-period is exactly 2 pi."""
-    signed, coeff = _adaptive_comb(charfun_eval, 2.0 * math.pi, start)
-    return _floored_peaks(signed.tolist(), _validated_probs(coeff))
+    (signed,), probs = _adaptive_comb(charfun_eval, (2.0 * math.pi,), (start,))
+    return _floored_peaks(signed.tolist(), probs)
 
 
 # photon-number change per drive quantum of work, for one channel
@@ -202,46 +208,6 @@ def extract_channel_marginals(
         by_dn.setdefault(per * m, []).append(p)
     photons = _floored_peaks(by_dn, [math.fsum(ps) for ps in by_dn.values()])
     return work, photons
-
-
-def _joint_comb(
-    charfun2: Callable[[float, float], complex],
-    w_spacing: float,
-    start_u: int,
-    start_v: int,
-) -> list[tuple[float, int, float]]:
-    """2-D inversion onto the (work, photon-change) lattice."""
-    period_u = 2.0 * math.pi / w_spacing
-    mu, mv = _next_pow2(start_u), _next_pow2(start_v)
-    while True:
-        us = period_u * np.arange(mu) / mu
-        vs = 2.0 * math.pi * np.arange(mv) / mv
-        grid = np.array([[charfun2(float(u), float(v)) for v in vs] for u in us])
-        coeff = np.fft.fft2(grid) / (mu * mv)
-        iu = np.arange(mu)
-        su = np.where(iu < mu // 2, iu, iu - mu)
-        iv = np.arange(mv)
-        sv = np.where(iv < mv // 2, iv, iv - mv)
-        outer = (np.abs(su)[:, None] >= mu // 4) | (np.abs(sv)[None, :] >= mv // 4)
-        if float(np.abs(coeff[outer]).sum()) < _TAIL_TOL:
-            break
-        if mu * mv >= _MAX_SAMPLES * 16:
-            raise InversionError("joint inversion sample budget exhausted")
-        mu *= 2
-        mv *= 2
-    worst_imag = float(np.abs(coeff.imag).max())
-    if worst_imag > _IMAG_TOL:
-        raise InversionError(
-            f"joint inversion weights have imaginary part {worst_imag:.3e}"
-        )
-    peaks = []
-    for i in range(mu):
-        for j in range(mv):
-            p = float(coeff.real[i, j])
-            if p > _PEAK_FLOOR:
-                peaks.append((float(su[i]) * w_spacing, int(sv[j]), p))
-    peaks.sort()
-    return peaks
 
 
 class CumulativeFit:
@@ -398,9 +364,9 @@ def _eval_g(params: CharfunParams, u: complex, v: complex) -> complex:
 
 
 def _direct_exponential_average(
-    evaluate: Callable[[float], complex], spacing: float, beta: float, start: int
+    signed: np.ndarray, probs: np.ndarray, spacing: float, beta: float
 ) -> float:
-    """Sum p(w) e^{-beta w} over inverted peaks, noise-aware.
+    """Sum p(w) e^{-beta w} over the inverted work weights, noise-aware.
 
     The tilt amplifies the absolute roundoff of the Fourier weights by
     e^{beta |w|} on the negative-work side, so terms are accumulated
@@ -408,9 +374,7 @@ def _direct_exponential_average(
     decay; the result is exact to ~1e-12 for weak driving and degrades
     gracefully (never diverges) when the tilted tail outruns f64.
     """
-    period = 2.0 * math.pi / spacing
-    signed, coeff = _adaptive_comb(evaluate, period, start)
-    weights = dict(zip((int(m) for m in signed), coeff.real))
+    weights = dict(zip(signed.tolist(), probs.tolist()))
     half = max(abs(m) for m in weights)
     total = weights[0]
     for m in range(1, half + 1):
@@ -428,6 +392,18 @@ def _direct_exponential_average(
 
 
 _NOISE_FLOOR = 3e-15
+
+
+def _joint_peaks(
+    charfun2: Callable[[float, float], complex], spacing: float
+) -> dict[tuple[int, int], float]:
+    """{(m, delta_n): weight} of the joint law above the peak floor,
+    with work w = m * spacing."""
+    (su, sv), probs = _adaptive_comb(
+        charfun2, (2.0 * math.pi / spacing, 2.0 * math.pi), (64, 64)
+    )
+    iu, iv = np.nonzero(probs > _PEAK_FLOOR)
+    return dict(zip(zip(su[iu].tolist(), sv[iv].tolist()), probs[iu, iv].tolist()))
 
 
 def verify_fluctuation_theorems(
@@ -468,14 +444,12 @@ def verify_fluctuation_theorems(
 
     direct_err = None
     if closed:
-        marginal = extract_marginal_work(
+        signed, probs = _work_weights(
             lambda u: ev(params, u, 0.0), WorkLattice(spacing)
         )
-        total = sum(p for _, p in marginal)
+        total = sum(p for _, p in _floored_peaks(signed.tolist(), probs))
         norm_err = max(norm_err, abs(total - 1.0))
-        direct = _direct_exponential_average(
-            lambda u: ev(params, u, 0.0), spacing, beta, 256
-        )
+        direct = _direct_exponential_average(signed, probs, spacing, beta)
         direct_err = abs(direct - rhs)
 
     # Crooks on the grid: G_R(-u, -v) = G_F(u + i beta, v - i beta mu) e^{beta dPhi}
@@ -493,15 +467,14 @@ def verify_fluctuation_theorems(
 
     peak_err = None
     if closed and peakwise:
-        fwd = _joint_comb(lambda u, v: ev(params, u, v), spacing, 64, 64)
-        rev = {(round(w / spacing), n): p for w, n, p in
-               _joint_comb(lambda u, v: ev(reverse, u, v), spacing, 64, 64)}
+        fwd = _joint_peaks(lambda u, v: ev(params, u, v), spacing)
+        rev = _joint_peaks(lambda u, v: ev(reverse, u, v), spacing)
         peak_err = 0.0
-        for w, n, p in fwd:
-            q = rev.get((round(-w / spacing), -n), 0.0)
+        for (m, n), p in fwd.items():
+            q = rev.get((-m, -n), 0.0)
             if p < 1e-8 or q < 1e-8:
                 continue
-            expected = math.exp(beta * (w - mu * n - dphi))
+            expected = math.exp(beta * (m * spacing - mu * n - dphi))
             peak_err = max(peak_err, abs(p - q * expected) / max(p, q * expected))
 
     # periodicity: the u-period is only meaningful for a closed protocol

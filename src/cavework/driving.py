@@ -345,6 +345,8 @@ def interaction_generator(
 ) -> QuadraticForm:
     """Quadratic generator V of one coupled group: V = 1/2 alpha S alpha.
 
+    Cases from several mode-disjoint groups (a whole plan) give a
+    block-diagonal S over the union of their modes, sorted by index.
     Exact equality, no scalar remainder: the squeeze and pair-creation
     blocks are traceless and the exchange block enters symmetrically.
     A drive phase phi rotates the creation combinations by e^{-i phi};

@@ -9,7 +9,8 @@ products map to matrix products and
 The square root's branch is the delicate part.  Thermal-weighted traces
 are fixed by a reference eigenvalue pairing; characteristic-function
 evaluations are fixed by homotopy from (u, v) = (0, 0), where the
-normalized value is exactly 1.
+normalized value is exactly 1.  That homotopy is tracked_sqrt, which
+the closed forms in charfun use for their square roots too.
 
 Scalar prefactors (the 1/2-shifts of normal ordering) are never folded
 into the matrices.  In the characteristic-function ratio they cancel
@@ -19,8 +20,9 @@ evolution appears conjugated, and the thermal shift is (u, v)-independent.
 
 from __future__ import annotations
 
-import json
+import cmath
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -34,11 +36,11 @@ __all__ = [
     "charfun_from_generator",
     "charfun_general",
     "compose",
-    "dump_char_matrices",
     "number_operator_form",
     "sigma_matrix",
     "symplectic_inverse",
     "trace_from_char",
+    "tracked_sqrt",
 ]
 
 
@@ -161,6 +163,48 @@ def _branch_determinant(m: np.ndarray) -> complex:
     return sign * complex(np.linalg.det(m - np.eye(2 * n)))
 
 
+def tracked_sqrt(
+    radicand: Callable[[float], complex], steps: int, anchor_tol: float
+) -> complex:
+    """sqrt(radicand(1)) on the branch reached continuously from s = 0.
+
+    The anchor radicand(0) must be real positive to a relative
+    anchor_tol (a thermal normalization or determinant in every use
+    here).  The root is carried by multiplicative updates over `steps`
+    equal steps in s; while a ratio's real part is not positive the
+    step count doubles, up to 64 times the starting count.
+    """
+    d0 = complex(radicand(0.0))
+    if not (abs(d0.imag) <= anchor_tol * abs(d0) and d0.real > 0.0):
+        raise BranchTrackingError(f"branch anchor {d0:.3e} is not positive real")
+    floor = 1e-14 * abs(d0)
+    limit = 64 * steps
+    while True:
+        root = cmath.sqrt(d0)
+        prev = d0
+        for j in range(1, steps + 1):
+            cur = radicand(j / steps)
+            if abs(cur) < floor:
+                raise BranchTrackingError(
+                    "radicand vanished along the branch path; perturb u or v"
+                )
+            ratio = cur / prev
+            if ratio.real <= 0.0:
+                break
+            # relative argument within (-pi/2, pi/2): the principal
+            # root of the ratio continues the branch
+            root *= cmath.sqrt(ratio)
+            prev = cur
+        else:
+            return root
+        if steps >= limit:
+            raise BranchTrackingError(
+                f"radicand winds too fast even at {steps} steps; "
+                "perturb the evaluation point"
+            )
+        steps *= 2
+
+
 def trace_from_char(cm: CharacteristicMatrix) -> complex:
     """Tr J from [J], square-root branch picked against an eigenvalue
     reference.
@@ -236,41 +280,11 @@ def charfun_from_generator(
         e2 = _diag_char(-c1)
         return m_u_inv @ e1 @ m_u @ e2 @ m_thermal
 
-    d0 = _branch_determinant(total(0.0, 0.0))
-    if not (abs(d0.imag) <= 1e-9 * abs(d0) and d0.real > 0.0):
-        raise BranchTrackingError(
-            f"thermal anchor determinant {d0:.3e} is not positive real"
-        )
-    floor = 1e-14 * abs(d0)
+    def radicand(s: float) -> complex:
+        return _branch_determinant(total(s * u, s * v))
 
-    while True:
-        root = complex(np.sqrt(d0))
-        prev = d0
-        ok = True
-        for j in range(1, steps + 1):
-            s = j / steps
-            d = _branch_determinant(total(s * u, s * v))
-            if abs(d) < floor:
-                raise BranchTrackingError(
-                    "homotopy path hits a trace singularity; "
-                    "perturb u or v slightly and retry"
-                )
-            ratio = d / prev
-            if ratio.real <= 0.0:
-                ok = False
-                break
-            # continuous square root: relative argument is within
-            # (-pi/2, pi/2), so the principal root of the ratio is safe
-            root *= complex(np.sqrt(ratio))
-            prev = d
-        if ok:
-            return complex(np.sqrt(d0)) / root
-        if steps >= 4096:
-            raise BranchTrackingError(
-                "determinant winds too fast even at 4096 homotopy steps; "
-                "perturb the evaluation point"
-            )
-        steps *= 2
+    root = tracked_sqrt(radicand, steps=steps, anchor_tol=1e-9)
+    return cmath.sqrt(radicand(0.0)) / root
 
 
 def charfun_general(group, protocol, beta: float, u: complex, v: complex) -> complex:
@@ -294,13 +308,3 @@ def charfun_general(group, protocol, beta: float, u: complex, v: complex) -> com
     return charfun_from_generator(
         gen, omegas, protocol.tau, beta, u, v, hbar=protocol.hbar
     )
-
-
-def dump_char_matrices(entries: "list[tuple[str, CharacteristicMatrix]]") -> str:
-    """JSON dump of labelled characteristic matrices for test forensics."""
-    payload = {}
-    for label, cm in entries:
-        payload[label] = [
-            [[float(z.real), float(z.imag)] for z in row] for row in cm.M
-        ]
-    return json.dumps(payload, indent=2, sort_keys=True)

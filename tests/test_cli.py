@@ -88,6 +88,8 @@ def test_config_rejects_unknowns(workdir):
     assert main(["spectrum", cfg]) == 2
     cfg = write_cfg(workdir, extra="\n[mystery]\nx = 1\n")
     assert main(["spectrum", cfg]) == 2
+    cfg = write_cfg(workdir, extra="\n[numerics]\ngrid_u = 32\n")
+    assert main(["spectrum", cfg]) == 2
     missing = workdir / "nogeom.cfg"
     missing.write_text("[thermal]\nbeta = 1.0\n")
     assert main(["spectrum", str(missing)]) == 2

@@ -11,6 +11,7 @@ from cavework.charfun import CharfunParams, classical_work_cdf, closed_form
 from cavework.distributions import (
     CumulativeFit,
     WorkLattice,
+    _adaptive_comb,
     compare_classical,
     cumulative_and_fit,
     cumulative_to_csv,
@@ -122,6 +123,49 @@ def test_imaginary_weights_are_rejected():
 
     with pytest.raises(InversionError, match="imaginary"):
         extract_marginal_work(g, WorkLattice(1.0))
+
+
+def test_non_decaying_comb_stops_at_the_sample_budget():
+    # a spike at the origin has equal weight on every lattice point, so
+    # no sample count passes the tail test
+    calls = 0
+
+    def spike(*x: float) -> complex:
+        nonlocal calls
+        calls += 1
+        return 1.0 if not any(x) else 0.0
+
+    with pytest.raises(InversionError, match="sample budget"):
+        _adaptive_comb(spike, (1.0,), (8,))
+    assert calls == sum(2**k for k in range(3, 17))  # 8 .. 2^16 samples
+    calls = 0
+    with pytest.raises(InversionError, match="sample budget"):
+        _adaptive_comb(spike, (1.0, 2.0 * math.pi), (64, 64))
+    assert calls == sum(4**k for k in range(6, 11))  # 64^2 .. 1024^2 samples
+
+
+def test_joint_inversion_resolves_every_axis():
+    # one peak at index 40 on one axis: 64 and 128 samples put it in the
+    # outer quarter of that axis, 256 resolve it
+    for g, peak in [
+        (lambda u, v: cmath.exp(40j * u), (40, 0)),
+        (lambda u, v: cmath.exp(40j * v), (0, 40)),
+    ]:
+        (su, sv), probs = _adaptive_comb(
+            g, (2.0 * math.pi, 2.0 * math.pi), (64, 64)
+        )
+        assert probs.shape == (256, 256)
+        iu, iv = np.nonzero(probs > 0.5)
+        assert list(zip(su[iu].tolist(), sv[iv].tolist())) == [peak]
+
+
+def test_joint_inversion_rejects_negative_weights():
+    with pytest.raises(InversionError, match="negative"):
+        _adaptive_comb(
+            lambda u, v: 1.5 - 0.5 * cmath.exp(1j * (u + v)),
+            (2.0 * math.pi, 2.0 * math.pi),
+            (8, 8),
+        )
 
 
 def params_for(variant, beta, g_tau, wk=2.0, wp=1.0):

@@ -1,0 +1,94 @@
+"""Property tests over random closed single-channel parameters.
+
+Weak drive and moderate temperature keep every joint (work, photon)
+inversion at 64-128 samples per axis, so each example costs well under
+a second.  Hypothesis is derandomized and keeps no example database, so
+a run is repeatable and writes nothing into the tree.
+"""
+
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cavework import distributions  # noqa: E402
+from cavework.charfun import CharfunParams, closed_form  # noqa: E402
+from cavework.distributions import WorkLattice, verify_fluctuation_theorems  # noqa: E402
+from cavework.driving import ResonanceKind, interaction_generator  # noqa: E402
+from cavework.symplectic import charfun_from_generator  # noqa: E402
+from conftest import synthetic_case  # noqa: E402
+
+PROPERTY = settings(
+    max_examples=8, derandomize=True, database=None, deadline=None
+)
+
+
+@st.composite
+def closed_params(draw) -> CharfunParams:
+    """A closed single-channel record with weak drive.
+
+    beta times the lowest frequency lies in [0.8, 3], so thermal tails
+    stay short; the second mode sits at 0.25-0.75 of the first, well
+    clear of the degenerate difference resonance.
+    """
+    kind = draw(st.sampled_from(list(ResonanceKind)))
+    wk = draw(st.floats(0.5, 3.0))
+    wp = None if kind is ResonanceKind.DOUBLE else wk * draw(st.floats(0.25, 0.75))
+    beta = draw(st.floats(0.8, 3.0)) / (wp or wk)
+    return CharfunParams(
+        variant=kind,
+        beta=beta,
+        omega_k=(wk, wk),
+        omega_p=None if wp is None else (wp, wp),
+        g_tau=draw(st.floats(0.05, 0.35)),
+    )
+
+
+@PROPERTY
+@given(closed_params())
+def test_fluctuation_theorems_hold(params):
+    report = verify_fluctuation_theorems(params, grid=8)
+    assert report.normalization_error <= 1e-10
+    assert report.jarzynski_abs_error <= 1e-10
+    assert report.crooks_peakwise_error <= 1e-8
+
+
+@PROPERTY
+@given(closed_params())
+def test_joint_weights_sum_to_the_work_weights(params):
+    spacing = distributions._drive_quantum(params)
+    (su, sv), joint = distributions._adaptive_comb(
+        lambda u, v: closed_form(params, u, v),
+        (2.0 * math.pi / spacing, 2.0 * math.pi),
+        (64, 64),
+    )
+    assert 64 <= len(su) <= 128 and 64 <= len(sv) <= 128
+    signed, work = distributions._work_weights(
+        lambda u: closed_form(params, u, 0.0), WorkLattice(spacing)
+    )
+    summed = dict(zip(su.tolist(), joint.sum(axis=1).tolist()))
+    direct = dict(zip(signed.tolist(), work.tolist()))
+    for m in summed.keys() | direct.keys():
+        assert abs(summed.get(m, 0.0) - direct.get(m, 0.0)) <= 1e-14, m
+
+
+@settings(PROPERTY, max_examples=40)  # a few ms per example
+@given(
+    closed_params(),
+    st.floats(-3.0, 3.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.5, 4.0),
+)
+def test_symplectic_route_matches_closed_form(params, u, v, tau):
+    wk = params.omega_k[0]
+    wp = None if params.omega_p is None else params.omega_p[0]
+    case = synthetic_case(params.variant, wk, wp, params.g_tau, tau)
+    omegas = [wk] if wp is None else [wk, wp]
+    a = charfun_from_generator(
+        interaction_generator([case]), omegas, tau, params.beta, u, v
+    )
+    b = closed_form(params, u, v)
+    assert abs(a - b) <= 1e-9

@@ -16,7 +16,11 @@ import scipy.linalg as sla
 from conftest import synthetic_case
 from cavework.charfun import CharfunParams, closed_form
 from cavework.driving import DrivingProtocol, ResonanceKind, interaction_generator
-from cavework.errors import SymplecticityError, TraceDivergenceError
+from cavework.errors import (
+    BranchTrackingError,
+    SymplecticityError,
+    TraceDivergenceError,
+)
 from cavework.symplectic import (
     CharacteristicMatrix,
     QuadraticForm,
@@ -28,6 +32,7 @@ from cavework.symplectic import (
     sigma_matrix,
     symplectic_inverse,
     trace_from_char,
+    tracked_sqrt,
 )
 
 
@@ -197,3 +202,41 @@ def test_strong_drive_branch_follows_closed_form():
         a = charfun_from_generator(gen, [1.0], tau, 0.15, float(u), 0.0)
         b = closed_form(params, float(u), 0.0)
         assert abs(a - b) < 1e-9
+
+
+def test_tracked_sqrt_refines_past_a_fast_step():
+    calls = 0
+
+    def radicand(s: float) -> complex:
+        nonlocal calls
+        calls += 1
+        return cmath.exp(42j * s)
+
+    root = tracked_sqrt(radicand, steps=16, anchor_tol=1e-12)
+    # 16 steps of 2.625 rad leave the right half plane at the first
+    # step; one refinement to 32 steps of 1.3125 rad continues the branch
+    assert calls == 1 + 1 + 32
+    assert abs(root - cmath.exp(21j)) < 1e-12
+    # the continued root is the negative of the principal one
+    assert abs(root + cmath.sqrt(cmath.exp(42j))) < 1e-12
+
+
+def test_tracked_sqrt_failure_modes():
+    # at every step count from 16 to 1024 each step turns the radicand
+    # by +-2 pi / 3 modulo 2 pi, outside the right half plane
+    fast = 2048.0 * math.pi / 3.0
+    with pytest.raises(BranchTrackingError, match="winds too fast"):
+        tracked_sqrt(lambda s: cmath.exp(1j * fast * s), steps=16, anchor_tol=1e-12)
+    with pytest.raises(BranchTrackingError, match="vanished"):
+        tracked_sqrt(lambda s: 1.0 - s, steps=16, anchor_tol=1e-12)
+    with pytest.raises(BranchTrackingError, match="anchor"):
+        tracked_sqrt(lambda s: -1.0 + 0.0j, steps=16, anchor_tol=1e-12)
+    # a determinant anchor is real to 1e-9 relative, a scalar one to 1e-12
+    tilted = lambda s: (1.0 + 1e-10j) * (1.0 + s)  # noqa: E731
+    assert tracked_sqrt(tilted, steps=64, anchor_tol=1e-9) == pytest.approx(
+        cmath.sqrt(2.0 + 2e-10j), abs=1e-13
+    )
+    with pytest.raises(BranchTrackingError, match="anchor"):
+        tracked_sqrt(tilted, steps=16, anchor_tol=1e-12)
+    with pytest.raises(BranchTrackingError, match="anchor"):
+        tracked_sqrt(lambda s: 1.0 + 1e-8j + s, steps=64, anchor_tol=1e-9)
