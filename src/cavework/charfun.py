@@ -143,51 +143,66 @@ class GrandPotentialDiff:
 
 class GeneralCharfun(NamedTuple):
     """Open-endpoint result: the drift-removed g_bar and the full g,
-    related by g = g_bar * exp(i u dPhi)."""
+    related by g = g_bar * exp(i u dPhi); arrays for array input."""
 
-    g_bar: complex
-    g: complex
+    g_bar: "complex | np.ndarray"
+    g: "complex | np.ndarray"
 
 
 def _sinh_half(beta: float, x: float) -> float:
     return math.sinh(beta * x / 2.0)
 
 
-def closed_form(params: CharfunParams, u: complex, v: complex) -> complex:
-    """G(u, v) for a boundary that returns to its starting position."""
+def _points(u, v) -> list[np.ndarray]:
+    """u and v as complex arrays of their common broadcast shape, so that
+    G has that shape even where a form does not depend on v."""
+    return np.broadcast_arrays(
+        np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    )
+
+
+def _result(g: np.ndarray):
+    """A Python complex for a single point, else the array."""
+    return complex(g) if g.ndim == 0 else g
+
+
+def closed_form(params: CharfunParams, u, v):
+    """G(u, v) for a boundary that returns to its starting position.
+
+    u and v broadcast against each other; scalar input returns a Python
+    complex.
+    """
     if not params.is_closed:
         raise ValueError(
             "endpoint frequencies differ; use closed_form_general"
         )
     beta, hb = params.beta, params.hbar
     xk = hb * params.omega_k[0]
-    u = complex(u)
-    v = complex(v)
+    u, v = _points(u, v)
     if params.variant is ResonanceKind.DOUBLE:
         sk = _sinh_half(beta, xk)
         amp = math.sinh(params.g_tau) ** 2
 
-        def rad(s: float) -> complex:
-            return sk * sk + cmath.sin(s * (u * xk + v)) * cmath.sin(
-                s * (u * xk + v) - 1j * beta * xk * s
-            ) * amp
+        def rad(s: float, z: np.ndarray) -> np.ndarray:
+            return sk * sk + np.sin(s * z) * np.sin(s * z - 1j * beta * xk * s) * amp
 
         # the scaled path multiplies u and v jointly so the (u - i beta)
-        # argument scales as s*(u*xk + v) - i*s*beta*xk
-        return sk / tracked_sqrt(rad, steps=16, anchor_tol=1e-12)
+        # argument scales as s*z - i*s*beta*xk with z = u*xk + v
+        z = u * xk + v
+        return _result(sk / tracked_sqrt(rad, (z,), steps=16, anchor_tol=1e-12))
     xp = hb * params.omega_p[0]
     sksp = _sinh_half(beta, xk) * _sinh_half(beta, xp)
     if params.variant is ResonanceKind.SUM:
         half = (xk + xp) / 2.0
         amp = math.sinh(params.g_tau) ** 2
-        den = sksp + cmath.sin(u * half + v) * cmath.sin(
+        den = sksp + np.sin(u * half + v) * np.sin(
             (u - 1j * beta) * half + v
         ) * amp
     else:
         half = (xk - xp) / 2.0
         amp = math.sin(params.g_tau) ** 2
-        den = sksp + cmath.sin(u * half) * cmath.sin((u - 1j * beta) * half) * amp
-    return sksp / den
+        den = sksp + np.sin(u * half) * np.sin((u - 1j * beta) * half) * amp
+    return _result(sksp / den)
 
 
 def grand_potential_diff(
@@ -236,9 +251,7 @@ def _pair_dphi(pairs, beta: float, hbar: float) -> float:
     return grand_potential_diff(pairs, 0.0, 0.0, beta, hbar=hbar).value
 
 
-def closed_form_general(
-    params: CharfunParams, u: complex, v: complex
-) -> GeneralCharfun:
+def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
     """Open-endpoint G(u, v); returns (g_bar, g) with g = g_bar e^{i u dPhi}.
 
     Structure per participating mode s: a factor exp(-i u dx_s / 2) and
@@ -247,58 +260,59 @@ def closed_form_general(
     sin^2 of the coupling, evaluated at endpoint frequencies as written.
     Reduces to closed_form when the endpoints coincide and to the
     product of adiabatic_mode_factor values when the coupling vanishes.
+    u and v broadcast as in closed_form.
     """
     beta, hb = params.beta, params.hbar
-    u = complex(u)
-    v = complex(v)
+    u, v = _points(u, v)
     xk0, xk1 = (hb * w for w in params.omega_k)
     dxk = xk1 - xk0
 
-    def a_factor(x0: float, dx: float, s: float) -> complex:
-        return cmath.sinh((beta * x0 - 1j * s * u * dx) / 2.0)
+    def a_factor(x0: float, dx: float, s: float, u: np.ndarray) -> np.ndarray:
+        return np.sinh((beta * x0 - 1j * s * u * dx) / 2.0)
 
     if params.variant is ResonanceKind.DOUBLE:
         amp = math.sinh(params.g_tau) ** 2
         sk = _sinh_half(beta, xk0)
 
-        def rad(s: float) -> complex:
-            ak = a_factor(xk0, dxk, s)
-            return ak * ak + cmath.sin(s * (u * xk1 + v)) * cmath.sin(
+        def rad(s: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            ak = a_factor(xk0, dxk, s, u)
+            return ak * ak + np.sin(s * (u * xk1 + v)) * np.sin(
                 s * (u * xk0 + v) - 1j * s * beta * xk0
             ) * amp
 
-        root = tracked_sqrt(rad, steps=16, anchor_tol=1e-12)
-        g = cmath.exp(-1j * u * dxk / 2.0) * sk / root
+        root = tracked_sqrt(rad, (u, v), steps=16, anchor_tol=1e-12)
+        g = np.exp(-1j * u * dxk / 2.0) * sk / root
         dphi = _pair_dphi([params.omega_k], beta, hb)
-        return GeneralCharfun(g * cmath.exp(-1j * u * dphi), g)
+        return GeneralCharfun(_result(g * np.exp(-1j * u * dphi)), _result(g))
 
     xp0, xp1 = (hb * w for w in params.omega_p)
     dxp = xp1 - xp0
-    ak = a_factor(xk0, dxk, 1.0)
-    ap = a_factor(xp0, dxp, 1.0)
+    ak = a_factor(xk0, dxk, 1.0, u)
+    ap = a_factor(xp0, dxp, 1.0, u)
     sksp = _sinh_half(beta, xk0) * _sinh_half(beta, xp0)
     if params.variant is ResonanceKind.SUM:
         amp = math.sinh(params.g_tau) ** 2
-        den = ak * ap + cmath.sin(u * (xk1 + xp1) / 2.0 + v) * cmath.sin(
+        den = ak * ap + np.sin(u * (xk1 + xp1) / 2.0 + v) * np.sin(
             (u - 1j * beta) * (xk0 + xp0) / 2.0 + v
         ) * amp
     else:
         amp = math.sin(params.g_tau) ** 2
-        den = ak * ap + cmath.sin(u * (xk1 - xp1) / 2.0) * cmath.sin(
+        den = ak * ap + np.sin(u * (xk1 - xp1) / 2.0) * np.sin(
             (u - 1j * beta) * (xk0 - xp0) / 2.0
         ) * amp
-    g = cmath.exp(-1j * u * (dxk + dxp) / 2.0) * sksp / den
+    g = np.exp(-1j * u * (dxk + dxp) / 2.0) * sksp / den
     dphi = _pair_dphi(params.frequency_pairs(), beta, hb)
-    return GeneralCharfun(g * cmath.exp(-1j * u * dphi), g)
+    return GeneralCharfun(_result(g * np.exp(-1j * u * dphi)), _result(g))
 
 
 def multi_resonance_product(
     cases: Sequence[ResonanceCase],
     params_list: Sequence[CharfunParams],
-    u: complex,
-    v: complex,
-) -> complex:
-    """Product of per-case closed forms for mode-disjoint resonances."""
+    u,
+    v,
+):
+    """Product of per-case closed forms for mode-disjoint resonances, over
+    broadcast u and v as in closed_form."""
     if len(cases) != len(params_list):
         raise ValueError("one parameter record per case is required")
     seen: set = set()
@@ -355,19 +369,23 @@ def _classical_amp(variant: ResonanceKind, g_tau: float) -> float:
 
 
 def classical_charfun(
-    variant: ResonanceKind, r: float | None, g_tau: float, u_tilde: complex
-) -> complex:
-    """hbar -> 0 limit of the characteristic function, u_tilde = u/beta."""
+    variant: ResonanceKind, r: float | None, g_tau: float, u_tilde
+):
+    """hbar -> 0 limit of the characteristic function, u_tilde = u/beta.
+
+    u_tilde may be an array; scalar input returns a Python complex.
+    """
     c = _classical_ratio_coeff(variant, r)
-    ut = complex(u_tilde)
+    ut = np.asarray(u_tilde, dtype=complex)
     amp = _classical_amp(variant, g_tau)
     if variant is ResonanceKind.DOUBLE:
-        return 1.0 / tracked_sqrt(
-            lambda s: 1.0 + c * ((s * ut) ** 2 - 1j * s * ut) * amp,
+        return _result(1.0 / tracked_sqrt(
+            lambda s, ut: 1.0 + c * ((s * ut) ** 2 - 1j * s * ut) * amp,
+            (ut,),
             steps=16,
             anchor_tol=1e-12,
-        )
-    return 1.0 / (1.0 + c * (ut * ut - 1j * ut) * amp)
+        ))
+    return _result(1.0 / (1.0 + c * (ut * ut - 1j * ut) * amp))
 
 
 def classical_alphas(
@@ -420,34 +438,35 @@ def moments(params: CharfunParams, order: int = 2) -> tuple:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
 
-    def g(u: complex) -> complex:
-        if params.is_closed:
-            return closed_form(params, u, 0.0)
-        return closed_form_general(params, u, 0.0).g
-
     w_max = params.hbar * max(w for pair in params.frequency_pairs() for w in pair)
     scale = min(1.0 / w_max, params.beta)
     steps = [1e-3 * scale, 1e-4 * scale, 1e-5 * scale]
-    vals = {0.0: g(0.0)}
-    for h in steps:
-        vals[h] = g(h)
-        vals[-h] = g(-h)
+    # the whole ladder in one evaluation.  G(-u, 0) is the conjugate of
+    # G(u, 0) for a real distribution; taking it so keeps the roundoff of
+    # the two sides mirrored, which the finest second difference needs
+    us = np.array([0.0] + steps)
+    if params.is_closed:
+        g = closed_form(params, us, 0.0).tolist()
+    else:
+        g = closed_form_general(params, us, 0.0).g.tolist()
+    g0, gp = g[0], g[1:]
+    gm = [x.conjugate() for x in gp]
 
-    def d1(h: float) -> complex:
-        return (vals[h] - vals[-h]) / (2.0 * h)
+    def d1(i: int) -> complex:
+        return (gp[i] - gm[i]) / (2.0 * steps[i])
 
-    def d2(h: float) -> complex:
-        return (vals[h] - 2.0 * vals[0.0] + vals[-h]) / (h * h)
+    def d2(i: int) -> complex:
+        return (gp[i] - 2.0 * g0 + gm[i]) / (steps[i] * steps[i])
 
     # ladder steps differ by 10, so Richardson weights are 100/99
-    r1 = [(100.0 * d1(steps[i + 1]) - d1(steps[i])) / 99.0 for i in range(2)]
+    r1 = [(100.0 * d1(i + 1) - d1(i)) / 99.0 for i in range(2)]
     atol_mean = 1e-9 * (w_max + 1.0 / params.beta)
     if abs(r1[0] - r1[1]) > max(1e-5 * abs(r1[1]), atol_mean):
         raise MomentConvergenceError("first-derivative ladder did not settle")
     mean = (-1j * r1[1]).real
     if order == 1:
         return (mean,)
-    r2 = [(100.0 * d2(steps[i + 1]) - d2(steps[i])) / 99.0 for i in range(2)]
+    r2 = [(100.0 * d2(i + 1) - d2(i)) / 99.0 for i in range(2)]
     if abs(r2[0] - r2[1]) > max(1e-4 * abs(r2[1]), atol_mean**2):
         raise MomentConvergenceError("second-derivative ladder did not settle")
     second_moment = (-r2[1]).real

@@ -81,8 +81,9 @@ from .cavity import (
 from .charfun import (
     CharfunParams,
     classical_work_cdf,
-    closed_form,
+    closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
     moments,
+    multi_resonance_product,
 )
 from .distributions import (
     WorkLattice,
@@ -400,24 +401,25 @@ def cmd_spectrum(args) -> int:
 
 
 def _closed_evaluator(cfg: RunConfig, protocol, plan):
-    """(G(u,v) callable, work spacing) for a closed boundary protocol."""
-    singleton_params = []
+    """(G(u, v) over broadcast arrays, work spacing) for a closed boundary
+    protocol: the closed forms of the mode-disjoint cases times the trace
+    formula of each coupled group."""
+    singletons = []
     coupled_groups = []
     for group in plan.case_groups():
         if len(group) == 1:
-            case = group[0]
-            singleton_params.append(
-                CharfunParams.from_case(case, cfg.beta, protocol.tau, hbar=cfg.hbar)
-            )
+            singletons.append(group[0])
         else:
             coupled_groups.append(group)
+    params = [
+        CharfunParams.from_case(case, cfg.beta, protocol.tau, hbar=cfg.hbar)
+        for case in singletons
+    ]
 
-    def evaluate(u: complex, v: complex) -> complex:
-        g = 1.0 + 0.0j
-        for params in singleton_params:
-            g *= closed_form(params, u, v)
+    def evaluate(u, v):
+        g = multi_resonance_product(singletons, params, u, v)
         for group in coupled_groups:
-            g *= charfun_general(group, protocol, cfg.beta, u, v)
+            g = g * charfun_general(group, protocol, cfg.beta, u, v)
         return g
 
     # every resonance channel under one drive exchanges the quantum hbar Omega

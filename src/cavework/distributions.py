@@ -6,7 +6,9 @@ Fourier sum, not a quadrature: sampling G on one u-period and applying
 an FFT returns the peak weights directly.  The number of samples is
 doubled until the outer half of the lattice carries negligible mass.
 One N-dimensional inverter does this for P(w), P(delta_n) and their
-joint law.
+joint law.  Every characteristic function handed to it evaluates
+elementwise over coordinate arrays; the inverter samples it in blocks
+of at most _BLOCK points.
 
 Also here: cumulative step functions with Gaussian fits, the
 Kolmogorov-Smirnov comparison against the classical work law, and the
@@ -16,7 +18,6 @@ identities through two independent routes each.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -54,6 +55,9 @@ _NEG_TOL = -1e-10
 _PEAK_FLOOR = 1e-12
 _MAX_SAMPLES = 1 << 16  # per axis
 _MAX_TOTAL = 1 << 20
+# G is sampled in blocks of at most this many points (whole rows along
+# the first axis), which bounds the memory of an array evaluation
+_BLOCK = 1 << 14
 # Inverted weights are printed to 12 significant digits or to
 # 10**-_PROB_DECIMALS absolute, whichever is coarser.  The Fourier
 # weights carry a few 1e-17 of absolute roundoff (FFT summation order
@@ -90,22 +94,28 @@ def _next_pow2(n: int) -> int:
 
 
 def _adaptive_comb(
-    evaluate: Callable[..., complex],
+    evaluate: Callable[..., np.ndarray],
     periods: Sequence[float],
     starts: Sequence[int],
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Signed lattice indices per axis and validated weights of an N-D comb.
 
-    evaluate takes one coordinate per axis and is sampled on one period
-    of each.  Every axis doubles its sample count until the weights at
-    |index| >= count / 4 on any axis sum below _TAIL_TOL, within a
-    budget of _MAX_SAMPLES per axis and _MAX_TOTAL in all.
+    evaluate takes one coordinate array per axis (an ij-meshgrid block of
+    whole rows along the first axis) and returns G elementwise; it is
+    sampled on one period of each axis.  Every axis doubles its sample
+    count until the weights at |index| >= count / 4 on any axis sum
+    below _TAIL_TOL, within a budget of _MAX_SAMPLES per axis and
+    _MAX_TOTAL in all.
     """
     counts = [_next_pow2(s) for s in starts]
     while max(counts) <= _MAX_SAMPLES and math.prod(counts) <= _MAX_TOTAL:
-        axes = [(p * np.arange(m) / m).tolist() for p, m in zip(periods, counts)]
-        samples = np.array([evaluate(*x) for x in itertools.product(*axes)])
-        coeff = np.fft.fftn(samples.reshape(counts)) / math.prod(counts)
+        axes = [p * np.arange(m) / m for p, m in zip(periods, counts)]
+        samples = np.empty(counts, dtype=complex)
+        rows = max(1, _BLOCK // math.prod(counts[1:]))
+        for lo in range(0, counts[0], rows):
+            block = np.meshgrid(axes[0][lo : lo + rows], *axes[1:], indexing="ij")
+            samples[lo : lo + rows] = evaluate(*block)
+        coeff = np.fft.fftn(samples) / math.prod(counts)
         # lattice index of each FFT slot: 0..m/2-1, then -m/2..-1
         signed = [np.fft.fftfreq(m, 1.0 / m).astype(int) for m in counts]
         tails = [np.abs(s) >= len(s) // 4 for s in signed]
@@ -141,24 +151,23 @@ def _floored_peaks(labels, probs) -> list[tuple]:
 
 
 def _work_weights(
-    charfun_eval: Callable[[float], complex], lattice: WorkLattice
+    charfun_eval: Callable[[np.ndarray], np.ndarray], lattice: WorkLattice
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signed lattice indices and validated weights of P(w)."""
     period = 2.0 * math.pi / lattice.spacing
-    for frac in (0.13, 0.41, 0.77):
-        u = frac * period
-        a, b = charfun_eval(u + period), charfun_eval(u)
-        if abs(a - b) > 1e-8 * max(1.0, abs(b)):
-            raise InversionError(
-                "characteristic function is not periodic on this lattice "
-                "(incommensurate work support); use the Fock simulation"
-            )
+    u = np.array([0.13, 0.41, 0.77]) * period
+    a, b = charfun_eval(u + period), charfun_eval(u)
+    if (np.abs(a - b) > 1e-8 * np.maximum(1.0, np.abs(b))).any():
+        raise InversionError(
+            "characteristic function is not periodic on this lattice "
+            "(incommensurate work support); use the Fock simulation"
+        )
     (signed,), probs = _adaptive_comb(charfun_eval, (period,), (lattice.count,))
     return signed, probs
 
 
 def extract_marginal_work(
-    charfun_eval: Callable[[float], complex], lattice: WorkLattice
+    charfun_eval: Callable[[np.ndarray], np.ndarray], lattice: WorkLattice
 ) -> list[tuple[float, float]]:
     """Peak weights of P(w) on the lattice by exact Fourier inversion.
 
@@ -171,7 +180,7 @@ def extract_marginal_work(
 
 
 def extract_marginal_photons(
-    charfun_eval: Callable[[float], complex], start: int = 64
+    charfun_eval: Callable[[np.ndarray], np.ndarray], start: int = 64
 ) -> list[tuple[int, float]]:
     """Weights of P(delta_n) from G(0, v); the v-period is exactly 2 pi."""
     (signed,), probs = _adaptive_comb(charfun_eval, (2.0 * math.pi,), (start,))
@@ -187,7 +196,7 @@ _PHOTONS_PER_QUANTUM = {
 
 
 def extract_channel_marginals(
-    charfun_eval: Callable[[float], complex],
+    charfun_eval: Callable[[np.ndarray], np.ndarray],
     lattice: WorkLattice,
     kind: ResonanceKind,
 ) -> tuple[list[tuple[float, float]], list[tuple[int, float]]]:
@@ -357,7 +366,7 @@ def _reversed_params(params: CharfunParams) -> CharfunParams:
     )
 
 
-def _eval_g(params: CharfunParams, u: complex, v: complex) -> complex:
+def _eval_g(params: CharfunParams, u, v):
     if params.is_closed:
         return closed_form(params, u, v)
     return closed_form_general(params, u, v).g
@@ -427,7 +436,7 @@ def verify_fluctuation_theorems(
     if reverse is None:
         reverse = _reversed_params(params)
 
-    def ev(p: CharfunParams, u: complex, v: complex) -> complex:
+    def ev(p: CharfunParams, u, v):
         return _eval_g(p, u, v) + perturbation
 
     beta, mu = params.beta, params.mu
@@ -453,17 +462,15 @@ def verify_fluctuation_theorems(
         direct_err = abs(direct - rhs)
 
     # Crooks on the grid: G_R(-u, -v) = G_F(u + i beta, v - i beta mu) e^{beta dPhi}
-    crooks = 0.0
     period = 2.0 * math.pi / spacing
-    for j in range(grid):
-        u = period * (j + 0.31) / grid
-        for k in range(grid):
-            v = 2.0 * math.pi * (k + 0.17) / grid
-            left = ev(reverse, -u, -v)
-            right = ev(params, u + 1j * beta, v - 1j * beta * mu) * math.exp(
-                beta * dphi
-            )
-            crooks = max(crooks, abs(left - right))
+    u, v = np.meshgrid(
+        period * (np.arange(grid) + 0.31) / grid,
+        2.0 * math.pi * (np.arange(grid) + 0.17) / grid,
+        indexing="ij",
+    )
+    left = ev(reverse, -u, -v)
+    right = ev(params, u + 1j * beta, v - 1j * beta * mu) * math.exp(beta * dphi)
+    crooks = float(np.abs(left - right).max())
 
     peak_err = None
     if closed and peakwise:
@@ -478,17 +485,12 @@ def verify_fluctuation_theorems(
             peak_err = max(peak_err, abs(p - q * expected) / max(p, q * expected))
 
     # periodicity: the u-period is only meaningful for a closed protocol
-    per_err = 0.0
-    for frac in (0.21, 0.55):
-        u0, v0 = frac * period, frac * 2.0 * math.pi
-        if closed:
-            per_err = max(
-                per_err, abs(ev(params, u0 + period, v0) - ev(params, u0, v0))
-            )
-        per_err = max(
-            per_err,
-            abs(ev(params, u0, v0 + 2.0 * math.pi) - ev(params, u0, v0)),
-        )
+    frac = np.array([0.21, 0.55])
+    u0, v0 = frac * period, frac * 2.0 * math.pi
+    base = ev(params, u0, v0)
+    per_err = float(np.abs(ev(params, u0, v0 + 2.0 * math.pi) - base).max())
+    if closed:
+        per_err = max(per_err, float(np.abs(ev(params, u0 + period, v0) - base).max()))
 
     return VerificationReport(
         jarzynski_lhs=abs(lhs),

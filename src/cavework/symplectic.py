@@ -10,7 +10,8 @@ The square root's branch is the delicate part.  Thermal-weighted traces
 are fixed by a reference eigenvalue pairing; characteristic-function
 evaluations are fixed by homotopy from (u, v) = (0, 0), where the
 normalized value is exactly 1.  That homotopy is tracked_sqrt, which
-the closed forms in charfun use for their square roots too.
+the closed forms in charfun use for their square roots too; it tracks a
+whole array of evaluation points at once.
 
 Scalar prefactors (the 1/2-shifts of normal ordering) are never folded
 into the matrices.  In the characteristic-function ratio they cancel
@@ -20,9 +21,8 @@ evolution appears conjugated, and the thermal shift is (u, v)-independent.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -157,51 +157,82 @@ def symplectic_inverse(m: np.ndarray) -> np.ndarray:
     return -sig @ m.T @ sig
 
 
-def _branch_determinant(m: np.ndarray) -> complex:
-    n = m.shape[0] // 2
+def _branch_determinant(m: np.ndarray):
+    """(-1)^n det(M - I), over the last two axes of a matrix stack."""
+    n = m.shape[-1] // 2
     sign = -1.0 if n % 2 else 1.0
-    return sign * complex(np.linalg.det(m - np.eye(2 * n)))
+    return sign * np.linalg.det(m - np.eye(2 * n))
 
 
 def tracked_sqrt(
-    radicand: Callable[[float], complex], steps: int, anchor_tol: float
-) -> complex:
-    """sqrt(radicand(1)) on the branch reached continuously from s = 0.
+    radicand: Callable[..., np.ndarray],
+    points: Sequence,
+    steps: int,
+    anchor_tol: float,
+) -> np.ndarray:
+    """sqrt(radicand(1, *points)) on the branch reached continuously from
+    s = 0, elementwise over the broadcast point arrays.
 
-    The anchor radicand(0) must be real positive to a relative
-    anchor_tol (a thermal normalization or determinant in every use
-    here).  The root is carried by multiplicative updates over `steps`
-    equal steps in s; while a ratio's real part is not positive the
-    step count doubles, up to 64 times the starting count.
+    radicand(s, *pts) evaluates at one path parameter s, elementwise over
+    flat arrays pts holding some of the points.  Every anchor
+    radicand(0) must be real positive to a relative anchor_tol (a thermal
+    normalization or determinant in every use here).  Each root is
+    carried over `steps` equal steps in s.  A point whose step ratio
+    radicand(s) / radicand(s - 1/steps) has a non-positive real part
+    drops out of the pass and is re-run from s = 0 at twice the steps,
+    up to 64 times the starting count.  A pass ends as soon as all of its
+    points have dropped out, so a batch costs what its points cost one
+    by one.
     """
-    d0 = complex(radicand(0.0))
-    if not (abs(d0.imag) <= anchor_tol * abs(d0) and d0.real > 0.0):
-        raise BranchTrackingError(f"branch anchor {d0:.3e} is not positive real")
-    floor = 1e-14 * abs(d0)
+    pts = np.broadcast_arrays(*map(np.asarray, points))
+    shape = pts[0].shape
+    pts = [p.ravel() for p in pts]
+    size = pts[0].size
+    d0 = np.broadcast_to(np.asarray(radicand(0.0, *pts), dtype=complex), (size,))
+    bad = ~((np.abs(d0.imag) <= anchor_tol * np.abs(d0)) & (d0.real > 0.0))
+    if bad.any():
+        raise BranchTrackingError(
+            f"branch anchor {complex(d0[bad][0]):.3e} is not positive real"
+        )
+    out = np.empty(size, dtype=complex)
+    live = np.arange(size)
     limit = 64 * steps
     while True:
-        root = cmath.sqrt(d0)
-        prev = d0
+        prev = d0[live]
+        root = np.sqrt(prev)
+        floor = 1e-14 * np.abs(prev)
+        sub = [p[live] for p in pts]
+        failed = []
         for j in range(1, steps + 1):
-            cur = radicand(j / steps)
-            if abs(cur) < floor:
+            cur = np.asarray(radicand(j / steps, *sub), dtype=complex)
+            if (np.abs(cur) < floor).any():
                 raise BranchTrackingError(
                     "radicand vanished along the branch path; perturb u or v"
                 )
-            ratio = cur / prev
-            if ratio.real <= 0.0:
-                break
-            # relative argument within (-pi/2, pi/2): the principal
-            # root of the ratio continues the branch
-            root *= cmath.sqrt(ratio)
+            # the step continues the branch while the ratio cur / prev
+            # keeps a positive real part
+            ok = (cur * prev.conj()).real > 0.0
+            if not ok.all():
+                failed.append(live[~ok])
+                live, root, floor, cur = live[ok], root[ok], floor[ok], cur[ok]
+                sub = [p[ok] for p in sub]
+                if not live.size:
+                    break
+            # the relative argument lies within (-pi/2, pi/2), so of the
+            # two roots of cur the one within pi/4 of the last continues
+            # the branch
+            near = np.sqrt(cur)
+            root = np.where((near * root.conj()).real > 0.0, near, -near)
             prev = cur
-        else:
-            return root
+        out[live] = root
+        if not failed:
+            return out.reshape(shape)
         if steps >= limit:
             raise BranchTrackingError(
                 f"radicand winds too fast even at {steps} steps; "
                 "perturb the evaluation point"
             )
+        live = np.concatenate(failed)
         steps *= 2
 
 
@@ -245,11 +276,11 @@ def charfun_from_generator(
     omegas: "np.ndarray | list",
     tau: float,
     beta: float,
-    u: complex,
-    v: complex,
+    u,
+    v,
     hbar: float = 1.0,
     steps: int = 64,
-) -> complex:
+):
     """Two-point characteristic function of work and photon number.
 
     The weight is U^+ e^{iuH+ivN} U e^{-iuH-ivN} e^{-beta H} with
@@ -257,7 +288,9 @@ def charfun_from_generator(
     generator, and H counted without zero-point shift (the shifts cancel
     in this equal-endpoint ratio).  Branch of the trace square root is
     carried by homotopy s*(u, v), s in [0, 1], anchored at the real
-    positive thermal determinant.
+    positive thermal determinant.  u and v broadcast; the weights of all
+    points are stacked 2n x 2n matrices, and scalar input returns a
+    Python complex.
     """
     w = np.asarray(omegas, dtype=float)
     n = generator.n
@@ -272,23 +305,32 @@ def charfun_from_generator(
     m_int = char_matrix(QuadraticForm(-1j * tau * generator.S, generator.modes)).M
     m_u = m_free @ m_int
     m_u_inv = symplectic_inverse(m_u)
-    m_thermal = _diag_char(-beta * hbar * w)
+    thermal = np.diag(_diag_char(-beta * hbar * w))
 
-    def total(su: complex, sv: complex) -> np.ndarray:
-        c1 = 1j * su * hbar * w + 1j * sv
-        e1 = _diag_char(c1)
-        e2 = _diag_char(-c1)
-        return m_u_inv @ e1 @ m_u @ e2 @ m_thermal
+    def total(su: np.ndarray, sv: np.ndarray) -> np.ndarray:
+        # m_u_inv e1 m_u e2 m_thermal with the diagonal factors applied
+        # as column scalings, one matrix per point
+        c1 = 1j * su[..., None] * hbar * w + 1j * sv[..., None]
+        e1 = np.concatenate([np.exp(c1), np.exp(-c1)], axis=-1)
+        e2 = np.concatenate([np.exp(-c1), np.exp(c1)], axis=-1)
+        left = np.matmul(m_u_inv * e1[..., None, :], m_u)
+        return left * e2[..., None, :] * thermal
 
-    def radicand(s: float) -> complex:
+    # every point starts from the same thermal weight
+    d0 = _branch_determinant(total(np.zeros(1), np.zeros(1)))[0]
+
+    def radicand(s: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if s == 0.0:
+            return d0
         return _branch_determinant(total(s * u, s * v))
 
-    root = tracked_sqrt(radicand, steps=steps, anchor_tol=1e-9)
-    return cmath.sqrt(radicand(0.0)) / root
+    g = np.sqrt(d0) / tracked_sqrt(radicand, (u, v), steps=steps, anchor_tol=1e-9)
+    return complex(g) if g.ndim == 0 else g
 
 
-def charfun_general(group, protocol, beta: float, u: complex, v: complex) -> complex:
-    """G(u, v) for one coupled resonance group of a closed protocol.
+def charfun_general(group, protocol, beta: float, u, v):
+    """G(u, v) for one coupled resonance group of a closed protocol, over
+    broadcast u and v as in charfun_from_generator.
 
     Closed means the boundary returns to its starting position; the
     general-endpoint case is handled by the closed-form route or the

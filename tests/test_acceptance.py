@@ -170,15 +170,14 @@ def crooks_grid_error(params, evaluate, dphi, grid_u=8, grid_v=4):
     """max | G_R(-u,-v) - G_F(u + i beta, v) e^{beta dPhi} | on a grid."""
     reverse = swap_endpoints(params)
     beta = params.beta
-    err = 0.0
-    for j in range(grid_u):
-        u = 0.1 + 3.0 * j / grid_u
-        for k in range(grid_v):
-            v = 0.1 + 5.8 * k / grid_v
-            left = evaluate(reverse, -u, -v)
-            right = evaluate(params, u + 1j * beta, v) * math.exp(beta * dphi)
-            err = max(err, abs(left - right))
-    return err
+    u, v = np.meshgrid(
+        0.1 + 3.0 * np.arange(grid_u) / grid_u,
+        0.1 + 5.8 * np.arange(grid_v) / grid_v,
+        indexing="ij",
+    )
+    left = evaluate(reverse, -u, -v)
+    right = evaluate(params, u + 1j * beta, v) * math.exp(beta * dphi)
+    return float(np.abs(left - right).max())
 
 
 def test_criterion_2_fluctuation_theorems():
@@ -416,12 +415,12 @@ def test_criterion_5_support_structure():
         # occupy even indices
         period = 2.0 * math.pi / (quantum / 2.0)
         us = period * np.arange(m_samp) / m_samp
-        gs = np.array([closed_form(params, u, 0.0) for u in us])
+        gs = closed_form(params, us, 0.0)
         cw = fourier_masses(gs)
         off_work = float(cw[1::2].sum())
 
         vs = 2.0 * math.pi * np.arange(m_samp) / m_samp
-        gn = np.array([closed_form(params, 0.0, v) for v in vs])
+        gn = closed_form(params, 0.0, vs)
         cn = fourier_masses(gn)
         if variant is ResonanceKind.DIFFERENCE:
             off_photon = float(cn[1:].sum())

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cavework import charfun, symplectic
 from cavework.cavity import Polarization, RectangularGeometry, mode_frequency
 from cavework.charfun import (
     CharfunParams,
@@ -22,8 +23,9 @@ from cavework.charfun import (
     multi_resonance_product,
 )
 from cavework.distributions import WorkLattice, extract_marginal_work
-from cavework.driving import ResonanceKind
+from cavework.driving import ResonanceKind, interaction_generator
 from cavework.errors import CoupledResonanceError, DegenerateResonanceError
+from cavework.symplectic import charfun_from_generator
 from conftest import synthetic_case
 
 DOF = ResonanceKind.DOUBLE
@@ -279,6 +281,77 @@ def test_multi_resonance_product_factorizes():
     shared = dataclasses.replace(case2, k=(0, 0, 1))
     with pytest.raises(CoupledResonanceError):
         multi_resonance_product([case1, shared], [p1, p2], u, v)
+
+
+def test_array_charfuns_match_pointwise_at_strong_drive(monkeypatch):
+    # sinh^2(1.2) ~ 2.28 at beta*omega = 0.15 winds the square-root
+    # radicands fast enough that some points of each tracked batch need
+    # finer steps than others
+    evals = []
+    tracker = symplectic.tracked_sqrt
+
+    def counted(radicand, points, steps, anchor_tol):
+        n = 0
+
+        def rad(s, *pts):
+            nonlocal n
+            n += np.size(pts[0])
+            return radicand(s, *pts)
+
+        root = tracker(rad, points, steps, anchor_tol)
+        evals.append((n, root.size * (1 + steps)))
+        return root
+
+    monkeypatch.setattr(charfun, "tracked_sqrt", counted)
+    monkeypatch.setattr(symplectic, "tracked_sqrt", counted)
+
+    beta, g_tau, tau = 0.15, 1.2, math.pi
+    rng = np.random.default_rng(3)
+    u = rng.uniform(-3.0, 3.0, (4, 6))
+    v = rng.uniform(-3.0, 3.0, (4, 6))
+    gen = interaction_generator([synthetic_case(DOF, 1.0, None, g_tau, tau)])
+    dof = make_params(DOF, beta, wk=1.0, g_tau=g_tau)
+    suf = make_params(SUF, beta, g_tau=g_tau)
+    dif = make_params(DIF, beta, g_tau=g_tau)
+    open_dof = CharfunParams(variant=DOF, beta=beta, omega_k=(1.0, 1.2), g_tau=g_tau)
+    open_suf = CharfunParams(
+        variant=SUF, beta=beta, omega_k=(2.0, 2.1), omega_p=(1.0, 0.9), g_tau=g_tau
+    )
+    # name: (G over arrays a, b; whether it tracks a square root)
+    routes = {
+        "double": (lambda a, b: closed_form(dof, a, b), True),
+        "sum": (lambda a, b: closed_form(suf, a, b), False),
+        "difference": (lambda a, b: closed_form(dif, a, b), False),
+        "open double": (lambda a, b: closed_form_general(open_dof, a, b).g, True),
+        "open sum": (lambda a, b: closed_form_general(open_suf, a, b).g_bar, False),
+        # off the real axis, where the classical single-mode root winds
+        "classical": (
+            lambda a, b: classical_charfun(DOF, None, g_tau, a + 1j * b),
+            True,
+        ),
+        "generator": (
+            lambda a, b: charfun_from_generator(gen, [1.0], tau, beta, a, b),
+            True,
+        ),
+    }
+    for name, (g, tracked) in routes.items():
+        evals.clear()
+        batch = g(u, v)
+        assert isinstance(batch, np.ndarray) and batch.shape == u.shape, name
+        batch_evals = evals[:1]
+        evals.clear()
+        for i in np.ndindex(u.shape):
+            single = g(float(u[i]), float(v[i]))
+            assert type(single) is complex, name
+            assert abs(batch[i] - single) <= 1e-14 * abs(single), (name, i)
+        if tracked:
+            # the batch refined some points, and only as far as each one
+            # alone needed
+            [(n, unrefined)] = batch_evals
+            assert n > unrefined, name
+            assert n == sum(e for e, _ in evals), name
+        else:
+            assert not batch_evals and not evals, name
 
 
 def test_params_validation():

@@ -1,12 +1,12 @@
 """Lattice inversion, cumulative fits, and fluctuation-theorem checks."""
 
-import cmath
 import json
 import math
 
 import numpy as np
 import pytest
 
+from cavework import distributions
 from cavework.charfun import CharfunParams, classical_work_cdf, closed_form
 from cavework.distributions import (
     CumulativeFit,
@@ -30,8 +30,8 @@ DIF = ResonanceKind.DIFFERENCE
 
 
 def comb_eval(weights: dict, spacing: float):
-    def g(u: float) -> complex:
-        return sum(p * cmath.exp(1j * u * m * spacing) for m, p in weights.items())
+    def g(u: np.ndarray) -> np.ndarray:
+        return sum(p * np.exp(1j * u * m * spacing) for m, p in weights.items())
 
     return g
 
@@ -103,8 +103,8 @@ def test_channel_photons_relabel_the_work_inversion():
 
 def test_incommensurate_support_is_rejected():
     # two frequencies with irrational ratio cannot share a lattice
-    def g(u: float) -> complex:
-        return 0.5 * cmath.exp(1j * u) + 0.5 * cmath.exp(1j * u * math.sqrt(2.0))
+    def g(u: np.ndarray) -> np.ndarray:
+        return 0.5 * np.exp(1j * u) + 0.5 * np.exp(1j * u * math.sqrt(2.0))
 
     with pytest.raises(InversionError, match="Fock"):
         extract_marginal_work(g, WorkLattice(1.0))
@@ -118,8 +118,8 @@ def test_negative_weights_are_rejected():
 
 
 def test_imaginary_weights_are_rejected():
-    def g(u: float) -> complex:
-        return 1.0 + 1e-6j * (cmath.exp(1j * u) - 1.0)
+    def g(u: np.ndarray) -> np.ndarray:
+        return 1.0 + 1e-6j * (np.exp(1j * u) - 1.0)
 
     with pytest.raises(InversionError, match="imaginary"):
         extract_marginal_work(g, WorkLattice(1.0))
@@ -130,10 +130,10 @@ def test_non_decaying_comb_stops_at_the_sample_budget():
     # no sample count passes the tail test
     calls = 0
 
-    def spike(*x: float) -> complex:
+    def spike(*x: np.ndarray) -> np.ndarray:
         nonlocal calls
-        calls += 1
-        return 1.0 if not any(x) else 0.0
+        calls += np.size(x[0])
+        return np.where(np.logical_and.reduce([xi == 0.0 for xi in x]), 1.0, 0.0)
 
     with pytest.raises(InversionError, match="sample budget"):
         _adaptive_comb(spike, (1.0,), (8,))
@@ -148,8 +148,8 @@ def test_joint_inversion_resolves_every_axis():
     # one peak at index 40 on one axis: 64 and 128 samples put it in the
     # outer quarter of that axis, 256 resolve it
     for g, peak in [
-        (lambda u, v: cmath.exp(40j * u), (40, 0)),
-        (lambda u, v: cmath.exp(40j * v), (0, 40)),
+        (lambda u, v: np.exp(40j * u), (40, 0)),
+        (lambda u, v: np.exp(40j * v), (0, 40)),
     ]:
         (su, sv), probs = _adaptive_comb(
             g, (2.0 * math.pi, 2.0 * math.pi), (64, 64)
@@ -162,10 +162,29 @@ def test_joint_inversion_resolves_every_axis():
 def test_joint_inversion_rejects_negative_weights():
     with pytest.raises(InversionError, match="negative"):
         _adaptive_comb(
-            lambda u, v: 1.5 - 0.5 * cmath.exp(1j * (u + v)),
+            lambda u, v: 1.5 - 0.5 * np.exp(1j * (u + v)),
             (2.0 * math.pi, 2.0 * math.pi),
             (8, 8),
         )
+
+
+def test_comb_weights_do_not_depend_on_the_block_size(monkeypatch):
+    params = params_for(DOF, beta=1.0, g_tau=0.5, wk=1.0)
+
+    def joint():
+        return _adaptive_comb(
+            lambda u, v: closed_form(params, u, v), (math.pi, 2.0 * math.pi), (64, 64)
+        )
+
+    (su, sv), want = joint()
+    # the 256 x 256 grid spans four blocks of the default size
+    assert want.shape == (256, 256) and want.size > distributions._BLOCK
+    # one row per block, and the whole grid at once
+    for block in (1, 1 << 20):
+        monkeypatch.setattr(distributions, "_BLOCK", block)
+        (su_b, sv_b), got = joint()
+        assert np.array_equal(su_b, su) and np.array_equal(sv_b, sv)
+        assert np.array_equal(got, want)
 
 
 def params_for(variant, beta, g_tau, wk=2.0, wp=1.0):

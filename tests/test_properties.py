@@ -6,8 +6,10 @@ a second.  Hypothesis is derandomized and keeps no example database, so
 a run is repeatable and writes nothing into the tree.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -92,3 +94,25 @@ def test_symplectic_route_matches_closed_form(params, u, v, tau):
     )
     b = closed_form(params, u, v)
     assert abs(a - b) <= 1e-9
+
+
+@settings(PROPERTY, max_examples=20)
+@given(
+    closed_params(),
+    st.floats(0.05, 1.2),
+    st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-math.pi, math.pi)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_array_evaluation_matches_per_point(params, g_tau, points):
+    # up to sinh^2(1.2) ~ 2.28, where some points need a refined branch path
+    params = dataclasses.replace(params, g_tau=g_tau)
+    u = np.array([p[0] for p in points])
+    v = np.array([p[1] for p in points])
+    batch = closed_form(params, u, v)
+    assert batch.shape == u.shape
+    for a, b, g in zip(u.tolist(), v.tolist(), batch.tolist()):
+        single = closed_form(params, a, b)
+        assert abs(g - single) <= 1e-14 * abs(single)

@@ -207,12 +207,12 @@ def test_strong_drive_branch_follows_closed_form():
 def test_tracked_sqrt_refines_past_a_fast_step():
     calls = 0
 
-    def radicand(s: float) -> complex:
+    def radicand(s: float, x: np.ndarray) -> np.ndarray:
         nonlocal calls
-        calls += 1
-        return cmath.exp(42j * s)
+        calls += np.size(x)
+        return np.exp(42j * s * x)
 
-    root = tracked_sqrt(radicand, steps=16, anchor_tol=1e-12)
+    root = tracked_sqrt(radicand, (1.0,), steps=16, anchor_tol=1e-12)
     # 16 steps of 2.625 rad leave the right half plane at the first
     # step; one refinement to 32 steps of 1.3125 rad continues the branch
     assert calls == 1 + 1 + 32
@@ -222,21 +222,49 @@ def test_tracked_sqrt_refines_past_a_fast_step():
 
 
 def test_tracked_sqrt_failure_modes():
+    one = (1.0,)
     # at every step count from 16 to 1024 each step turns the radicand
     # by +-2 pi / 3 modulo 2 pi, outside the right half plane
     fast = 2048.0 * math.pi / 3.0
     with pytest.raises(BranchTrackingError, match="winds too fast"):
-        tracked_sqrt(lambda s: cmath.exp(1j * fast * s), steps=16, anchor_tol=1e-12)
+        tracked_sqrt(
+            lambda s, x: np.exp(1j * fast * s * x), one, steps=16, anchor_tol=1e-12
+        )
     with pytest.raises(BranchTrackingError, match="vanished"):
-        tracked_sqrt(lambda s: 1.0 - s, steps=16, anchor_tol=1e-12)
+        tracked_sqrt(lambda s, x: 1.0 - s * x, one, steps=16, anchor_tol=1e-12)
     with pytest.raises(BranchTrackingError, match="anchor"):
-        tracked_sqrt(lambda s: -1.0 + 0.0j, steps=16, anchor_tol=1e-12)
+        tracked_sqrt(lambda s, x: -1.0 + 0.0j * x, one, steps=16, anchor_tol=1e-12)
     # a determinant anchor is real to 1e-9 relative, a scalar one to 1e-12
-    tilted = lambda s: (1.0 + 1e-10j) * (1.0 + s)  # noqa: E731
-    assert tracked_sqrt(tilted, steps=64, anchor_tol=1e-9) == pytest.approx(
+    tilted = lambda s, x: (1.0 + 1e-10j) * (1.0 + s * x)  # noqa: E731
+    assert tracked_sqrt(tilted, one, steps=64, anchor_tol=1e-9) == pytest.approx(
         cmath.sqrt(2.0 + 2e-10j), abs=1e-13
     )
     with pytest.raises(BranchTrackingError, match="anchor"):
-        tracked_sqrt(tilted, steps=16, anchor_tol=1e-12)
+        tracked_sqrt(tilted, one, steps=16, anchor_tol=1e-12)
     with pytest.raises(BranchTrackingError, match="anchor"):
-        tracked_sqrt(lambda s: 1.0 + 1e-8j + s, steps=64, anchor_tol=1e-9)
+        tracked_sqrt(
+            lambda s, x: 1.0 + 1e-8j + s * x, one, steps=64, anchor_tol=1e-9
+        )
+
+
+def test_tracked_sqrt_refines_only_the_failing_points():
+    def counted(x: np.ndarray) -> tuple[np.ndarray, int]:
+        calls = 0
+
+        def radicand(s: float, x: np.ndarray) -> np.ndarray:
+            nonlocal calls
+            calls += np.size(x)
+            return np.exp(42j * s * x)
+
+        return tracked_sqrt(radicand, (x,), steps=16, anchor_tol=1e-12), calls
+
+    # x = 1 turns 2.625 rad per step and needs 32 steps; the others pass
+    # at 16, so the batch costs exactly what its points cost one by one
+    xs = np.array([[1.0, 0.1], [0.2, 1.0], [-0.05, 0.3]])
+    root, calls = counted(xs)
+    alone = [counted(x) for x in xs.ravel()]
+    assert [c for _, c in alone] == [34, 17, 17, 34, 17, 17]
+    assert calls == sum(c for _, c in alone) == 136
+    assert root.shape == xs.shape
+    assert np.allclose(root.ravel(), [r for r, _ in alone], rtol=1e-14, atol=0.0)
+    assert np.allclose(root, np.exp(21j * xs), rtol=0.0, atol=1e-12)
