@@ -429,11 +429,13 @@ def classical_work_cdf(
 def moments(params: CharfunParams, order: int = 2) -> tuple:
     """(mean,) or (mean, central variance) of work by differentiation.
 
-    Central differences of G(u, 0) at u=0 on a three-step ladder with
-    Richardson extrapolation; the two extrapolants must agree or the
-    ladder is declared unconverged.  The step scale adapts to whichever
-    is smaller of the quantum 1/(hbar omega) and thermal beta scales so
-    both Table-like limits differentiate accurately.
+    Central differences of G(u, 0) at u=0 on three-step ladders with
+    Richardson extrapolation; on each ladder the two extrapolants must
+    agree or it is declared unconverged.  The second derivative takes a
+    ladder 30x coarser than the first, since its difference quotient
+    divides the roundoff of G by h^2.  The step scale adapts to
+    whichever is smaller of the quantum 1/(hbar omega) and thermal beta
+    scales so both Table-like limits differentiate accurately.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -441,10 +443,11 @@ def moments(params: CharfunParams, order: int = 2) -> tuple:
     w_max = params.hbar * max(w for pair in params.frequency_pairs() for w in pair)
     scale = min(1.0 / w_max, params.beta)
     steps = [1e-3 * scale, 1e-4 * scale, 1e-5 * scale]
-    # the whole ladder in one evaluation.  G(-u, 0) is the conjugate of
+    steps2 = [3e-2 * scale, 3e-3 * scale, 3e-4 * scale]
+    # both ladders in one evaluation.  G(-u, 0) is the conjugate of
     # G(u, 0) for a real distribution; taking it so keeps the roundoff of
-    # the two sides mirrored, which the finest second difference needs
-    us = np.array([0.0] + steps)
+    # the two sides mirrored, which the second differences need
+    us = np.array([0.0] + steps + steps2)
     if params.is_closed:
         g = closed_form(params, us, 0.0).tolist()
     else:
@@ -456,7 +459,8 @@ def moments(params: CharfunParams, order: int = 2) -> tuple:
         return (gp[i] - gm[i]) / (2.0 * steps[i])
 
     def d2(i: int) -> complex:
-        return (gp[i] - 2.0 * g0 + gm[i]) / (steps[i] * steps[i])
+        h = steps2[i]
+        return (gp[3 + i] - 2.0 * g0 + gm[3 + i]) / (h * h)
 
     # ladder steps differ by 10, so Richardson weights are 100/99
     r1 = [(100.0 * d1(i + 1) - d1(i)) / 99.0 for i in range(2)]

@@ -50,8 +50,9 @@ usage or config error.  CSV output is deterministic: 12 significant
 digits, '.' decimal separator, '\\n' line endings, fixed ordering.
 Inverted probabilities (the prob and F_exact columns) are printed to
 12 significant digits or to 1e-14 absolute, whichever is coarser
-(distributions.format_prob).  For a single resonance channel
-P(delta_n) is relabelled from the inverted P(w).
+(distributions.format_prob), and so is the residual_mass tail of
+--oracle CSVs.  For a single resonance channel P(delta_n) is
+relabelled from the inverted P(w).
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ from .distributions import (
     extract_channel_marginals,
     extract_marginal_photons,
     extract_marginal_work,
+    format_prob,
     marginal_to_csv,
     verify_fluctuation_theorems,
 )
@@ -514,7 +516,7 @@ def cmd_distribution(args) -> int:
         oracle_work, oracle_photons = _oracle_marginals(oracle_dist, w_floor)
 
     if args.oracle and not args.freeze:
-        tail = f"# residual_mass={oracle_dist.residual_mass:.12g}\n"
+        tail = f"# residual_mass={format_prob(oracle_dist.residual_mass)}\n"
         _write(
             _out_path(cfg, "work.csv"),
             marginal_to_csv(oracle_work, "work") + tail,
@@ -523,9 +525,8 @@ def cmd_distribution(args) -> int:
             _out_path(cfg, "photons.csv"),
             marginal_to_csv(oracle_photons, "photons") + tail,
         )
-        fit = cumulative_and_fit(
-            [(w, p / sum(q for _, q in oracle_work)) for w, p in oracle_work]
-        )
+        total = sum(q for _, q in oracle_work)
+        fit = cumulative_and_fit([(w, p / total) for w, p in oracle_work])
         _write(_out_path(cfg, "cumulative.csv"), cumulative_to_csv(fit) + tail)
         print(
             f"oracle distributions written "

@@ -2,8 +2,16 @@
 
 This is the ground truth the closed forms are tested against: thermal
 sampling, exact RWA unitary, projective energy and photon-number
-readouts at both ends, all by dense linear algebra over a product
-occupation basis.
+readouts at both ends, over a product occupation basis.
+
+The interaction V is built by index arithmetic on the occupation table
+(a_j|n> = sqrt(n_j)|n - e_j>), and e^{-iV tau} is exponentiated sector
+by sector: the connected components of V's nonzero pattern are blocks
+no entry of V couples, so each is diagonalized on its own and the dense
+unitary is exact by construction.  For the RWA resonances these are the
+charge sectors (parity for the double resonance, n_k - n_p for the sum
+and n_k + n_p for the difference channel); a V that conserves nothing
+is one sector, the dense case.
 
 Thermal weights are taken against the analytic, untruncated partition
 function, so the reported peak probabilities undershoot unity by
@@ -95,23 +103,6 @@ class TruncatedFockSpace:
             list(itertools.product(*(range(v + 1) for v in self.n_max))), dtype=int
         )
 
-    def lowering_operator(self, j: int) -> np.ndarray:
-        """Dense a_j on the product basis."""
-        mats = []
-        for i, v in enumerate(self.n_max):
-            d = v + 1
-            if i == j:
-                m = np.zeros((d, d))
-                for n in range(1, d):
-                    m[n - 1, n] = math.sqrt(n)
-            else:
-                m = np.eye(d)
-            mats.append(m)
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
     def omega0(self) -> np.ndarray:
         return np.array([w0 for _, w0, _ in self.modes])
 
@@ -133,6 +124,23 @@ class TruncatedFockSpace:
         return np.exp(-beta * hbar * e0) / z_full
 
 
+def _ladder(
+    space: TruncatedFockSpace, occ: np.ndarray, j: int, raising: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """a_j (or its adjoint) as one target state and amplitude per state.
+
+    occ is space.occupations().  The operator sends basis state i to
+    amp[i] |target[i]>; target is -1 where the truncated operator
+    annihilates the state (a|0>, a^dagger|n_max>).
+    """
+    n = occ[:, j]
+    stride = int(np.prod([v + 1 for v in space.n_max[j + 1 :]]))
+    index = np.arange(space.dimension)
+    if raising:
+        return np.where(n < space.n_max[j], index + stride, -1), np.sqrt(n + 1)
+    return np.where(n > 0, index - stride, -1), np.sqrt(n)
+
+
 def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> np.ndarray:
     """Dense matrix of 1/2 alpha S alpha over the truncated basis.
 
@@ -152,8 +160,10 @@ def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> np.nda
             raise ValueError("anonymous form must cover every space mode")
         slots = list(range(space.mode_count))
 
-    lowers = [space.lowering_operator(j) for j in slots]
-    alpha = lowers + [m.conj().T for m in lowers]
+    # alpha = (a_1..a_n, a_1^dagger..a_n^dagger) as ladder tables
+    occ = space.occupations()
+    alpha = [_ladder(space, occ, j, False) for j in slots]
+    alpha += [_ladder(space, occ, j, True) for j in slots]
     dim = space.dimension
     v = np.zeros((dim, dim), dtype=complex)
     n = form.n
@@ -161,7 +171,13 @@ def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> np.nda
         for j in range(2 * n):
             s = form.S[i, j]
             if s != 0.0:
-                v += 0.5 * s * (alpha[i] @ alpha[j])
+                # alpha_i alpha_j |c> = amp_i[m] amp_j[c] |target[m]>, m = mid[c]
+                mid, amp_j = alpha[j]
+                target, amp_i = alpha[i]
+                cols = np.flatnonzero(mid >= 0)
+                cols = cols[target[mid[cols]] >= 0]
+                m = mid[cols]
+                v[target[m], cols] += 0.5 * s * (amp_i[m] * amp_j[cols])
     herm_defect = float(np.abs(v - v.conj().T).max())
     if herm_defect > 1e-10 * max(1.0, float(np.abs(v).max())):
         raise ValueError(
@@ -169,6 +185,18 @@ def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> np.nda
             f"(defect {herm_defect:.3e})"
         )
     return 0.5 * (v + v.conj().T)
+
+
+def _sectors(v: np.ndarray) -> list[np.ndarray]:
+    """Basis indices of each connected component of v's nonzero pattern."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    rows, cols = np.nonzero(v)
+    graph = coo_array((np.ones(rows.size), (rows, cols)), shape=v.shape)
+    _, labels = connected_components(graph, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 def build_evolution(
@@ -181,16 +209,20 @@ def build_evolution(
 
     Both factors are exactly unitary: the free phases are diagonal and
     the interaction exponential comes from the eigendecomposition of the
-    Hermitian V.  When beta is given, the evolved thermal state's
+    Hermitian V, one sector (see _sectors) at a time; U is zero between
+    sectors.  When beta is given, the evolved thermal state's
     population in the top occupation shell is checked; truncation is
     only trustworthy when that leakage is tiny.
     """
     tau = protocol.tau
     v = quadratic_operator(space, generator)
-    evals, vecs = np.linalg.eigh(v)
-    exp_v = (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
-    e0 = space.occupations() @ space.omega0()
-    u = np.exp(-1j * e0 * tau)[:, None] * exp_v
+    phase = np.exp(-1j * (space.occupations() @ space.omega0()) * tau)
+    u = np.zeros_like(v)
+    for idx in _sectors(v):
+        block = np.ix_(idx, idx)
+        evals, vecs = np.linalg.eigh(v[block])
+        exp_v = (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
+        u[block] = phase[idx, None] * exp_v
     if beta is not None:
         p = space.thermal_weights(beta, protocol.hbar)
         pops = (np.abs(u) ** 2) @ p
@@ -267,30 +299,22 @@ def two_point_measurement(
     First measurement projects the thermal state onto occupations at the
     starting frequencies, the second reads the evolved state at the
     final frequencies; w = hbar * (E_end(n') - E_start(n)).  Peaks are
-    merged within 1e-9 of the smallest active frequency.
+    merged within 1e-9 of the smallest active frequency.  Only the
+    nonzero entries of U are visited.
     """
     occ = space.occupations()
     e0 = occ @ space.omega0()
     e1 = occ @ space.omega_tau()
     ntot = occ.sum(axis=1)
     p_init = space.thermal_weights(beta, hbar)
-    prob_mat = np.abs(u_matrix) ** 2  # [n', n]
+    rows, cols = np.nonzero(u_matrix)  # [n', n]
+    prob = np.abs(u_matrix[rows, cols]) ** 2 * p_init[cols]
 
     tol = 1e-9 * hbar * float(min(space.omega0().min(), space.omega_tau().min()))
-    acc: dict[complex, float] = {}
-    dim = space.dimension
-    block = max(1, 4_000_000 // dim)
-    for start in range(0, dim, block):
-        stop = min(dim, start + block)
-        pb = prob_mat[:, start:stop] * p_init[start:stop][None, :]
-        wb = hbar * (e1[:, None] - e0[None, start:stop])
-        dnb = ntot[:, None] - ntot[None, start:stop]
-        z = wb.ravel() + 1j * dnb.ravel()
-        uz, inv = np.unique(z, return_inverse=True)
-        sums = np.bincount(inv, weights=pb.ravel())
-        for key, s in zip(uz, sums):
-            if s > 0.0:
-                acc[complex(key)] = acc.get(complex(key), 0.0) + float(s)
+    z = hbar * (e1[rows] - e0[cols]) + 1j * (ntot[rows] - ntot[cols])
+    uz, inv = np.unique(z, return_inverse=True)
+    sums = np.bincount(inv, weights=prob)
+    acc = {complex(key): float(s) for key, s in zip(uz, sums) if s > 0.0}
     peaks = _merge_peaks(acc, tol)
     residual = 1.0 - sum(p for _, _, p in peaks)
     return JointDistribution(peaks, residual)

@@ -3,12 +3,13 @@
 import cmath
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cavework import charfun, symplectic
+from cavework import charfun, cli, symplectic
 from cavework.cavity import Polarization, RectangularGeometry, mode_frequency
 from cavework.charfun import (
     CharfunParams,
@@ -27,6 +28,8 @@ from cavework.driving import ResonanceKind, interaction_generator
 from cavework.errors import CoupledResonanceError, DegenerateResonanceError
 from cavework.symplectic import charfun_from_generator
 from conftest import synthetic_case
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DOF = ResonanceKind.DOUBLE
 SUF = ResonanceKind.SUM
@@ -263,6 +266,23 @@ def test_moments_match_lattice_average():
     assert mean == pytest.approx(mean_sum, rel=1e-8)
     # the lattice sum drops sub-1e-12 tail peaks, which w^2 amplifies
     assert var == pytest.approx(var_sum, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", ["moments_cold", "moments_hot"])
+def test_moments_variance_matches_lattice_sum_on_sweeps(name):
+    # the moments CLI prints std_w to 12 digits: the second derivative
+    # must resolve far more than the ~5 digits a roundoff-bound step gives
+    cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
+    protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
+    base = CharfunParams.from_case(plan.cases[0], cfg.beta, protocol.tau)
+    for hbar in cfg.sweep_values:
+        params = dataclasses.replace(base, hbar=hbar)
+        lattice = WorkLattice(spacing=hbar * protocol.omega_drive)
+        peaks = extract_marginal_work(lambda u: closed_form(params, u, 0.0), lattice)
+        mean_sum = sum(w * p for w, p in peaks)
+        var_sum = sum((w - mean_sum) ** 2 * p for w, p in peaks)
+        _, var = moments(params, order=2)
+        assert var == pytest.approx(var_sum, rel=1e-7), hbar
 
 
 def test_multi_resonance_product_factorizes():

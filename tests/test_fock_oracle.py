@@ -1,9 +1,11 @@
 """Truncated-Fock simulation: the brute-force reference route.
 
-Everything here is checked against closed-form algebra or analytic
-thermal sums, never against another part of the simulation itself.
+Everything here is checked against closed-form algebra, analytic
+thermal sums or the dense Kronecker-product construction below, never
+against another part of the simulation itself.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from cavework.charfun import CharfunParams, closed_form, closed_form_general
 from cavework.driving import DrivingProtocol, ResonanceKind, interaction_generator
+from cavework import fock
 from cavework.errors import TruncationLeakError
 from cavework.fock import (
     JointDistribution,
@@ -33,6 +36,135 @@ MODE2 = (0, 0, 2)
 
 def single_mode_space(n_max=30, w0=1.0, w1=None, budget=4096):
     return TruncatedFockSpace([(MODE, w0, w1 if w1 else w0)], n_max, budget=budget)
+
+
+# ------------------------------------------------- dense reference route
+
+
+def kron_lowering(space, j):
+    """Dense truncated a_j on the product basis, by Kronecker products."""
+    out = np.eye(1)
+    for i, v in enumerate(space.n_max):
+        m = np.diag(np.sqrt(np.arange(1.0, v + 1)), 1) if i == j else np.eye(v + 1)
+        out = np.kron(out, m)
+    return out
+
+
+def kron_operator(space, form):
+    """Dense 1/2 alpha S alpha, summed term by term as matrix products."""
+    slots = [[m for m, _, _ in space.modes].index(m) for m in form.modes]
+    lowers = [kron_lowering(space, j) for j in slots]
+    alpha = lowers + [m.T for m in lowers]
+    v = np.zeros((space.dimension, space.dimension), dtype=complex)
+    for i in range(2 * form.n):
+        for j in range(2 * form.n):
+            s = form.S[i, j]
+            if s != 0.0:
+                v += 0.5 * s * (alpha[i] @ alpha[j])
+    return 0.5 * (v + v.conj().T)
+
+
+def dense_evolution(space, v, tau):
+    """e^{-i H0 tau} e^{-i V tau} from one eigendecomposition of all of V."""
+    evals, vecs = np.linalg.eigh(v)
+    e0 = space.occupations() @ space.omega0()
+    exp_v = (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
+    return np.exp(-1j * e0 * tau)[:, None] * exp_v
+
+
+def dense_charfun(space, u_mat, beta, u, v):
+    """Sum of |U|^2 p exp(i u w + i v dn) over every pair of basis states."""
+    occ = space.occupations()
+    w = (occ @ space.omega_tau())[:, None] - (occ @ space.omega0())[None, :]
+    dn = occ.sum(axis=1)[:, None] - occ.sum(axis=1)[None, :]
+    weight = np.abs(u_mat) ** 2 * space.thermal_weights(beta)[None, :]
+    return complex((weight * np.exp(1j * u * w + 1j * v * dn)).sum())
+
+
+def _pair(kind, wk, wp, g_tau, tau, w_end=None):
+    case = synthetic_case(kind, wk, wp, g_tau, tau)
+    return case, [
+        (case.k, wk, w_end[0] if w_end else wk),
+        (case.p, wp, w_end[1] if w_end else wp),
+    ]
+
+
+def reference_spaces():
+    """(space, cases, protocol, beta) for each shape of coupling."""
+    tau = math.pi
+    dbl = synthetic_case(DOF, 1.0, None, 0.6, tau)
+    space = single_mode_space(n_max=24)
+    out = [pytest.param(space, [dbl], closed_protocol(2.0), 0.8, id="double")]
+    for label, kind, drive in (("sum", SUF, 3.0), ("diff", DIF, 1.0)):
+        case, modes = _pair(kind, 2.0, 1.0, 0.5, tau)
+        space = TruncatedFockSpace(modes, 9)
+        proto = closed_protocol(drive, half_periods=1)
+        out.append(pytest.param(space, [case], proto, 0.7, id=label))
+    # squeeze + exchange sharing the omega = 1 mode: one coupled group
+    dif = dataclasses.replace(
+        synthetic_case(DIF, 3.0, 1.0, 0.2, tau), k=MODE2, p=MODE
+    )
+    space = TruncatedFockSpace([(MODE, 1.0, 1.0), (MODE2, 3.0, 3.0)], (14, 6))
+    out.append(pytest.param(space, [dbl, dif], closed_protocol(2.0), 0.9, id="coupled"))
+    case, modes = _pair(SUF, 2.0, 1.0, 0.4, 1.3, w_end=(2.1, 1.05))
+    proto = DrivingProtocol(lambda0=1.0, epsilon=0.05, omega_drive=3.0, tau=1.3)
+    space = TruncatedFockSpace(modes, (8, 10))
+    out.append(pytest.param(space, [case], proto, 0.6, id="open_endpoints"))
+    return out
+
+
+@pytest.mark.parametrize("space,cases,proto,beta", reference_spaces())
+def test_sector_evolution_matches_dense_reference(space, cases, proto, beta):
+    gen = interaction_generator(cases)
+    v = quadratic_operator(space, gen)
+    v_ref = kron_operator(space, gen)
+    assert np.array_equal(v, v_ref)
+    u_mat = build_evolution(space, gen, proto)
+    u_ref = dense_evolution(space, v_ref, proto.tau)
+    assert np.abs(u_mat - u_ref).max() <= 1e-12
+    # the dense reference leaves ~1e-17 amplitudes between sectors, so
+    # compare peak by peak with a missing peak counting as 0
+    dist = two_point_measurement(space, u_mat, beta)
+    dist_ref = two_point_measurement(space, u_ref, beta)
+    got = {(round(w, 9), dn): p for w, dn, p in dist.peaks}
+    want = {(round(w, 9), dn): p for w, dn, p in dist_ref.peaks}
+    for key in got.keys() | want.keys():
+        assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-14, key
+    for u, vv in [(0.0, 0.0), (0.7, 0.0), (-1.3, 0.9)]:
+        want_g = dense_charfun(space, u_ref, beta, u, vv)
+        assert abs(charfun_numeric(dist, u, vv) - want_g) <= 1e-14
+
+
+def test_sector_counts_follow_the_conserved_charge():
+    tau, n_max = math.pi, 9
+    dbl = synthetic_case(DOF, 1.0, None, 0.6, tau)
+    v = quadratic_operator(single_mode_space(n_max=24), interaction_generator([dbl]))
+    assert len(fock._sectors(v)) == 2
+    for kind in (SUF, DIF):
+        case, modes = _pair(kind, 2.0, 1.0, 0.5, tau)
+        space = TruncatedFockSpace(modes, n_max)
+        v = quadratic_operator(space, interaction_generator([case]))
+        sectors = fock._sectors(v)
+        assert len(sectors) == 2 * n_max + 1
+        occ = space.occupations()
+        charge = occ[:, 0] - occ[:, 1] if kind is SUF else occ.sum(axis=1)
+        assert all(len(set(charge[idx])) == 1 for idx in sectors)
+        assert sorted(np.concatenate(sectors)) == list(range(space.dimension))
+
+
+def test_charge_free_interaction_is_one_dense_sector(monkeypatch):
+    # every quadratic form conserves parity, so feed build_evolution a
+    # Hermitian V that couples each basis state to its neighbour
+    space = TruncatedFockSpace([(MODE, 1.0, 1.0), (MODE2, 2.0, 2.0)], (5, 4))
+    rng = np.random.default_rng(7)
+    dim = space.dimension
+    off = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
+    v = np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off.conj(), -1)
+    monkeypatch.setattr(fock, "quadratic_operator", lambda space, form: v)
+    assert len(fock._sectors(v)) == 1
+    proto = closed_protocol(2.0)
+    u_mat = build_evolution(space, None, proto)
+    assert np.abs(u_mat - dense_evolution(space, v, proto.tau)).max() <= 1e-12
 
 
 def test_space_validation():
@@ -136,12 +268,12 @@ def test_pair_resonance_work_lattice():
     proto = closed_protocol(3.0, half_periods=3)
     u_mat = build_evolution(space, interaction_generator([case]), proto, beta=beta)
     dist = two_point_measurement(space, u_mat, beta)
-    # pair creation changes N in steps of 2; roundoff puts ~1e-30 slivers
-    # on forbidden transitions, so bound the stray mass, not each peak
+    # pair creation changes N in steps of 2; U vanishes between the
+    # n_k - n_p sectors, so forbidden transitions carry no mass at all
     off_lattice = sum(p for w, _, p in dist.peaks if abs(w - round(w)) > 1e-9)
     odd = sum(p for _, dn, p in dist.peaks if dn % 2)
-    assert off_lattice < 1e-12
-    assert odd < 1e-12
+    assert off_lattice == 0.0
+    assert odd == 0.0
     params = CharfunParams(
         variant=SUF, beta=beta, omega_k=(2.0, 2.0), omega_p=(1.0, 1.0), g_tau=g_tau
     )
@@ -171,6 +303,10 @@ def test_quadratic_operator_guards():
     with pytest.raises(ValueError, match="every space mode"):
         two = TruncatedFockSpace([(MODE, 1.0, 1.0), (MODE2, 2.0, 2.0)], (3, 3))
         quadratic_operator(two, QuadraticForm(np.zeros((2, 2))))
+    pair_only = np.zeros((4, 4), dtype=complex)
+    pair_only[0, 1] = pair_only[1, 0] = 1.0  # a_1 a_2 without its adjoint
+    with pytest.raises(ValueError, match="Hermitian"):
+        quadratic_operator(two, QuadraticForm(pair_only, (MODE, MODE2)))
 
 
 def test_number_conserving_exchange_block():
