@@ -38,7 +38,6 @@ from .symplectic import tracked_sqrt
 __all__ = [
     "CharfunParams",
     "GeneralCharfun",
-    "GrandPotentialDiff",
     "adiabatic_mode_factor",
     "classical_alphas",
     "classical_charfun",
@@ -133,14 +132,6 @@ class CharfunParams:
         return (self.omega_k, self.omega_p)
 
 
-@dataclass(frozen=True)
-class GrandPotentialDiff:
-    """Grand-potential change over a declared active mode set (mu=0)."""
-
-    value: float
-    modes: tuple
-
-
 class GeneralCharfun(NamedTuple):
     """Open-endpoint result: the drift-removed g_bar and the full g,
     related by g = g_bar * exp(i u dPhi); arrays for array input."""
@@ -205,50 +196,24 @@ def closed_form(params: CharfunParams, u, v):
     return _result(sksp / den)
 
 
-def grand_potential_diff(
-    active_modes: Sequence,
-    lambda0: float,
-    lambda_tau: float,
-    beta: float,
-    geometry=None,
-    polarization=None,
-    hbar: float = 1.0,
-) -> GrandPotentialDiff:
+def grand_potential_diff(pairs: Sequence, beta: float, hbar: float = 1.0) -> float:
     """dPhi = (1/beta) sum_k ln[(1 - e^{-beta x_tau}) / (1 - e^{-beta x_0})].
 
-    active_modes is either a sequence of (omega_at_start, omega_at_end)
-    pairs, or of mode indices when a geometry and polarization are given
-    (frequencies then come from the spectrum at each endpoint).  The
-    zero-point halves are excluded throughout, consistent with work
-    counting only occupation quanta.
+    pairs holds one (omega_at_start, omega_at_end) pair per active mode.
+    The zero-point halves are excluded, consistent with work counting
+    only occupation quanta.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    pairs = []
-    if geometry is not None:
-        from .cavity import mode_frequency
-
-        for m in active_modes:
-            pairs.append(
-                (
-                    mode_frequency(geometry, polarization, m, lambda0),
-                    mode_frequency(geometry, polarization, m, lambda_tau),
-                )
-            )
-    else:
-        pairs = [(float(a), float(b)) for a, b in active_modes]
     total = 0.0
     for w0, w1 in pairs:
+        w0, w1 = float(w0), float(w1)
         if w0 <= 0.0 or w1 <= 0.0:
             raise ValueError("frequencies must be positive")
         total += math.log1p(-math.exp(-beta * hbar * w1)) - math.log1p(
             -math.exp(-beta * hbar * w0)
         )
-    return GrandPotentialDiff(total / beta, tuple(active_modes))
-
-
-def _pair_dphi(pairs, beta: float, hbar: float) -> float:
-    return grand_potential_diff(pairs, 0.0, 0.0, beta, hbar=hbar).value
+    return total / beta
 
 
 def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
@@ -282,7 +247,7 @@ def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
 
         root = tracked_sqrt(rad, (u, v), steps=16, anchor_tol=1e-12)
         g = np.exp(-1j * u * dxk / 2.0) * sk / root
-        dphi = _pair_dphi([params.omega_k], beta, hb)
+        dphi = grand_potential_diff([params.omega_k], beta, hb)
         return GeneralCharfun(_result(g * np.exp(-1j * u * dphi)), _result(g))
 
     xp0, xp1 = (hb * w for w in params.omega_p)
@@ -301,8 +266,16 @@ def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
             (u - 1j * beta) * (xk0 - xp0) / 2.0
         ) * amp
     g = np.exp(-1j * u * (dxk + dxp) / 2.0) * sksp / den
-    dphi = _pair_dphi(params.frequency_pairs(), beta, hb)
+    dphi = grand_potential_diff(params.frequency_pairs(), beta, hb)
     return GeneralCharfun(_result(g * np.exp(-1j * u * dphi)), _result(g))
+
+
+def _g(params: CharfunParams, u, v):
+    """G(u, v) of one parameter record: closed_form for equal endpoints,
+    else the g of closed_form_general."""
+    if params.is_closed:
+        return closed_form(params, u, v)
+    return closed_form_general(params, u, v).g
 
 
 def multi_resonance_product(
@@ -326,10 +299,7 @@ def multi_resonance_product(
         seen.update(case.modes)
     out = 1.0 + 0.0j
     for params in params_list:
-        if params.is_closed:
-            out *= closed_form(params, u, v)
-        else:
-            out *= closed_form_general(params, u, v).g
+        out *= _g(params, u, v)
     return out
 
 
@@ -448,10 +418,7 @@ def moments(params: CharfunParams, order: int = 2) -> tuple:
     # G(u, 0) for a real distribution; taking it so keeps the roundoff of
     # the two sides mirrored, which the second differences need
     us = np.array([0.0] + steps + steps2)
-    if params.is_closed:
-        g = closed_form(params, us, 0.0).tolist()
-    else:
-        g = closed_form_general(params, us, 0.0).g.tolist()
+    g = _g(params, us, 0.0).tolist()
     g0, gp = g[0], g[1:]
     gm = [x.conjugate() for x in gp]
 

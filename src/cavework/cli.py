@@ -44,10 +44,16 @@ inverse temperature are required, everything else has defaults.
 
 Environment variables override the numerics block only, uniformly
 prefixed: CAVEWORK_N_MAX, CAVEWORK_LATTICE_COUNT, CAVEWORK_FREEZE_TOL.
+Values are checked where they are parsed, overrides included: numbers
+must be finite; lambda0, beta, hbar, freeze_tol and every sweep value
+positive; n_max >= 1 and lattice_count >= 8.  An --oracle / --freeze
+basis, (n_max + 1) ** (resonant modes), may hold at most 20000 states
+(fock._DIM_CAP).
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
-usage or config error.  CSV output is deterministic: 12 significant
-digits, '.' decimal separator, '\\n' line endings, fixed ordering.
+usage or config error, including every check above.  CSV output is
+deterministic: 12 significant digits, '.' decimal separator, '\\n' line
+endings, fixed ordering.
 Inverted probabilities (the prob and F_exact columns) are printed to
 12 significant digits or to 1e-14 absolute, whichever is coarser
 (distributions.format_prob), and so is the residual_mass tail of
@@ -100,7 +106,6 @@ from .distributions import (
 from .driving import (
     DrivingProtocol,
     ResonanceKind,
-    ResonancePlan,
     classify_resonances,
     interaction_generator,
 )
@@ -157,16 +162,27 @@ class RunConfig:
     prefix: str
 
 
-def _get_float(section, key: str, default: float | None = None) -> float:
+def _number(key: str, raw: str, positive: bool = False) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"key '{key}': not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': not finite: {raw!r}")
+    if positive and value <= 0.0:
+        raise ConfigError(f"key '{key}' must be positive, got {raw!r}")
+    return value
+
+
+def _get_float(
+    section, key: str, default: float | None = None, positive: bool = False
+) -> float:
     raw = section.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"missing required key '{key}'")
         return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}': not a number: {raw!r}") from None
+    return _number(key, raw, positive)
 
 
 def _build_geometry(sec) -> tuple[Geometry, Polarization]:
@@ -228,7 +244,7 @@ def load_config(path: str) -> RunConfig:
 
     geom, pol = _build_geometry(cp["geometry"])
     proto = cp["protocol"] if "protocol" in cp else {}
-    lambda0 = _get_float(proto, "lambda0", 1.0)
+    lambda0 = _get_float(proto, "lambda0", 1.0, positive=True)
     cutoff = _get_float(cp["geometry"], "cutoff", 8.0 / lambda0)
 
     numerics = dict(_NUMERIC_DEFAULTS)
@@ -245,25 +261,22 @@ def load_config(path: str) -> RunConfig:
         sweep_var = cp["sweep"].get("variable", "beta").strip().lower()
         if sweep_var not in ("beta", "hbar"):
             raise ConfigError(f"sweep variable must be beta or hbar, got {sweep_var!r}")
+        # beta and hbar alike must be positive
         raw = cp["sweep"].get("values", "")
-        try:
-            sweep_vals = tuple(float(tok) for tok in raw.split())
-        except ValueError:
-            raise ConfigError(f"sweep values: not numbers: {raw!r}") from None
+        sweep_vals = tuple(_number("values", tok, positive=True) for tok in raw.split())
 
     out = cp["output"] if "output" in cp else {}
 
-    def _int(key: str) -> int:
+    def _int(key: str, least: int) -> int:
         try:
-            return int(numerics[key])
+            value = int(numerics[key])
         except ValueError:
             raise ConfigError(
                 f"numerics key '{key}': not an integer: {numerics[key]!r}"
             ) from None
-
-    beta = _get_float(cp["thermal"], "beta")
-    if beta <= 0.0:
-        raise ConfigError("beta must be positive")
+        if value < least:
+            raise ConfigError(f"numerics key '{key}' must be at least {least}")
+        return value
 
     return RunConfig(
         geometry=geom,
@@ -274,11 +287,12 @@ def load_config(path: str) -> RunConfig:
         omega_drive_expr=proto.get("omega_drive", "2*w(lowest)"),
         tau=_get_float(proto, "tau", 0.0),
         phi=_get_float(proto, "phi", 0.0),
-        hbar=_get_float(proto, "hbar", 1.0),
-        beta=beta,
-        n_max=_int("n_max"),
-        lattice_count=_int("lattice_count"),
-        freeze_tol=float(numerics["freeze_tol"]),
+        hbar=_get_float(proto, "hbar", 1.0, positive=True),
+        beta=_get_float(cp["thermal"], "beta", positive=True),
+        n_max=_int("n_max", 1),
+        # the fewest Fourier samples WorkLattice accepts
+        lattice_count=_int("lattice_count", 8),
+        freeze_tol=_get_float(numerics, "freeze_tol", positive=True),
         sweep_variable=sweep_var,
         sweep_values=sweep_vals,
         directory=out.get("directory", "out"),
@@ -372,15 +386,16 @@ def _protocol_and_plan(cfg: RunConfig, spectrum: list):
     return protocol, plan
 
 
-def _final_frequencies(cfg: RunConfig, protocol: DrivingProtocol, plan) -> dict:
-    lam_tau = protocol.lambda_tau
-    return {
-        case_mode: mode_frequency(
-            cfg.geometry, cfg.polarization, case_mode, lam_tau
-        )
-        for case in plan.cases
-        for case_mode in case.modes
-    }
+def _mode_table(cfg: RunConfig, protocol: DrivingProtocol, plan) -> list:
+    """(mode, omega at lambda0, omega at lambda(tau)) of every resonant
+    mode, ordered by starting frequency."""
+
+    def omega(m, lam: float) -> float:
+        return mode_frequency(cfg.geometry, cfg.polarization, m, lam)
+
+    modes = {m for case in plan.cases for m in case.modes}
+    table = [(m, omega(m, cfg.lambda0), omega(m, protocol.lambda_tau)) for m in modes]
+    return sorted(table, key=lambda entry: (entry[1], entry[0]))
 
 
 def _write(path: str, text: str) -> None:
@@ -430,52 +445,38 @@ def _closed_evaluator(cfg: RunConfig, protocol, plan):
 
 def _oracle_joint(cfg: RunConfig, protocol, plan) -> fock.JointDistribution:
     """Truncated-Fock simulation of all resonant modes."""
-    lam_tau = protocol.lambda_tau
-    modes = []
-    seen = set()
-    for case in plan.cases:
-        for m in case.modes:
-            if m not in seen:
-                seen.add(m)
-                w0 = mode_frequency(cfg.geometry, cfg.polarization, m, cfg.lambda0)
-                w1 = mode_frequency(cfg.geometry, cfg.polarization, m, lam_tau)
-                modes.append((m, w0, w1))
-    modes.sort(key=lambda entry: (entry[1], entry[0]))
-    dim = (cfg.n_max + 1) ** len(modes)
-    if dim > 20000:
-        raise ConfigError(
-            f"truncated basis would have dimension {dim} over {len(modes)} "
-            "resonant modes; reduce n_max or narrow the resonance"
-        )
-    space = fock.TruncatedFockSpace(tuple(modes), cfg.n_max, budget=dim)
+    try:
+        space = fock.TruncatedFockSpace(_mode_table(cfg, protocol, plan), cfg.n_max)
+    except ValueError as exc:  # the basis size cap
+        raise ConfigError(str(exc)) from None
     generator = interaction_generator(list(plan.cases), phi=protocol.phi)
     u_matrix = fock.build_evolution(space, generator, protocol)
     return fock.two_point_measurement(space, u_matrix, cfg.beta, hbar=cfg.hbar)
 
 
-def _oracle_marginals(dist: fock.JointDistribution, w_floor: float):
-    by_dn: dict[int, float] = {}
-    for _, dn, p in dist.peaks:
-        by_dn[dn] = by_dn.get(dn, 0.0) + p
-    photons = sorted((dn, p) for dn, p in by_dn.items() if p > 1e-12)
-
-    ordered = sorted((w, p) for w, _, p in dist.peaks)
-    work: list[tuple[float, float]] = []
-    for w, p in ordered:
-        if work and abs(w - work[-1][0]) <= w_floor:
-            w_prev, p_prev = work[-1]
-            tot = p_prev + p
-            work[-1] = ((w_prev * p_prev + w * p) / tot, tot)
-        else:
-            work.append((w, p))
-    work = [(w, p) for w, p in work if p > 1e-12]
-    return work, photons
+def _write_distribution(
+    cfg: RunConfig, work, photons, classical_cdf=None, residual_mass=None
+) -> None:
+    """The work, photon and cumulative CSVs.  An oracle run passes its
+    residual_mass: each file then ends in a `# residual_mass=` line, and
+    the cumulative renormalizes the work peaks to unit mass."""
+    tail = ""
+    if residual_mass is not None:
+        tail = f"# residual_mass={format_prob(residual_mass)}\n"
+        total = sum(q for _, q in work)
+        fit = cumulative_and_fit([(w, p / total) for w, p in work])
+    else:
+        fit = cumulative_and_fit(work)
+    _write(_out_path(cfg, "work.csv"), marginal_to_csv(work, "work") + tail)
+    _write(_out_path(cfg, "photons.csv"), marginal_to_csv(photons, "photons") + tail)
+    _write(
+        _out_path(cfg, "cumulative.csv"), cumulative_to_csv(fit, classical_cdf) + tail
+    )
 
 
 def cmd_distribution(args) -> int:
     cfg = load_config(args.config)
-    spectrum = _spectrum(cfg)
-    protocol, plan = _protocol_and_plan(cfg, spectrum)
+    protocol, plan = _protocol_and_plan(cfg, _spectrum(cfg))
 
     if not plan.cases:
         if not args.adiabatic_ok:
@@ -489,14 +490,7 @@ def cmd_distribution(args) -> int:
                 "open-endpoint adiabatic statistics need the Fock route; "
                 "no resonant modes were found to simulate"
             )
-        work = [(0.0, 1.0)]
-        photons = [(0, 1.0)]
-        _write(_out_path(cfg, "work.csv"), marginal_to_csv(work, "work"))
-        _write(_out_path(cfg, "photons.csv"), marginal_to_csv(photons, "photons"))
-        _write(
-            _out_path(cfg, "cumulative.csv"),
-            cumulative_to_csv(cumulative_and_fit(work)),
-        )
+        _write_distribution(cfg, [(0.0, 1.0)], [(0, 1.0)])
         print("adiabatic protocol: point distribution written")
         return 0
 
@@ -508,26 +502,14 @@ def cmd_distribution(args) -> int:
             "homotopy engine, or --oracle for the truncated-Fock simulation"
         )
 
-    use_oracle = args.oracle or args.freeze
-    oracle_dist = None
-    if use_oracle:
+    if args.oracle or args.freeze:
         oracle_dist = _oracle_joint(cfg, protocol, plan)
-        w_floor = 1e-9 * cfg.hbar * min(w for _, w in spectrum)
-        oracle_work, oracle_photons = _oracle_marginals(oracle_dist, w_floor)
+        oracle_work, oracle_photons = oracle_dist.marginals()
 
     if args.oracle and not args.freeze:
-        tail = f"# residual_mass={format_prob(oracle_dist.residual_mass)}\n"
-        _write(
-            _out_path(cfg, "work.csv"),
-            marginal_to_csv(oracle_work, "work") + tail,
+        _write_distribution(
+            cfg, oracle_work, oracle_photons, residual_mass=oracle_dist.residual_mass
         )
-        _write(
-            _out_path(cfg, "photons.csv"),
-            marginal_to_csv(oracle_photons, "photons") + tail,
-        )
-        total = sum(q for _, q in oracle_work)
-        fit = cumulative_and_fit([(w, p / total) for w, p in oracle_work])
-        _write(_out_path(cfg, "cumulative.csv"), cumulative_to_csv(fit) + tail)
         print(
             f"oracle distributions written "
             f"(residual mass {oracle_dist.residual_mass:.3e})"
@@ -581,7 +563,6 @@ def cmd_distribution(args) -> int:
         )
         print(f"oracle agreement {worst:.3e} within freeze_tol; goldens written")
 
-    fit = cumulative_and_fit(work)
     classical_cdf = None
     if len(plan.cases) == 1 and plan.cases[0].kind is not ResonanceKind.DOUBLE:
         case = plan.cases[0]
@@ -591,9 +572,7 @@ def cmd_distribution(args) -> int:
             case.kind, r, g_tau, cfg.beta, w
         )
 
-    _write(_out_path(cfg, "work.csv"), marginal_to_csv(work, "work"))
-    _write(_out_path(cfg, "photons.csv"), marginal_to_csv(photons, "photons"))
-    _write(_out_path(cfg, "cumulative.csv"), cumulative_to_csv(fit, classical_cdf))
+    _write_distribution(cfg, work, photons, classical_cdf)
     print(
         f"wrote {len(work)} work peaks / {len(photons)} photon peaks "
         f"under {cfg.directory}/{cfg.prefix}_*.csv"
@@ -601,22 +580,27 @@ def cmd_distribution(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    spectrum = _spectrum(cfg)
-    protocol, plan = _protocol_and_plan(cfg, spectrum)
+def _single_channel(cfg: RunConfig, command: str) -> CharfunParams:
+    """Parameters of the one resonance channel a command handles, with
+    the final frequencies of an open protocol."""
+    protocol, plan = _protocol_and_plan(cfg, _spectrum(cfg))
     if len(plan.cases) != 1:
         raise ConfigError(
-            f"cmd_verify handles exactly one resonance channel, found "
+            f"{command} handles exactly one resonance channel, found "
             f"{len(plan.cases)}; the multi-resonance identities are covered "
             "by the library test suite"
         )
     fin = None
     if not protocol.is_closed:
-        fin = _final_frequencies(cfg, protocol, plan)
-    params = CharfunParams.from_case(
+        fin = {m: w1 for m, _, w1 in _mode_table(cfg, protocol, plan)}
+    return CharfunParams.from_case(
         plan.cases[0], cfg.beta, protocol.tau, hbar=cfg.hbar, final_frequencies=fin
     )
+
+
+def cmd_verify(args) -> int:
+    cfg = load_config(args.config)
+    params = _single_channel(cfg, "cmd_verify")
     report = verify_fluctuation_theorems(params, perturbation=args.perturb)
     path = _out_path(cfg, "report.json")
     _write(path, report.to_json())
@@ -639,18 +623,9 @@ def cmd_moments(args) -> int:
     cfg = load_config(args.config)
     if cfg.sweep_variable is None or not cfg.sweep_values:
         raise ConfigError("cmd_moments needs a [sweep] section with values")
-    spectrum = _spectrum(cfg)
-    protocol, plan = _protocol_and_plan(cfg, spectrum)
-    if len(plan.cases) != 1:
-        raise ConfigError(
-            f"cmd_moments sweeps a single resonance channel, found "
-            f"{len(plan.cases)}"
-        )
-    if not protocol.is_closed:
+    base = _single_channel(cfg, "cmd_moments")
+    if not base.is_closed:
         raise ConfigError("moment sweeps assume a closed protocol")
-    base = CharfunParams.from_case(
-        plan.cases[0], cfg.beta, protocol.tau, hbar=cfg.hbar
-    )
     lines = [f"{cfg.sweep_variable},mean_w,std_w"]
     for val in cfg.sweep_values:
         params = dataclasses.replace(base, **{cfg.sweep_variable: val})

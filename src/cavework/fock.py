@@ -21,6 +21,12 @@ precision, and the characteristic function at (0, 0) equals
 1 - residual_mass.  Energies count hbar * omega per photon with no
 zero-point contribution, matching the thermal weight convention and the
 grand-potential bookkeeping of the closed forms.
+
+A space holds at most _DIM_CAP = 20000 basis states; larger cutoffs are
+refused when the space is built, before any array is allocated.  Peaks
+that differ by float roundoff are merged within 1e-9 hbar times the
+smallest mode frequency, and JointDistribution.marginals applies the
+same rule to the work marginal across delta_n.
 """
 
 from __future__ import annotations
@@ -44,7 +50,11 @@ __all__ = [
     "two_point_measurement",
 ]
 
-_DIM_BUDGET = 4096
+# largest basis a space may have: U is a dense dim x dim complex array
+# (6.4 GB at this size)
+_DIM_CAP = 20000
+# marginal peaks at or below this weight are dropped
+_PEAK_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,12 +70,7 @@ class TruncatedFockSpace:
     modes: tuple[tuple[ModeIndex, float, float], ...]
     n_max: tuple[int, ...]
 
-    def __init__(
-        self,
-        modes,
-        n_max,
-        budget: int = _DIM_BUDGET,
-    ) -> None:
+    def __init__(self, modes, n_max) -> None:
         modes = tuple((m, float(w0), float(w1)) for m, w0, w1 in modes)
         if not modes:
             raise ValueError("at least one mode is required")
@@ -81,10 +86,10 @@ class TruncatedFockSpace:
         dim = 1
         for v in n_max:
             dim *= v + 1
-        if dim > budget:
+        if dim > _DIM_CAP:
             raise ValueError(
-                f"basis dimension {dim} exceeds the budget {budget}; "
-                "lower n_max or raise the budget explicitly"
+                f"truncated basis would have dimension {dim} over {len(modes)} "
+                f"modes, above {_DIM_CAP}; reduce n_max or narrow the resonance"
             )
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "n_max", n_max)
@@ -240,22 +245,50 @@ class JointDistribution:
     """Discrete joint statistics of work and photon-number change.
 
     peaks: (w, delta_n, prob) with w on the exact transition lattice
-    after merging float duplicates; residual_mass is the thermal weight
-    outside the truncated basis.
+    after merging float duplicates within merge_tol; residual_mass is the
+    thermal weight outside the truncated basis.
     """
 
     peaks: tuple[tuple[float, int, float], ...]
     residual_mass: float
+    merge_tol: float
 
     def total_probability(self) -> float:
         return float(sum(p for _, _, p in self.peaks))
 
-    def to_csv(self) -> str:
-        lines = ["w,delta_n,prob"]
-        for w, dn, p in self.peaks:
-            lines.append(f"{w:.12g},{dn},{p:.12g}")
-        lines.append(f"# residual_mass={self.residual_mass:.12g}")
-        return "\n".join(lines) + "\n"
+    def marginals(
+        self,
+    ) -> tuple[list[tuple[float, float]], list[tuple[int, float]]]:
+        """(P(w), P(delta_n)) as sorted (value, prob) peaks above 1e-12.
+
+        Work peaks of different delta_n that lie within merge_tol are one
+        work value and merge as in two_point_measurement; photon weights
+        sum exactly per delta_n.
+        """
+        by_dn: dict[int, float] = {}
+        for _, dn, p in self.peaks:
+            by_dn[dn] = by_dn.get(dn, 0.0) + p
+        photons = sorted((dn, p) for dn, p in by_dn.items() if p > _PEAK_FLOOR)
+        work = _merge_close([(w, p) for w, _, p in self.peaks], self.merge_tol)
+        return [(w, p) for w, p in work if p > _PEAK_FLOOR], photons
+
+
+
+def _merge_close(
+    pairs: list[tuple[float, float]], tol: float
+) -> list[tuple[float, float]]:
+    """(probability-weighted mean w, total prob) of each run of the sorted
+    (w, prob) pairs whose neighbours lie within tol of each other."""
+    pairs = sorted(pairs)
+    merged: list[tuple[float, float]] = []
+    start = 0
+    for end in range(1, len(pairs) + 1):
+        if end == len(pairs) or pairs[end][0] - pairs[end - 1][0] > tol:
+            run = pairs[start:end]
+            tot = sum(p for _, p in run)
+            merged.append((sum(w * p for w, p in run) / tot, tot))
+            start = end
+    return merged
 
 
 def _merge_peaks(
@@ -264,26 +297,9 @@ def _merge_peaks(
     by_dn: dict[int, list[tuple[float, float]]] = {}
     for key, prob in acc.items():
         by_dn.setdefault(int(round(key.imag)), []).append((key.real, prob))
-    peaks: list[tuple[float, int, float]] = []
-    for dn, pairs in by_dn.items():
-        pairs.sort()
-        cluster_w = [pairs[0][0]]
-        cluster_p = [pairs[0][1]]
-        for w, p in pairs[1:]:
-            if w - cluster_w[-1] <= tol:
-                cluster_w.append(w)
-                cluster_p.append(p)
-            else:
-                tot = sum(cluster_p)
-                peaks.append(
-                    (sum(wi * pi for wi, pi in zip(cluster_w, cluster_p)) / tot, dn, tot)
-                )
-                cluster_w = [w]
-                cluster_p = [p]
-        tot = sum(cluster_p)
-        peaks.append(
-            (sum(wi * pi for wi, pi in zip(cluster_w, cluster_p)) / tot, dn, tot)
-        )
+    peaks = [
+        (w, dn, p) for dn, pairs in by_dn.items() for w, p in _merge_close(pairs, tol)
+    ]
     peaks.sort(key=lambda t: (t[0], t[1]))
     return tuple(peaks)
 
@@ -317,7 +333,7 @@ def two_point_measurement(
     acc = {complex(key): float(s) for key, s in zip(uz, sums) if s > 0.0}
     peaks = _merge_peaks(acc, tol)
     residual = 1.0 - sum(p for _, _, p in peaks)
-    return JointDistribution(peaks, residual)
+    return JointDistribution(peaks, residual, tol)
 
 
 def charfun_numeric(dist: JointDistribution, u: complex, v: complex) -> complex:

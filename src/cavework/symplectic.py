@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import BranchTrackingError, SymplecticityError, TraceDivergenceError
 
 __all__ = [
-    "CharacteristicMatrix",
     "QuadraticForm",
     "char_matrix",
     "charfun_from_generator",
@@ -76,21 +74,6 @@ class QuadraticForm:
         return self.S.shape[0] // 2
 
 
-@dataclass(frozen=True)
-class CharacteristicMatrix:
-    M: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.M, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError(f"M must be square with even dimension, got {m.shape}")
-        object.__setattr__(self, "M", m)
-
-    @property
-    def n(self) -> int:
-        return self.M.shape[0] // 2
-
-
 def _check_symplectic(m: np.ndarray) -> None:
     n = m.shape[0] // 2
     sig = sigma_matrix(n)
@@ -104,8 +87,10 @@ def _check_symplectic(m: np.ndarray) -> None:
         )
 
 
-def char_matrix(q: QuadraticForm) -> CharacteristicMatrix:
+def char_matrix(q: QuadraticForm) -> np.ndarray:
     """[J] = exp(sigma S), scaling-and-squaring matrix exponential."""
+    from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
+
     m = expm(sigma_matrix(q.n) @ q.S)
     if not np.all(np.isfinite(m)):
         raise SymplecticityError(
@@ -113,7 +98,7 @@ def char_matrix(q: QuadraticForm) -> CharacteristicMatrix:
             f"{float(np.linalg.norm(q.S, 1)):.3e} is too large"
         )
     _check_symplectic(m)
-    return CharacteristicMatrix(m)
+    return m
 
 
 def number_operator_form(coeffs: "np.ndarray | list") -> tuple[QuadraticForm, complex]:
@@ -137,17 +122,16 @@ def _diag_char(coeffs: np.ndarray) -> np.ndarray:
     return np.diag(np.concatenate([np.exp(c), np.exp(-c)]))
 
 
-def compose(ms: "list[CharacteristicMatrix]") -> CharacteristicMatrix:
+def compose(ms: "list[np.ndarray]") -> np.ndarray:
     """Left-to-right product, matching the operator product order."""
     if not ms:
         raise ValueError("need at least one matrix")
-    n = ms[0].n
-    out = np.eye(2 * n, dtype=complex)
-    for cm in ms:
-        if cm.n != n:
+    out = np.eye(ms[0].shape[0], dtype=complex)
+    for m in ms:
+        if m.shape != out.shape:
             raise ValueError("mode-count mismatch in composition")
-        out = out @ cm.M
-    return CharacteristicMatrix(out)
+        out = out @ m
+    return out
 
 
 def symplectic_inverse(m: np.ndarray) -> np.ndarray:
@@ -236,7 +220,7 @@ def tracked_sqrt(
         steps *= 2
 
 
-def trace_from_char(cm: CharacteristicMatrix) -> complex:
+def trace_from_char(m: np.ndarray) -> complex:
     """Tr J from [J], square-root branch picked against an eigenvalue
     reference.
 
@@ -247,7 +231,7 @@ def trace_from_char(cm: CharacteristicMatrix) -> complex:
     determinant formula closer to that reference; if neither is clearly
     closer the branch is genuinely ambiguous and an error is raised.
     """
-    m = cm.M
+    m = np.asarray(m, dtype=complex)
     d = _branch_determinant(m)
     if abs(d) < 1e-12:
         raise TraceDivergenceError(
@@ -257,7 +241,7 @@ def trace_from_char(cm: CharacteristicMatrix) -> complex:
     lams = np.linalg.eigvals(m)
     order = np.argsort(-np.abs(lams))
     ref = 1.0 + 0.0j
-    for lam in lams[order][: cm.n]:
+    for lam in lams[order][: m.shape[0] // 2]:
         rt = np.sqrt(lam)
         ref /= rt - 1.0 / rt
     r = ref / t_plus
@@ -302,7 +286,7 @@ def charfun_from_generator(
         raise ValueError("tau must be nonnegative")
 
     m_free = _diag_char(-1j * w * tau)
-    m_int = char_matrix(QuadraticForm(-1j * tau * generator.S, generator.modes)).M
+    m_int = char_matrix(QuadraticForm(-1j * tau * generator.S, generator.modes))
     m_u = m_free @ m_int
     m_u_inv = symplectic_inverse(m_u)
     thermal = np.diag(_diag_char(-beta * hbar * w))

@@ -5,9 +5,9 @@ Integrates the instantaneous-basis overlap
     g(t) = -lambda_dot * integral( psi_p * d(psi_k)/d(lambda) )
 
 directly from the mode profiles, with the boundary-position derivative
-taken numerically.  Used only in tests, as the independent route against
-the closed-form tables in :mod:`cavework.cavity`; the two must agree to
-the quadrature tolerance for every admissible mode pair.
+taken numerically.  It is the tests' independent route against the
+closed-form tables in :mod:`cavework.cavity`; the two must agree to the
+quadrature tolerance for every admissible mode pair.
 
 Conventions: factors along non-moving directions are unit-normalised
 (index-0 cosines get the 1/sqrt(L) weight), while the factor along the
@@ -29,8 +29,8 @@ from typing import Callable
 from scipy import special
 from scipy.integrate import quad
 
-from .bessel import BesselKind, bessel_zero
-from .cavity import (
+from cavework.bessel import BesselKind, bessel_zero
+from cavework.cavity import (
     CylindricalGeometry,
     Geometry,
     ModeIndex,

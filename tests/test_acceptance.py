@@ -50,9 +50,8 @@ from cavework.distributions import (
 from cavework.driving import ResonanceKind, interaction_generator
 from cavework.charfun import classical_work_cdf
 from cavework.fock import TruncatedFockSpace, build_evolution, two_point_measurement
-from cavework.overlap import overlap_integral_oracle
+from overlap_oracle import overlap_integral_oracle
 from cavework.symplectic import (
-    CharacteristicMatrix,
     QuadraticForm,
     char_matrix,
     charfun_general,
@@ -201,9 +200,7 @@ def test_criterion_2_fluctuation_theorems():
             else stretch(p0.omega_p, rng.uniform(-0.3, 0.4))
         )
         p = CharfunParams(p0.variant, p0.beta, wk, p0.g_tau, wp)
-        dphi = grand_potential_diff(
-            p.frequency_pairs(), 0.0, 0.0, p.beta
-        ).value
+        dphi = grand_potential_diff(p.frequency_pairs(), p.beta)
         res = closed_form_general(p, 1j * p.beta, 0.0)
         gen_jz = max(
             gen_jz,
@@ -288,7 +285,7 @@ def test_criterion_3_symplectic_engine():
     group = [dbl, dif]
     proto = closed_protocol(2.0, 2)
     space = TruncatedFockSpace(
-        [((0, 0, 1), 1.0, 1.0), ((0, 0, 2), 3.0, 3.0)], (60, 20), budget=20000
+        [((0, 0, 1), 1.0, 1.0), ((0, 0, 2), 3.0, 3.0)], (60, 20)
     )
     u_mat = build_evolution(space, interaction_generator(group), proto, beta=beta)
     g_num = peaks_charfun(two_point_measurement(space, u_mat, beta))

@@ -20,7 +20,7 @@ from cavework.cavity import (
     validate_mode,
 )
 from cavework.errors import ModeValidationError
-from cavework.overlap import overlap_integral_oracle
+from overlap_oracle import overlap_integral_oracle
 
 RECT = RectangularGeometry(lx=0.9, ly=1.1)
 CYL_L = CylindricalGeometry(moving_wall=MovingWall.LONGITUDINAL, radius=1.0)

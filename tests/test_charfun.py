@@ -10,7 +10,6 @@ import pytest
 from scipy.integrate import quad
 
 from cavework import charfun, cli, symplectic
-from cavework.cavity import Polarization, RectangularGeometry, mode_frequency
 from cavework.charfun import (
     CharfunParams,
     adiabatic_mode_factor,
@@ -109,9 +108,7 @@ def test_general_drift_relation():
     # g = g_bar * exp(i u dPhi) with dPhi from the participating modes
     for variant in (DOF, SUF, DIF):
         params = open_params(variant)
-        dphi = grand_potential_diff(
-            params.frequency_pairs(), 0.0, 0.0, params.beta
-        ).value
+        dphi = grand_potential_diff(params.frequency_pairs(), params.beta)
         for u in (0.3, -1.7, 0.5 + 0.2j):
             got = closed_form_general(params, u, 0.9)
             assert abs(got.g - got.g_bar * cmath.exp(1j * u * dphi)) < 1e-12
@@ -121,9 +118,7 @@ def test_jarzynski_open_endpoints():
     # <e^{-beta w}> = e^{-beta dPhi}; equivalently g_bar(i beta) = 1
     for variant in (DOF, SUF, DIF):
         params = open_params(variant)
-        dphi = grand_potential_diff(
-            params.frequency_pairs(), 0.0, 0.0, params.beta
-        ).value
+        dphi = grand_potential_diff(params.frequency_pairs(), params.beta)
         got = closed_form_general(params, 1j * params.beta, 0.0)
         assert abs(got.g - math.exp(-params.beta * dphi)) < 1e-12
         assert abs(got.g_bar - 1.0) < 1e-12
@@ -163,29 +158,10 @@ def test_grand_potential_hand_sum():
         math.log(1.0 - math.exp(-beta * w1)) - math.log(1.0 - math.exp(-beta * w0))
         for w0, w1 in pairs
     ) / beta
-    got = grand_potential_diff(pairs, 0.0, 0.0, beta)
-    assert got.value == pytest.approx(want, rel=1e-13)
+    got = grand_potential_diff(pairs, beta)
+    assert got == pytest.approx(want, rel=1e-13)
     # closed endpoints carry no free-energy change
-    assert grand_potential_diff([(1.0, 1.0)], 0.0, 0.0, beta).value == 0.0
-
-
-def test_grand_potential_geometry_route():
-    geom = RectangularGeometry(lx=0.9, ly=1.1)
-    beta, lam0, lam1 = 0.6, 1.0, 1.2
-    modes = [(0, 1, 1), (1, 1, 2)]
-    via_geom = grand_potential_diff(
-        modes, lam0, lam1, beta, geometry=geom, polarization=Polarization.TE
-    )
-    pairs = [
-        (
-            mode_frequency(geom, Polarization.TE, m, lam0),
-            mode_frequency(geom, Polarization.TE, m, lam1),
-        )
-        for m in modes
-    ]
-    via_pairs = grand_potential_diff(pairs, 0.0, 0.0, beta)
-    assert via_geom.value == pytest.approx(via_pairs.value, rel=1e-13)
-    assert via_geom.modes == tuple(modes)
+    assert grand_potential_diff([(1.0, 1.0)], beta) == 0.0
 
 
 def test_classical_charfun_is_fourier_transform_of_pdf():

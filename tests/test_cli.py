@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,3 +282,55 @@ def test_distribution_runs_are_byte_identical(workdir):
     for name, blob in first.items():
         again = (workdir / "out" / "diff_res" / f"diff_{name}.csv").read_bytes()
         assert again == blob, name
+
+
+# invalid config values, each with a command that would use it: a config
+# section to append, an (old, new) edit of the config text, or
+# environment overrides.  Every one is a config error.
+INVALID_VALUES = {
+    "n_max=0": ("\n[numerics]\nn_max = 0\n", ["distribution", "--oracle"]),
+    "lattice_count=4": ("\n[numerics]\nlattice_count = 4\n", ["distribution"]),
+    "freeze_tol=abc": ("\n[numerics]\nfreeze_tol = abc\n", ["spectrum"]),
+    "lambda0=0": (("lambda0 = 1.0", "lambda0 = 0"), ["spectrum"]),
+    "cutoff=nan": (("cutoff = 4.6", "cutoff = nan"), ["spectrum"]),
+    "beta=nan": (("beta = 0.225", "beta = nan"), ["distribution"]),
+    "beta=inf": (("beta = 0.225", "beta = inf"), ["distribution"]),
+    "sweep beta": ("\n[sweep]\nvariable = beta\nvalues = 0.5 -1\n", ["moments"]),
+    "sweep hbar": ("\n[sweep]\nvariable = hbar\nvalues = 0 1\n", ["moments"]),
+    "env freeze_tol": ({"CAVEWORK_FREEZE_TOL": "nan"}, ["distribution", "--freeze"]),
+}
+
+
+@pytest.mark.parametrize(
+    "change,command", INVALID_VALUES.values(), ids=list(INVALID_VALUES)
+)
+def test_invalid_config_values_exit_2(workdir, monkeypatch, capsys, change, command):
+    extra = change if isinstance(change, str) else ""
+    path = Path(write_cfg(workdir, tau=1.0 / math.sqrt(2.0), beta=0.225, extra=extra))
+    if isinstance(change, tuple):
+        path.write_text(path.read_text().replace(*change))
+    if isinstance(change, dict):
+        for key, value in change.items():
+            monkeypatch.setenv(key, value)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_fock_basis_above_the_cap_exits_2(workdir, monkeypatch, capsys):
+    # one mode at n_max = 20000 is one state above the cap; the space is
+    # refused from its cutoffs alone, before any array is allocated
+    monkeypatch.setenv("CAVEWORK_N_MAX", "20000")
+    assert main(["distribution", str(CONFIGS / "double_res.cfg"), "--oracle"]) == 2
+    assert "20001" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, cavework.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "[]"

@@ -380,3 +380,29 @@ def test_cumulative_f_exact_follows_the_print_rule():
     fit = cumulative_and_fit([(-1.0, big), (1.0, 1.0 - big)])
     lines = cumulative_to_csv(fit).strip().split("\n")
     assert lines[1].split(",")[1] == f"{big:.12g}"
+
+
+def _reference_ks(fit, cdf):
+    """The two Kolmogorov-Smirnov loops the package once kept apart."""
+    worst = 0.0
+    below = 0.0
+    for (w, _), after in zip(fit.peaks, fit._cum):
+        c = float(cdf(w))
+        worst = max(worst, abs(after - c), abs(below - c))
+        below = float(after)
+    return worst
+
+
+def test_one_ks_method_is_bit_identical_to_both_loops():
+    g_tau, r = 0.3, 0.5
+    for beta in (0.05, 2.5):
+        params = params_for(SUF, beta=beta, g_tau=g_tau)
+        peaks = extract_marginal_work(
+            lambda u: closed_form(params, u, 0.0), WorkLattice(3.0)
+        )
+        fit = cumulative_and_fit(peaks)
+        assert fit.sup_distance == _reference_ks(fit, fit.gaussian_cdf)
+        classical = lambda w: classical_work_cdf(SUF, r, g_tau, beta, w)  # noqa: E731
+        want = _reference_ks(fit, classical)
+        assert compare_classical(peaks, classical) == want
+        assert compare_classical(fit, classical) == want

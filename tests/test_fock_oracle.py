@@ -7,10 +7,12 @@ against another part of the simulation itself.
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cavework import cli
 from cavework.charfun import CharfunParams, closed_form, closed_form_general
 from cavework.driving import DrivingProtocol, ResonanceKind, interaction_generator
 from cavework import fock
@@ -30,12 +32,14 @@ DOF = ResonanceKind.DOUBLE
 SUF = ResonanceKind.SUM
 DIF = ResonanceKind.DIFFERENCE
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 MODE = (0, 0, 1)
 MODE2 = (0, 0, 2)
 
 
-def single_mode_space(n_max=30, w0=1.0, w1=None, budget=4096):
-    return TruncatedFockSpace([(MODE, w0, w1 if w1 else w0)], n_max, budget=budget)
+def single_mode_space(n_max=30, w0=1.0, w1=None):
+    return TruncatedFockSpace([(MODE, w0, w1 if w1 else w0)], n_max)
 
 
 # ------------------------------------------------- dense reference route
@@ -177,9 +181,9 @@ def test_space_validation():
     with pytest.raises(ValueError):
         TruncatedFockSpace([(MODE, 1.0, 1.0), (MODE2, 2.0, 2.0)], (3,))
     with pytest.raises(ValueError):
-        single_mode_space(n_max=5000)  # 5001 states > default budget
-    big = single_mode_space(n_max=5000, budget=6000)
-    assert big.dimension == 5001
+        single_mode_space(n_max=fock._DIM_CAP)  # one state above the cap
+    big = single_mode_space(n_max=fock._DIM_CAP - 1)
+    assert big.dimension == fock._DIM_CAP
 
 
 def test_thermal_weights_are_geometric():
@@ -263,7 +267,7 @@ def test_pair_resonance_work_lattice():
     tau = math.pi
     case = synthetic_case(SUF, 2.0, 1.0, g_tau, tau)
     space = TruncatedFockSpace(
-        [(case.k, 2.0, 2.0), (case.p, 1.0, 1.0)], (18, 24), budget=4096
+        [(case.k, 2.0, 2.0), (case.p, 1.0, 1.0)], (18, 24)
     )
     proto = closed_protocol(3.0, half_periods=3)
     u_mat = build_evolution(space, interaction_generator([case]), proto, beta=beta)
@@ -315,7 +319,7 @@ def test_number_conserving_exchange_block():
     tau = math.pi
     case = synthetic_case(DIF, 2.0, 1.0, g_tau, tau)
     space = TruncatedFockSpace(
-        [(case.k, 2.0, 2.0), (case.p, 1.0, 1.0)], (16, 32), budget=4096
+        [(case.k, 2.0, 2.0), (case.p, 1.0, 1.0)], (16, 32)
     )
     proto = closed_protocol(1.0, half_periods=1)
     u_mat = build_evolution(space, interaction_generator([case]), proto, beta=beta)
@@ -324,10 +328,55 @@ def test_number_conserving_exchange_block():
     assert moved < 1e-12
 
 
-def test_to_csv_layout():
-    dist = JointDistribution(((0.0, 0, 0.75), (2.0, 2, 0.25)), 1e-12)
-    text = dist.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "w,delta_n,prob"
-    assert lines[1] == "0,0,0.75"
-    assert lines[-1] == "# residual_mass=1e-12"
+
+def reference_marginals(dist, w_floor):
+    """The CLI's own peak merger before JointDistribution.marginals: work
+    peaks merge against the running mean, within 1e-9 hbar times the
+    lowest frequency of the whole spectrum."""
+    by_dn: dict[int, float] = {}
+    for _, dn, p in dist.peaks:
+        by_dn[dn] = by_dn.get(dn, 0.0) + p
+    photons = sorted((dn, p) for dn, p in by_dn.items() if p > 1e-12)
+    ordered = sorted((w, p) for w, _, p in dist.peaks)
+    work: list[tuple[float, float]] = []
+    for w, p in ordered:
+        if work and abs(w - work[-1][0]) <= w_floor:
+            w_prev, p_prev = work[-1]
+            tot = p_prev + p
+            work[-1] = ((w_prev * p_prev + w * p) / tot, tot)
+        else:
+            work.append((w, p))
+    work = [(w, p) for w, p in work if p > 1e-12]
+    return work, photons
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", ["diff_res", "open_endpoints"])
+def test_marginals_match_the_former_cli_merger(name):
+    cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
+    spectrum = cli._spectrum(cfg)
+    protocol, plan = cli._protocol_and_plan(cfg, spectrum)
+    dist = cli._oracle_joint(cfg, protocol, plan)
+    work, photons = dist.marginals()
+    want_work, want_photons = reference_marginals(
+        dist, 1e-9 * cfg.hbar * min(w for _, w in spectrum)
+    )
+    assert photons == want_photons
+    assert len(work) == len(want_work)
+    for (w, p), (w_ref, p_ref) in zip(work, want_work):
+        assert w == pytest.approx(w_ref, rel=1e-13, abs=1e-13)
+        assert p == pytest.approx(p_ref, rel=1e-13, abs=1e-17)
+    if name == "open_endpoints":
+        # open endpoints put float-duplicate work values on different delta_n
+        assert len(work) < len(dist.peaks)
+
+
+def test_work_marginal_merges_across_delta_n_only():
+    dist = JointDistribution(
+        ((1.0, 0, 0.25), (1.0 + 1e-12, 2, 0.25), (3.0, 2, 0.5)), 0.0, 1e-9
+    )
+    work, photons = dist.marginals()
+    assert [p for _, p in work] == [0.5, 0.5]
+    assert work[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert work[1] == (3.0, 0.5)
+    assert photons == [(0, 0.25), (2, 0.75)]

@@ -22,7 +22,6 @@ from cavework.errors import (
     TraceDivergenceError,
 )
 from cavework.symplectic import (
-    CharacteristicMatrix,
     QuadraticForm,
     char_matrix,
     charfun_from_generator,
@@ -77,7 +76,7 @@ def test_quadratic_form_symmetrized():
 
 def test_char_matrix_is_symplectic_and_diag_for_thermal():
     c = 0.8
-    m = char_matrix(thermal_form(c)).M
+    m = char_matrix(thermal_form(c))
     # exp(sigma S) for the pure number weight is diag(e^-c, e^c)
     want = np.diag([math.exp(-c), math.exp(c)])
     assert np.allclose(m, want, atol=1e-14)
@@ -95,12 +94,12 @@ def test_compose_matches_matrix_product():
         forms.append(QuadraticForm(s))
     cms = [char_matrix(f) for f in forms]
     prod = compose(cms)
-    want = cms[0].M @ cms[1].M @ cms[2].M
-    assert np.allclose(prod.M, want, atol=1e-12)
+    want = cms[0] @ cms[1] @ cms[2]
+    assert np.allclose(prod, want, atol=1e-12)
 
 
 def test_symplectic_inverse_is_group_inverse():
-    m = char_matrix(thermal_form(0.6)).M
+    m = char_matrix(thermal_form(0.6))
     assert np.allclose(symplectic_inverse(m) @ m, np.eye(2), atol=1e-12)
 
 
@@ -133,7 +132,7 @@ def test_number_operator_form_scalar():
 
 def test_trace_divergence_detected():
     with pytest.raises(TraceDivergenceError):
-        trace_from_char(CharacteristicMatrix(np.eye(2, dtype=complex)))
+        trace_from_char(np.eye(2, dtype=complex))
 
 
 def test_charfun_from_generator_normalization_and_closed_form():
