@@ -7,16 +7,18 @@ whichever is larger in magnitude at the given argument.  That keeps the
 values accurate to near machine precision for every order/argument pair
 the root finder visits, without special-casing small or large x.
 
-Roots are bracketed through the classical interleaving properties
-(zeros of order n sit strictly between consecutive zeros of order n-1,
-extrema sit between zeros) and refined by bisection to 1e-12 absolute.
-Computed roots are cached per (kind, order, index); the cache is safe
-for concurrent readers with a single locked writer.
+Roots come from their own order alone: a scan in steps shorter than any
+zero spacing certifies each zero's index by counting sign changes, the
+extrema lie between consecutive zeros, and Newton steps inside the bracket
+refine each root to 1e-12 absolute.  Roots are cached per (kind, order,
+index); the cache is safe for concurrent readers with a single locked
+writer, which fills one order at a time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from enum import Enum
 
@@ -94,10 +96,7 @@ def cyl_j(order: int, x: float) -> float:
 
 
 def cyl_j_prime(order: int, x: float) -> float:
-    if order == 0:
-        return -cyl_j(1, x)
-    fam = _cyl_family(order + 1, x)
-    return 0.5 * (fam[order - 1] - fam[order + 1])
+    return _value_and_slope(BesselKind.CYL_J, order, x)[1]
 
 
 def _sph_family(l_top: int, x: float) -> list[float]:
@@ -142,12 +141,16 @@ def sph_xj_prime(order: int, x: float) -> float:
     """d/dx [x j_l(x)] = x j_{l-1}(x) - l j_l(x), for l >= 1."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    fam = _sph_family(order, x)
-    return x * fam[order - 1] - order * fam[order]
+    return _value_and_slope(BesselKind.SPH_XJ_PRIME, order, x)[0]
 
 
 _cache: dict[tuple[BesselKind, int, int], float] = {}
 _lock = threading.RLock()
+
+# Scan step along x, below every spacing of consecutive zeros of J_n and
+# j_l: 3.115 at the first pair of J_0, more than pi for order > 1/2 (j_l
+# is J_{l+1/2} up to a factor).  So no step passes over two zeros.
+_STEP = 3.0
 
 
 def clear_root_cache() -> None:
@@ -155,29 +158,64 @@ def clear_root_cache() -> None:
         _cache.clear()
 
 
-def _bisect(f, a: float, b: float, kind: BesselKind, order: int, index: int) -> float:
-    fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        raise RootBracketingError(
-            kind, order, index, f"no sign change on [{a!r}, {b!r}]"
-        )
-    while b - a > _XTOL:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return 0.5 * (a + b)
+def _value_and_slope(kind: BesselKind, order: int, x: float) -> tuple[float, float]:
+    """(f, f') at x > 0 for the function whose zeros `kind` tabulates."""
+    if kind is BesselKind.CYL_J or kind is BesselKind.CYL_J_PRIME:
+        fam = _cyl_family(order + 1, x)
+        j = fam[order]
+        dj = -fam[1] if order == 0 else 0.5 * (fam[order - 1] - fam[order + 1])
+        if kind is BesselKind.CYL_J:
+            return j, dj
+        # J_n'' from Bessel's equation
+        return dj, -dj / x - (1.0 - (order / x) ** 2) * j
+    fam = _sph_family(order, x)
+    j = fam[order]
+    if kind is BesselKind.SPH_J:
+        return j, fam[order - 1] - (order + 1) / x * j
+    # (x j_l)' and (x j_l)'' = (l(l+1)/x^2 - 1) x j_l
+    return x * fam[order - 1] - order * j, (order * (order + 1) / x**2 - 1.0) * x * j
+
+
+def _start(kind: BesselKind, order: int) -> float:
+    """A point below the first zero, where each tabulated function is > 0."""
+    if kind is BesselKind.SPH_J or kind is BesselKind.SPH_XJ_PRIME:
+        return math.sqrt(order * (order + 1.0))
+    return max(float(order), 1.0)
+
+
+def _newton(kind: BesselKind, order: int, index: int, a: float, b: float,
+            x: float, f: float, d: float) -> float:
+    """Zero number `index` in [a, b] by Newton steps from x, where f' = d.
+
+    The index gives f's sign on each side; a step out of [a, b] bisects."""
+    left_neg = index % 2 == 0
+    for _ in range(60):
+        step = f / d if d != 0.0 else math.inf
+        if abs(step) <= _XTOL:
+            return x - step
+        x -= step
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        f, d = _value_and_slope(kind, order, x)
+        a, b = (x, b) if (f < 0.0) == left_neg else (a, x)
+    raise RootBracketingError(kind, order, index, f"no convergence on [{a!r}, {b!r}]")
+
+
+def _scan(kind: BesselKind, order: int, index: int) -> None:
+    """Cache the zeros of J_n or j_l in turn, up to `index`.
+
+    Resuming on the grid x0 + j * _STEP past the last cached zero gives
+    each zero the same bracket whatever the order of requests."""
+    x0 = _start(kind, order)
+    found = max((k for k in range(index) if (kind, order, k) in _cache), default=0)
+    j = int((_cache[(kind, order, found)] - x0) / _STEP) + 1 if found else 0
+    while found < index:
+        a, b = x0 + j * _STEP, x0 + (j + 1) * _STEP
+        j += 1
+        f, d = _value_and_slope(kind, order, b)
+        if (f <= 0.0) if found % 2 == 0 else (f >= 0.0):
+            found += 1
+            _cache[(kind, order, found)] = _newton(kind, order, found, a, b, b, f, d)
 
 
 def _root(kind: BesselKind, order: int, index: int) -> float:
@@ -186,62 +224,19 @@ def _root(kind: BesselKind, order: int, index: int) -> float:
     if val is not None:
         return val
     with _lock:
-        val = _cache.get(key)
-        if val is None:
-            val = _compute_root(kind, order, index)
-            _cache[key] = val
-    return val
-
-
-def _compute_root(kind: BesselKind, order: int, index: int) -> float:
-    if kind is BesselKind.CYL_J:
-        if order == 0:
-            # McMahon: x_{0,m} ~ (m - 1/4) pi, spacing ~ pi.
-            guess = (index - 0.25) * math.pi
-            a = max(guess - 0.7, 0.3)
-            b = guess + 0.7
-            return _bisect(lambda x: cyl_j(0, x), a, b, kind, order, index)
-        a = _root(kind, order - 1, index)
-        b = _root(kind, order - 1, index + 1)
-        return _bisect(lambda x: cyl_j(order, x), a, b, kind, order, index)
-
-    if kind is BesselKind.CYL_J_PRIME:
-        if order == 0:
-            # J_0' = -J_1, so the extrema of J_0 are the zeros of J_1.
-            return _root(BesselKind.CYL_J, 1, index)
-        f = lambda x: cyl_j_prime(order, x)  # noqa: E731
-        if index == 1:
-            # J_n rises from the origin to its first maximum past x = n.
-            return _bisect(f, float(order), _root(BesselKind.CYL_J, order, 1),
-                           kind, order, index)
-        a = _root(BesselKind.CYL_J, order, index - 1)
-        b = _root(BesselKind.CYL_J, order, index)
-        return _bisect(f, a, b, kind, order, index)
-
-    if kind is BesselKind.SPH_J:
-        if order == 0:
-            return index * math.pi
-        a = _root(kind, order - 1, index)
-        b = _root(kind, order - 1, index + 1)
-        return _bisect(lambda x: sph_j(order, x), a, b, kind, order, index)
-
-    if kind is BesselKind.SPH_XJ_PRIME:
-        f = lambda x: sph_xj_prime(order, x)  # noqa: E731
-        if index == 1:
-            b = _root(BesselKind.SPH_J, order, 1)
-            p = 0.5 * b
-            while f(p) <= 0.0:
-                p *= 0.5
-                if p < 1e-8:
-                    raise RootBracketingError(
-                        kind, order, index, "no positive point below first j_l zero"
-                    )
-            return _bisect(f, p, b, kind, order, index)
-        a = _root(BesselKind.SPH_J, order, index - 1)
-        b = _root(BesselKind.SPH_J, order, index)
-        return _bisect(f, a, b, kind, order, index)
-
-    raise ValueError(f"unknown root kind {kind!r}")
+        if key not in _cache:
+            if kind is BesselKind.CYL_J or kind is BesselKind.SPH_J:
+                _scan(kind, order, index)
+            else:  # one extremum between consecutive zeros of the same order
+                zeros = BesselKind.SPH_J
+                if kind is BesselKind.CYL_J_PRIME:
+                    zeros = BesselKind.CYL_J
+                a = _root(zeros, order, index - 1) if index > 1 else _start(kind, order)
+                b = _root(zeros, order, index)
+                x = 0.5 * (a + b)
+                _cache[key] = _newton(kind, order, index, a, b, x,
+                                      *_value_and_slope(kind, order, x))
+        return _cache[key]
 
 
 def bessel_zero(kind: BesselKind, order: int, index: int) -> float:
@@ -253,9 +248,14 @@ def bessel_zero(kind: BesselKind, order: int, index: int) -> float:
     """
     if not isinstance(kind, BesselKind):
         raise ValueError(f"kind must be a BesselKind, got {kind!r}")
+    if not all(isinstance(v, numbers.Integral) for v in (order, index)):
+        raise ValueError(f"order and index must be integers: {order!r}, {index!r}")
+    order, index = int(order), int(index)
     if index < 1:
         raise ValueError(f"root index must be >= 1, got {index}")
     min_order = 1 if kind in (BesselKind.SPH_J, BesselKind.SPH_XJ_PRIME) else 0
     if order < min_order:
         raise ValueError(f"{kind.value} order must be >= {min_order}, got {order}")
+    if kind is BesselKind.CYL_J_PRIME and order == 0:
+        kind, order = BesselKind.CYL_J, 1  # J_0' = -J_1: its zeros are those of J_1
     return _root(kind, order, index)

@@ -494,14 +494,6 @@ def cmd_distribution(args) -> int:
         print("adiabatic protocol: point distribution written")
         return 0
 
-    coupled = [g for g in plan.case_groups() if len(g) > 1]
-    if coupled and not args.symplectic:
-        raise ConfigError(
-            "resonance channels share modes (coupled group); the factorized "
-            "closed forms do not apply.  Re-run with --symplectic to use the "
-            "homotopy engine, or --oracle for the truncated-Fock simulation"
-        )
-
     if args.oracle or args.freeze:
         oracle_dist = _oracle_joint(cfg, protocol, plan)
         oracle_work, oracle_photons = oracle_dist.marginals()
@@ -515,6 +507,14 @@ def cmd_distribution(args) -> int:
             f"(residual mass {oracle_dist.residual_mass:.3e})"
         )
         return 0
+
+    coupled = [g for g in plan.case_groups() if len(g) > 1]
+    if coupled and not args.symplectic:
+        raise ConfigError(
+            "resonance channels share modes (coupled group); the factorized "
+            "closed forms do not apply.  Re-run with --symplectic to use the "
+            "homotopy engine, or --oracle for the truncated-Fock simulation"
+        )
 
     if not protocol.is_closed:
         raise ConfigError(

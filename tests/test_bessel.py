@@ -1,12 +1,16 @@
 """Root finder and recurrence evaluators against scipy."""
 
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import special
 
 from conftest import scipy_root_oracle
+from cavework import bessel
 from cavework.bessel import (
     BesselKind,
     bessel_zero,
@@ -90,6 +94,16 @@ def test_invalid_arguments_rejected():
         bessel_zero(BesselKind.CYL_J, -1, 1)
     with pytest.raises(Exception):
         bessel_zero(BesselKind.CYL_J, 0, 0)
+    # a non-integral order or index is refused before any root is sought
+    for order, index in [(1.5, 1), (0, 1.5), (2.0, 1), ("2", 1), (None, 1)]:
+        with pytest.raises(ValueError, match="integer"):
+            bessel_zero(BesselKind.CYL_J, order, index)
+    with pytest.raises(ValueError, match="integer"):
+        bessel_zero(BesselKind.SPH_XJ_PRIME, 2, np.float64(3.0))
+    # numpy integers are integers
+    assert bessel_zero(BesselKind.CYL_J, np.int64(2), np.int32(3)) == bessel_zero(
+        BesselKind.CYL_J, 2, 3
+    )
 
 
 def test_first_root_values_hand_checked():
@@ -97,3 +111,70 @@ def test_first_root_values_hand_checked():
     assert bessel_zero(BesselKind.CYL_J, 0, 1) == pytest.approx(2.4048256, abs=1e-6)
     assert bessel_zero(BesselKind.CYL_J_PRIME, 1, 1) == pytest.approx(1.8411838, abs=1e-6)
     assert bessel_zero(BesselKind.SPH_J, 1, 1) == pytest.approx(4.4934095, abs=1e-6)
+
+
+def test_high_order_roots_match_mpmath():
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 30
+    for n, m in [(0, 13), (20, 5), (38, 1), (30, 4)]:
+        want = mp.besseljzero(n, m)
+        assert abs(bessel_zero(BesselKind.CYL_J, n, m) - float(want)) <= 1e-12
+        # mpmath counts x = 0 as the first zero of J_0'
+        want = mp.besseljzero(n, m + (n == 0), derivative=1)
+        assert abs(bessel_zero(BesselKind.CYL_J_PRIME, n, m) - float(want)) <= 1e-12
+    for l, n in [(1, 12), (37, 1), (25, 3)]:
+        # j_l(x) = sqrt(pi / 2x) J_{l+1/2}(x)
+        zeros = [mp.besseljzero(l + mp.mpf(0.5), k) for k in (n - 1, n) if k]
+        assert abs(bessel_zero(BesselKind.SPH_J, l, n) - float(zeros[-1])) <= 1e-12
+        # (x j_l)' = sqrt(pi / 2x) (x J_{l-1/2} - l J_{l+1/2}), one zero
+        # between consecutive zeros of j_l, none below sqrt(l (l + 1))
+        lo = zeros[0] if n > 1 else mp.sqrt(l * (l + 1))
+        want = mp.findroot(
+            lambda x: x * mp.besselj(l - mp.mpf(0.5), x) - l * mp.besselj(l + mp.mpf(0.5), x),
+            (lo, zeros[-1]),
+            solver="anderson",
+        )
+        assert lo < want < zeros[-1]
+        assert abs(bessel_zero(BesselKind.SPH_XJ_PRIME, l, n) - float(want)) <= 1e-12
+
+
+def test_one_root_computes_no_other_order():
+    clear_root_cache()
+    bessel_zero(BesselKind.CYL_J, 38, 13)
+    assert {order for _, order, _ in bessel._cache} == {38}
+    clear_root_cache()
+    bessel_zero(BesselKind.SPH_XJ_PRIME, 30, 4)
+    assert {order for _, order, _ in bessel._cache} == {30}
+    clear_root_cache()
+
+
+def test_concurrent_requests_get_identical_roots():
+    roots = [(kind, order, index) for kind in BesselKind for order in (1, 4, 11)
+             for index in (1, 2, 5, 7)]
+    roots += [(BesselKind.CYL_J, 0, 3), (BesselKind.CYL_J_PRIME, 0, 2)]
+    assert len(roots) == 50
+    # a root does not depend on which roots were asked for before it
+    clear_root_cache()
+    want = {key: bessel_zero(*key) for key in reversed(roots)}
+    clear_root_cache()
+    results = [dict() for _ in range(4)]
+
+    def worker(slot: int) -> None:
+        order = roots[:]
+        random.Random(slot).shuffle(order)
+        for key in order:
+            results[slot][key] = bessel_zero(*key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got == want

@@ -211,7 +211,7 @@ prefix = c
 """
 
 
-def test_coupled_group_needs_symplectic_flag(workdir):
+def test_coupled_group_needs_symplectic_flag(workdir, monkeypatch):
     cfg = workdir / "coupled.cfg"
     cfg.write_text(COUPLED)
     assert main(["distribution", str(cfg)]) == 2
@@ -231,6 +231,14 @@ def test_coupled_group_needs_symplectic_flag(workdir):
         assert abs(w / spacing - round(w / spacing)) < 1e-9
     # the single-channel verifier refuses a coupled plan
     assert main(["verify", str(cfg)]) == 2
+    # the truncated-Fock oracle needs no closed form, so --oracle alone runs
+    monkeypatch.setenv("CAVEWORK_N_MAX", "6")
+    assert main(["distribution", str(cfg), "--oracle"]) == 0
+    lines = (workdir / "out" / "c_work.csv").read_text().strip().split("\n")
+    assert lines[-1].startswith("# residual_mass=")
+    residual = float(lines[-1].split("=")[1])
+    mass = sum(float(line.split(",")[1]) for line in lines[1:-1])
+    assert mass + residual == pytest.approx(1.0, abs=1e-8)
 
 
 def test_verify_exit_codes(workdir):
