@@ -494,13 +494,10 @@ def cmd_distribution(args) -> int:
         print("adiabatic protocol: point distribution written")
         return 0
 
-    if args.oracle or args.freeze:
-        oracle_dist = _oracle_joint(cfg, protocol, plan)
-        oracle_work, oracle_photons = oracle_dist.marginals()
-
     if args.oracle and not args.freeze:
+        oracle_dist = _oracle_joint(cfg, protocol, plan)
         _write_distribution(
-            cfg, oracle_work, oracle_photons, residual_mass=oracle_dist.residual_mass
+            cfg, *oracle_dist.marginals(), residual_mass=oracle_dist.residual_mass
         )
         print(
             f"oracle distributions written "
@@ -534,6 +531,8 @@ def cmd_distribution(args) -> int:
         photons = extract_marginal_photons(lambda v: evaluate(0.0, v))
 
     if args.freeze:
+        oracle_dist = _oracle_joint(cfg, protocol, plan)
+        oracle_work, oracle_photons = oracle_dist.marginals()
         worst = 0.0
         ow = dict(oracle_work)
         for w, p in work:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,15 +68,14 @@ _PROB_DECIMALS = 14
 
 @dataclass(frozen=True)
 class WorkLattice:
-    """Discrete support of P(w): w = m * spacing + offset.
+    """Discrete support of P(w): w = m * spacing.
 
     spacing is the drive quantum (times hbar) for a boundary returning
-    to its start; offset is zero there.  count seeds the number of
-    Fourier samples and grows adaptively.
+    to its start.  count seeds the number of Fourier samples and grows
+    adaptively.
     """
 
     spacing: float
-    offset: float = 0.0
     count: int = 256
 
     def __post_init__(self) -> None:
@@ -176,14 +175,14 @@ def extract_marginal_work(
     simulation is the appropriate tool.
     """
     signed, probs = _work_weights(charfun_eval, lattice)
-    return _floored_peaks(signed * lattice.spacing + lattice.offset, probs)
+    return _floored_peaks(signed * lattice.spacing, probs)
 
 
 def extract_marginal_photons(
-    charfun_eval: Callable[[np.ndarray], np.ndarray], start: int = 64
+    charfun_eval: Callable[[np.ndarray], np.ndarray],
 ) -> list[tuple[int, float]]:
     """Weights of P(delta_n) from G(0, v); the v-period is exactly 2 pi."""
-    (signed,), probs = _adaptive_comb(charfun_eval, (2.0 * math.pi,), (start,))
+    (signed,), probs = _adaptive_comb(charfun_eval, (2.0 * math.pi,), (64,))
     return _floored_peaks(signed.tolist(), probs)
 
 
@@ -210,7 +209,7 @@ def extract_channel_marginals(
     the same event.
     """
     signed, probs = _work_weights(charfun_eval, lattice)
-    work = _floored_peaks(signed * lattice.spacing + lattice.offset, probs)
+    work = _floored_peaks(signed * lattice.spacing, probs)
     per = _PHOTONS_PER_QUANTUM[kind]
     by_dn: dict[int, list[float]] = {}
     for m, p in zip(signed.tolist(), probs.tolist()):
@@ -322,20 +321,7 @@ class VerificationReport:
         return max(vals)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "jarzynski_lhs": self.jarzynski_lhs,
-                "jarzynski_rhs": self.jarzynski_rhs,
-                "jarzynski_abs_error": self.jarzynski_abs_error,
-                "jarzynski_direct_error": self.jarzynski_direct_error,
-                "crooks_max_error": self.crooks_max_error,
-                "crooks_peakwise_error": self.crooks_peakwise_error,
-                "periodicity_max_error": self.periodicity_max_error,
-                "normalization_error": self.normalization_error,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _drive_quantum(params: CharfunParams) -> float:
@@ -350,15 +336,11 @@ def _drive_quantum(params: CharfunParams) -> float:
 
 
 def _reversed_params(params: CharfunParams) -> CharfunParams:
-    swap = lambda pair: (pair[1], pair[0])
-    return CharfunParams(
-        variant=params.variant,
-        beta=params.beta,
-        omega_k=swap(params.omega_k),
-        omega_p=None if params.omega_p is None else swap(params.omega_p),
-        g_tau=params.g_tau,
-        mu=params.mu,
-        hbar=params.hbar,
+    """The reverse protocol: each endpoint-frequency pair interchanged."""
+    return replace(
+        params,
+        omega_k=params.omega_k[::-1],
+        omega_p=None if params.omega_p is None else params.omega_p[::-1],
     )
 
 
@@ -417,7 +399,9 @@ def verify_fluctuation_theorems(
     Jarzynski runs through the characteristic function at u = i beta and
     (for a closed protocol) the direct sum over inverted peaks; Crooks
     runs pointwise on a (u, v) grid and (closed, peakwise=True) on the
-    joint peak weights, each side required to be resolvable.
+    joint peak weights, each side required to be resolvable.  A closed
+    protocol is its own reverse, so the peakwise check inverts the joint
+    law once and pairs each peak (m, delta_n) with (-m, -delta_n).
 
     perturbation adds a constant to every G evaluation: a negative
     control that must break normalization and Jarzynski.
@@ -460,11 +444,11 @@ def verify_fluctuation_theorems(
 
     peak_err = None
     if closed and peakwise:
-        fwd = _joint_peaks(lambda u, v: ev(params, u, v), spacing)
-        rev = _joint_peaks(lambda u, v: ev(reverse, u, v), spacing)
+        # the endpoint swap is the identity on a closed protocol: P_R = P_F
+        joint = _joint_peaks(lambda u, v: ev(params, u, v), spacing)
         peak_err = 0.0
-        for (m, n), p in fwd.items():
-            q = rev.get((-m, -n), 0.0)
+        for (m, n), p in joint.items():
+            q = joint.get((-m, -n), 0.0)
             if p < 1e-8 or q < 1e-8:
                 continue
             expected = math.exp(beta * (m * spacing - mu * n - dphi))

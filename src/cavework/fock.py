@@ -336,9 +336,10 @@ def two_point_measurement(
     return JointDistribution(peaks, residual, tol)
 
 
-def charfun_numeric(dist: JointDistribution, u: complex, v: complex) -> complex:
-    """Sum of prob * exp(i u w + i v dn) over the measured peaks."""
-    out = 0.0 + 0.0j
-    for w, dn, p in dist.peaks:
-        out += p * np.exp(1j * u * w + 1j * v * dn)
-    return complex(out)
+def charfun_numeric(dist: JointDistribution, u, v):
+    """Sum of prob * exp(i u w + i v dn) over the measured peaks, over
+    broadcast u and v; scalar input returns a Python complex."""
+    w, dn, p = np.array(dist.peaks, dtype=float).reshape(-1, 3).T
+    u, v = np.asarray(u)[..., None], np.asarray(v)[..., None]
+    g = (p * np.exp(1j * u * w + 1j * v * dn)).sum(axis=-1)
+    return complex(g) if g.ndim == 0 else g

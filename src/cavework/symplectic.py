@@ -263,7 +263,6 @@ def charfun_from_generator(
     u,
     v,
     hbar: float = 1.0,
-    steps: int = 64,
 ):
     """Two-point characteristic function of work and photon number.
 
@@ -308,7 +307,7 @@ def charfun_from_generator(
             return d0
         return _branch_determinant(total(s * u, s * v))
 
-    g = np.sqrt(d0) / tracked_sqrt(radicand, (u, v), steps=steps, anchor_tol=1e-9)
+    g = np.sqrt(d0) / tracked_sqrt(radicand, (u, v), steps=64, anchor_tol=1e-9)
     return complex(g) if g.ndim == 0 else g
 
 
@@ -322,8 +321,7 @@ def charfun_general(group, protocol, beta: float, u, v):
     """
     from . import driving  # deferred: driving builds on this module's types
 
-    lam_tau = protocol.lambda_at(protocol.tau)
-    if abs(lam_tau - protocol.lambda0) > 1e-9 * protocol.lambda0:
+    if not protocol.is_closed:
         raise ValueError(
             "protocol does not return the boundary to its start; "
             "use the general-endpoint closed forms or the Fock oracle"

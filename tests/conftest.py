@@ -1,17 +1,15 @@
 """Shared oracles and the acceptance-criterion reporter.
 
 The helpers here are deliberately independent of the implementation
-routes they check: roots come from scipy bracketing, characteristic
-functions from explicit peak sums, protocols from hand-picked closure
-points (tau a multiple of pi/Omega so the boundary lands exactly on its
-starting position in floating point).
+routes they check: roots come from scipy bracketing, protocols from
+hand-picked closure points (tau a multiple of pi/Omega so the boundary
+lands exactly on its starting position in floating point).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy import optimize, special
 
 from cavework.bessel import BesselKind
@@ -73,18 +71,6 @@ def scipy_root_oracle(kind: BesselKind, order: int, index: int) -> float:
         x += step
         prev = nxt
     raise AssertionError(f"oracle never bracketed root {kind} {order} {index}")
-
-
-def peaks_charfun(dist):
-    """Vectorized G(u, v) evaluator over a JointDistribution's peaks."""
-    ws = np.array([w for w, _, _ in dist.peaks])
-    dns = np.array([d for _, d, _ in dist.peaks])
-    ps = np.array([p for _, _, p in dist.peaks])
-
-    def g(u: complex, v: complex) -> complex:
-        return complex((ps * np.exp(1j * u * ws + 1j * v * dns)).sum())
-
-    return g
 
 
 def closed_protocol(omega_drive: float, half_periods: int = 2, epsilon: float = 0.01,

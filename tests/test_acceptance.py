@@ -11,13 +11,13 @@ the terminal summary always carries all nine lines.
 import math
 import shutil
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import (
     closed_protocol,
-    peaks_charfun,
     record_criterion,
     scipy_root_oracle,
     synthetic_case,
@@ -49,7 +49,12 @@ from cavework.distributions import (
 )
 from cavework.driving import ResonanceKind, interaction_generator
 from cavework.charfun import classical_work_cdf
-from cavework.fock import TruncatedFockSpace, build_evolution, two_point_measurement
+from cavework.fock import (
+    TruncatedFockSpace,
+    build_evolution,
+    charfun_numeric,
+    two_point_measurement,
+)
 from overlap_oracle import overlap_integral_oracle
 from cavework.symplectic import (
     QuadraticForm,
@@ -93,7 +98,7 @@ def oracle_vs_closed(variant, beta, n_single, n_pair):
     p_init = space.thermal_weights(beta)
     leak = float(((np.abs(u_mat) ** 2 @ p_init)[space.top_shell_mask()]).sum())
     dist = two_point_measurement(space, u_mat, beta)
-    g_num = peaks_charfun(dist)
+    g_num = partial(charfun_numeric, dist)
     spacing = 2.0 if variant is ResonanceKind.DOUBLE else (
         3.0 if variant is ResonanceKind.SUM else 1.0
     )
@@ -288,7 +293,7 @@ def test_criterion_3_symplectic_engine():
         [((0, 0, 1), 1.0, 1.0), ((0, 0, 2), 3.0, 3.0)], (60, 20)
     )
     u_mat = build_evolution(space, interaction_generator(group), proto, beta=beta)
-    g_num = peaks_charfun(two_point_measurement(space, u_mat, beta))
+    g_num = partial(charfun_numeric, two_point_measurement(space, u_mat, beta))
     coupled_err = 0.0
     for u in (0.0, 0.9, -1.7, 2.6):
         for v in (0.0, 1.1, -2.3):
@@ -496,7 +501,7 @@ def test_criterion_7_multi_resonance_factorization():
     )
     gen = interaction_generator([case_a, case_b])
     u_mat = build_evolution(space, gen, proto, beta=beta)
-    g_num = peaks_charfun(two_point_measurement(space, u_mat, beta))
+    g_num = partial(charfun_numeric, two_point_measurement(space, u_mat, beta))
     params = [
         CharfunParams.from_case(c, beta, TAU) for c in (case_a, case_b)
     ]

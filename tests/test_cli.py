@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cavework import fock
 from cavework.cli import load_config, main, resolve_omega_drive
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -239,6 +240,21 @@ def test_coupled_group_needs_symplectic_flag(workdir, monkeypatch):
     residual = float(lines[-1].split("=")[1])
     mass = sum(float(line.split(",")[1]) for line in lines[1:-1])
     assert mass + residual == pytest.approx(1.0, abs=1e-8)
+
+
+def test_freeze_refusals_build_no_oracle(workdir, monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("a refused --freeze run built the Fock oracle")
+
+    monkeypatch.setattr(fock, "build_evolution", no_oracle)
+    monkeypatch.setenv("CAVEWORK_N_MAX", "6")
+    cfg = workdir / "coupled.cfg"
+    cfg.write_text(COUPLED)
+    assert main(["distribution", str(cfg), "--freeze"]) == 2
+    with pytest.warns(UserWarning):
+        assert main(
+            ["distribution", str(CONFIGS / "open_endpoints.cfg"), "--freeze"]
+        ) == 2
 
 
 def test_verify_exit_codes(workdir):

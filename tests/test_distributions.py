@@ -315,6 +315,26 @@ def test_verify_open_endpoints():
     assert rep.worst() < 1e-9
 
 
+def test_verify_inverts_the_joint_law_once(monkeypatch):
+    # a closed protocol is its own reverse, so the peakwise Crooks check
+    # pairs peaks of one joint inversion; open endpoints have none
+    joint_calls = []
+    comb = distributions._adaptive_comb
+
+    def counted(evaluate, periods, starts):
+        if len(periods) == 2:
+            joint_calls.append(periods)
+        return comb(evaluate, periods, starts)
+
+    monkeypatch.setattr(distributions, "_adaptive_comb", counted)
+    verify_fluctuation_theorems(params_for(SUF, 0.8, 0.2), grid=8)
+    assert len(joint_calls) == 1
+    joint_calls.clear()
+    open_params = CharfunParams(variant=DOF, beta=0.8, omega_k=(1.0, 1.1), g_tau=0.2)
+    verify_fluctuation_theorems(open_params, grid=8)
+    assert joint_calls == []
+
+
 def test_perturbation_control_breaks_the_identities():
     rep = verify_fluctuation_theorems(
         params_for(DOF, 0.7, 0.25, wk=1.2), grid=8, peakwise=False,

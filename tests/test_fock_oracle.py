@@ -242,6 +242,10 @@ def test_oracle_matches_closed_form_single_mode():
             got = charfun_numeric(dist, float(u), v)
             want = closed_form(params, float(u), v)
             assert abs(got - want) < 1e-8
+    u, v = np.meshgrid(np.linspace(-2.0, 2.0, 5), (0.0, 1.1, -2.4), indexing="ij")
+    grid = charfun_numeric(dist, u, v)
+    assert grid.shape == u.shape
+    assert np.abs(grid - closed_form(params, u, v)).max() < 1e-8
 
 
 def test_oracle_matches_general_endpoint_form():

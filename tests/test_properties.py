@@ -52,6 +52,7 @@ def closed_params(draw) -> CharfunParams:
 @PROPERTY
 @given(closed_params())
 def test_fluctuation_theorems_hold(params):
+    assert distributions._reversed_params(params) == params
     report = verify_fluctuation_theorems(params, grid=8)
     assert report.normalization_error <= 1e-10
     assert report.jarzynski_abs_error <= 1e-10
