@@ -161,7 +161,9 @@ def closed_form(params: CharfunParams, u, v):
     """G(u, v) for a boundary that returns to its starting position.
 
     u and v broadcast against each other; scalar input returns a Python
-    complex.
+    complex.  The single-mode form depends on (u, v) only through the
+    phase z = hbar omega_k u + v, so its tracked root is evaluated once
+    per distinct z and scattered back to the broadcast shape.
     """
     if not params.is_closed:
         raise ValueError(
@@ -180,7 +182,11 @@ def closed_form(params: CharfunParams, u, v):
         # the scaled path multiplies u and v jointly so the (u - i beta)
         # argument scales as s*z - i*s*beta*xk with z = u*xk + v
         z = u * xk + v
-        return _result(sk / tracked_sqrt(rad, (z,), steps=16, anchor_tol=1e-12))
+        # each point's root is tracked on its own, so a repeated z costs
+        # nothing and changes no bit
+        zs, back = np.unique(z, return_inverse=True)
+        root = tracked_sqrt(rad, (zs,), steps=16, anchor_tol=1e-12)
+        return _result((sk / root)[back].reshape(z.shape))
     xp = hb * params.omega_p[0]
     sksp = _sinh_half(beta, xk) * _sinh_half(beta, xp)
     if params.variant is ResonanceKind.SUM:

@@ -174,6 +174,17 @@ def _number(key: str, raw: str, positive: bool = False) -> float:
     return value
 
 
+def _finite_float(raw: str) -> float:
+    """A finite float option value; anything else is a usage error (exit 2)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not finite: {raw!r}")
+    return value
+
+
 def _get_float(
     section, key: str, default: float | None = None, positive: bool = False
 ) -> float:
@@ -677,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the fluctuation-theorem checks")
     p.add_argument("config")
     p.add_argument(
-        "--perturb", type=float, default=0.0,
+        "--perturb", type=_finite_float, default=0.0,
         help="negative-control hook: add this constant to every G evaluation",
     )
     p.set_defaults(func=cmd_verify)

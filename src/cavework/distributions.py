@@ -376,7 +376,7 @@ _NOISE_FLOOR = 3e-15
 
 
 def _joint_peaks(
-    charfun2: Callable[[float, float], complex], spacing: float
+    charfun2: Callable[[np.ndarray, np.ndarray], np.ndarray], spacing: float
 ) -> dict[tuple[int, int], float]:
     """{(m, delta_n): weight} of the joint law above the peak floor,
     with work w = m * spacing."""

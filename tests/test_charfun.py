@@ -350,6 +350,46 @@ def test_array_charfuns_match_pointwise_at_strong_drive(monkeypatch):
             assert not batch_evals and not evals, name
 
 
+def test_single_mode_root_is_tracked_once_per_distinct_phase(monkeypatch):
+    # one squeezed mode's G depends on (u, v) only through the phase
+    # z = hbar omega_k u + v; on a lattice z repeats across rows, and the
+    # strong drive makes some of the distinct roots need finer steps
+    seen = []
+    tracker = symplectic.tracked_sqrt
+
+    def recorded(radicand, points, steps, anchor_tol):
+        n = 0
+
+        def rad(s, *pts):
+            nonlocal n
+            n += np.size(pts[0])
+            return radicand(s, *pts)
+
+        root = tracker(rad, points, steps, anchor_tol)
+        seen.append((np.ravel(points[0]).copy(), n, steps))
+        return root
+
+    beta, g_tau = 0.15, 1.2
+    params = make_params(DOF, beta, wk=1.0, g_tau=g_tau)
+    axis = 0.4 * np.arange(-4, 5)
+    u, v = np.meshgrid(axis, axis, indexing="ij")
+    u = np.concatenate([u.ravel(), u.ravel() + 1j * beta, [0.0, -0.0, -0.0]])
+    v = np.concatenate([v.ravel(), v.ravel(), [0.0, 0.0, -0.0]])
+    pointwise = np.array(
+        [closed_form(params, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    )
+
+    monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
+    batch = closed_form(params, u, v)
+    # every bit, the signs of zeros included
+    assert np.array_equal(batch.view(np.uint64), pointwise.view(np.uint64))
+    [(received, n, steps)] = seen
+    distinct = np.unique(u * 1.0 + v)
+    assert distinct.size < u.size
+    assert np.array_equal(received, distinct)
+    assert n > received.size * (1 + steps)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         CharfunParams(variant=DOF, beta=-1.0, omega_k=(1.0, 1.0), g_tau=0.3)

@@ -265,6 +265,20 @@ def test_verify_exit_codes(workdir):
     assert main(["verify", cfg, "--perturb", "1e-3"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flag", [["--perturb", "nan"], ["--perturb", "inf"], ["--perturb=-inf"]]
+)
+def test_verify_refuses_a_non_finite_perturbation(workdir, flag, capsys):
+    # NaN would pass every comparison in the checks and run the comb out
+    # to its sample budget; the flag is refused as it is parsed
+    cfg = write_cfg(workdir, tau=1.0 / math.sqrt(2.0), beta=0.225)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", cfg, *flag])
+    assert exc.value.code == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_verify_open_endpoints_config(workdir):
     with pytest.warns(UserWarning):
         assert main(["verify", str(CONFIGS / "open_endpoints.cfg")]) == 0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cavework import distributions
+from cavework import charfun, distributions
 from cavework.charfun import CharfunParams, classical_work_cdf, closed_form
 from cavework.distributions import (
     CumulativeFit,
@@ -333,6 +333,35 @@ def test_verify_inverts_the_joint_law_once(monkeypatch):
     open_params = CharfunParams(variant=DOF, beta=0.8, omega_k=(1.0, 1.1), g_tau=0.2)
     verify_fluctuation_theorems(open_params, grid=8)
     assert joint_calls == []
+
+
+def test_verify_tracks_each_single_mode_phase_once(monkeypatch):
+    # the joint comb and the Crooks grid repeat z = hbar omega_k u + v
+    # across rows, and the single-mode root is tracked once per distinct z
+    received = []
+    sampled = []
+    tracker = charfun.tracked_sqrt
+    comb = distributions._adaptive_comb
+
+    def recorded(radicand, points, steps, anchor_tol):
+        z = np.ravel(points[0])
+        assert np.unique(z).size == z.size
+        received.append(z.size)
+        return tracker(radicand, points, steps, anchor_tol)
+
+    def counted(evaluate, periods, starts):
+        def ev(*axes):
+            sampled.append(np.broadcast(*axes).size)
+            return evaluate(*axes)
+
+        return comb(ev, periods, starts)
+
+    monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
+    monkeypatch.setattr(distributions, "_adaptive_comb", counted)
+    grid = 64
+    rep = verify_fluctuation_theorems(params_for(DOF, 0.5, 0.1, wk=1.0), grid=grid)
+    assert rep.worst() < 1e-10
+    assert 5 * sum(received) < sum(sampled) + 2 * grid * grid
 
 
 def test_perturbation_control_breaks_the_identities():
