@@ -81,7 +81,7 @@ class DrivingProtocol:
         if self.epsilon >= 0.1:
             warnings.warn(
                 f"epsilon={self.epsilon:g} strains the first-order expansion",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__
             )
         if self.tau < 0.0:
             raise ValueError("tau must be nonnegative")

@@ -5,13 +5,15 @@ sampling, exact RWA unitary, projective energy and photon-number
 readouts at both ends, over a product occupation basis.
 
 The interaction V is built by index arithmetic on the occupation table
-(a_j|n> = sqrt(n_j)|n - e_j>), and e^{-iV tau} is exponentiated sector
-by sector: the connected components of V's nonzero pattern are blocks
-no entry of V couples, so each is diagonalized on its own and the dense
-unitary is exact by construction.  For the RWA resonances these are the
-charge sectors (parity for the double resonance, n_k - n_p for the sum
-and n_k + n_p for the difference channel); a V that conserves nothing
-is one sector, the dense case.
+(a_j|n> = sqrt(n_j)|n - e_j>) straight into a scipy.sparse CSR array,
+and e^{-iV tau} is exponentiated sector by sector: the connected
+components of V's nonzero pattern are blocks no entry of V couples, so
+each is diagonalized on its own and U, also CSR, stores only those
+blocks and is exact by construction.  For the RWA resonances these are
+the charge sectors (parity for the double resonance, n_k - n_p for the
+sum and n_k + n_p for the difference channel); a V that conserves
+nothing is one sector, the dense case.  No dim x dim array is formed
+otherwise.
 
 Thermal weights are taken against the analytic, untruncated partition
 function, so the reported peak probabilities undershoot unity by
@@ -34,12 +36,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cavity import ModeIndex
 from .errors import TruncationLeakError
 from .symplectic import QuadraticForm
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "JointDistribution",
@@ -50,8 +56,8 @@ __all__ = [
     "two_point_measurement",
 ]
 
-# largest basis a space may have: U is a dense dim x dim complex array
-# (6.4 GB at this size)
+# largest basis a space may have: a V that conserves nothing is one
+# sector, whose eigendecomposition holds dense dim x dim complex arrays
 _DIM_CAP = 20000
 # marginal peaks at or below this weight are dropped
 _PEAK_FLOOR = 1e-12
@@ -146,14 +152,17 @@ def _ladder(
     return np.where(n > 0, index - stride, -1), np.sqrt(n)
 
 
-def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> np.ndarray:
-    """Dense matrix of 1/2 alpha S alpha over the truncated basis.
+def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> csr_array:
+    """Sparse CSR matrix of 1/2 alpha S alpha over the truncated basis.
 
     The form's mode labels are matched against the space; modes of the
     space that the form does not touch are acted on trivially.  The
     result must be Hermitian (the truncated squeeze / pair / exchange
-    blocks close under dagger), which is verified, not assumed.
+    blocks close under dagger), which is verified on the stored entries,
+    not assumed.
     """
+    from scipy.sparse import csr_array
+
     space_pos = {m: i for i, (m, _, _) in enumerate(space.modes)}
     if form.modes:
         try:
@@ -170,7 +179,7 @@ def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> np.nda
     alpha = [_ladder(space, occ, j, False) for j in slots]
     alpha += [_ladder(space, occ, j, True) for j in slots]
     dim = space.dimension
-    v = np.zeros((dim, dim), dtype=complex)
+    v = csr_array((dim, dim), dtype=complex)
     n = form.n
     for i in range(2 * n):
         for j in range(2 * n):
@@ -182,24 +191,25 @@ def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> np.nda
                 cols = np.flatnonzero(mid >= 0)
                 cols = cols[target[mid[cols]] >= 0]
                 m = mid[cols]
-                v[target[m], cols] += 0.5 * s * (amp_i[m] * amp_j[cols])
-    herm_defect = float(np.abs(v - v.conj().T).max())
-    if herm_defect > 1e-10 * max(1.0, float(np.abs(v).max())):
+                term = 0.5 * s * (amp_i[m] * amp_j[cols])
+                v = v + csr_array((term, (target[m], cols)), shape=v.shape)
+    vh = v.conj().T
+    herm_defect = float(abs(v - vh).max())
+    if herm_defect > 1e-10 * max(1.0, float(abs(v).max())):
         raise ValueError(
             f"quadratic form is not Hermitian on the truncated basis "
             f"(defect {herm_defect:.3e})"
         )
-    return 0.5 * (v + v.conj().T)
+    return 0.5 * (v + vh)
 
 
-def _sectors(v: np.ndarray) -> list[np.ndarray]:
+def _sectors(v: csr_array) -> list[np.ndarray]:
     """Basis indices of each connected component of v's nonzero pattern."""
-    from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
-    rows, cols = np.nonzero(v)
-    graph = coo_array((np.ones(rows.size), (rows, cols)), shape=v.shape)
-    _, labels = connected_components(graph, directed=False)
+    # the pattern, not v: csgraph casts weights to float64, which would
+    # drop the squeeze entries (purely imaginary at phi = 0)
+    _, labels = connected_components(v != 0, directed=False)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
@@ -209,25 +219,32 @@ def build_evolution(
     generator: QuadraticForm,
     protocol,
     beta: float | None = None,
-) -> np.ndarray:
-    """U = e^{-i H0 tau} e^{-i V tau} on the truncated basis.
+) -> csr_array:
+    """U = e^{-i H0 tau} e^{-i V tau} on the truncated basis, as CSR.
 
     Both factors are exactly unitary: the free phases are diagonal and
     the interaction exponential comes from the eigendecomposition of the
-    Hermitian V, one sector (see _sectors) at a time; U is zero between
-    sectors.  When beta is given, the evolved thermal state's
+    Hermitian V, one sector (see _sectors) at a time; U stores the
+    sector blocks only.  When beta is given, the evolved thermal state's
     population in the top occupation shell is checked; truncation is
     only trustworthy when that leakage is tiny.
     """
+    from scipy.sparse import csr_array
+
     tau = protocol.tau
     v = quadratic_operator(space, generator)
     phase = np.exp(-1j * (space.occupations() @ space.omega0()) * tau)
-    u = np.zeros_like(v)
+    rows, cols, vals = [], [], []
     for idx in _sectors(v):
-        block = np.ix_(idx, idx)
-        evals, vecs = np.linalg.eigh(v[block])
+        evals, vecs = np.linalg.eigh(v[idx][:, idx].toarray())
         exp_v = (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
-        u[block] = phase[idx, None] * exp_v
+        rows.append(np.repeat(idx, idx.size))
+        cols.append(np.tile(idx, idx.size))
+        vals.append((phase[idx, None] * exp_v).ravel())
+    u = csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=v.shape,
+    )
     if beta is not None:
         p = space.thermal_weights(beta, protocol.hbar)
         pops = (np.abs(u) ** 2) @ p
@@ -306,7 +323,7 @@ def _merge_peaks(
 
 def two_point_measurement(
     space: TruncatedFockSpace,
-    u_matrix: np.ndarray,
+    u_matrix: csr_array | np.ndarray,
     beta: float,
     hbar: float = 1.0,
 ) -> JointDistribution:
@@ -315,16 +332,20 @@ def two_point_measurement(
     First measurement projects the thermal state onto occupations at the
     starting frequencies, the second reads the evolved state at the
     final frequencies; w = hbar * (E_end(n') - E_start(n)).  Peaks are
-    merged within 1e-9 of the smallest active frequency.  Only the
-    nonzero entries of U are visited.
+    merged within 1e-9 of the smallest active frequency.  U may be
+    sparse or dense; only its stored (sparse) or nonzero (dense) entries
+    are visited, in row-major order.
     """
+    from scipy.sparse import coo_array
+
+    u = coo_array(u_matrix)  # [n', n]
+    rows, cols = u.row, u.col
     occ = space.occupations()
     e0 = occ @ space.omega0()
     e1 = occ @ space.omega_tau()
     ntot = occ.sum(axis=1)
     p_init = space.thermal_weights(beta, hbar)
-    rows, cols = np.nonzero(u_matrix)  # [n', n]
-    prob = np.abs(u_matrix[rows, cols]) ** 2 * p_init[cols]
+    prob = np.abs(u.data) ** 2 * p_init[cols]
 
     tol = 1e-9 * hbar * float(min(space.omega0().min(), space.omega_tau().min()))
     z = hbar * (e1[rows] - e0[cols]) + 1j * (ntot[rows] - ntot[cols])

@@ -39,6 +39,12 @@ def test_protocol_validation():
         DrivingProtocol(lambda0=1.0, epsilon=0.2, omega_drive=1.0, tau=1.0)
 
 
+def test_large_epsilon_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="strains") as record:
+        DrivingProtocol(lambda0=1.0, epsilon=0.2, omega_drive=1.0, tau=1.0)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_protocol_closure():
     p = closed_protocol(omega_drive=2.0, half_periods=3)
     assert p.is_closed

@@ -7,10 +7,12 @@ against another part of the simulation itself.
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from cavework import cli
 from cavework.charfun import CharfunParams, closed_form, closed_form_general
@@ -122,7 +124,7 @@ def test_sector_evolution_matches_dense_reference(space, cases, proto, beta):
     gen = interaction_generator(cases)
     v = quadratic_operator(space, gen)
     v_ref = kron_operator(space, gen)
-    assert np.array_equal(v, v_ref)
+    assert np.array_equal(v.toarray(), v_ref)
     u_mat = build_evolution(space, gen, proto)
     u_ref = dense_evolution(space, v_ref, proto.tau)
     assert np.abs(u_mat - u_ref).max() <= 1e-12
@@ -164,11 +166,33 @@ def test_charge_free_interaction_is_one_dense_sector(monkeypatch):
     dim = space.dimension
     off = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
     v = np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off.conj(), -1)
-    monkeypatch.setattr(fock, "quadratic_operator", lambda space, form: v)
+    monkeypatch.setattr(fock, "quadratic_operator", lambda space, form: csr_array(v))
     assert len(fock._sectors(v)) == 1
     proto = closed_protocol(2.0)
     u_mat = build_evolution(space, None, proto)
     assert np.abs(u_mat - dense_evolution(space, v, proto.tau)).max() <= 1e-12
+
+
+def test_sum_channel_oracle_holds_no_dim_squared_array():
+    # n_k - n_p sectors of at most 46 states: V and U are block-sparse,
+    # so a dense dim x dim complex array would dwarf everything stored
+    case, modes = _pair(SUF, 2.0, 1.0, 0.3, math.pi)
+    space = TruncatedFockSpace(modes, 45)
+    dim = space.dimension
+    assert dim == 2116
+    gen = interaction_generator([case])
+    proto = closed_protocol(3.0, half_periods=1)
+    import scipy.sparse.csgraph  # noqa: F401  (keep import cost out of the peak)
+
+    tracemalloc.start()
+    try:
+        u_mat = build_evolution(space, gen, proto, beta=1.0)
+        two_point_measurement(space, u_mat, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense_bytes = dim * dim * 16
+    assert peak < dense_bytes / 4, f"peak {peak / dense_bytes:.2f} x dim^2 x 16 B"
 
 
 def test_space_validation():
