@@ -157,6 +157,23 @@ def _result(g: np.ndarray):
     return complex(g) if g.ndim == 0 else g
 
 
+def _distinct(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(z, return_inverse=True) for complex z, by one lexsort.
+
+    The distinct values come sorted by real, then imaginary part, and
+    each is the first of its equal points in z (+0.0 equals -0.0).
+    """
+    z = z.ravel()
+    order = np.lexsort((z.imag, z.real))
+    ordered = z[order]
+    first = np.empty(z.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    back = np.empty(z.size, dtype=np.intp)
+    back[order] = np.cumsum(first) - 1
+    return ordered[first], back
+
+
 def closed_form(params: CharfunParams, u, v):
     """G(u, v) for a boundary that returns to its starting position.
 
@@ -184,7 +201,7 @@ def closed_form(params: CharfunParams, u, v):
         z = u * xk + v
         # each point's root is tracked on its own, so a repeated z costs
         # nothing and changes no bit
-        zs, back = np.unique(z, return_inverse=True)
+        zs, back = _distinct(z)
         root = tracked_sqrt(rad, (zs,), steps=16, anchor_tol=1e-12)
         return _result((sk / root)[back].reshape(z.shape))
     xp = hb * params.omega_p[0]

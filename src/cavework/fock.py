@@ -5,15 +5,17 @@ sampling, exact RWA unitary, projective energy and photon-number
 readouts at both ends, over a product occupation basis.
 
 The interaction V is built by index arithmetic on the occupation table
-(a_j|n> = sqrt(n_j)|n - e_j>) straight into a scipy.sparse CSR array,
-and e^{-iV tau} is exponentiated sector by sector: the connected
-components of V's nonzero pattern are blocks no entry of V couples, so
-each is diagonalized on its own and U, also CSR, stores only those
-blocks and is exact by construction.  For the RWA resonances these are
-the charge sectors (parity for the double resonance, n_k - n_p for the
-sum and n_k + n_p for the difference channel); a V that conserves
-nothing is one sector, the dense case.  No dim x dim array is formed
-otherwise.
+(a_j|n> = sqrt(n_j)|n - e_j>) straight into its stored entries, a
+SparseOperator of row, column and value arrays, and e^{-iV tau} is
+exponentiated sector by sector: the connected components of V's stored
+entries, found by label propagation, are blocks no entry of V couples,
+so each is diagonalized on its own and U is returned as those dense
+blocks, one (basis indices, block) pair per sector, exact by
+construction.  For the RWA resonances these are the charge sectors
+(parity for the double resonance, n_k - n_p for the sum and n_k + n_p
+for the difference channel); a V that conserves nothing is one sector,
+the dense case.  No dim x dim array is formed otherwise.  The oracle
+needs numpy alone.
 
 Thermal weights are taken against the analytic, untruncated partition
 function, so the reported peak probabilities undershoot unity by
@@ -36,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,11 +46,9 @@ from .cavity import ModeIndex
 from .errors import TruncationLeakError
 from .symplectic import QuadraticForm
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
-
 __all__ = [
     "JointDistribution",
+    "SparseOperator",
     "TruncatedFockSpace",
     "build_evolution",
     "charfun_numeric",
@@ -152,8 +152,31 @@ def _ladder(
     return np.where(n > 0, index - stride, -1), np.sqrt(n)
 
 
-def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> csr_array:
-    """Sparse CSR matrix of 1/2 alpha S alpha over the truncated basis.
+class SparseOperator(NamedTuple):
+    """A dim x dim matrix as its stored entries: (rows[k], cols[k]) holds
+    vals[k], row-major with ascending columns, one entry per position."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+
+
+def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct keys, sum of vals at each), added in input order
+    from 0 with exact-zero sums dropped: a sparse matrix sum's arithmetic."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    total = np.empty(uniq.size, dtype=complex)
+    total.real = np.bincount(inv, vals.real, uniq.size)
+    total.imag = np.bincount(inv, vals.imag, uniq.size)
+    keep = total != 0
+    return uniq[keep], total[keep]
+
+
+def quadratic_operator(
+    space: TruncatedFockSpace, form: QuadraticForm
+) -> SparseOperator:
+    """1/2 alpha S alpha over the truncated basis, by its stored entries.
 
     The form's mode labels are matched against the space; modes of the
     space that the form does not touch are acted on trivially.  The
@@ -161,8 +184,6 @@ def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> csr_ar
     blocks close under dagger), which is verified on the stored entries,
     not assumed.
     """
-    from scipy.sparse import csr_array
-
     space_pos = {m: i for i, (m, _, _) in enumerate(space.modes)}
     if form.modes:
         try:
@@ -179,7 +200,7 @@ def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> csr_ar
     alpha = [_ladder(space, occ, j, False) for j in slots]
     alpha += [_ladder(space, occ, j, True) for j in slots]
     dim = space.dimension
-    v = csr_array((dim, dim), dtype=complex)
+    keys, terms = [np.empty(0, dtype=int)], [np.empty(0, dtype=complex)]
     n = form.n
     for i in range(2 * n):
         for j in range(2 * n):
@@ -191,27 +212,39 @@ def quadratic_operator(space: TruncatedFockSpace, form: QuadraticForm) -> csr_ar
                 cols = np.flatnonzero(mid >= 0)
                 cols = cols[target[mid[cols]] >= 0]
                 m = mid[cols]
-                term = 0.5 * s * (amp_i[m] * amp_j[cols])
-                v = v + csr_array((term, (target[m], cols)), shape=v.shape)
-    vh = v.conj().T
-    herm_defect = float(abs(v - vh).max())
-    if herm_defect > 1e-10 * max(1.0, float(abs(v).max())):
+                keys.append(target[m] * dim + cols)
+                terms.append(0.5 * s * (amp_i[m] * amp_j[cols]))
+    # key r * dim + c is position (r, c); the transpose sits at c * dim + r
+    keys, vals = _summed(np.concatenate(keys), np.concatenate(terms))
+    keys = np.concatenate([keys, (keys % dim) * dim + keys // dim])
+    _, defect = _summed(keys, np.concatenate([vals, -vals.conj()]))
+    herm_defect = float(np.abs(defect).max(initial=0.0))
+    if herm_defect > 1e-10 * max(1.0, float(np.abs(vals).max(initial=0.0))):
         raise ValueError(
             f"quadratic form is not Hermitian on the truncated basis "
             f"(defect {herm_defect:.3e})"
         )
-    return 0.5 * (v + vh)
+    keys, vals = _summed(keys, np.concatenate([vals, vals.conj()]))
+    return SparseOperator(keys // dim, keys % dim, 0.5 * vals, dim)
 
 
-def _sectors(v: csr_array) -> list[np.ndarray]:
-    """Basis indices of each connected component of v's nonzero pattern."""
-    from scipy.sparse.csgraph import connected_components
-
-    # the pattern, not v: csgraph casts weights to float64, which would
-    # drop the squeeze entries (purely imaginary at phi = 0)
-    _, labels = connected_components(v != 0, directed=False)
+def _sectors(v: SparseOperator) -> list[np.ndarray]:
+    """Basis indices of each connected component of v's stored entries,
+    ordered by smallest index, ascending within each component."""
+    # each state takes the smallest label among its neighbours, then its
+    # label's label, until nothing moves; every label is then the
+    # smallest index of its component
+    labels = np.arange(v.dim)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, v.rows, labels[v.cols])
+        np.minimum.at(new, v.cols, labels[v.rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def build_evolution(
@@ -219,42 +252,48 @@ def build_evolution(
     generator: QuadraticForm,
     protocol,
     beta: float | None = None,
-) -> csr_array:
-    """U = e^{-i H0 tau} e^{-i V tau} on the truncated basis, as CSR.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """U = e^{-i H0 tau} e^{-i V tau} on the truncated basis, as its
+    sector blocks: one (basis indices, dense block) pair per sector.
 
     Both factors are exactly unitary: the free phases are diagonal and
     the interaction exponential comes from the eigendecomposition of the
-    Hermitian V, one sector (see _sectors) at a time; U stores the
-    sector blocks only.  When beta is given, the evolved thermal state's
-    population in the top occupation shell is checked; truncation is
-    only trustworthy when that leakage is tiny.
+    Hermitian V, one sector (see _sectors) at a time; U vanishes between
+    sectors.  When beta is given, the evolved thermal state's population
+    in the top occupation shell is checked; truncation is only
+    trustworthy when that leakage is tiny.
     """
-    from scipy.sparse import csr_array
-
     tau = protocol.tau
     v = quadratic_operator(space, generator)
     phase = np.exp(-1j * (space.occupations() @ space.omega0()) * tau)
-    rows, cols, vals = [], [], []
-    for idx in _sectors(v):
-        evals, vecs = np.linalg.eigh(v[idx][:, idx].toarray())
+    sectors = _sectors(v)
+    # the sector of every state and its position inside that sector
+    sector = np.empty(v.dim, dtype=int)
+    pos = np.empty(v.dim, dtype=int)
+    for k, idx in enumerate(sectors):
+        sector[idx] = k
+        pos[idx] = np.arange(idx.size)
+    counts = np.bincount(sector[v.rows], minlength=len(sectors))
+    by_sector = np.split(np.argsort(sector[v.rows]), np.cumsum(counts)[:-1])
+    blocks = []
+    for idx, entries in zip(sectors, by_sector):
+        block = np.zeros((idx.size, idx.size), dtype=complex)
+        block[pos[v.rows[entries]], pos[v.cols[entries]]] = v.vals[entries]
+        evals, vecs = np.linalg.eigh(block)
         exp_v = (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
-        rows.append(np.repeat(idx, idx.size))
-        cols.append(np.tile(idx, idx.size))
-        vals.append((phase[idx, None] * exp_v).ravel())
-    u = csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=v.shape,
-    )
+        blocks.append((idx, phase[idx, None] * exp_v))
     if beta is not None:
         p = space.thermal_weights(beta, protocol.hbar)
-        pops = (np.abs(u) ** 2) @ p
+        pops = np.empty(v.dim)
+        for idx, block in blocks:
+            pops[idx] = (np.abs(block) ** 2) @ p[idx]
         leak = float(pops[space.top_shell_mask()].sum())
         if leak > 1e-8:
             raise TruncationLeakError(
                 f"evolved thermal state has {leak:.3e} population in the top "
                 "occupation shell; increase n_max"
             )
-    return u
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -323,7 +362,7 @@ def _merge_peaks(
 
 def two_point_measurement(
     space: TruncatedFockSpace,
-    u_matrix: csr_array | np.ndarray,
+    u_blocks: list[tuple[np.ndarray, np.ndarray]],
     beta: float,
     hbar: float = 1.0,
 ) -> JointDistribution:
@@ -332,20 +371,22 @@ def two_point_measurement(
     First measurement projects the thermal state onto occupations at the
     starting frequencies, the second reads the evolved state at the
     final frequencies; w = hbar * (E_end(n') - E_start(n)).  Peaks are
-    merged within 1e-9 of the smallest active frequency.  U may be
-    sparse or dense; only its stored (sparse) or nonzero (dense) entries
-    are visited, in row-major order.
+    merged within 1e-9 of the smallest active frequency.  U comes as
+    the (basis indices, block) pairs of build_evolution; every entry of
+    every block is visited, row-major with ascending columns.
     """
-    from scipy.sparse import coo_array
-
-    u = coo_array(u_matrix)  # [n', n]
-    rows, cols = u.row, u.col
+    rows = np.concatenate([np.repeat(idx, idx.size) for idx, _ in u_blocks])
+    cols = np.concatenate([np.tile(idx, idx.size) for idx, _ in u_blocks])
+    amp = np.concatenate([block.ravel() for _, block in u_blocks])
+    # each row lies in one block, whose columns ascend already
+    order = np.argsort(rows, kind="stable")
+    rows, cols, amp = rows[order], cols[order], amp[order]  # [n', n]
     occ = space.occupations()
     e0 = occ @ space.omega0()
     e1 = occ @ space.omega_tau()
     ntot = occ.sum(axis=1)
     p_init = space.thermal_weights(beta, hbar)
-    prob = np.abs(u.data) ** 2 * p_init[cols]
+    prob = np.abs(amp) ** 2 * p_init[cols]
 
     tol = 1e-9 * hbar * float(min(space.omega0().min(), space.omega_tau().min()))
     z = hbar * (e1[rows] - e0[cols]) + 1j * (ntot[rows] - ntot[cols])

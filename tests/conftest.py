@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import optimize, special
 
 from cavework.bessel import BesselKind
 from cavework.driving import DrivingProtocol, ResonanceCase, ResonanceKind
+from cavework.fock import SparseOperator
 
 # ---------------------------------------------------------------- criteria
 
@@ -92,3 +94,24 @@ def synthetic_case(kind: ResonanceKind, omega_k: float, omega_p: float | None,
     k = (0, 0, 1)
     p = None if omega_p is None else (0, 0, 2)
     return ResonanceCase(kind, k, p, omega_k, omega_p, g_tau / tau, 0.0)
+
+
+def to_dense(op) -> np.ndarray:
+    """The dim x dim array of a Fock-oracle operator: V as the
+    SparseOperator of quadratic_operator, or U as the (basis indices,
+    block) pairs of build_evolution."""
+    if isinstance(op, SparseOperator):
+        out = np.zeros((op.dim, op.dim), dtype=complex)
+        out[op.rows, op.cols] = op.vals
+        return out
+    dim = sum(idx.size for idx, _ in op)
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx, block in op:
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
+def from_dense(v: np.ndarray) -> SparseOperator:
+    """The nonzero entries of a square array as a SparseOperator."""
+    rows, cols = np.nonzero(v)
+    return SparseOperator(rows, cols, v[rows, cols], v.shape[0])

@@ -21,6 +21,7 @@ from conftest import (
     record_criterion,
     scipy_root_oracle,
     synthetic_case,
+    to_dense,
 )
 from scipy.linalg import expm
 
@@ -96,7 +97,7 @@ def oracle_vs_closed(variant, beta, n_single, n_pair):
     """(max grid error, oracle residual mass, evolved top-shell leak)."""
     space, u_mat, params = fig1_setup(variant, beta, n_single, n_pair)
     p_init = space.thermal_weights(beta)
-    leak = float(((np.abs(u_mat) ** 2 @ p_init)[space.top_shell_mask()]).sum())
+    leak = float(((np.abs(to_dense(u_mat)) ** 2 @ p_init)[space.top_shell_mask()]).sum())
     dist = two_point_measurement(space, u_mat, beta)
     g_num = partial(charfun_numeric, dist)
     spacing = 2.0 if variant is ResonanceKind.DOUBLE else (

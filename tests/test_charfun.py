@@ -22,7 +22,11 @@ from cavework.charfun import (
     moments,
     multi_resonance_product,
 )
-from cavework.distributions import WorkLattice, extract_marginal_work
+from cavework.distributions import (
+    WorkLattice,
+    extract_marginal_work,
+    verify_fluctuation_theorems,
+)
 from cavework.driving import ResonanceKind, interaction_generator
 from cavework.errors import CoupledResonanceError, DegenerateResonanceError
 from cavework.symplectic import charfun_from_generator
@@ -388,6 +392,65 @@ def test_single_mode_root_is_tracked_once_per_distinct_phase(monkeypatch):
     assert distinct.size < u.size
     assert np.array_equal(received, distinct)
     assert n > received.size * (1 + steps)
+
+
+def unique_phases(z):
+    """The np.unique path that charfun._distinct replaces."""
+    zs, back = np.unique(z, return_inverse=True)
+    return zs, back.ravel()
+
+
+def as_bits(x):
+    return np.atleast_1d(np.asarray(x)).view(np.uint64)
+
+
+def test_distinct_phases_match_np_unique(monkeypatch):
+    # the phase blocks of verify (comb blocks, the Crooks grid, scalars)
+    # and one block of repeated phases with signed zeros
+    blocks, calls = [], []
+    distinct, closed = charfun._distinct, charfun.closed_form
+
+    def spy_distinct(z):
+        blocks.append(z)
+        return distinct(z)
+
+    def spy_closed(params, u, v):
+        g = closed(params, u, v)
+        calls.append((params, u, v, g))
+        return g
+
+    monkeypatch.setattr(charfun, "_distinct", spy_distinct)
+    monkeypatch.setattr(charfun, "closed_form", spy_closed)
+    beta, grid = 0.5, 64
+    params = make_params(DOF, beta, wk=1.0, g_tau=0.1)
+    verify_fluctuation_theorems(params, grid=grid)
+    assert grid * grid in [np.size(z) for z in blocks]
+    parts = np.array([0.0, -0.0, 0.4])
+    re, im, v = np.meshgrid(parts, [0.0, -0.0, beta], parts, indexing="ij")
+    order = np.random.default_rng(3).permutation(np.tile(np.arange(re.size), 4))
+    u = np.empty(order.size, dtype=complex)
+    u.real, u.imag = re.ravel()[order], im.ravel()[order]
+    spy_closed(params, u, v.ravel()[order])
+
+    for z in blocks:
+        zs, back = distinct(z)
+        ref, ref_back = unique_phases(z)
+        assert np.array_equal(back, ref_back)
+        assert np.array_equal(zs, ref)
+        # each value is the first of its points in z, in every bit;
+        # np.unique's unstable sort may instead pick any member of a group
+        # that mixes +0.0 and -0.0, so only single-pattern groups must match
+        points = as_bits(z).reshape(-1, 2)
+        first = np.unique(back, return_index=True)[1]
+        assert np.array_equal(as_bits(zs), as_bits(z.ravel()[first]))
+        same = (points == points[first][back]).all(axis=1)
+        uniform = np.bincount(back, ~same, zs.size) == 0
+        assert np.array_equal(as_bits(zs[uniform]), as_bits(ref[uniform]))
+    assert not uniform.all()  # the signed-zero block mixes zero signs
+
+    monkeypatch.setattr(charfun, "_distinct", unique_phases)
+    for params, u, v, g in calls:
+        assert np.array_equal(as_bits(g), as_bits(closed(params, u, v)))
 
 
 def test_params_validation():

@@ -362,13 +362,27 @@ def test_fock_basis_above_the_cap_exits_2(workdir, monkeypatch, capsys):
     assert "20001" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(workdir):
+    # every command, in one interpreter: none of them may load any scipy
+    (workdir / "coupled.cfg").write_text(COUPLED)
+    runs = [
+        ["spectrum", write_cfg(workdir)],
+        ["distribution", str(CONFIGS / "double_res.cfg")],
+        ["distribution", "coupled.cfg", "--symplectic"],
+        ["distribution", str(CONFIGS / "diff_res.cfg"), "--oracle"],
+        ["distribution", str(CONFIGS / "open_endpoints.cfg"), "--oracle"],
+        ["distribution", str(CONFIGS / "sum_res.cfg"), "--freeze"],
+        ["verify", str(CONFIGS / "double_res.cfg")],
+        ["moments", str(CONFIGS / "moments_cold.cfg")],
+    ]
     code = (
-        "import sys, cavework.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, warnings; from cavework.cli import main; "
+        "warnings.simplefilter('ignore'); "
+        f"codes = [main(argv) for argv in {runs!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        cwd=workdir, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().split("\n")[-1] == f"{[0] * len(runs)} []"

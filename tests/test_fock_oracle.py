@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from cavework import cli
 from cavework.charfun import CharfunParams, closed_form, closed_form_general
@@ -28,7 +29,7 @@ from cavework.fock import (
     two_point_measurement,
 )
 from cavework.symplectic import QuadraticForm
-from conftest import closed_protocol, synthetic_case
+from conftest import closed_protocol, from_dense, synthetic_case, to_dense
 
 DOF = ResonanceKind.DOUBLE
 SUF = ResonanceKind.SUM
@@ -124,14 +125,14 @@ def test_sector_evolution_matches_dense_reference(space, cases, proto, beta):
     gen = interaction_generator(cases)
     v = quadratic_operator(space, gen)
     v_ref = kron_operator(space, gen)
-    assert np.array_equal(v.toarray(), v_ref)
+    assert np.array_equal(to_dense(v), v_ref)
     u_mat = build_evolution(space, gen, proto)
     u_ref = dense_evolution(space, v_ref, proto.tau)
-    assert np.abs(u_mat - u_ref).max() <= 1e-12
+    assert np.abs(to_dense(u_mat) - u_ref).max() <= 1e-12
     # the dense reference leaves ~1e-17 amplitudes between sectors, so
     # compare peak by peak with a missing peak counting as 0
     dist = two_point_measurement(space, u_mat, beta)
-    dist_ref = two_point_measurement(space, u_ref, beta)
+    dist_ref = two_point_measurement(space, [(np.arange(space.dimension), u_ref)], beta)
     got = {(round(w, 9), dn): p for w, dn, p in dist.peaks}
     want = {(round(w, 9), dn): p for w, dn, p in dist_ref.peaks}
     for key in got.keys() | want.keys():
@@ -158,19 +159,49 @@ def test_sector_counts_follow_the_conserved_charge():
         assert sorted(np.concatenate(sectors)) == list(range(space.dimension))
 
 
-def test_charge_free_interaction_is_one_dense_sector(monkeypatch):
-    # every quadratic form conserves parity, so feed build_evolution a
-    # Hermitian V that couples each basis state to its neighbour
+def charge_free_interaction():
+    """(space, dense V): a Hermitian V coupling each basis state to its
+    neighbour, which no quadratic form can give (they conserve parity)."""
     space = TruncatedFockSpace([(MODE, 1.0, 1.0), (MODE2, 2.0, 2.0)], (5, 4))
     rng = np.random.default_rng(7)
     dim = space.dimension
     off = rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1)
     v = np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off.conj(), -1)
-    monkeypatch.setattr(fock, "quadratic_operator", lambda space, form: csr_array(v))
-    assert len(fock._sectors(v)) == 1
+    return space, v
+
+
+def test_charge_free_interaction_is_one_dense_sector(monkeypatch):
+    # every quadratic form conserves parity, so feed build_evolution a
+    # Hermitian V that couples each basis state to its neighbour
+    space, v = charge_free_interaction()
+    monkeypatch.setattr(fock, "quadratic_operator", lambda space, form: from_dense(v))
+    assert len(fock._sectors(from_dense(v))) == 1
     proto = closed_protocol(2.0)
     u_mat = build_evolution(space, None, proto)
-    assert np.abs(u_mat - dense_evolution(space, v, proto.tau)).max() <= 1e-12
+    assert np.abs(to_dense(u_mat) - dense_evolution(space, v, proto.tau)).max() <= 1e-12
+
+
+def csgraph_sectors(v):
+    """_sectors by scipy's connected_components on V's stored pattern."""
+    pattern = csr_array((np.ones(v.vals.size), (v.rows, v.cols)), shape=(v.dim, v.dim))
+    _, labels = connected_components(pattern, directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        pytest.param(quadratic_operator(p.values[0], interaction_generator(p.values[1])),
+                     id=p.id)
+        for p in reference_spaces()
+    ]
+    + [pytest.param(from_dense(charge_free_interaction()[1]), id="charge_free")],
+)
+def test_sectors_match_csgraph_components(v):
+    got, want = fock._sectors(v), csgraph_sectors(v)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_sum_channel_oracle_holds_no_dim_squared_array():
@@ -182,8 +213,6 @@ def test_sum_channel_oracle_holds_no_dim_squared_array():
     assert dim == 2116
     gen = interaction_generator([case])
     proto = closed_protocol(3.0, half_periods=1)
-    import scipy.sparse.csgraph  # noqa: F401  (keep import cost out of the peak)
-
     tracemalloc.start()
     try:
         u_mat = build_evolution(space, gen, proto, beta=1.0)
@@ -321,7 +350,7 @@ def test_truncation_leak_guard():
         build_evolution(space, interaction_generator([case]), proto, beta=0.5)
     # without a declared state there is nothing to certify, so no guard
     u = build_evolution(space, interaction_generator([case]), proto, beta=None)
-    assert u.shape == (4, 4)
+    assert to_dense(u).shape == (4, 4)
 
 
 def test_quadratic_operator_guards():

@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import synthetic_case
+from cavework import symplectic
 from cavework.charfun import CharfunParams, closed_form
 from cavework.driving import DrivingProtocol, ResonanceKind, interaction_generator
 from cavework.errors import (
@@ -83,6 +84,31 @@ def test_char_matrix_is_symplectic_and_diag_for_thermal():
     with pytest.raises(SymplecticityError), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         char_matrix(thermal_form(2000.0))
+
+
+def test_char_matrix_matches_scipy_expm():
+    # random symmetric S, n = 1..4, scaled so that the squaring count
+    # ceil(log2(|sigma S|_1 / theta_13)) takes every value from 0 to 5
+    tol = 1e-12  # of the largest entry of exp(sigma S)
+    rng = np.random.default_rng(2005)
+    counts = set()
+    for n in range(1, 5):
+        for count in range(6):
+            for _ in range(3):
+                s = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal(
+                    (2 * n, 2 * n)
+                )
+                s = s + s.T
+                norm = np.linalg.norm(sigma_matrix(n) @ s, 1)
+                scale = symplectic._THETA13 * 2.0 ** (count - rng.uniform(0.1, 0.9))
+                q = QuadraticForm(s * (scale / norm))
+                a = sigma_matrix(n) @ q.S
+                ratio = np.linalg.norm(a, 1) / symplectic._THETA13
+                counts.add(max(0, math.ceil(math.log2(ratio))))
+                want = sla.expm(a)
+                got = char_matrix(q)
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
+    assert counts == set(range(6))
 
 
 def test_compose_matches_matrix_product():
