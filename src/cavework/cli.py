@@ -94,6 +94,7 @@ from .charfun import (
 )
 from .distributions import (
     WorkLattice,
+    _marginal_deviation,
     cumulative_and_fit,
     cumulative_to_csv,
     extract_channel_marginals,
@@ -543,15 +544,7 @@ def cmd_distribution(args) -> int:
 
     if args.freeze:
         oracle_dist = _oracle_joint(cfg, protocol, plan)
-        oracle_work, oracle_photons = oracle_dist.marginals()
-        worst = 0.0
-        ow = dict(oracle_work)
-        for w, p in work:
-            near = [q for wq, q in ow.items() if abs(wq - w) < 1e-6 * spacing]
-            worst = max(worst, abs(p - (near[0] if near else 0.0)))
-        op = dict(oracle_photons)
-        for dn, p in photons:
-            worst = max(worst, abs(p - op.get(dn, 0.0)))
+        worst = _marginal_deviation(work, photons, *oracle_dist.marginals(), spacing)
         if worst > cfg.freeze_tol:
             print(
                 f"freeze refused: closed-form vs oracle deviation {worst:.3e} "

@@ -290,6 +290,29 @@ def compare_classical(
     return fit._sup_distance(classical_cdf)
 
 
+def _marginal_deviation(work, photons, other_work, other_photons, spacing) -> float:
+    """Largest |delta p| between two routes' (P(w), P(delta_n)), each
+    sorted (value, prob) peaks, over the union of their peaks.
+
+    A work peak pairs with the other route's nearest work peak within
+    1e-6 spacing, a photon peak with the other's at the same delta_n; a
+    peak with no partner counts against 0.
+    """
+    worst = 0.0
+    for mine, other in ((work, other_work), (other_work, work)):
+        w, p = np.array(mine, dtype=float).reshape(-1, 2).T
+        # fenced by +-inf, every w has a neighbour on each side
+        wo, po = np.array([(-math.inf, 0.0), *other, (math.inf, 0.0)]).T
+        right = np.searchsorted(wo, w)
+        near = np.where(w - wo[right - 1] <= wo[right] - w, right - 1, right)
+        q = np.where(np.abs(wo[near] - w) < 1e-6 * spacing, po[near], 0.0)
+        worst = max(worst, float(np.abs(p - q).max(initial=0.0)))
+    mine, other = dict(photons), dict(other_photons)
+    for dn in mine.keys() | other.keys():
+        worst = max(worst, abs(mine.get(dn, 0.0) - other.get(dn, 0.0)))
+    return worst
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Measured errors of the fluctuation-theorem identities.

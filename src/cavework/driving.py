@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -70,6 +70,9 @@ class DrivingProtocol:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         if not self.lambda0 > 0.0:
             raise ValueError("lambda0 must be positive")
         if not self.omega_drive > 0.0:

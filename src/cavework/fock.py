@@ -5,17 +5,16 @@ sampling, exact RWA unitary, projective energy and photon-number
 readouts at both ends, over a product occupation basis.
 
 The interaction V is built by index arithmetic on the occupation table
-(a_j|n> = sqrt(n_j)|n - e_j>) straight into its stored entries, a
-SparseOperator of row, column and value arrays, and e^{-iV tau} is
-exponentiated sector by sector: the connected components of V's stored
-entries, found by label propagation, are blocks no entry of V couples,
-so each is diagonalized on its own and U is returned as those dense
-blocks, one (basis indices, block) pair per sector, exact by
-construction.  For the RWA resonances these are the charge sectors
-(parity for the double resonance, n_k - n_p for the sum and n_k + n_p
-for the difference channel); a V that conserves nothing is one sector,
-the dense case.  No dim x dim array is formed otherwise.  The oracle
-needs numpy alone.
+(a_j|n> = sqrt(n_j)|n - e_j>) straight into its sector blocks: the
+connected components of the terms' (row, column) pattern, found by
+label propagation, are blocks no entry of V couples, and V is returned
+as one (basis indices, dense Hermitian block) pair per sector.  Each
+block is exponentiated on its own, so U comes in the same format,
+exact by construction.  For the RWA resonances the sectors are the
+charge sectors (parity for the double resonance, n_k - n_p for the sum
+and n_k + n_p for the difference channel); a V that conserves nothing
+is one sector, the dense case.  No dim x dim array is formed otherwise.
+The oracle needs numpy alone.
 
 Thermal weights are taken against the analytic, untruncated partition
 function, so the reported peak probabilities undershoot unity by
@@ -38,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +46,6 @@ from .symplectic import QuadraticForm
 
 __all__ = [
     "JointDistribution",
-    "SparseOperator",
     "TruncatedFockSpace",
     "build_evolution",
     "charfun_numeric",
@@ -152,37 +149,21 @@ def _ladder(
     return np.where(n > 0, index - stride, -1), np.sqrt(n)
 
 
-class SparseOperator(NamedTuple):
-    """A dim x dim matrix as its stored entries: (rows[k], cols[k]) holds
-    vals[k], row-major with ascending columns, one entry per position."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    dim: int
-
-
-def _summed(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted distinct keys, sum of vals at each), added in input order
-    from 0 with exact-zero sums dropped: a sparse matrix sum's arithmetic."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    total = np.empty(uniq.size, dtype=complex)
-    total.real = np.bincount(inv, vals.real, uniq.size)
-    total.imag = np.bincount(inv, vals.imag, uniq.size)
-    keep = total != 0
-    return uniq[keep], total[keep]
-
-
 def quadratic_operator(
     space: TruncatedFockSpace, form: QuadraticForm
-) -> SparseOperator:
-    """1/2 alpha S alpha over the truncated basis, by its stored entries.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """1/2 alpha S alpha over the truncated basis, as its sector blocks:
+    one (basis indices, dense Hermitian block) pair per sector.
 
     The form's mode labels are matched against the space; modes of the
     space that the form does not touch are acted on trivially.  The
+    sectors are the connected components of the terms' (row, column)
+    pattern (see _sectors), so no entry of V couples two of them; terms
+    that cancel exactly would leave two sectors joined in one block,
+    which is still exact.  The
     result must be Hermitian (the truncated squeeze / pair / exchange
-    blocks close under dagger), which is verified on the stored entries,
-    not assumed.
+    blocks close under dagger), which is verified block by block, not
+    assumed.
     """
     space_pos = {m: i for i, (m, _, _) in enumerate(space.modes)}
     if form.modes:
@@ -200,7 +181,8 @@ def quadratic_operator(
     alpha = [_ladder(space, occ, j, False) for j in slots]
     alpha += [_ladder(space, occ, j, True) for j in slots]
     dim = space.dimension
-    keys, terms = [np.empty(0, dtype=int)], [np.empty(0, dtype=complex)]
+    empty = np.empty(0, dtype=int)
+    terms = [(empty, empty, empty.astype(complex))]
     n = form.n
     for i in range(2 * n):
         for j in range(2 * n):
@@ -212,33 +194,48 @@ def quadratic_operator(
                 cols = np.flatnonzero(mid >= 0)
                 cols = cols[target[mid[cols]] >= 0]
                 m = mid[cols]
-                keys.append(target[m] * dim + cols)
-                terms.append(0.5 * s * (amp_i[m] * amp_j[cols]))
-    # key r * dim + c is position (r, c); the transpose sits at c * dim + r
-    keys, vals = _summed(np.concatenate(keys), np.concatenate(terms))
-    keys = np.concatenate([keys, (keys % dim) * dim + keys // dim])
-    _, defect = _summed(keys, np.concatenate([vals, -vals.conj()]))
-    herm_defect = float(np.abs(defect).max(initial=0.0))
-    if herm_defect > 1e-10 * max(1.0, float(np.abs(vals).max(initial=0.0))):
+                terms.append((target[m], cols, 0.5 * s * (amp_i[m] * amp_j[cols])))
+    rows, cols, vals = (np.concatenate(t) for t in zip(*terms))
+
+    # every block lies row-major in one flat buffer: state s is entry
+    # pos[s] of its sector, and its row of the block starts at row_at[s]
+    sectors = _sectors(rows, cols, dim)
+    ends = np.cumsum([idx.size**2 for idx in sectors])
+    pos, row_at = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
+    for idx, end in zip(sectors, ends):
+        pos[idx] = np.arange(idx.size)
+        row_at[idx] = end - idx.size**2 + pos[idx] * idx.size
+    flat = np.zeros(ends[-1], dtype=complex)
+    # terms add up in their (i, j) order, each position from 0
+    np.add.at(flat, row_at[rows] + pos[cols], vals)
+    blocks, herm_defect, scale = [], 0.0, 1.0
+    for idx, a in zip(sectors, np.split(flat, ends[:-1])):
+        a = a.reshape(idx.size, idx.size)
+        herm_defect = max(herm_defect, float(np.abs(a - a.conj().T).max()))
+        scale = max(scale, float(np.abs(a).max()))
+        a += a.conj().T
+        a *= 0.5
+        blocks.append((idx, a))
+    if herm_defect > 1e-10 * scale:
         raise ValueError(
             f"quadratic form is not Hermitian on the truncated basis "
             f"(defect {herm_defect:.3e})"
         )
-    keys, vals = _summed(keys, np.concatenate([vals, vals.conj()]))
-    return SparseOperator(keys // dim, keys % dim, 0.5 * vals, dim)
+    return blocks
 
 
-def _sectors(v: SparseOperator) -> list[np.ndarray]:
-    """Basis indices of each connected component of v's stored entries,
-    ordered by smallest index, ascending within each component."""
+def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Basis indices of each connected component of the (rows[k],
+    cols[k]) pattern over dim states, ordered by smallest index,
+    ascending within each component."""
     # each state takes the smallest label among its neighbours, then its
     # label's label, until nothing moves; every label is then the
     # smallest index of its component
-    labels = np.arange(v.dim)
+    labels = np.arange(dim)
     while True:
         new = labels.copy()
-        np.minimum.at(new, v.rows, labels[v.cols])
-        np.minimum.at(new, v.cols, labels[v.rows])
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
         new = new[new]
         if np.array_equal(new, labels):
             break
@@ -254,37 +251,25 @@ def build_evolution(
     beta: float | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """U = e^{-i H0 tau} e^{-i V tau} on the truncated basis, as its
-    sector blocks: one (basis indices, dense block) pair per sector.
+    sector blocks: one (basis indices, dense block) pair per block of V.
 
     Both factors are exactly unitary: the free phases are diagonal and
-    the interaction exponential comes from the eigendecomposition of the
-    Hermitian V, one sector (see _sectors) at a time; U vanishes between
-    sectors.  When beta is given, the evolved thermal state's population
-    in the top occupation shell is checked; truncation is only
-    trustworthy when that leakage is tiny.
+    the interaction exponential comes from the eigendecomposition of
+    each Hermitian block of V; U vanishes between sectors.  When beta is
+    given, the evolved thermal state's population in the top occupation
+    shell is checked; truncation is only trustworthy when that leakage
+    is tiny.
     """
     tau = protocol.tau
-    v = quadratic_operator(space, generator)
     phase = np.exp(-1j * (space.occupations() @ space.omega0()) * tau)
-    sectors = _sectors(v)
-    # the sector of every state and its position inside that sector
-    sector = np.empty(v.dim, dtype=int)
-    pos = np.empty(v.dim, dtype=int)
-    for k, idx in enumerate(sectors):
-        sector[idx] = k
-        pos[idx] = np.arange(idx.size)
-    counts = np.bincount(sector[v.rows], minlength=len(sectors))
-    by_sector = np.split(np.argsort(sector[v.rows]), np.cumsum(counts)[:-1])
-    blocks = []
-    for idx, entries in zip(sectors, by_sector):
-        block = np.zeros((idx.size, idx.size), dtype=complex)
-        block[pos[v.rows[entries]], pos[v.cols[entries]]] = v.vals[entries]
+    blocks = quadratic_operator(space, generator)
+    for idx, block in blocks:
         evals, vecs = np.linalg.eigh(block)
         exp_v = (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
-        blocks.append((idx, phase[idx, None] * exp_v))
+        np.multiply(phase[idx, None], exp_v, out=block)  # U takes V's place
     if beta is not None:
         p = space.thermal_weights(beta, protocol.hbar)
-        pops = np.empty(v.dim)
+        pops = np.empty(space.dimension)
         for idx, block in blocks:
             pops[idx] = (np.abs(block) ** 2) @ p[idx]
         leak = float(pops[space.top_shell_mask()].sum())
@@ -327,7 +312,6 @@ class JointDistribution:
         photons = sorted((dn, p) for dn, p in by_dn.items() if p > _PEAK_FLOOR)
         work = _merge_close([(w, p) for w, _, p in self.peaks], self.merge_tol)
         return [(w, p) for w, p in work if p > _PEAK_FLOOR], photons
-
 
 
 def _merge_close(

@@ -15,7 +15,6 @@ from scipy import optimize, special
 
 from cavework.bessel import BesselKind
 from cavework.driving import DrivingProtocol, ResonanceCase, ResonanceKind
-from cavework.fock import SparseOperator
 
 # ---------------------------------------------------------------- criteria
 
@@ -97,21 +96,11 @@ def synthetic_case(kind: ResonanceKind, omega_k: float, omega_p: float | None,
 
 
 def to_dense(op) -> np.ndarray:
-    """The dim x dim array of a Fock-oracle operator: V as the
-    SparseOperator of quadratic_operator, or U as the (basis indices,
-    block) pairs of build_evolution."""
-    if isinstance(op, SparseOperator):
-        out = np.zeros((op.dim, op.dim), dtype=complex)
-        out[op.rows, op.cols] = op.vals
-        return out
+    """The dim x dim array of a Fock-oracle operator given as its
+    (basis indices, block) pairs: V from quadratic_operator or U from
+    build_evolution."""
     dim = sum(idx.size for idx, _ in op)
     out = np.zeros((dim, dim), dtype=complex)
     for idx, block in op:
         out[np.ix_(idx, idx)] = block
     return out
-
-
-def from_dense(v: np.ndarray) -> SparseOperator:
-    """The nonzero entries of a square array as a SparseOperator."""
-    rows, cols = np.nonzero(v)
-    return SparseOperator(rows, cols, v[rows, cols], v.shape[0])

@@ -333,6 +333,8 @@ INVALID_VALUES = {
     "cutoff=nan": (("cutoff = 4.6", "cutoff = nan"), ["spectrum"]),
     "beta=nan": (("beta = 0.225", "beta = nan"), ["distribution"]),
     "beta=inf": (("beta = 0.225", "beta = inf"), ["distribution"]),
+    "omega_drive=inf": (("= 2*w(0:1:1)", "= inf"), ["distribution"]),
+    "omega_drive=1e400": (("= 2*w(0:1:1)", "= 1e400"), ["distribution"]),
     "sweep beta": ("\n[sweep]\nvariable = beta\nvalues = 0.5 -1\n", ["moments"]),
     "sweep hbar": ("\n[sweep]\nvariable = hbar\nvalues = 0 1\n", ["moments"]),
     "env freeze_tol": ({"CAVEWORK_FREEZE_TOL": "nan"}, ["distribution", "--freeze"]),

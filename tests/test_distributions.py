@@ -12,6 +12,7 @@ from cavework.distributions import (
     CumulativeFit,
     WorkLattice,
     _adaptive_comb,
+    _marginal_deviation,
     compare_classical,
     cumulative_and_fit,
     cumulative_to_csv,
@@ -193,6 +194,21 @@ def params_for(variant, beta, g_tau, wk=2.0, wp=1.0):
     return CharfunParams(
         variant=variant, beta=beta, omega_k=(wk, wk), omega_p=(wp, wp), g_tau=g_tau
     )
+
+
+def test_marginal_deviation_counts_peaks_of_either_route():
+    work, photons = [(0.0, 0.6), (2.0, 0.4)], [(0, 0.6), (2, 0.4)]
+    # the same peaks, one float-shifted and one 1e-4 off, plus a 1e-2 peak
+    # only the second route has
+    other_work = [(1e-9, 0.6), (2.0, 0.4 - 1e-4), (4.0, 1e-2)]
+    assert _marginal_deviation(work, photons, other_work, photons, 2.0) == 1e-2
+    assert _marginal_deviation(other_work, photons, work, photons, 2.0) == 1e-2
+    assert _marginal_deviation(work, photons, work[:1], photons, 2.0) == 0.4
+    other_photons = [(0, 0.6), (2, 0.4), (4, 1e-2)]
+    assert _marginal_deviation(work, photons, work, other_photons, 2.0) == 1e-2
+    # work peaks pair within 1e-6 of the spacing only
+    shifted = [(0.0, 0.6), (2.0 + 1e-5, 0.4)]
+    assert _marginal_deviation(work, photons, shifted, photons, 2.0) == 0.4
 
 
 def test_direct_jarzynski_sum_weak_driving():

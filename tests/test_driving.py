@@ -35,6 +35,8 @@ def test_protocol_validation():
         DrivingProtocol(lambda0=1.0, epsilon=0.6, omega_drive=1.0, tau=1.0)
     with pytest.raises(ValueError):
         DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=1.0, tau=-1.0)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=1.0, tau=math.inf)
     with pytest.warns(UserWarning):
         DrivingProtocol(lambda0=1.0, epsilon=0.2, omega_drive=1.0, tau=1.0)
 

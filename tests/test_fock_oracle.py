@@ -29,7 +29,7 @@ from cavework.fock import (
     two_point_measurement,
 )
 from cavework.symplectic import QuadraticForm
-from conftest import closed_protocol, from_dense, synthetic_case, to_dense
+from conftest import closed_protocol, synthetic_case, to_dense
 
 DOF = ResonanceKind.DOUBLE
 SUF = ResonanceKind.SUM
@@ -126,6 +126,9 @@ def test_sector_evolution_matches_dense_reference(space, cases, proto, beta):
     v = quadratic_operator(space, gen)
     v_ref = kron_operator(space, gen)
     assert np.array_equal(to_dense(v), v_ref)
+    want = csgraph_sectors(*np.nonzero(v_ref), space.dimension)
+    assert len(v) == len(want)
+    assert all(np.array_equal(idx, w) for (idx, _), w in zip(v, want))
     u_mat = build_evolution(space, gen, proto)
     u_ref = dense_evolution(space, v_ref, proto.tau)
     assert np.abs(to_dense(u_mat) - u_ref).max() <= 1e-12
@@ -146,12 +149,12 @@ def test_sector_counts_follow_the_conserved_charge():
     tau, n_max = math.pi, 9
     dbl = synthetic_case(DOF, 1.0, None, 0.6, tau)
     v = quadratic_operator(single_mode_space(n_max=24), interaction_generator([dbl]))
-    assert len(fock._sectors(v)) == 2
+    assert len(v) == 2
     for kind in (SUF, DIF):
         case, modes = _pair(kind, 2.0, 1.0, 0.5, tau)
         space = TruncatedFockSpace(modes, n_max)
         v = quadratic_operator(space, interaction_generator([case]))
-        sectors = fock._sectors(v)
+        sectors = [idx for idx, _ in v]
         assert len(sectors) == 2 * n_max + 1
         occ = space.occupations()
         charge = occ[:, 0] - occ[:, 1] if kind is SUF else occ.sum(axis=1)
@@ -174,16 +177,19 @@ def test_charge_free_interaction_is_one_dense_sector(monkeypatch):
     # every quadratic form conserves parity, so feed build_evolution a
     # Hermitian V that couples each basis state to its neighbour
     space, v = charge_free_interaction()
-    monkeypatch.setattr(fock, "quadratic_operator", lambda space, form: from_dense(v))
-    assert len(fock._sectors(from_dense(v))) == 1
+    dim = space.dimension
+    assert len(fock._sectors(*np.nonzero(v), dim)) == 1
+    monkeypatch.setattr(
+        fock, "quadratic_operator", lambda space, form: [(np.arange(dim), v.copy())]
+    )
     proto = closed_protocol(2.0)
     u_mat = build_evolution(space, None, proto)
     assert np.abs(to_dense(u_mat) - dense_evolution(space, v, proto.tau)).max() <= 1e-12
 
 
-def csgraph_sectors(v):
-    """_sectors by scipy's connected_components on V's stored pattern."""
-    pattern = csr_array((np.ones(v.vals.size), (v.rows, v.cols)), shape=(v.dim, v.dim))
+def csgraph_sectors(rows, cols, dim):
+    """_sectors by scipy's connected_components on a (row, col) pattern."""
+    pattern = csr_array((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
     _, labels = connected_components(pattern, directed=False)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
@@ -192,14 +198,17 @@ def csgraph_sectors(v):
 @pytest.mark.parametrize(
     "v",
     [
-        pytest.param(quadratic_operator(p.values[0], interaction_generator(p.values[1])),
+        pytest.param(to_dense(quadratic_operator(space, interaction_generator(cases))),
                      id=p.id)
         for p in reference_spaces()
+        for space, cases, _, _ in [p.values]
     ]
-    + [pytest.param(from_dense(charge_free_interaction()[1]), id="charge_free")],
+    + [pytest.param(charge_free_interaction()[1], id="charge_free")],
 )
 def test_sectors_match_csgraph_components(v):
-    got, want = fock._sectors(v), csgraph_sectors(v)
+    # the stored pattern of a dense V
+    pattern = (*np.nonzero(v), v.shape[0])
+    got, want = fock._sectors(*pattern), csgraph_sectors(*pattern)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 

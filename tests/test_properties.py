@@ -20,12 +20,23 @@ from cavework import distributions  # noqa: E402
 from cavework.charfun import CharfunParams, closed_form  # noqa: E402
 from cavework.distributions import WorkLattice, verify_fluctuation_theorems  # noqa: E402
 from cavework.driving import ResonanceKind, interaction_generator  # noqa: E402
+from cavework.fock import (  # noqa: E402
+    TruncatedFockSpace,
+    build_evolution,
+    charfun_numeric,
+    two_point_measurement,
+)
 from cavework.symplectic import charfun_from_generator  # noqa: E402
-from conftest import synthetic_case  # noqa: E402
+from conftest import closed_protocol, synthetic_case, to_dense  # noqa: E402
 
 PROPERTY = settings(
     max_examples=8, derandomize=True, database=None, deadline=None
 )
+# the closed form and the Fock oracle agree within this multiple of the
+# oracle's own truncation error (residual mass + top-shell leak), or
+# within float roundoff where that error is smaller still
+ORACLE_TRUNCATION_MULTIPLE = 3.0
+ORACLE_ROUNDOFF = 1e-12
 
 
 @st.composite
@@ -117,3 +128,24 @@ def test_array_evaluation_matches_per_point(params, g_tau, points):
     for a, b, g in zip(u.tolist(), v.tolist(), batch.tolist()):
         single = closed_form(params, a, b)
         assert abs(g - single) <= 1e-14 * abs(single)
+
+
+@PROPERTY
+@given(closed_params())
+def test_oracle_error_tracks_its_truncation(params):
+    wk = params.omega_k[0]
+    wp = None if params.omega_p is None else params.omega_p[0]
+    case = synthetic_case(params.variant, wk, wp, params.g_tau, math.pi)
+    modes = [(case.k, wk, wk)] + ([] if wp is None else [(case.p, wp, wp)])
+    space = TruncatedFockSpace(modes, 40 if wp is None else 24)
+    u_mat = build_evolution(space, interaction_generator([case]), closed_protocol(2.0))
+    dist = two_point_measurement(space, u_mat, params.beta)
+    p_init = space.thermal_weights(params.beta)
+    pops = np.abs(to_dense(u_mat)) ** 2 @ p_init
+    leak = float(pops[space.top_shell_mask()].sum())
+    u, v = np.meshgrid(
+        np.linspace(-2.0, 2.0, 9), np.linspace(-math.pi, math.pi, 7), indexing="ij"
+    )
+    err = np.abs(charfun_numeric(dist, u, v) - closed_form(params, u, v)).max()
+    truncation = dist.residual_mass + leak
+    assert err <= max(ORACLE_TRUNCATION_MULTIPLE * truncation, ORACLE_ROUNDOFF)
