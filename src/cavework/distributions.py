@@ -64,6 +64,9 @@ _BLOCK = 1 << 14
 # and per-sample libm), so finer digits of a tail peak are noise that
 # differs between hosts.
 _PROB_DECIMALS = 14
+# A CDF takes the sorted work peaks and returns its values there, or one
+# scalar for all of them
+_Cdf = Callable[[np.ndarray], "np.ndarray | float"]
 
 
 @dataclass(frozen=True)
@@ -234,15 +237,15 @@ class CumulativeFit:
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"marginal is not normalized (sum {total!r})")
         self.peaks = sorted((float(w), float(p)) for w, p in marginal)
-        ws = np.array([w for w, _ in self.peaks])
-        ps = np.array([p for _, p in self.peaks])
+        ws, ps = map(np.array, zip(*self.peaks))
         self._ws = ws
         self._cum = np.cumsum(ps)
         self.mean = float(ws @ ps)
         var = float(((ws - self.mean) ** 2) @ ps)
         self.stddev = math.sqrt(max(var, 0.0))
         self.fit_skipped = self.stddev == 0.0
-        self.sup_distance = self._sup_distance(self.gaussian_cdf)
+        self._gauss = self.gaussian_cdf(ws)  # shared by the KS distance and the CSV
+        self.sup_distance = self._sup_distance(lambda _: self._gauss)
 
     def exact_cdf(self, w) -> np.ndarray | float:
         w = np.asarray(w, dtype=float)
@@ -258,19 +261,16 @@ class CumulativeFit:
             )
         else:
             z = (w - self.mean) / (self.stddev * math.sqrt(2.0))
-            out = 0.5 * (1.0 + np.vectorize(math.erf)(z))
+            erf = [math.erf(x) for x in z.ravel().tolist()]  # numpy has no erf
+            out = 0.5 * (1.0 + np.reshape(erf, z.shape))
         return float(out) if out.ndim == 0 else out
 
-    def _sup_distance(self, cdf: Callable[[float], float]) -> float:
+    def _sup_distance(self, cdf: _Cdf) -> float:
         """Largest gap between the step cumulative and cdf, taken on both
-        sides of every step."""
-        worst = 0.0
-        below = 0.0
-        for (w, _), after in zip(self.peaks, self._cum):
-            c = float(cdf(w))
-            worst = max(worst, abs(after - c), abs(below - c))
-            below = float(after)
-        return worst
+        sides of every step; cdf is called once, on the sorted peaks."""
+        c = np.broadcast_to(cdf(self._ws), self._ws.shape)
+        below = np.concatenate(([0.0], self._cum[:-1]))
+        return float(max(np.abs(self._cum - c).max(), np.abs(below - c).max()))
 
 
 def cumulative_and_fit(marginal: Sequence[tuple[float, float]]) -> CumulativeFit:
@@ -279,12 +279,13 @@ def cumulative_and_fit(marginal: Sequence[tuple[float, float]]) -> CumulativeFit
 
 def compare_classical(
     marginal: Sequence[tuple[float, float]],
-    classical_cdf: Callable[[float], float],
+    classical_cdf: _Cdf,
 ) -> float:
     """Kolmogorov-Smirnov distance: step cumulative vs classical cumulative.
 
     The classical comparison curve is the cumulative of
-    charfun.classical_work_pdf (any callable CDF is accepted).
+    charfun.classical_work_pdf.  Any CDF is accepted that maps the sorted
+    work peaks to its values there, or to one scalar; it is called once.
     """
     fit = marginal if isinstance(marginal, CumulativeFit) else CumulativeFit(marginal)
     return fit._sup_distance(classical_cdf)
@@ -527,16 +528,20 @@ def marginal_to_csv(peaks: Sequence[tuple], kind: str = "work") -> str:
     return "\n".join(lines) + "\n"
 
 
-def cumulative_to_csv(
-    fit: CumulativeFit, classical_cdf: Callable[[float], float] | None = None
-) -> str:
+def cumulative_to_csv(fit: CumulativeFit, classical_cdf: _Cdf | None = None) -> str:
     """CSV text `w,F_exact,F_gauss,F_classical`; missing columns stay empty.
 
-    F_exact, a sum of inverted weights, is printed by format_prob.
+    F_exact, a sum of inverted weights, is printed by format_prob;
+    classical_cdf is called once, on the sorted peaks.
     """
-    lines = ["w,F_exact,F_gauss,F_classical"]
-    for (w, _), after in zip(fit.peaks, fit._cum):
-        gauss = "" if fit.fit_skipped else f"{float(fit.gaussian_cdf(w)):.12g}"
-        cls = "" if classical_cdf is None else f"{float(classical_cdf(w)):.12g}"
-        lines.append(f"{w:.12g},{format_prob(after)},{gauss},{cls}")
+    gauss = cls = [""] * len(fit.peaks)
+    if not fit.fit_skipped:
+        gauss = [f"{c:.12g}" for c in fit._gauss.tolist()]
+    if classical_cdf is not None:
+        col = np.broadcast_to(classical_cdf(fit._ws), fit._ws.shape)
+        cls = [f"{c:.12g}" for c in col.tolist()]
+    lines = ["w,F_exact,F_gauss,F_classical"] + [
+        f"{w:.12g},{format_prob(after)},{g},{c}"
+        for (w, _), after, g, c in zip(fit.peaks, fit._cum, gauss, cls)
+    ]
     return "\n".join(lines) + "\n"

@@ -86,9 +86,7 @@ class TruncatedFockSpace:
             raise ValueError("need one occupation cutoff per mode")
         if any(v < 1 for v in n_max):
             raise ValueError("occupation cutoffs must be >= 1")
-        dim = 1
-        for v in n_max:
-            dim *= v + 1
+        dim = math.prod(v + 1 for v in n_max)
         if dim > _DIM_CAP:
             raise ValueError(
                 f"truncated basis would have dimension {dim} over {len(modes)} "
@@ -344,6 +342,17 @@ def _merge_peaks(
     return tuple(peaks)
 
 
+def _row_major(u_blocks: list[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
+    """Stable argsort of the rows of the blocks' concatenated raveled
+    entries, read off the block offsets: each row lies in one block."""
+    start, length = np.zeros(dim, dtype=np.intp), np.zeros(dim, dtype=np.intp)
+    offset = 0
+    for idx, _ in u_blocks:
+        start[idx], length[idx] = offset + idx.size * np.arange(idx.size), idx.size
+        offset += idx.size**2
+    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(offset)
+
+
 def two_point_measurement(
     space: TruncatedFockSpace,
     u_blocks: list[tuple[np.ndarray, np.ndarray]],
@@ -362,8 +371,7 @@ def two_point_measurement(
     rows = np.concatenate([np.repeat(idx, idx.size) for idx, _ in u_blocks])
     cols = np.concatenate([np.tile(idx, idx.size) for idx, _ in u_blocks])
     amp = np.concatenate([block.ravel() for _, block in u_blocks])
-    # each row lies in one block, whose columns ascend already
-    order = np.argsort(rows, kind="stable")
+    order = _row_major(u_blocks, space.dimension)
     rows, cols, amp = rows[order], cols[order], amp[order]  # [n', n]
     occ = space.occupations()
     e0 = occ @ space.omega0()

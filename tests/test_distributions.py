@@ -1,12 +1,15 @@
 """Lattice inversion, cumulative fits, and fluctuation-theorem checks."""
 
+import dataclasses
+import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavework import charfun, distributions
+from cavework import charfun, cli, distributions
 from cavework.charfun import CharfunParams, classical_work_cdf, closed_form
 from cavework.distributions import (
     CumulativeFit,
@@ -19,6 +22,7 @@ from cavework.distributions import (
     extract_channel_marginals,
     extract_marginal_photons,
     extract_marginal_work,
+    format_prob,
     marginal_to_csv,
     verify_fluctuation_theorems,
 )
@@ -471,3 +475,75 @@ def test_one_ks_method_is_bit_identical_to_both_loops():
         want = _reference_ks(fit, classical)
         assert compare_classical(peaks, classical) == want
         assert compare_classical(fit, classical) == want
+
+
+def _reference_gaussian(fit, w):
+    """The fitted Gaussian CDF at one float w, as math.erf gives it."""
+    return 0.5 * (1.0 + math.erf((w - fit.mean) / (fit.stddev * math.sqrt(2.0))))
+
+
+def _reference_cumulative_csv(fit, classical_cdf=None):
+    """The per-row cumulative writer: one CDF call per peak."""
+    lines = ["w,F_exact,F_gauss,F_classical"]
+    for (w, _), after in zip(fit.peaks, fit._cum):
+        gauss = "" if fit.fit_skipped else f"{_reference_gaussian(fit, w):.12g}"
+        cls = "" if classical_cdf is None else f"{float(classical_cdf(w)):.12g}"
+        lines.append(f"{w:.12g},{format_prob(after)},{gauss},{cls}")
+    return "\n".join(lines) + "\n"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def golden_marginals():
+    """(name, work peaks, classical CDF or None) of the four golden
+    configs and of copies at 0.37 and 3.1 times their beta, computed as
+    `cavework distribution` computes them."""
+    for name in ("double_res", "sum_res", "diff_res", "cumulative_sum"):
+        base = cli.load_config(str(CONFIGS / f"{name}.cfg"))
+        for factor in (1.0, 0.37, 3.1):
+            cfg = dataclasses.replace(base, beta=base.beta * factor)
+            protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
+            evaluate, spacing = cli._closed_evaluator(cfg, protocol, plan)
+            lattice = WorkLattice(spacing, cfg.lattice_count)
+            work = extract_marginal_work(lambda u: evaluate(u, 0.0), lattice)
+            (case,) = plan.cases
+            classical = None
+            if case.kind is not DOF:
+                r = case.omega_p / case.omega_k
+                g_tau = abs(case.strength) * protocol.tau
+                classical = functools.partial(
+                    classical_work_cdf, case.kind, r, g_tau, cfg.beta
+                )
+            yield f"{name} x{factor}", work, classical
+
+
+def test_cumulative_csv_columns_are_bit_identical_to_the_per_row_writer():
+    for name, work, classical in golden_marginals():
+        fit = cumulative_and_fit(work)
+        assert not fit.fit_skipped, name
+        assert cumulative_to_csv(fit) == _reference_cumulative_csv(fit), name
+        got = cumulative_to_csv(fit, classical)
+        assert got == _reference_cumulative_csv(fit, classical), name
+        gauss = functools.partial(_reference_gaussian, fit)
+        assert fit.sup_distance == _reference_ks(fit, gauss), name
+        if classical is not None:
+            assert compare_classical(fit, classical) == _reference_ks(fit, classical)
+    # a fit-skipped marginal, and constant CDFs that return one scalar
+    for peaks in ([(1.5, 1.0)], [(-2.0, 0.25), (0.0, 0.5), (3.0, 0.25)]):
+        fit = cumulative_and_fit(peaks)
+        for cdf in (None, lambda w: 0.25, lambda w: 1):
+            assert cumulative_to_csv(fit, cdf) == _reference_cumulative_csv(fit, cdf)
+        quarter = lambda w: 0.25  # noqa: E731
+        assert compare_classical(fit, quarter) == _reference_ks(fit, quarter)
+
+
+def test_gaussian_column_is_math_erf_per_element():
+    fit = CumulativeFit([(-1.0, 0.2), (0.5, 0.5), (4.0, 0.3)])
+    w = np.linspace(-8.0, 12.0, 201)
+    want = [_reference_gaussian(fit, x) for x in w.tolist()]
+    assert np.array_equal(fit.gaussian_cdf(w), want)
+    grid = fit.gaussian_cdf(w.reshape(3, 67))
+    assert np.array_equal(grid, np.reshape(want, (3, 67)))
+    assert fit.gaussian_cdf(0.5) == _reference_gaussian(fit, 0.5)
+    assert fit.gaussian_cdf(np.empty(0)).shape == (0,)

@@ -145,6 +145,18 @@ def test_sector_evolution_matches_dense_reference(space, cases, proto, beta):
         assert abs(charfun_numeric(dist, u, vv) - want_g) <= 1e-14
 
 
+@pytest.mark.parametrize("space,cases,proto,beta", reference_spaces())
+def test_row_order_is_the_stable_argsort_of_the_rows(space, cases, proto, beta):
+    u_mat = build_evolution(space, interaction_generator(cases), proto)
+    rows = np.concatenate([np.repeat(idx, idx.size) for idx, _ in u_mat])
+    want = np.argsort(rows, kind="stable")
+    assert np.array_equal(fock._row_major(u_mat, space.dimension), want)
+    dense = [(np.arange(space.dimension), to_dense(u_mat))]
+    assert np.array_equal(
+        fock._row_major(dense, space.dimension), np.arange(space.dimension**2)
+    )
+
+
 def test_sector_counts_follow_the_conserved_charge():
     tau, n_max = math.pi, 9
     dbl = synthetic_case(DOF, 1.0, None, 0.6, tau)

@@ -1,4 +1,5 @@
-"""Property tests over random closed single-channel parameters.
+"""Property tests over random closed single-channel parameters, and
+over random work marginals for the Kolmogorov-Smirnov distance.
 
 Weak drive and moderate temperature keep every joint (work, photon)
 inversion at 64-128 samples per axis, so each example costs well under
@@ -7,18 +8,28 @@ a run is repeatable and writes nothing into the tree.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cavework import distributions  # noqa: E402
-from cavework.charfun import CharfunParams, closed_form  # noqa: E402
-from cavework.distributions import WorkLattice, verify_fluctuation_theorems  # noqa: E402
+from cavework.charfun import (  # noqa: E402
+    CharfunParams,
+    classical_work_cdf,
+    closed_form,
+)
+from cavework.distributions import (  # noqa: E402
+    CumulativeFit,
+    WorkLattice,
+    compare_classical,
+    verify_fluctuation_theorems,
+)
 from cavework.driving import ResonanceKind, interaction_generator  # noqa: E402
 from cavework.fock import (  # noqa: E402
     TruncatedFockSpace,
@@ -28,6 +39,7 @@ from cavework.fock import (  # noqa: E402
 )
 from cavework.symplectic import charfun_from_generator  # noqa: E402
 from conftest import closed_protocol, synthetic_case, to_dense  # noqa: E402
+from test_distributions import _reference_ks  # noqa: E402
 
 PROPERTY = settings(
     max_examples=8, derandomize=True, database=None, deadline=None
@@ -149,3 +161,31 @@ def test_oracle_error_tracks_its_truncation(params):
     err = np.abs(charfun_numeric(dist, u, v) - closed_form(params, u, v)).max()
     truncation = dist.residual_mass + leak
     assert err <= max(ORACLE_TRUNCATION_MULTIPLE * truncation, ORACLE_ROUNDOFF)
+
+
+@st.composite
+def work_marginals(draw) -> list[tuple[float, float]]:
+    """Normalized (w, p) peaks, one to twelve of them.  Work values come
+    from a half-integer grid of both signs, so ties are common, or are
+    any float in [-5, 5]."""
+    grid = st.integers(-6, 6).map(lambda k: 0.5 * k)
+    ws = draw(st.lists(grid | st.floats(-5.0, 5.0), min_size=1, max_size=12))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(ws), max_size=len(ws)))
+    total = math.fsum(raw)
+    return [(w, p / total) for w, p in zip(ws, raw)]
+
+
+@settings(PROPERTY, max_examples=60)  # microseconds per example
+@given(work_marginals(), st.floats(0.05, 5.0), st.floats(0.05, 1.0))
+@example([(0.7, 1.0)], 1.0, 0.3)  # one peak: the fit is skipped
+@example([(-1.0, 0.25), (-1.0, 0.25), (2.0, 0.5)], 0.4, 0.2)  # a tied w
+def test_ks_distance_is_bit_identical_to_the_per_peak_loop(marginal, beta, g_tau):
+    fit = CumulativeFit(marginal)
+    assert fit.sup_distance == _reference_ks(fit, fit.gaussian_cdf)
+    assert compare_classical(marginal, fit.gaussian_cdf) == fit.sup_distance
+    classical = functools.partial(
+        classical_work_cdf, ResonanceKind.SUM, 0.5, g_tau, beta
+    )
+    want = _reference_ks(fit, classical)
+    assert compare_classical(marginal, classical) == want
+    assert compare_classical(fit, classical) == want
