@@ -13,7 +13,6 @@ from .errors import (
     RootBracketingError,
     SymplecticityError,
     TraceDivergenceError,
-    TruncationLeakError,
 )
 
 __version__ = "0.1.0"
@@ -31,6 +30,5 @@ __all__ = [
     "RootBracketingError",
     "SymplecticityError",
     "TraceDivergenceError",
-    "TruncationLeakError",
     "__version__",
 ]

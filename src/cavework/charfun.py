@@ -59,8 +59,7 @@ class CharfunParams:
 
     Frequencies are (start, end) pairs so the same record describes both
     the periodic case (equal entries) and a boundary that stops
-    elsewhere.  mu is carried for the grand-canonical identities but is
-    zero for photons; nonzero values are untested territory.
+    elsewhere.
     """
 
     variant: ResonanceKind
@@ -68,7 +67,6 @@ class CharfunParams:
     omega_k: tuple[float, float]
     g_tau: float
     omega_p: tuple[float, float] | None = None
-    mu: float = 0.0
     hbar: float = 1.0
 
     def __post_init__(self) -> None:

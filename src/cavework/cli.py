@@ -443,9 +443,10 @@ def _closed_evaluator(cfg: RunConfig, protocol, plan):
 
 
 def _oracle_joint(cfg: RunConfig, protocol, plan) -> fock.JointDistribution:
-    """Truncated-Fock simulation of all resonant modes.  build_evolution
-    runs without beta, so the top-shell leak is neither checked nor
-    reported: residual_mass is the thermal residual only."""
+    """Truncated-Fock simulation of all resonant modes.  The result
+    carries residual_mass and top_shell_leak; the CSVs and
+    freeze_report.json write the residual only, since no run record
+    holds the leak yet."""
     try:
         space = fock.TruncatedFockSpace(_mode_table(cfg, protocol, plan), cfg.n_max)
     except ValueError as exc:  # the basis size cap

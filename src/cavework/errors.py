@@ -51,10 +51,6 @@ class BranchTrackingError(CaveworkError):
     """The square-root branch could not be followed continuously."""
 
 
-class TruncationLeakError(CaveworkError):
-    """Evolved state reached the top occupation shell of a Fock cutoff."""
-
-
 class CoupledResonanceError(CaveworkError, ValueError):
     """Operation valid only for mode-disjoint cases got a shared mode."""
 

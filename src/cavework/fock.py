@@ -21,7 +21,10 @@ function, so the reported peak probabilities undershoot unity by
 exactly the thermal mass living outside the truncation.  That deficit
 is returned as residual_mass; Sum(prob) + residual_mass = 1 to float
 precision, and the characteristic function at (0, 0) equals
-1 - residual_mass.  Energies count hbar * omega per photon with no
+1 - residual_mass.  The measurement also returns top_shell_leak, the
+evolved thermal state's population in the top occupation shell, where
+the truncated unitary stops following the true one; both are reported
+and nothing is raised.  Energies count hbar * omega per photon with no
 zero-point contribution, matching the thermal weight convention and the
 grand-potential bookkeeping of the closed forms.
 
@@ -41,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import ModeIndex
-from .errors import TruncationLeakError
 from .symplectic import QuadraticForm
 
 __all__ = [
@@ -243,20 +245,14 @@ def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
 
 
 def build_evolution(
-    space: TruncatedFockSpace,
-    generator: QuadraticForm,
-    protocol,
-    beta: float | None = None,
+    space: TruncatedFockSpace, generator: QuadraticForm, protocol
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """U = e^{-i H0 tau} e^{-i V tau} on the truncated basis, as its
     sector blocks: one (basis indices, dense block) pair per block of V.
 
     Both factors are exactly unitary: the free phases are diagonal and
     the interaction exponential comes from the eigendecomposition of
-    each Hermitian block of V; U vanishes between sectors.  When beta is
-    given, the evolved thermal state's population in the top occupation
-    shell is checked; truncation is only trustworthy when that leakage
-    is tiny.
+    each Hermitian block of V; U vanishes between sectors.
     """
     tau = protocol.tau
     phase = np.exp(-1j * (space.occupations() @ space.omega0()) * tau)
@@ -265,17 +261,6 @@ def build_evolution(
         evals, vecs = np.linalg.eigh(block)
         exp_v = (vecs * np.exp(-1j * evals * tau)) @ vecs.conj().T
         np.multiply(phase[idx, None], exp_v, out=block)  # U takes V's place
-    if beta is not None:
-        p = space.thermal_weights(beta, protocol.hbar)
-        pops = np.empty(space.dimension)
-        for idx, block in blocks:
-            pops[idx] = (np.abs(block) ** 2) @ p[idx]
-        leak = float(pops[space.top_shell_mask()].sum())
-        if leak > 1e-8:
-            raise TruncationLeakError(
-                f"evolved thermal state has {leak:.3e} population in the top "
-                "occupation shell; increase n_max"
-            )
     return blocks
 
 
@@ -285,11 +270,15 @@ class JointDistribution:
 
     peaks: (w, delta_n, prob) with w on the exact transition lattice
     after merging float duplicates within merge_tol; residual_mass is the
-    thermal weight outside the truncated basis.
+    thermal weight outside the truncated basis, and top_shell_leak the
+    evolved thermal state's population in the top occupation shell (a
+    state with some n_j = n_max), which the truncation cannot follow
+    further up.  The peaks are only as trustworthy as both are small.
     """
 
     peaks: tuple[tuple[float, int, float], ...]
     residual_mass: float
+    top_shell_leak: float
     merge_tol: float
 
     def total_probability(self) -> float:
@@ -342,17 +331,6 @@ def _merge_peaks(
     return tuple(peaks)
 
 
-def _row_major(u_blocks: list[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
-    """Stable argsort of the rows of the blocks' concatenated raveled
-    entries, read off the block offsets: each row lies in one block."""
-    start, length = np.zeros(dim, dtype=np.intp), np.zeros(dim, dtype=np.intp)
-    offset = 0
-    for idx, _ in u_blocks:
-        start[idx], length[idx] = offset + idx.size * np.arange(idx.size), idx.size
-        offset += idx.size**2
-    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(offset)
-
-
 def two_point_measurement(
     space: TruncatedFockSpace,
     u_blocks: list[tuple[np.ndarray, np.ndarray]],
@@ -366,12 +344,14 @@ def two_point_measurement(
     final frequencies; w = hbar * (E_end(n') - E_start(n)).  Peaks are
     merged within 1e-9 of the smallest active frequency.  U comes as
     the (basis indices, block) pairs of build_evolution; every entry of
-    every block is visited, row-major with ascending columns.
+    every block is visited, row-major with ascending columns.  The
+    entries whose final state lies in the top occupation shell add up
+    to top_shell_leak.
     """
     rows = np.concatenate([np.repeat(idx, idx.size) for idx, _ in u_blocks])
     cols = np.concatenate([np.tile(idx, idx.size) for idx, _ in u_blocks])
     amp = np.concatenate([block.ravel() for _, block in u_blocks])
-    order = _row_major(u_blocks, space.dimension)
+    order = np.argsort(rows, kind="stable")
     rows, cols, amp = rows[order], cols[order], amp[order]  # [n', n]
     occ = space.occupations()
     e0 = occ @ space.omega0()
@@ -379,6 +359,7 @@ def two_point_measurement(
     ntot = occ.sum(axis=1)
     p_init = space.thermal_weights(beta, hbar)
     prob = np.abs(amp) ** 2 * p_init[cols]
+    leak = float(prob[space.top_shell_mask()[rows]].sum())
 
     tol = 1e-9 * hbar * float(min(space.omega0().min(), space.omega_tau().min()))
     z = hbar * (e1[rows] - e0[cols]) + 1j * (ntot[rows] - ntot[cols])
@@ -387,7 +368,7 @@ def two_point_measurement(
     acc = {complex(key): float(s) for key, s in zip(uz, sums) if s > 0.0}
     peaks = _merge_peaks(acc, tol)
     residual = 1.0 - sum(p for _, _, p in peaks)
-    return JointDistribution(peaks, residual, tol)
+    return JointDistribution(peaks, residual, leak, tol)
 
 
 def charfun_numeric(dist: JointDistribution, u, v):

@@ -98,7 +98,9 @@ def synthetic_case(kind: ResonanceKind, omega_k: float, omega_p: float | None,
 def to_dense(op) -> np.ndarray:
     """The dim x dim array of a Fock-oracle operator given as its
     (basis indices, block) pairs: V from quadratic_operator or U from
-    build_evolution."""
+    build_evolution.  It is the dense reference that the oracle's own
+    numbers are checked against: its peaks, and the top_shell_leak that
+    two_point_measurement reports next to residual_mass."""
     dim = sum(idx.size for idx, _ in op)
     out = np.zeros((dim, dim), dtype=complex)
     for idx, block in op:

@@ -21,7 +21,6 @@ from conftest import (
     record_criterion,
     scipy_root_oracle,
     synthetic_case,
-    to_dense,
 )
 from scipy.linalg import expm
 
@@ -96,8 +95,6 @@ def fig1_setup(variant, beta, n_single, n_pair):
 def oracle_vs_closed(variant, beta, n_single, n_pair):
     """(max grid error, oracle residual mass, evolved top-shell leak)."""
     space, u_mat, params = fig1_setup(variant, beta, n_single, n_pair)
-    p_init = space.thermal_weights(beta)
-    leak = float(((np.abs(to_dense(u_mat)) ** 2 @ p_init)[space.top_shell_mask()]).sum())
     dist = two_point_measurement(space, u_mat, beta)
     g_num = partial(charfun_numeric, dist)
     spacing = 2.0 if variant is ResonanceKind.DOUBLE else (
@@ -110,7 +107,7 @@ def oracle_vs_closed(variant, beta, n_single, n_pair):
         for k in range(8):
             v = 2.0 * math.pi * (k + 0.5) / 8.0
             err = max(err, abs(closed_form(params, u, v) - g_num(u, v)))
-    return err, dist.residual_mass, leak
+    return err, dist.residual_mass, dist.top_shell_leak
 
 
 def test_criterion_1_oracle_equivalence_single_resonance():
@@ -293,8 +290,10 @@ def test_criterion_3_symplectic_engine():
     space = TruncatedFockSpace(
         [((0, 0, 1), 1.0, 1.0), ((0, 0, 2), 3.0, 3.0)], (60, 20)
     )
-    u_mat = build_evolution(space, interaction_generator(group), proto, beta=beta)
-    g_num = partial(charfun_numeric, two_point_measurement(space, u_mat, beta))
+    u_mat = build_evolution(space, interaction_generator(group), proto)
+    dist = two_point_measurement(space, u_mat, beta)
+    assert dist.top_shell_leak <= 1e-8
+    g_num = partial(charfun_numeric, dist)
     coupled_err = 0.0
     for u in (0.0, 0.9, -1.7, 2.6):
         for v in (0.0, 1.1, -2.3):
@@ -501,8 +500,10 @@ def test_criterion_7_multi_resonance_factorization():
         [((0, 0, 1), 1.0, 1.0), ((0, 0, 2), 2.3, 2.3)], (40, 25)
     )
     gen = interaction_generator([case_a, case_b])
-    u_mat = build_evolution(space, gen, proto, beta=beta)
-    g_num = partial(charfun_numeric, two_point_measurement(space, u_mat, beta))
+    u_mat = build_evolution(space, gen, proto)
+    dist = two_point_measurement(space, u_mat, beta)
+    assert dist.top_shell_leak <= 1e-8
+    g_num = partial(charfun_numeric, dist)
     params = [
         CharfunParams.from_case(c, beta, TAU) for c in (case_a, case_b)
     ]

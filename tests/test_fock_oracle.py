@@ -5,6 +5,7 @@ thermal sums or the dense Kronecker-product construction below, never
 against another part of the simulation itself.
 """
 
+import ast
 import dataclasses
 import math
 import tracemalloc
@@ -19,7 +20,6 @@ from cavework import cli
 from cavework.charfun import CharfunParams, closed_form, closed_form_general
 from cavework.driving import DrivingProtocol, ResonanceKind, interaction_generator
 from cavework import fock
-from cavework.errors import TruncationLeakError
 from cavework.fock import (
     JointDistribution,
     TruncatedFockSpace,
@@ -35,7 +35,8 @@ DOF = ResonanceKind.DOUBLE
 SUF = ResonanceKind.SUM
 DIF = ResonanceKind.DIFFERENCE
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 MODE = (0, 0, 1)
 MODE2 = (0, 0, 2)
@@ -146,15 +147,12 @@ def test_sector_evolution_matches_dense_reference(space, cases, proto, beta):
 
 
 @pytest.mark.parametrize("space,cases,proto,beta", reference_spaces())
-def test_row_order_is_the_stable_argsort_of_the_rows(space, cases, proto, beta):
+def test_top_shell_leak_matches_dense_populations(space, cases, proto, beta):
     u_mat = build_evolution(space, interaction_generator(cases), proto)
-    rows = np.concatenate([np.repeat(idx, idx.size) for idx, _ in u_mat])
-    want = np.argsort(rows, kind="stable")
-    assert np.array_equal(fock._row_major(u_mat, space.dimension), want)
-    dense = [(np.arange(space.dimension), to_dense(u_mat))]
-    assert np.array_equal(
-        fock._row_major(dense, space.dimension), np.arange(space.dimension**2)
-    )
+    dist = two_point_measurement(space, u_mat, beta)
+    pops = np.abs(to_dense(u_mat)) ** 2 @ space.thermal_weights(beta)
+    want = float(pops[space.top_shell_mask()].sum())
+    assert dist.top_shell_leak == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_sector_counts_follow_the_conserved_charge():
@@ -236,11 +234,12 @@ def test_sum_channel_oracle_holds_no_dim_squared_array():
     proto = closed_protocol(3.0, half_periods=1)
     tracemalloc.start()
     try:
-        u_mat = build_evolution(space, gen, proto, beta=1.0)
-        two_point_measurement(space, u_mat, 1.0)
+        u_mat = build_evolution(space, gen, proto)
+        dist = two_point_measurement(space, u_mat, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert dist.top_shell_leak <= 1e-8
     dense_bytes = dim * dim * 16
     assert peak < dense_bytes / 4, f"peak {peak / dense_bytes:.2f} x dim^2 x 16 B"
 
@@ -287,8 +286,12 @@ def test_trivial_evolution_is_a_single_zero_peak():
     space = single_mode_space(n_max=25)
     proto = closed_protocol(2.0)
     gen = QuadraticForm(np.zeros((2, 2)), (MODE,))
-    u = build_evolution(space, gen, proto, beta=1.0)
+    u = build_evolution(space, gen, proto)
     dist = two_point_measurement(space, u, beta=1.0)
+    # nothing moves: the leak is the thermal population of the top shell
+    want = float(space.thermal_weights(1.0)[space.top_shell_mask()].sum())
+    assert dist.top_shell_leak == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert dist.top_shell_leak <= 1e-8
     assert len(dist.peaks) == 1
     w, dn, p = dist.peaks[0]
     assert w == 0.0 and dn == 0
@@ -308,8 +311,9 @@ def test_oracle_matches_closed_form_single_mode():
     space = single_mode_space(n_max=36)
     proto = closed_protocol(2.0, half_periods=2)
     assert proto.tau == tau
-    u_mat = build_evolution(space, interaction_generator([case]), proto, beta=beta)
+    u_mat = build_evolution(space, interaction_generator([case]), proto)
     dist = two_point_measurement(space, u_mat, beta)
+    assert dist.top_shell_leak <= 1e-8
     params = CharfunParams(variant=DOF, beta=beta, omega_k=(1.0, 1.0), g_tau=g_tau)
     for u in np.linspace(-2.0, 2.0, 5):
         for v in (0.0, 1.1, -2.4):
@@ -330,8 +334,9 @@ def test_oracle_matches_general_endpoint_form():
     space = single_mode_space(n_max=40, w0=w0, w1=w1)
     proto = DrivingProtocol(lambda0=1.0, epsilon=0.05, omega_drive=2.0, tau=tau)
     assert not proto.is_closed
-    u_mat = build_evolution(space, interaction_generator([case]), proto, beta=beta)
+    u_mat = build_evolution(space, interaction_generator([case]), proto)
     dist = two_point_measurement(space, u_mat, beta)
+    assert dist.top_shell_leak <= 1e-8
     params = CharfunParams(variant=DOF, beta=beta, omega_k=(w0, w1), g_tau=g_tau)
     for u in (0.0, 0.6, -1.4, 2.2):
         got = charfun_numeric(dist, u, 0.3)
@@ -348,8 +353,9 @@ def test_pair_resonance_work_lattice():
         [(case.k, 2.0, 2.0), (case.p, 1.0, 1.0)], (18, 24)
     )
     proto = closed_protocol(3.0, half_periods=3)
-    u_mat = build_evolution(space, interaction_generator([case]), proto, beta=beta)
+    u_mat = build_evolution(space, interaction_generator([case]), proto)
     dist = two_point_measurement(space, u_mat, beta)
+    assert dist.top_shell_leak <= 1e-8
     # pair creation changes N in steps of 2; U vanishes between the
     # n_k - n_p sectors, so forbidden transitions carry no mass at all
     off_lattice = sum(p for w, _, p in dist.peaks if abs(w - round(w)) > 1e-9)
@@ -367,11 +373,9 @@ def test_truncation_leak_guard():
     case = synthetic_case(DOF, 1.0, None, 1.0, math.pi)
     space = single_mode_space(n_max=3)
     proto = closed_protocol(2.0)
-    with pytest.raises(TruncationLeakError):
-        build_evolution(space, interaction_generator([case]), proto, beta=0.5)
-    # without a declared state there is nothing to certify, so no guard
-    u = build_evolution(space, interaction_generator([case]), proto, beta=None)
+    u = build_evolution(space, interaction_generator([case]), proto)
     assert to_dense(u).shape == (4, 4)
+    assert two_point_measurement(space, u, 0.5).top_shell_leak > 1e-8
 
 
 def test_quadratic_operator_guards():
@@ -400,8 +404,9 @@ def test_number_conserving_exchange_block():
         [(case.k, 2.0, 2.0), (case.p, 1.0, 1.0)], (16, 32)
     )
     proto = closed_protocol(1.0, half_periods=1)
-    u_mat = build_evolution(space, interaction_generator([case]), proto, beta=beta)
+    u_mat = build_evolution(space, interaction_generator([case]), proto)
     dist = two_point_measurement(space, u_mat, beta)
+    assert dist.top_shell_leak <= 1e-8
     moved = sum(p for _, dn, p in dist.peaks if dn != 0)
     assert moved < 1e-12
 
@@ -451,10 +456,24 @@ def test_marginals_match_the_former_cli_merger(name):
 
 def test_work_marginal_merges_across_delta_n_only():
     dist = JointDistribution(
-        ((1.0, 0, 0.25), (1.0 + 1e-12, 2, 0.25), (3.0, 2, 0.5)), 0.0, 1e-9
+        ((1.0, 0, 0.25), (1.0 + 1e-12, 2, 0.25), (3.0, 2, 0.5)), 0.0, 0.0, 1e-9
     )
     work, photons = dist.marginals()
     assert [p for _, p in work] == [0.5, 0.5]
     assert work[0][0] == pytest.approx(1.0, abs=1e-12)
     assert work[1] == (3.0, 0.5)
     assert photons == [(0, 0.25), (2, 0.75)]
+
+
+def test_every_error_class_is_raised_somewhere():
+    # an exception class that nothing raises is a dead export
+    src = ROOT / "src" / "cavework"
+    tree = ast.parse((src / "errors.py").read_text())
+    defined = {n.name for n in tree.body if isinstance(n, ast.ClassDef)}
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "attr", getattr(exc, "id", None)))
+    assert defined - {"CaveworkError"} <= raised, sorted(defined - raised)
