@@ -66,8 +66,8 @@ class RectangularGeometry:
     ly: float
 
     def __post_init__(self) -> None:
-        if not (self.lx > 0.0 and self.ly > 0.0):
-            raise ValueError("transverse side lengths must be positive")
+        if not (0.0 < self.lx < math.inf and 0.0 < self.ly < math.inf):
+            raise ValueError("transverse side lengths must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,13 @@ class CylindricalGeometry:
 
     def __post_init__(self) -> None:
         if self.moving_wall is MovingWall.LONGITUDINAL:
-            if self.radius is None or not self.radius > 0.0:
-                raise ValueError("longitudinal drive requires a positive radius")
+            if self.radius is None or not 0.0 < self.radius < math.inf:
+                raise ValueError("longitudinal drive requires a finite positive radius")
             if self.axis_length is not None:
                 raise ValueError("axis length is the driven dimension; do not fix it")
         elif self.moving_wall is MovingWall.RADIAL:
-            if self.axis_length is None or not self.axis_length > 0.0:
-                raise ValueError("radial drive requires a positive axis length")
+            if self.axis_length is None or not 0.0 < self.axis_length < math.inf:
+                raise ValueError("radial drive requires a finite positive axis length")
             if self.radius is not None:
                 raise ValueError("radius is the driven dimension; do not fix it")
         else:

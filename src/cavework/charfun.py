@@ -70,16 +70,16 @@ class CharfunParams:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
-        if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
+        if not 0.0 < self.hbar < math.inf:
+            raise ValueError("hbar must be positive and finite")
         if not math.isfinite(self.g_tau):
             raise ValueError("g_tau must be finite")
         pairs = [self.omega_k] + ([self.omega_p] if self.omega_p else [])
         for w0, w1 in pairs:
-            if w0 <= 0.0 or w1 <= 0.0:
-                raise ValueError("frequencies must be positive")
+            if not (0.0 < w0 < math.inf and 0.0 < w1 < math.inf):
+                raise ValueError("frequencies must be positive and finite")
         if self.variant is ResonanceKind.DOUBLE:
             if self.omega_p is not None:
                 raise ValueError("single-mode resonance takes no second mode")

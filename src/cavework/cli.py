@@ -82,7 +82,6 @@ from .cavity import (
     RectangularGeometry,
     SphericalGeometry,
     mode_frequency,
-    mode_index_str,
     mode_spectrum,
     spectrum_to_csv,
 )
@@ -109,6 +108,7 @@ from .driving import (
     DrivingProtocol,
     ResonanceKind,
     classify_resonances,
+    group_frequencies,
     interaction_generator,
 )
 from .errors import CaveworkError, ConfigError
@@ -391,13 +391,12 @@ def _protocol_and_plan(cfg: RunConfig, spectrum: list):
 
 def _mode_table(cfg: RunConfig, protocol: DrivingProtocol, plan) -> list:
     """(mode, omega at lambda0, omega at lambda(tau)) of every resonant
-    mode, ordered by starting frequency."""
-
-    def omega(m, lam: float) -> float:
-        return mode_frequency(cfg.geometry, cfg.polarization, m, lam)
-
-    modes = {m for case in plan.cases for m in case.modes}
-    table = [(m, omega(m, cfg.lambda0), omega(m, protocol.lambda_tau)) for m in modes]
+    mode, ordered by starting frequency; the plan holds the first."""
+    lam = protocol.lambda_tau
+    table = [
+        (m, w0, mode_frequency(cfg.geometry, cfg.polarization, m, lam))
+        for m, w0 in group_frequencies(list(plan.cases)).items()
+    ]
     return sorted(table, key=lambda entry: (entry[1], entry[0]))
 
 

@@ -82,8 +82,8 @@ class WorkLattice:
     count: int = 256
 
     def __post_init__(self) -> None:
-        if self.spacing <= 0.0:
-            raise ValueError("lattice spacing must be positive")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("lattice spacing must be positive and finite")
         if self.count < 8:
             raise ValueError("sample count too small to resolve a comb")
 

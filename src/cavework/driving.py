@@ -17,6 +17,9 @@ compatible with a Hermitian generator.
 
 Cases sharing a mode cannot be treated separately; they are grouped into
 coupled components and each component gets a single quadratic generator.
+Pair partners are found by bisection in the sorted spectrum, and the
+groups come from _components, the connected-components routine that also
+splits the Fock oracle's interaction into its sectors.
 """
 
 from __future__ import annotations
@@ -219,6 +222,26 @@ def coupling_strength(
     raise ValueError(f"unknown resonance kind {kind!r}")
 
 
+def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
+    """Vertex indices of each connected component of the graph on dim
+    vertices with edges (rows[k], cols[k]), ordered by smallest index,
+    ascending within each component."""
+    # each vertex takes the smallest label among its neighbours, then its
+    # label's label, until nothing moves; every label is then the
+    # smallest index of its component
+    labels = np.arange(dim)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if dim else []
+
+
 def classify_resonances(
     spectrum: "list[tuple[ModeIndex, float]]",
     protocol: DrivingProtocol,
@@ -242,6 +265,7 @@ def classify_resonances(
         raise ValueError("tol must be positive")
 
     entries = sorted(spectrum, key=lambda e: (e[1], e[0]))
+    freqs = np.array([w for _, w in entries])
     cases: list[ResonanceCase] = []
 
     for mode, w in entries:
@@ -253,8 +277,17 @@ def classify_resonances(
                     ResonanceCase(ResonanceKind.DOUBLE, mode, None, w, None, g, det)
                 )
 
+    # a higher partner wp of wk lies near omega - wk (sum) or omega + wk
+    # (difference); bisection finds the candidates in a window wider than
+    # tol plus roundoff, and the detuning tests below decide each pair
+    win = 2.0 * tol + 1e-12 * (omega + freqs)
+    windows = [
+        (np.searchsorted(freqs, t - win), np.searchsorted(freqs, t + win, "right"))
+        for t in (omega - freqs, omega + freqs)
+    ]
     for i, (mk, wk) in enumerate(entries):
-        for mp, wp in entries[i + 1 :]:
+        near = {j for a, b in windows for j in range(max(a[i], i + 1), b[i])}
+        for mp, wp in (entries[j] for j in sorted(near)):
             det_sum = abs(omega - (wk + wp))
             det_diff = abs(omega - abs(wk - wp))
             if det_sum <= tol and det_diff <= tol:
@@ -266,59 +299,22 @@ def classify_resonances(
                     ]
                 )
             hi, lo, whi, wlo = (mk, mp, wk, wp) if wk >= wp else (mp, mk, wp, wk)
-            if det_sum <= tol:
-                g = coupling_strength(
-                    ResonanceKind.SUM, protocol, geom, pol, hi, lo
-                )
+            for kind, det, hit in (
+                (ResonanceKind.SUM, det_sum, det_sum <= tol),
+                (ResonanceKind.DIFFERENCE, det_diff, det_diff <= tol and wk != wp),
+            ):
+                g = coupling_strength(kind, protocol, geom, pol, hi, lo) if hit else 0.0
                 if g != 0.0:
-                    cases.append(
-                        ResonanceCase(
-                            ResonanceKind.SUM, hi, lo, whi, wlo, g, det_sum
-                        )
-                    )
-            if det_diff <= tol and wk != wp:
-                g = coupling_strength(
-                    ResonanceKind.DIFFERENCE, protocol, geom, pol, hi, lo
-                )
-                if g != 0.0:
-                    cases.append(
-                        ResonanceCase(
-                            ResonanceKind.DIFFERENCE, hi, lo, whi, wlo, g, det_diff
-                        )
-                    )
+                    cases.append(ResonanceCase(kind, hi, lo, whi, wlo, g, det))
 
-    kind_rank = {
-        ResonanceKind.DOUBLE: 0,
-        ResonanceKind.SUM: 1,
-        ResonanceKind.DIFFERENCE: 2,
-    }
-    cases.sort(key=lambda c: (kind_rank[c.kind], c.k, c.p or c.k))
+    rank = list(ResonanceKind).index
+    cases.sort(key=lambda c: (rank(c.kind), c.k, c.p or c.k))
 
-    # union-find over shared modes
-    parent = list(range(len(cases)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[ModeIndex, int] = {}
-    for i, case in enumerate(cases):
-        for m in case.modes:
-            if m in owner:
-                ri, rj = find(i), find(owner[m])
-                if ri != rj:
-                    parent[ri] = rj
-            else:
-                owner[m] = i
-
-    comp: dict[int, list[int]] = {}
-    for i in range(len(cases)):
-        comp.setdefault(find(i), []).append(i)
-    groups = tuple(
-        tuple(sorted(g)) for g in sorted(comp.values(), key=lambda g: min(g))
-    )
+    # cases sharing a mode are linked through the first case holding it
+    first: dict[ModeIndex, int] = {}
+    links = [(i, first.setdefault(m, i)) for i, c in enumerate(cases) for m in c.modes]
+    rows, cols = np.array(links, dtype=int).reshape(-1, 2).T
+    groups = tuple(tuple(g.tolist()) for g in _components(rows, cols, len(cases)))
 
     resonant = {m for case in cases for m in case.modes}
     adiabatic = tuple(

@@ -7,7 +7,8 @@ readouts at both ends, over a product occupation basis.
 The interaction V is built by index arithmetic on the occupation table
 (a_j|n> = sqrt(n_j)|n - e_j>) straight into its sector blocks: the
 connected components of the terms' (row, column) pattern, found by
-label propagation, are blocks no entry of V couples, and V is returned
+driving._components (the routine that groups coupled resonances), are
+blocks no entry of V couples, and V is returned
 as one (basis indices, dense Hermitian block) pair per sector.  Each
 block is exponentiated on its own, so U comes in the same format,
 exact by construction.  For the RWA resonances the sectors are the
@@ -44,6 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import ModeIndex
+from .distributions import _floored_peaks
+from .driving import _components
 from .symplectic import QuadraticForm
 
 __all__ = [
@@ -58,8 +61,6 @@ __all__ = [
 # largest basis a space may have: a V that conserves nothing is one
 # sector, whose eigendecomposition holds dense dim x dim complex arrays
 _DIM_CAP = 20000
-# marginal peaks at or below this weight are dropped
-_PEAK_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ class TruncatedFockSpace:
         modes = tuple((m, float(w0), float(w1)) for m, w0, w1 in modes)
         if not modes:
             raise ValueError("at least one mode is required")
-        if any(w0 <= 0 or w1 <= 0 for _, w0, w1 in modes):
-            raise ValueError("mode frequencies must be positive")
+        if not all(0 < w0 < math.inf and 0 < w1 < math.inf for _, w0, w1 in modes):
+            raise ValueError("mode frequencies must be positive and finite")
         if isinstance(n_max, int):
             n_max = (n_max,) * len(modes)
         n_max = tuple(int(v) for v in n_max)
@@ -158,12 +159,11 @@ def quadratic_operator(
     The form's mode labels are matched against the space; modes of the
     space that the form does not touch are acted on trivially.  The
     sectors are the connected components of the terms' (row, column)
-    pattern (see _sectors), so no entry of V couples two of them; terms
-    that cancel exactly would leave two sectors joined in one block,
-    which is still exact.  The
-    result must be Hermitian (the truncated squeeze / pair / exchange
-    blocks close under dagger), which is verified block by block, not
-    assumed.
+    pattern (see driving._components), so no entry of V couples two of
+    them; terms that cancel exactly would leave two sectors joined in
+    one block, which is still exact.  The result must be Hermitian (the
+    truncated squeeze / pair / exchange blocks close under dagger),
+    which is verified block by block, not assumed.
     """
     space_pos = {m: i for i, (m, _, _) in enumerate(space.modes)}
     if form.modes:
@@ -199,7 +199,7 @@ def quadratic_operator(
 
     # every block lies row-major in one flat buffer: state s is entry
     # pos[s] of its sector, and its row of the block starts at row_at[s]
-    sectors = _sectors(rows, cols, dim)
+    sectors = _components(rows, cols, dim)
     ends = np.cumsum([idx.size**2 for idx in sectors])
     pos, row_at = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
     for idx, end in zip(sectors, ends):
@@ -222,26 +222,6 @@ def quadratic_operator(
             f"(defect {herm_defect:.3e})"
         )
     return blocks
-
-
-def _sectors(rows: np.ndarray, cols: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Basis indices of each connected component of the (rows[k],
-    cols[k]) pattern over dim states, ordered by smallest index,
-    ascending within each component."""
-    # each state takes the smallest label among its neighbours, then its
-    # label's label, until nothing moves; every label is then the
-    # smallest index of its component
-    labels = np.arange(dim)
-    while True:
-        new = labels.copy()
-        np.minimum.at(new, rows, labels[cols])
-        np.minimum.at(new, cols, labels[rows])
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def build_evolution(
@@ -296,9 +276,11 @@ class JointDistribution:
         by_dn: dict[int, float] = {}
         for _, dn, p in self.peaks:
             by_dn[dn] = by_dn.get(dn, 0.0) + p
-        photons = sorted((dn, p) for dn, p in by_dn.items() if p > _PEAK_FLOOR)
         work = _merge_close([(w, p) for w, _, p in self.peaks], self.merge_tol)
-        return [(w, p) for w, p in work if p > _PEAK_FLOOR], photons
+        return (
+            _floored_peaks([w for w, _ in work], [p for _, p in work]),
+            _floored_peaks(by_dn, by_dn.values()),
+        )
 
 
 def _merge_close(

@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from classifier_oracle import classify_reference
 from conftest import closed_protocol, synthetic_case
 from cavework.cavity import (
+    CylindricalGeometry,
+    MovingWall,
     Polarization,
     RectangularGeometry,
     mode_frequency,
     mode_spectrum,
 )
+from cavework.charfun import CharfunParams
+from cavework.distributions import WorkLattice
 from cavework.driving import (
     DrivingProtocol,
     ResonanceKind,
@@ -20,6 +25,7 @@ from cavework.driving import (
     interaction_generator,
 )
 from cavework.errors import AmbiguousResonanceError, DegenerateResonanceError
+from cavework.fock import TruncatedFockSpace
 from cavework.symplectic import charfun_general
 
 GEOM = RectangularGeometry(lx=0.9, ly=1.0)
@@ -39,6 +45,43 @@ def test_protocol_validation():
         DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=1.0, tau=math.inf)
     with pytest.warns(UserWarning):
         DrivingProtocol(lambda0=1.0, epsilon=0.2, omega_drive=1.0, tau=1.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+def _charfun(beta=1.0, hbar=1.0, omega_k=(1.0, 1.0)):
+    return CharfunParams(ResonanceKind.DOUBLE, beta, omega_k, 0.1, hbar=hbar)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _charfun(beta=NAN),
+        lambda: _charfun(beta=INF),
+        lambda: _charfun(hbar=NAN),
+        lambda: _charfun(omega_k=(NAN, NAN)),
+        lambda: _charfun(omega_k=(INF, INF)),
+        lambda: WorkLattice(NAN),
+        lambda: WorkLattice(INF),
+        lambda: TruncatedFockSpace([((0, 1, 1), NAN, 1.0)], 2),
+        lambda: TruncatedFockSpace([((0, 1, 1), 1.0, INF)], 2),
+        lambda: RectangularGeometry(INF, 1.0),
+        lambda: CylindricalGeometry(MovingWall.LONGITUDINAL, radius=INF),
+        lambda: CylindricalGeometry(MovingWall.RADIAL, axis_length=INF),
+    ],
+    ids=[
+        "charfun_beta_nan", "charfun_beta_inf", "charfun_hbar_nan",
+        "charfun_omega_nan", "charfun_omega_inf", "lattice_nan", "lattice_inf",
+        "fock_omega0_nan", "fock_omega_tau_inf", "rectangle_inf",
+        "cylinder_radius_inf", "cylinder_axis_inf",
+    ],
+)
+def test_records_reject_non_finite_numbers(build):
+    # the same rule DrivingProtocol applies to every field
+    _charfun()  # the defaults are valid
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_large_epsilon_warning_points_at_the_caller():
@@ -198,3 +241,16 @@ def test_simultaneous_channels_share_a_group():
     assert kinds == ["difference", "double"]
     assert len(plan.groups) == 1 and set(plan.groups[0]) == {0, 1}
     assert not plan.adiabatic_modes
+
+
+def test_classify_a_thousand_mode_spectrum_like_the_reference():
+    # bisection windows against the all-pairs loop on a large spectrum,
+    # driven on a sum condition of two coupled modes
+    spec = mode_spectrum(GEOM, POL, 1.0, 40.0)
+    assert len(spec) > 1000
+    w = dict(spec)
+    omega = w[(1, 1, 3)] + w[(1, 1, 7)]
+    proto = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=omega, tau=1.0)
+    plan = classify_resonances(spec, proto, GEOM, POL)
+    assert plan == classify_reference(spec, proto, GEOM, POL)
+    assert any(c.k == (1, 1, 7) and c.p == (1, 1, 3) for c in plan.cases)

@@ -18,7 +18,12 @@ from scipy.sparse.csgraph import connected_components
 
 from cavework import cli
 from cavework.charfun import CharfunParams, closed_form, closed_form_general
-from cavework.driving import DrivingProtocol, ResonanceKind, interaction_generator
+from cavework.driving import (
+    DrivingProtocol,
+    ResonanceKind,
+    _components,
+    interaction_generator,
+)
 from cavework import fock
 from cavework.fock import (
     JointDistribution,
@@ -188,7 +193,7 @@ def test_charge_free_interaction_is_one_dense_sector(monkeypatch):
     # Hermitian V that couples each basis state to its neighbour
     space, v = charge_free_interaction()
     dim = space.dimension
-    assert len(fock._sectors(*np.nonzero(v), dim)) == 1
+    assert len(_components(*np.nonzero(v), dim)) == 1
     monkeypatch.setattr(
         fock, "quadratic_operator", lambda space, form: [(np.arange(dim), v.copy())]
     )
@@ -198,7 +203,7 @@ def test_charge_free_interaction_is_one_dense_sector(monkeypatch):
 
 
 def csgraph_sectors(rows, cols, dim):
-    """_sectors by scipy's connected_components on a (row, col) pattern."""
+    """_components by scipy's connected_components on a (row, col) pattern."""
     pattern = csr_array((np.ones(rows.size), (rows, cols)), shape=(dim, dim))
     _, labels = connected_components(pattern, directed=False)
     order = np.argsort(labels, kind="stable")
@@ -218,7 +223,7 @@ def csgraph_sectors(rows, cols, dim):
 def test_sectors_match_csgraph_components(v):
     # the stored pattern of a dense V
     pattern = (*np.nonzero(v), v.shape[0])
-    got, want = fock._sectors(*pattern), csgraph_sectors(*pattern)
+    got, want = _components(*pattern), csgraph_sectors(*pattern)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -477,3 +482,29 @@ def test_every_error_class_is_raised_somewhere():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "attr", getattr(exc, "id", None)))
     assert defined - {"CaveworkError"} <= raised, sorted(defined - raised)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # an import that nothing reads, exports or marks "# noqa: F401" is
+    # dead code; the standard library suffices, no linter is needed
+    unused = []
+    for path in sorted((ROOT / "src" / "cavework").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert not unused, unused

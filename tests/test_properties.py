@@ -1,5 +1,6 @@
-"""Property tests over random closed single-channel parameters, and
-over random work marginals for the Kolmogorov-Smirnov distance.
+"""Property tests over random closed single-channel parameters, over
+random work marginals for the Kolmogorov-Smirnov distance, and over
+random spectra for the resonance classifier.
 
 Weak drive and moderate temperature keep every joint (work, photon)
 inversion at 64-128 samples per axis, so each example costs well under
@@ -20,6 +21,15 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cavework import distributions  # noqa: E402
+from cavework.cavity import (  # noqa: E402
+    CylindricalGeometry,
+    MovingWall,
+    Polarization,
+    RectangularGeometry,
+    SphericalGeometry,
+    coupling_coefficient,
+    mode_spectrum,
+)
 from cavework.charfun import (  # noqa: E402
     CharfunParams,
     classical_work_cdf,
@@ -31,7 +41,16 @@ from cavework.distributions import (  # noqa: E402
     compare_classical,
     verify_fluctuation_theorems,
 )
-from cavework.driving import ResonanceKind, interaction_generator  # noqa: E402
+from cavework.driving import (  # noqa: E402
+    DrivingProtocol,
+    ResonanceKind,
+    classify_resonances,
+    interaction_generator,
+)
+from cavework.errors import (  # noqa: E402
+    AmbiguousResonanceError,
+    DegenerateResonanceError,
+)
 from cavework.fock import (  # noqa: E402
     TruncatedFockSpace,
     build_evolution,
@@ -39,6 +58,7 @@ from cavework.fock import (  # noqa: E402
     two_point_measurement,
 )
 from cavework.symplectic import charfun_from_generator  # noqa: E402
+from classifier_oracle import classify_reference  # noqa: E402
 from conftest import closed_protocol, synthetic_case  # noqa: E402
 from test_distributions import _reference_ks  # noqa: E402
 
@@ -187,3 +207,61 @@ def test_ks_distance_is_bit_identical_to_the_per_peak_loop(marginal, beta, g_tau
     want = _reference_ks(fit, classical)
     assert compare_classical(marginal, classical) == want
     assert compare_classical(fit, classical) == want
+
+
+GEOMETRIES = [
+    RectangularGeometry(0.9, 1.0),
+    CylindricalGeometry(MovingWall.LONGITUDINAL, radius=1.0),
+    CylindricalGeometry(MovingWall.RADIAL, axis_length=1.3),
+    SphericalGeometry(),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _spectrum(geom, pol, cutoff):
+    return tuple(mode_spectrum(geom, pol, 1.0, cutoff))
+
+
+@st.composite
+def classifier_inputs(draw):
+    """(spectrum, protocol, geometry, polarization, tol) over every
+    geometry and polarization.
+
+    A mode spectrum in which a few modes take a frequency from a coarse
+    grid instead, so duplicates, exact sums and differences and
+    near-zero modes (ambiguous under a coarse tol) all occur.  The drive
+    sits on a double, sum or difference condition of a mode a and a
+    mode b, coupled to a when there is one, or anywhere; it is then
+    optionally shifted by +-tol onto the boundary of the predicates.
+    """
+    geom = draw(st.sampled_from(GEOMETRIES))
+    pol = draw(st.sampled_from(list(Polarization)))
+    spectrum = list(_spectrum(geom, pol, float(draw(st.integers(5, 12)))))
+    grid = st.sampled_from([0.01, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    for i in draw(st.sets(st.integers(0, len(spectrum) - 1), max_size=4)):
+        spectrum[i] = (spectrum[i][0], draw(grid))
+    a = draw(st.sampled_from(spectrum))
+    coupled = [e for e in spectrum if coupling_coefficient(geom, pol, a[0], e[0])]
+    wa, wb = a[1], draw(st.sampled_from(coupled or spectrum))[1]
+    free = draw(st.floats(0.1, 10.0))
+    omega = draw(st.sampled_from([2.0 * wa, wa + wb, abs(wa - wb) or free, free]))
+    tol = draw(
+        st.sampled_from([None, 1e-300, 1e-3 * omega, 0.05 * omega, 0.3 * omega, 1.5])
+    )
+    omega += draw(st.sampled_from([0.0, 1.0, -1.0])) * (tol or 1e-9 * omega)
+    hypothesis.assume(omega > 0.0)
+    protocol = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=omega, tau=1.0)
+    return spectrum, protocol, geom, pol, tol
+
+
+def _outcome(classify, *args):
+    try:
+        return classify(*args)
+    except (AmbiguousResonanceError, DegenerateResonanceError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(PROPERTY, max_examples=300)  # a few ms per example
+@given(classifier_inputs())
+def test_classifier_matches_the_all_pairs_reference(args):
+    assert _outcome(classify_resonances, *args) == _outcome(classify_reference, *args)
