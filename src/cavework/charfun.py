@@ -155,30 +155,15 @@ def _result(g: np.ndarray):
     return complex(g) if g.ndim == 0 else g
 
 
-def _distinct(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(z, return_inverse=True) for complex z, by one lexsort.
-
-    The distinct values come sorted by real, then imaginary part, and
-    each is the first of its equal points in z (+0.0 equals -0.0).
-    """
-    z = z.ravel()
-    order = np.lexsort((z.imag, z.real))
-    ordered = z[order]
-    first = np.empty(z.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    back = np.empty(z.size, dtype=np.intp)
-    back[order] = np.cumsum(first) - 1
-    return ordered[first], back
-
-
 def closed_form(params: CharfunParams, u, v):
     """G(u, v) for a boundary that returns to its starting position.
 
     u and v broadcast against each other; scalar input returns a Python
-    complex.  The single-mode form depends on (u, v) only through the
-    phase z = hbar omega_k u + v, so its tracked root is evaluated once
-    per distinct z and scattered back to the broadcast shape.
+    complex.  The single-mode form takes the principal square root on the
+    strip 0 <= Im z <= beta hbar omega_k of its phase z = hbar omega_k u + v,
+    which holds every point the package evaluates: real (u, v), u = i beta
+    and u + i beta.  Only points off the strip track their root by
+    tracked_sqrt.
     """
     if not params.is_closed:
         raise ValueError(
@@ -190,18 +175,23 @@ def closed_form(params: CharfunParams, u, v):
     if params.variant is ResonanceKind.DOUBLE:
         sk = _sinh_half(beta, xk)
         amp = math.sinh(params.g_tau) ** 2
+        bx = beta * xk
 
         def rad(s: float, z: np.ndarray) -> np.ndarray:
-            return sk * sk + np.sin(s * z) * np.sin(s * z - 1j * beta * xk * s) * amp
+            return sk * sk + np.sin(s * z) * np.sin(s * z - 1j * bx * s) * amp
 
         # the scaled path multiplies u and v jointly so the (u - i beta)
         # argument scales as s*z - i*s*beta*xk with z = u*xk + v
-        z = u * xk + v
-        # each point's root is tracked on its own, so a repeated z costs
-        # nothing and changes no bit
-        zs, back = _distinct(z)
-        root = tracked_sqrt(rad, (zs,), steps=16, anchor_tol=1e-12)
-        return _result((sk / root)[back].reshape(z.shape))
+        z = (u * xk + v).ravel()
+        root = np.sqrt(rad(1.0, z))
+        # on the strip Re rad(s, z) >= sk^2 for every s in [0, 1], since
+        # Re[sin w sin(w - ia)] = [cosh a - cos 2x cosh(2y - a)] / 2 >= 0
+        # for 0 <= y <= a, so the principal root is the tracked branch;
+        # a NaN phase fails the test and goes to the tracker too
+        off = ~((z.imag >= 0.0) & (z.imag <= bx))
+        if off.any():
+            root[off] = tracked_sqrt(rad, (z[off],), steps=16, anchor_tol=1e-12)
+        return _result((sk / root).reshape(u.shape))
     xp = hb * params.omega_p[0]
     sksp = _sinh_half(beta, xk) * _sinh_half(beta, xp)
     if params.variant is ResonanceKind.SUM:

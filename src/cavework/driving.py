@@ -37,7 +37,6 @@ from .cavity import (
     ModeIndex,
     Polarization,
     coupling_coefficient,
-    mode_frequency,
     mode_index_str,
     moving_frequency_squared,
 )
@@ -184,7 +183,9 @@ def coupling_strength(
     geom: Geometry,
     pol: Polarization,
     k: ModeIndex,
+    wk: float,
     p: ModeIndex | None = None,
+    wp: float | None = None,
 ) -> float:
     """RWA strength g of one resonance channel, in frequency units.
 
@@ -194,19 +195,17 @@ def coupling_strength(
     sum:        g = (eps Omega / 4)(sqrt(wk/wp) - sqrt(wp/wk)) g_kp;
     difference: g = (eps Omega / 4)(sqrt(wk/wp) + sqrt(wp/wk)) g_kp,
 
-    with g_kp the antisymmetrized coupling and k the higher-frequency
-    mode of a pair.
+    with g_kp the antisymmetrized coupling, k the higher-frequency mode
+    of a pair, and wk, wp the frequencies the resonance was matched at.
     """
-    lam0 = protocol.lambda0
     eps_omega = protocol.epsilon * protocol.omega_drive
-    wk = mode_frequency(geom, pol, k, lam0)
     if kind is ResonanceKind.DOUBLE:
         if p is not None:
             raise ValueError("double resonance takes a single mode")
-        return eps_omega * moving_frequency_squared(geom, pol, k, lam0) / (4.0 * wk**2)
-    if p is None:
+        w_mov2 = moving_frequency_squared(geom, pol, k, protocol.lambda0)
+        return eps_omega * w_mov2 / (4.0 * wk**2)
+    if p is None or wp is None:
         raise ValueError(f"{kind.value} resonance takes a mode pair")
-    wp = mode_frequency(geom, pol, p, lam0)
     if wk < wp or (wk == wp and kind is ResonanceKind.DIFFERENCE):
         if kind is ResonanceKind.DIFFERENCE and wk == wp:
             raise DegenerateResonanceError(
@@ -271,7 +270,7 @@ def classify_resonances(
     for mode, w in entries:
         det = abs(omega - 2.0 * w)
         if det <= tol:
-            g = coupling_strength(ResonanceKind.DOUBLE, protocol, geom, pol, mode)
+            g = coupling_strength(ResonanceKind.DOUBLE, protocol, geom, pol, mode, w)
             if g != 0.0:
                 cases.append(
                     ResonanceCase(ResonanceKind.DOUBLE, mode, None, w, None, g, det)
@@ -303,7 +302,9 @@ def classify_resonances(
                 (ResonanceKind.SUM, det_sum, det_sum <= tol),
                 (ResonanceKind.DIFFERENCE, det_diff, det_diff <= tol and wk != wp),
             ):
-                g = coupling_strength(kind, protocol, geom, pol, hi, lo) if hit else 0.0
+                g = 0.0
+                if hit:
+                    g = coupling_strength(kind, protocol, geom, pol, hi, whi, lo, wlo)
                 if g != 0.0:
                     cases.append(ResonanceCase(kind, hi, lo, whi, wlo, g, det))
 

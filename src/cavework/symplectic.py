@@ -9,9 +9,10 @@ products map to matrix products and
 The square root's branch is the delicate part.  Thermal-weighted traces
 are fixed by a reference eigenvalue pairing; characteristic-function
 evaluations are fixed by homotopy from (u, v) = (0, 0), where the
-normalized value is exactly 1.  That homotopy is tracked_sqrt, which
-the closed forms in charfun use for their square roots too; it tracks a
-whole array of evaluation points at once.
+normalized value is exactly 1.  That homotopy is tracked_sqrt; it tracks
+a whole array of evaluation points at once.  The open-endpoint closed
+forms in charfun use it too, but the single-mode closed form needs it
+only off the strip where its principal root is provably the branch.
 
 Scalar prefactors (the 1/2-shifts of normal ordering) are never folded
 into the matrices.  In the characteristic-function ratio they cancel
@@ -34,8 +35,6 @@ __all__ = [
     "char_matrix",
     "charfun_from_generator",
     "charfun_general",
-    "compose",
-    "number_operator_form",
     "sigma_matrix",
     "symplectic_inverse",
     "trace_from_char",
@@ -135,37 +134,10 @@ def char_matrix(q: QuadraticForm) -> np.ndarray:
     return m
 
 
-def number_operator_form(coeffs: "np.ndarray | list") -> tuple[QuadraticForm, complex]:
-    """exp(sum_j c_j a_j^+ a_j) as (form, log_scalar).
-
-    The operator equals exp(log_scalar) * exp(1/2 alpha S alpha) with
-    log_scalar = -sum(c)/2, the normal-ordering shift.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    n = c.size
-    s = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j in range(n):
-        s[j, n + j] = c[j]
-        s[n + j, j] = c[j]
-    return QuadraticForm(s), complex(-0.5 * c.sum())
-
-
 def _diag_char(coeffs: np.ndarray) -> np.ndarray:
     """Characteristic matrix of exp(sum c_j a_j^+ a_j): diag(e^c, e^-c)."""
     c = np.asarray(coeffs, dtype=complex)
     return np.diag(np.concatenate([np.exp(c), np.exp(-c)]))
-
-
-def compose(ms: "list[np.ndarray]") -> np.ndarray:
-    """Left-to-right product, matching the operator product order."""
-    if not ms:
-        raise ValueError("need at least one matrix")
-    out = np.eye(ms[0].shape[0], dtype=complex)
-    for m in ms:
-        if m.shape != out.shape:
-            raise ValueError("mode-count mismatch in composition")
-        out = out @ m
-    return out
 
 
 def symplectic_inverse(m: np.ndarray) -> np.ndarray:
@@ -200,7 +172,8 @@ def tracked_sqrt(
     drops out of the pass and is re-run from s = 0 at twice the steps,
     up to 64 times the starting count.  A pass ends as soon as all of its
     points have dropped out, so a batch costs what its points cost one
-    by one.
+    by one.  The single-mode closed form calls it only for points off
+    the strip where the principal root is certified.
     """
     pts = np.broadcast_arrays(*map(np.asarray, points))
     shape = pts[0].shape

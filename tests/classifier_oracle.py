@@ -42,7 +42,7 @@ def classify_reference(
     for mode, w in entries:
         det = abs(omega - 2.0 * w)
         if det <= tol:
-            g = coupling_strength(ResonanceKind.DOUBLE, protocol, geom, pol, mode)
+            g = coupling_strength(ResonanceKind.DOUBLE, protocol, geom, pol, mode, w)
             if g != 0.0:
                 cases.append(
                     ResonanceCase(ResonanceKind.DOUBLE, mode, None, w, None, g, det)
@@ -62,14 +62,16 @@ def classify_reference(
                 )
             hi, lo, whi, wlo = (mk, mp, wk, wp) if wk >= wp else (mp, mk, wp, wk)
             if det_sum <= tol:
-                g = coupling_strength(ResonanceKind.SUM, protocol, geom, pol, hi, lo)
+                g = coupling_strength(
+                    ResonanceKind.SUM, protocol, geom, pol, hi, whi, lo, wlo
+                )
                 if g != 0.0:
                     cases.append(
                         ResonanceCase(ResonanceKind.SUM, hi, lo, whi, wlo, g, det_sum)
                     )
             if det_diff <= tol and wk != wp:
                 g = coupling_strength(
-                    ResonanceKind.DIFFERENCE, protocol, geom, pol, hi, lo
+                    ResonanceKind.DIFFERENCE, protocol, geom, pol, hi, whi, lo, wlo
                 )
                 if g != 0.0:
                     cases.append(

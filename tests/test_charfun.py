@@ -319,7 +319,8 @@ def test_array_charfuns_match_pointwise_at_strong_drive(monkeypatch):
     )
     # name: (G over arrays a, b; whether it tracks a square root)
     routes = {
-        "double": (lambda a, b: closed_form(dof, a, b), True),
+        # real points lie on the strip where the root is the principal one
+        "double": (lambda a, b: closed_form(dof, a, b), False),
         "sum": (lambda a, b: closed_form(suf, a, b), False),
         "difference": (lambda a, b: closed_form(dif, a, b), False),
         "open double": (lambda a, b: closed_form_general(open_dof, a, b).g, True),
@@ -354,103 +355,47 @@ def test_array_charfuns_match_pointwise_at_strong_drive(monkeypatch):
             assert not batch_evals and not evals, name
 
 
-def test_single_mode_root_is_tracked_once_per_distinct_phase(monkeypatch):
+def test_single_mode_root_is_tracked_only_off_the_strip(monkeypatch):
     # one squeezed mode's G depends on (u, v) only through the phase
-    # z = hbar omega_k u + v; on a lattice z repeats across rows, and the
-    # strong drive makes some of the distinct roots need finer steps
+    # z = hbar omega_k u + v; on the strip 0 <= Im z <= beta hbar omega_k
+    # its root is the principal one, and only the points off the strip
+    # are tracked, each once
     seen = []
     tracker = symplectic.tracked_sqrt
 
     def recorded(radicand, points, steps, anchor_tol):
-        n = 0
+        seen.append(np.ravel(points[0]).copy())
+        return tracker(radicand, points, steps, anchor_tol)
 
-        def rad(s, *pts):
-            nonlocal n
-            n += np.size(pts[0])
-            return radicand(s, *pts)
-
-        root = tracker(rad, points, steps, anchor_tol)
-        seen.append((np.ravel(points[0]).copy(), n, steps))
-        return root
-
-    beta, g_tau = 0.15, 1.2
-    params = make_params(DOF, beta, wk=1.0, g_tau=g_tau)
+    beta, hbar = 0.5, 1.3
+    params = make_params(DOF, beta, wk=1.0, g_tau=0.3, hbar=hbar)
     axis = 0.4 * np.arange(-4, 5)
-    u, v = np.meshgrid(axis, axis, indexing="ij")
-    u = np.concatenate([u.ravel(), u.ravel() + 1j * beta, [0.0, -0.0, -0.0]])
-    v = np.concatenate([v.ravel(), v.ravel(), [0.0, 0.0, -0.0]])
+    u, v = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    interior = np.random.default_rng(5).uniform(0.0, beta, u.size)
+    strip_u = np.concatenate(
+        [u, u + 1j * beta, u + 1j * interior, [0.0, -0.0, complex(0.0, -0.0)]]
+    )
+    strip_v = np.concatenate([v, v, v, [0.0, -0.0, 0.0]])
+    off_u = np.concatenate([u - 0.05j, u + 1j * beta + 0.05j])
+    off_v = np.concatenate([v, v])
+
+    monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
+    closed_form(params, strip_u, strip_v)
+    # the package's own points: inversion, Jarzynski, the Crooks grid
+    # and the moment ladders
+    verify_fluctuation_theorems(params, grid=16)
+    moments(params)
+    assert not seen
+    u = np.concatenate([strip_u, off_u])
+    v = np.concatenate([strip_v, off_v])
+    batch = closed_form(params, u, v)
+    [received] = seen
+    assert np.array_equal(received, off_u * hbar + off_v)
     pointwise = np.array(
         [closed_form(params, a, b) for a, b in zip(u.tolist(), v.tolist())]
     )
-
-    monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
-    batch = closed_form(params, u, v)
     # every bit, the signs of zeros included
     assert np.array_equal(batch.view(np.uint64), pointwise.view(np.uint64))
-    [(received, n, steps)] = seen
-    distinct = np.unique(u * 1.0 + v)
-    assert distinct.size < u.size
-    assert np.array_equal(received, distinct)
-    assert n > received.size * (1 + steps)
-
-
-def unique_phases(z):
-    """The np.unique path that charfun._distinct replaces."""
-    zs, back = np.unique(z, return_inverse=True)
-    return zs, back.ravel()
-
-
-def as_bits(x):
-    return np.atleast_1d(np.asarray(x)).view(np.uint64)
-
-
-def test_distinct_phases_match_np_unique(monkeypatch):
-    # the phase blocks of verify (comb blocks, the Crooks grid, scalars)
-    # and one block of repeated phases with signed zeros
-    blocks, calls = [], []
-    distinct, closed = charfun._distinct, charfun.closed_form
-
-    def spy_distinct(z):
-        blocks.append(z)
-        return distinct(z)
-
-    def spy_closed(params, u, v):
-        g = closed(params, u, v)
-        calls.append((params, u, v, g))
-        return g
-
-    monkeypatch.setattr(charfun, "_distinct", spy_distinct)
-    monkeypatch.setattr(charfun, "closed_form", spy_closed)
-    beta, grid = 0.5, 64
-    params = make_params(DOF, beta, wk=1.0, g_tau=0.1)
-    verify_fluctuation_theorems(params, grid=grid)
-    assert grid * grid in [np.size(z) for z in blocks]
-    parts = np.array([0.0, -0.0, 0.4])
-    re, im, v = np.meshgrid(parts, [0.0, -0.0, beta], parts, indexing="ij")
-    order = np.random.default_rng(3).permutation(np.tile(np.arange(re.size), 4))
-    u = np.empty(order.size, dtype=complex)
-    u.real, u.imag = re.ravel()[order], im.ravel()[order]
-    spy_closed(params, u, v.ravel()[order])
-
-    for z in blocks:
-        zs, back = distinct(z)
-        ref, ref_back = unique_phases(z)
-        assert np.array_equal(back, ref_back)
-        assert np.array_equal(zs, ref)
-        # each value is the first of its points in z, in every bit;
-        # np.unique's unstable sort may instead pick any member of a group
-        # that mixes +0.0 and -0.0, so only single-pattern groups must match
-        points = as_bits(z).reshape(-1, 2)
-        first = np.unique(back, return_index=True)[1]
-        assert np.array_equal(as_bits(zs), as_bits(z.ravel()[first]))
-        same = (points == points[first][back]).all(axis=1)
-        uniform = np.bincount(back, ~same, zs.size) == 0
-        assert np.array_equal(as_bits(zs[uniform]), as_bits(ref[uniform]))
-    assert not uniform.all()  # the signed-zero block mixes zero signs
-
-    monkeypatch.setattr(charfun, "_distinct", unique_phases)
-    for params, u, v, g in calls:
-        assert np.array_equal(as_bits(g), as_bits(closed(params, u, v)))
 
 
 def test_params_validation():

@@ -12,6 +12,7 @@ from cavework.cavity import (
     MovingWall,
     Polarization,
     RectangularGeometry,
+    coupling_coefficient,
     mode_frequency,
     mode_spectrum,
 )
@@ -170,7 +171,7 @@ def test_double_strength_hand_formula():
     lam0 = 1.0
     wk = mode_frequency(GEOM, POL, (0, 1, 1), lam0)
     proto = DrivingProtocol(lambda0=lam0, epsilon=0.02, omega_drive=2.0 * wk, tau=1.0)
-    g = coupling_strength(ResonanceKind.DOUBLE, proto, GEOM, POL, (0, 1, 1))
+    g = coupling_strength(ResonanceKind.DOUBLE, proto, GEOM, POL, (0, 1, 1), wk)
     want = 0.02 * 2.0 * wk * (math.pi * 1 / lam0) ** 2 / (4.0 * wk**2)
     assert g == pytest.approx(want, rel=1e-14)
 
@@ -178,17 +179,50 @@ def test_double_strength_hand_formula():
 def test_pair_strength_orientation_invariance():
     lam0 = 1.0
     proto = DrivingProtocol(lambda0=lam0, epsilon=0.01, omega_drive=1.0, tau=1.0)
-    a = coupling_strength(
-        ResonanceKind.SUM, proto, GEOM, POL, (0, 2, 1), (0, 2, 4)
-    )
-    b = coupling_strength(
-        ResonanceKind.SUM, proto, GEOM, POL, (0, 2, 4), (0, 2, 1)
-    )
+    lo, hi = (0, 2, 1), (0, 2, 4)
+    w_lo, w_hi = (mode_frequency(GEOM, POL, m, lam0) for m in (lo, hi))
+    a = coupling_strength(ResonanceKind.SUM, proto, GEOM, POL, lo, w_lo, hi, w_hi)
+    b = coupling_strength(ResonanceKind.SUM, proto, GEOM, POL, hi, w_hi, lo, w_lo)
     assert a == b  # argument order must not matter
     with pytest.raises(DegenerateResonanceError):
         coupling_strength(
-            ResonanceKind.DIFFERENCE, proto, GEOM, POL, (0, 2, 1), (0, 2, 1)
+            ResonanceKind.DIFFERENCE, proto, GEOM, POL, lo, w_lo, lo, w_lo
         )
+
+
+def test_strengths_use_the_frequencies_of_the_given_spectrum():
+    # on a square cross-section (1,2,1) and (2,1,1) share one geometric
+    # frequency; a spectrum that gives them different frequencies drives
+    # their (uncoupled) difference channel without a degeneracy error, and
+    # every strength is weighted by the given frequencies, not the
+    # geometry's at lambda0
+    geom = RectangularGeometry(lx=1.0, ly=1.0)
+    lo, hi = (0, 2, 1), (0, 2, 4)
+    spec = [
+        (lo, 1.0), ((0, 1, 1), 1.75), (hi, 2.5), ((1, 2, 1), 4.0), ((2, 1, 1), 7.5)
+    ]
+    assert mode_frequency(geom, POL, (1, 2, 1), 1.0) == mode_frequency(
+        geom, POL, (2, 1, 1), 1.0
+    )
+    eps, omega = 0.01, 3.5
+    proto = DrivingProtocol(lambda0=1.0, epsilon=eps, omega_drive=omega, tau=1.0)
+    plan = classify_resonances(spec, proto, geom, POL)
+    assert plan == classify_reference(spec, proto, geom, POL)
+    double, pair = plan.cases
+    assert (double.kind, double.k) == (ResonanceKind.DOUBLE, (0, 1, 1))
+    assert double.omega_k == 1.75
+    assert double.strength == pytest.approx(
+        eps * omega * math.pi**2 / (4.0 * 1.75**2), rel=1e-14
+    )
+    assert (pair.kind, pair.k, pair.p) == (ResonanceKind.SUM, hi, lo)
+    assert (pair.omega_k, pair.omega_p) == (2.5, 1.0)
+    g_kp = coupling_coefficient(geom, POL, hi, lo)
+    g_kp = 0.5 * (g_kp - coupling_coefficient(geom, POL, lo, hi))
+    ratio = math.sqrt(2.5)
+    assert pair.strength == pytest.approx(
+        0.25 * eps * omega * (ratio - 1.0 / ratio) * g_kp, rel=1e-14
+    )
+    assert [m for m, _ in plan.adiabatic_modes] == [(1, 2, 1), (2, 1, 1)]
 
 
 def test_generator_block_structure():

@@ -508,3 +508,58 @@ def test_no_module_imports_a_name_it_does_not_use():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert not unused, unused
+
+
+def _module_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    """Names bound at module level: functions, classes, assignment
+    targets and imports."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                defined[(alias.asname or alias.name).split(".")[0]] = node
+    return defined
+
+
+def test_no_private_name_is_dead_and_every_export_is_defined():
+    # a module-level _private function, class or constant that no line of
+    # the package reads is dead code, and an __all__ entry must name
+    # something its module binds
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "cavework").glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dead, missing = [], []
+    for name, tree in trees.items():
+        defined = _module_definitions(tree)
+        for key in defined:
+            if key.startswith("_") and not key.startswith("__") and key not in read:
+                dead.append(f"{name}: {key}")
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets
+            ):
+                missing += [
+                    f"{name}: {key}"
+                    for key in ast.literal_eval(node.value)
+                    if key not in defined
+                ]
+    assert not dead, dead
+    assert not missing, missing

@@ -1,6 +1,7 @@
 """Property tests over random closed single-channel parameters, over
-random work marginals for the Kolmogorov-Smirnov distance, and over
-random spectra for the resonance classifier.
+random coupled and mode-disjoint resonance plans, over random work
+marginals for the Kolmogorov-Smirnov distance, and over random spectra
+for the resonance classifier.
 
 Weak drive and moderate temperature keep every joint (work, photon)
 inversion at 64-128 samples per axis, so each example costs well under
@@ -34,6 +35,7 @@ from cavework.charfun import (  # noqa: E402
     CharfunParams,
     classical_work_cdf,
     closed_form,
+    multi_resonance_product,
 )
 from cavework.distributions import (  # noqa: E402
     CumulativeFit,
@@ -43,12 +45,14 @@ from cavework.distributions import (  # noqa: E402
 )
 from cavework.driving import (  # noqa: E402
     DrivingProtocol,
+    ResonanceCase,
     ResonanceKind,
     classify_resonances,
     interaction_generator,
 )
 from cavework.errors import (  # noqa: E402
     AmbiguousResonanceError,
+    BranchTrackingError,
     DegenerateResonanceError,
 )
 from cavework.fock import (  # noqa: E402
@@ -57,7 +61,11 @@ from cavework.fock import (  # noqa: E402
     charfun_numeric,
     two_point_measurement,
 )
-from cavework.symplectic import charfun_from_generator  # noqa: E402
+from cavework.symplectic import (  # noqa: E402
+    charfun_from_generator,
+    charfun_general,
+    tracked_sqrt,
+)
 from classifier_oracle import classify_reference  # noqa: E402
 from conftest import closed_protocol, synthetic_case  # noqa: E402
 from test_distributions import _reference_ks  # noqa: E402
@@ -177,6 +185,146 @@ def test_oracle_error_tracks_its_truncation(params):
         np.linspace(-2.0, 2.0, 9), np.linspace(-math.pi, math.pi, 7), indexing="ij"
     )
     err = np.abs(charfun_numeric(dist, u, v) - closed_form(params, u, v)).max()
+    truncation = dist.residual_mass + dist.top_shell_leak
+    assert err <= max(ORACLE_TRUNCATION_MULTIPLE * truncation, ORACLE_ROUNDOFF)
+
+
+def tracked_closed_form(params: CharfunParams, u, v):
+    """The single-mode closed form with its root carried by tracked_sqrt
+    from s = 0 at every point: the continuation that the principal root
+    replaces on the strip 0 <= Im z <= beta hbar omega_k."""
+    beta, xk = params.beta, params.hbar * params.omega_k[0]
+    sk = math.sinh(beta * xk / 2.0)
+    amp = math.sinh(params.g_tau) ** 2
+
+    def rad(s, z):
+        return sk * sk + np.sin(s * z) * np.sin(s * z - 1j * beta * xk * s) * amp
+
+    z = np.asarray(u, dtype=complex) * xk + np.asarray(v, dtype=complex)
+    return sk / tracked_sqrt(rad, (z,), steps=16, anchor_tol=1e-12)
+
+
+@st.composite
+def double_records(draw) -> CharfunParams:
+    """A single-mode record over wide ranges, drives strong enough that
+    continuation can fail, and hbar = 1 or not."""
+    w = draw(st.floats(0.1, 5.0))
+    return CharfunParams(
+        variant=ResonanceKind.DOUBLE,
+        beta=draw(st.floats(0.02, 5.0)),
+        omega_k=(w, w),
+        g_tau=draw(st.floats(0.0, 3.0)),
+        hbar=draw(st.sampled_from([1.0, None])) or draw(st.floats(0.2, 3.0)),
+    )
+
+
+# (Re u, where Im u lies, a fraction of beta for the interior, v)
+STRIP_POINTS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, -0.0]) | st.floats(-20.0, 20.0),
+        st.sampled_from(["zero", "negative zero", "interior", "upper edge"]),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, -0.0]) | st.floats(-math.pi, math.pi),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(PROPERTY, max_examples=40)  # milliseconds per example
+@given(double_records(), STRIP_POINTS)
+# at g tau = 2.6 continuation winds too fast at u = 2 and at u = 2 + i beta
+@example(
+    CharfunParams(ResonanceKind.DOUBLE, 0.1, (2.0, 2.0), 2.6),
+    [(2.0, "zero", 0.0, 0.0), (2.0, "upper edge", 0.0, 0.0)],
+)
+def test_principal_root_is_the_tracked_root_on_the_strip(params, points):
+    beta = params.beta
+    u = np.array([
+        {
+            "zero": complex(re, 0.0),
+            "negative zero": complex(re, -0.0),
+            "interior": complex(re, beta * t),
+            "upper edge": re + 1j * beta,
+        }[where]
+        for re, where, t, _ in points
+    ])
+    v = np.array([p[3] for p in points])
+    batch = closed_form(params, u, v)
+    sk = math.sinh(beta * params.hbar * params.omega_k[0] / 2.0)
+    for a, b, g in zip(u, v, batch):
+        try:
+            want = tracked_closed_form(params, a, b)
+        except BranchTrackingError:
+            # the principal root is right where continuation gives up
+            assert np.isfinite(g) and (sk / g).real > 0.0
+            continue
+        got, want = np.array([g, want]).view(np.uint64).reshape(2, 2)
+        assert np.array_equal(got, want)  # every bit
+
+
+TAU = math.pi  # closed_protocol(2.0): two half periods of the drive
+MODES = ((0, 0, 1), (0, 0, 2), (0, 0, 3))
+
+
+@st.composite
+def resonance_plans(draw) -> tuple[list[ResonanceCase], bool, float]:
+    """(cases, coupled, beta) for two weakly driven channels on two or
+    three modes of ascending frequency.
+
+    Coupled plans share a mode: a double and a difference, or a sum and
+    a difference in a chain.  Disjoint plans put a double on the lowest
+    mode and any channel on the others.  beta times the lowest
+    frequency lies in [1, 3], so the oracle's truncation stays small.
+    """
+    w = [draw(st.floats(0.5, 2.0))]
+    for _ in range(2):
+        w.append(w[-1] * draw(st.floats(1.2, 2.0)))
+    g_taus = st.floats(0.05, 0.3)
+    DOUBLE, SUM, DIFF = ResonanceKind
+
+    def case(kind, k, p=None):
+        wp = None if p is None else w[p]
+        p = None if p is None else MODES[p]
+        return ResonanceCase(kind, MODES[k], p, w[k], wp, draw(g_taus) / TAU, 0.0)
+
+    shape = draw(st.sampled_from(["double", "chain", "disjoint"]))
+    if shape == "double":
+        cases = [case(DOUBLE, draw(st.sampled_from([0, 1]))), case(DIFF, 1, 0)]
+    elif shape == "chain":
+        first, second = draw(st.permutations([SUM, DIFF]))
+        cases = [case(first, 1, 0), case(second, 2, 1)]
+    else:
+        kind = draw(st.sampled_from(list(ResonanceKind)))
+        cases = [case(DOUBLE, 0), case(kind, *((1,) if kind is DOUBLE else (2, 1)))]
+    return cases, shape != "disjoint", draw(st.floats(1.0, 3.0)) / w[0]
+
+
+@PROPERTY
+@given(resonance_plans())
+def test_fluctuation_theorems_hold_for_resonance_plans(plan):
+    cases, coupled, beta = plan
+    protocol = closed_protocol(2.0)
+    routes = [lambda u, v: charfun_general(cases, protocol, beta, u, v)]
+    if not coupled:
+        params = [CharfunParams.from_case(c, beta, TAU) for c in cases]
+        routes.append(lambda u, v: multi_resonance_product(cases, params, u, v))
+    u, v = np.meshgrid(
+        np.linspace(-2.0, 2.0, 9), np.linspace(-math.pi, math.pi, 7), indexing="ij"
+    )
+    for g in routes:
+        assert abs(g(0.0, 0.0) - 1.0) <= 1e-10
+        assert abs(g(1j * beta, 0.0) - 1.0) <= 1e-10
+        # a closed protocol is its own reverse
+        assert np.abs(g(-u, -v) - g(u + 1j * beta, v)).max() <= 1e-9
+
+    freq = {m: w for c in cases for m, w in zip(c.modes, (c.omega_k, c.omega_p))}
+    space = TruncatedFockSpace(
+        [(m, w, w) for m, w in sorted(freq.items())], 24 if len(freq) == 2 else 12
+    )
+    u_mat = build_evolution(space, interaction_generator(cases), protocol)
+    dist = two_point_measurement(space, u_mat, beta)
+    err = np.abs(charfun_numeric(dist, u, v) - routes[0](u, v)).max()
     truncation = dist.residual_mass + dist.top_shell_leak
     assert err <= max(ORACLE_TRUNCATION_MULTIPLE * truncation, ORACLE_ROUNDOFF)
 

@@ -27,8 +27,6 @@ from cavework.symplectic import (
     char_matrix,
     charfun_from_generator,
     charfun_general,
-    compose,
-    number_operator_form,
     sigma_matrix,
     symplectic_inverse,
     trace_from_char,
@@ -111,19 +109,6 @@ def test_char_matrix_matches_scipy_expm():
     assert counts == set(range(6))
 
 
-def test_compose_matches_matrix_product():
-    rng = np.random.default_rng(7)
-    forms = []
-    for _ in range(3):
-        z = 0.2 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        s = np.array([[z[0], -0.9 + 0.1 * z[2]], [-0.9 + 0.1 * z[2], z[1]]])
-        forms.append(QuadraticForm(s))
-    cms = [char_matrix(f) for f in forms]
-    prod = compose(cms)
-    want = cms[0] @ cms[1] @ cms[2]
-    assert np.allclose(prod, want, atol=1e-12)
-
-
 def test_symplectic_inverse_is_group_inverse():
     m = char_matrix(thermal_form(0.6))
     assert np.allclose(symplectic_inverse(m) @ m, np.eye(2), atol=1e-12)
@@ -149,9 +134,10 @@ def test_trace_matches_fock_exponential():
 
 
 def test_number_operator_form_scalar():
+    # exp(c a^+ a) = exp(-c/2) exp(1/2 alpha S alpha), S = [[0, c], [c, 0]]
     c = -0.7 + 0.2j
-    form, log_scalar = number_operator_form([c])
-    tr = trace_from_char(char_matrix(form)) * cmath.exp(log_scalar)
+    form = QuadraticForm(np.array([[0.0, c], [c, 0.0]]))
+    tr = trace_from_char(char_matrix(form)) * cmath.exp(-0.5 * c)
     want = 1.0 / (1.0 - cmath.exp(c))
     assert tr == pytest.approx(want, rel=1e-12)
 
