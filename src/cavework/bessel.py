@@ -1,18 +1,27 @@
-"""Bessel evaluation and root tables for cavity spectra.
+"""Bessel root tables for cavity spectra.
 
-Cylindrical J_n and spherical j_l are evaluated by downward (Miller)
-recurrence.  The cylindrical family is normalised with
-J_0(x) + 2*sum_k J_{2k}(x) = 1, the spherical one against j_0 or j_1,
-whichever is larger in magnitude at the given argument.  That keeps the
-values accurate to near machine precision for every order/argument pair
-the root finder visits, without special-casing small or large x.
+The modes of the cylinder and the sphere sit at zeros of J_n, J_n',
+j_l and d/dx [x j_l(x)].  Their values come from one downward (Miller)
+recurrence that runs over arrays of (order, x) pairs, across orders:
+each element keeps its own start, rescale and norm.  The cylindrical
+family is normalised with J_0(x) + 2*sum_k J_{2k}(x) = 1 and rerun from
+a higher start until two starts agree to 1e-14; the spherical one is
+anchored on j_0 or j_1, whichever is larger in magnitude at x.  That
+keeps the values accurate to near machine precision for every
+order/argument pair the root finder visits, without special-casing
+small or large x.
 
-Roots come from their own order alone: a scan in steps shorter than any
-zero spacing certifies each zero's index by counting sign changes, the
-extrema lie between consecutive zeros, and Newton steps inside the bracket
-refine each root to 1e-12 absolute.  Roots are cached per (kind, order,
-index); the cache is safe for concurrent readers with a single locked
-writer, which fills one order at a time.
+Zeros are bracketed on each order's grid x0 + j * _STEP, whose step is
+shorter than any zero spacing, so counting sign changes certifies each
+zero's index; the extrema lie between consecutive zeros.  Newton steps
+inside the brackets, all brackets at once, refine each root to 1e-12
+absolute.  `root_table` fills the cache with every root of one kind
+below x_max, for every order, in one batch; `bessel_zero` runs the same
+routines for one root and computes no other order.  A scan resumes on
+the grid past the last cached zero, so each root keeps its bracket, and
+its bits, whatever the order of requests.  Roots are cached per (kind,
+order, index); the cache is safe for concurrent readers with a single
+locked writer.
 """
 
 from __future__ import annotations
@@ -22,17 +31,11 @@ import numbers
 import threading
 from enum import Enum
 
+import numpy as np
+
 from .errors import RootBracketingError
 
-__all__ = [
-    "BesselKind",
-    "bessel_zero",
-    "clear_root_cache",
-    "cyl_j",
-    "cyl_j_prime",
-    "sph_j",
-    "sph_xj_prime",
-]
+__all__ = ["BesselKind", "bessel_zero", "clear_root_cache", "root_table"]
 
 
 class BesselKind(Enum):
@@ -42,106 +45,138 @@ class BesselKind(Enum):
     SPH_XJ_PRIME = "SphXJPrime"  # zeros of d/dx [x j_l(x)]
 
 
+_ZEROS = {
+    BesselKind.CYL_J: BesselKind.CYL_J,
+    BesselKind.CYL_J_PRIME: BesselKind.CYL_J,
+    BesselKind.SPH_J: BesselKind.SPH_J,
+    BesselKind.SPH_XJ_PRIME: BesselKind.SPH_J,
+}
+_SPHERICAL = (BesselKind.SPH_J, BesselKind.SPH_XJ_PRIME)
+
 _XTOL = 1e-13
 _RESCALE = 1e250
 
 
-def _cyl_miller(n_top: int, x: float, start: int) -> list[float]:
-    # Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, seeded near zero
-    # far above both the order and the turning point k ~ x.
-    jp = 0.0
-    j = 1e-305
-    norm = 0.0
-    vals = [0.0] * (n_top + 1)
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * j - jp
-        jp, j = j, jm
+def _miller(x: np.ndarray, start: np.ndarray, width: int,
+            cyl: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Downward recurrence from index start[i] at x[i], one row per element.
+
+    J_{k-1} = (2k/x) J_k - J_{k+1} (cyl) or j_{k-1} = ((2k+1)/x) j_k -
+    j_{k+1}, seeded near zero far above both the order and the turning
+    point k ~ x.  Returns the unnormalised values at indices 0 .. width-1
+    and, for cyl, J_0 + 2*sum_k J_{2k} on the same scale.  A row idles
+    until k reaches its start, and rescales on its own."""
+    order = np.argsort(-start, kind="stable")
+    xs, starts = x[order], start[order]
+    n = len(xs)
+    jp = np.zeros(n)
+    j = np.full(n, 1e-305)
+    norm = np.zeros(n)
+    vals = np.zeros((n, width))
+    top = int(starts[0])
+    live = np.searchsorted(-starts, -np.arange(top + 1), side="right")
+    inv = 1.0 / _RESCALE
+    for k in range(top, 0, -1):
+        c = live[k]
+        coef = 2.0 * k / xs[:c] if cyl else (2.0 * k + 1.0) / xs[:c]
+        jm = coef * j[:c] - jp[:c]
+        jp[:c] = j[:c]
+        j[:c] = jm
         idx = k - 1
-        if idx <= n_top:
-            vals[idx] = j
-        if idx > 0 and idx % 2 == 0:
-            norm += 2.0 * j
-        if abs(j) > _RESCALE:
-            inv = 1.0 / _RESCALE
-            jp *= inv
-            j *= inv
-            norm *= inv
-            vals = [v * inv for v in vals]
-    norm += vals[0] if n_top >= 0 else j
-    return [v / norm for v in vals]
+        if idx < width:
+            vals[:c, idx] = jm
+        if cyl and idx > 0 and idx % 2 == 0:
+            norm[:c] += 2.0 * jm
+        big = np.abs(jm) > _RESCALE
+        if big.any():
+            rows = np.flatnonzero(big)
+            jp[rows] *= inv
+            j[rows] *= inv
+            norm[rows] *= inv
+            vals[rows] *= inv
+    back = np.empty_like(order)
+    back[order] = np.arange(n)
+    return vals[back], (norm + vals[:, 0])[back]
 
 
-def _cyl_family(n_top: int, x: float) -> list[float]:
-    """J_0(x) .. J_{n_top}(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError("argument must be positive")
-    base = max(n_top, int(x), 1)
-    start = base + 24 + int(math.sqrt(40.0 * base))
-    prev = _cyl_miller(n_top, x, start)
-    for _ in range(4):
-        cur = _cyl_miller(n_top, x, start + 16)
-        if max(abs(a - b) for a, b in zip(prev, cur)) <= 1e-14:
-            return cur
-        prev = cur
-        start += 32
+def _miller_start(top: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each element's first index, far above both its top order and x."""
+    base = np.maximum(np.maximum(top, x.astype(np.int64)), 1)
+    return base + 24 + np.sqrt(40.0 * base).astype(np.int64)
+
+
+def _cyl_family(n_top: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_0(x) .. J_{n_top}(x) for x > 0, one row per element; columns past
+    a row's n_top hold no value.  A row is accepted once two starts 16
+    apart agree to 1e-14 on every order up to its n_top."""
+    start = _miller_start(n_top, x)
+    width = int(n_top.max()) + 1
+    outside = np.arange(width) > n_top[:, None]
+    out = np.empty((len(x), width))
+    rows = np.arange(len(x))
+
+    def normed(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+        vals, norm = _miller(x[rows], start, width, cyl=True)
+        return vals / norm[:, None]
+
+    both = normed(np.concatenate([rows, rows]), np.concatenate([start, start + 16]))
+    prev, cur = both[: len(x)], both[len(x):]
+    for attempt in range(4):
+        if attempt:
+            start[rows] += 32
+            cur = normed(rows, start[rows] + 16)
+        diff = np.abs(prev - cur)
+        diff[outside[rows]] = 0.0
+        ok = diff.max(axis=1) <= 1e-14
+        out[rows[ok]] = cur[ok]
+        rows, prev = rows[~ok], cur[~ok]
+        if not rows.size:
+            return out
     raise RootBracketingError(
-        BesselKind.CYL_J, n_top, -1, f"Miller recurrence stalled at x={x!r}"
+        BesselKind.CYL_J, int(n_top[rows[0]]), -1,
+        f"Miller recurrence stalled at x={float(x[rows[0]])!r}",
     )
 
 
-def cyl_j(order: int, x: float) -> float:
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    return _cyl_family(order, x)[order]
-
-
-def cyl_j_prime(order: int, x: float) -> float:
-    return _value_and_slope(BesselKind.CYL_J, order, x)[1]
-
-
-def _sph_family(l_top: int, x: float) -> list[float]:
-    """j_0(x) .. j_{l_top}(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError("argument must be positive")
-    base = max(l_top, int(x), 1)
-    start = base + 24 + int(math.sqrt(40.0 * base))
-    jp = 0.0
-    j = 1e-305
-    vals = [0.0] * (l_top + 2)
-    for k in range(start, 0, -1):
-        jm = ((2.0 * k + 1.0) / x) * j - jp
-        jp, j = j, jm
-        idx = k - 1
-        if idx <= l_top + 1:
-            vals[idx] = j
-        if abs(j) > _RESCALE:
-            inv = 1.0 / _RESCALE
-            jp *= inv
-            j *= inv
-            vals = [v * inv for v in vals]
-    j0 = math.sin(x) / x
-    j1 = math.sin(x) / x**2 - math.cos(x) / x
+def _sph_family(l_top: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """j_0(x) .. j_{l_top}(x) for x > 0, one row per element."""
+    vals, _ = _miller(x, _miller_start(l_top, x), int(l_top.max()) + 1, cyl=False)
+    xs = x.tolist()
+    j0 = np.array([math.sin(v) / v for v in xs])
+    j1 = np.array([math.sin(v) / v**2 - math.cos(v) / v for v in xs])
     # Anchor on whichever reference value is better conditioned.
-    if abs(j0) >= abs(j1):
-        scale = j0 / vals[0]
-    else:
-        scale = j1 / vals[1]
-    return [v * scale for v in vals[: l_top + 1]]
+    scale = np.where(np.abs(j0) >= np.abs(j1), j0 / vals[:, 0], j1 / vals[:, 1])
+    return vals * scale[:, None]
 
 
-def sph_j(order: int, x: float) -> float:
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    if order == 0:
-        return math.sin(x) / x
-    return _sph_family(order, x)[order]
+def _squares(v: np.ndarray) -> np.ndarray:
+    # Python's float ** 2, which rounds through libm's pow, so that each
+    # square equals the scalar expression's
+    return np.array([t**2 for t in v.tolist()], dtype=float)
 
 
-def sph_xj_prime(order: int, x: float) -> float:
-    """d/dx [x j_l(x)] = x j_{l-1}(x) - l j_l(x), for l >= 1."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _value_and_slope(BesselKind.SPH_XJ_PRIME, order, x)[0]
+def _value_and_slope(kind: BesselKind, order: np.ndarray,
+                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, f') at x > 0 for the function whose zeros `kind` tabulates."""
+    rows = np.arange(len(x))
+    # columns past a row's own order hold no value and may overflow
+    with np.errstate(all="ignore"):
+        if kind is BesselKind.CYL_J or kind is BesselKind.CYL_J_PRIME:
+            fam = _cyl_family(order + 1, x)
+            j = fam[rows, order]
+            dj = np.where(order == 0, -fam[:, 1],
+                          0.5 * (fam[rows, order - 1] - fam[rows, order + 1]))
+            if kind is BesselKind.CYL_J:
+                return j, dj
+            # J_n'' from Bessel's equation
+            return dj, -dj / x - (1.0 - _squares(order / x)) * j
+        fam = _sph_family(order, x)
+        j = fam[rows, order]
+        if kind is BesselKind.SPH_J:
+            return j, fam[rows, order - 1] - (order + 1) / x * j
+        # (x j_l)' and (x j_l)'' = (l(l+1)/x^2 - 1) x j_l
+        return (x * fam[rows, order - 1] - order * j,
+                (order * (order + 1) / _squares(x) - 1.0) * x * j)
 
 
 _cache: dict[tuple[BesselKind, int, int], float] = {}
@@ -158,64 +193,186 @@ def clear_root_cache() -> None:
         _cache.clear()
 
 
-def _value_and_slope(kind: BesselKind, order: int, x: float) -> tuple[float, float]:
-    """(f, f') at x > 0 for the function whose zeros `kind` tabulates."""
-    if kind is BesselKind.CYL_J or kind is BesselKind.CYL_J_PRIME:
-        fam = _cyl_family(order + 1, x)
-        j = fam[order]
-        dj = -fam[1] if order == 0 else 0.5 * (fam[order - 1] - fam[order + 1])
-        if kind is BesselKind.CYL_J:
-            return j, dj
-        # J_n'' from Bessel's equation
-        return dj, -dj / x - (1.0 - (order / x) ** 2) * j
-    fam = _sph_family(order, x)
-    j = fam[order]
-    if kind is BesselKind.SPH_J:
-        return j, fam[order - 1] - (order + 1) / x * j
-    # (x j_l)' and (x j_l)'' = (l(l+1)/x^2 - 1) x j_l
-    return x * fam[order - 1] - order * j, (order * (order + 1) / x**2 - 1.0) * x * j
-
-
 def _start(kind: BesselKind, order: int) -> float:
     """A point below the first zero, where each tabulated function is > 0."""
-    if kind is BesselKind.SPH_J or kind is BesselKind.SPH_XJ_PRIME:
+    if kind in _SPHERICAL:
         return math.sqrt(order * (order + 1.0))
     return max(float(order), 1.0)
 
 
-def _newton(kind: BesselKind, order: int, index: int, a: float, b: float,
-            x: float, f: float, d: float) -> float:
-    """Zero number `index` in [a, b] by Newton steps from x, where f' = d.
+def _newton(kind: BesselKind, order: np.ndarray, index: np.ndarray, a: np.ndarray,
+            b: np.ndarray, x: np.ndarray, f: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Zero number index[i] in [a[i], b[i]] by Newton steps from x[i], where
+    f' = d, for every element at once.
 
-    The index gives f's sign on each side; a step out of [a, b] bisects."""
+    The index gives f's sign on each side; a step out of [a, b] bisects.
+    Each element takes its own steps and stops on its own."""
+    roots = np.empty(len(x))
+    live = np.arange(len(x))
     left_neg = index % 2 == 0
     for _ in range(60):
-        step = f / d if d != 0.0 else math.inf
-        if abs(step) <= _XTOL:
-            return x - step
-        x -= step
-        if not a < x < b:
-            x = 0.5 * (a + b)
+        step = np.full(len(x), math.inf)
+        np.divide(f, d, out=step, where=d != 0.0)
+        done = np.abs(step) <= _XTOL
+        roots[live[done]] = x[done] - step[done]
+        if done.all():
+            return roots
+        go = ~done
+        live, order, left_neg, a, b = live[go], order[go], left_neg[go], a[go], b[go]
+        x = x[go] - step[go]
+        out = ~((a < x) & (x < b))
+        x[out] = 0.5 * (a[out] + b[out])
         f, d = _value_and_slope(kind, order, x)
-        a, b = (x, b) if (f < 0.0) == left_neg else (a, x)
-    raise RootBracketingError(kind, order, index, f"no convergence on [{a!r}, {b!r}]")
+        left = (f < 0.0) == left_neg
+        a, b = np.where(left, x, a), np.where(left, b, x)
+    raise RootBracketingError(kind, int(order[0]), int(index[live[0]]),
+                              f"no convergence on [{float(a[0])!r}, {float(b[0])!r}]")
 
 
-def _scan(kind: BesselKind, order: int, index: int) -> None:
-    """Cache the zeros of J_n or j_l in turn, up to `index`.
+def _cached(kind: BesselKind, order: int) -> list[float]:
+    """The zeros of one order cached so far: always a run from index 1."""
+    roots = []
+    while (kind, order, len(roots) + 1) in _cache:
+        roots.append(_cache[(kind, order, len(roots) + 1)])
+    return roots
 
-    Resuming on the grid x0 + j * _STEP past the last cached zero gives
-    each zero the same bracket whatever the order of requests."""
-    x0 = _start(kind, order)
-    found = max((k for k in range(index) if (kind, order, k) in _cache), default=0)
-    j = int((_cache[(kind, order, found)] - x0) / _STEP) + 1 if found else 0
-    while found < index:
-        a, b = x0 + j * _STEP, x0 + (j + 1) * _STEP
-        j += 1
-        f, d = _value_and_slope(kind, order, b)
-        if (f <= 0.0) if found % 2 == 0 else (f >= 0.0):
-            found += 1
-            _cache[(kind, order, found)] = _newton(kind, order, found, a, b, b, f, d)
+
+def _zeros(kind: BesselKind, orders: list[int], index: int | None = None,
+           x_max: float = math.nan) -> dict[int, list[float]]:
+    """The zeros of J_n or j_l for each order, in turn from the first:
+    through number `index`, or else on until two of them lie above x_max.
+
+    Cached zeros are reused.  A scan resumes on the grid x0 + j * _STEP
+    past the last cached zero, which gives each zero the same bracket
+    whatever the order of requests; all orders scan in one batch, and
+    all brackets refine in one Newton batch.  Nothing is cached here."""
+
+    def done(found: int, above: int) -> bool:
+        return found >= index if index is not None else above >= 2
+
+    zeros = {n: _cached(kind, n) for n in orders}
+    # [order, grid position, zeros found, zeros certainly above x_max]
+    scans = []
+    for n, roots in zeros.items():
+        above = sum(not z <= x_max for z in roots)
+        if not done(len(roots), above):
+            j = int((roots[-1] - _start(kind, n)) / _STEP) + 1 if roots else 0
+            scans.append([n, j, len(roots), above])
+    brackets = []
+    while scans:
+        grids = []
+        for n, j, found, _ in scans:
+            x0 = _start(kind, n)
+            if index is not None:
+                size = 2 * (index - found) + 4
+            else:
+                reach = (x_max - x0) / _STEP - j
+                size = int(reach) + 6 if reach > 0.0 else 6
+            grids.append([x0 + (i + 1) * _STEP for i in range(j, j + size)])
+        f, d = _value_and_slope(kind, np.repeat([s[0] for s in scans], list(map(len, grids))),
+                                np.array([b for grid in grids for b in grid]))
+        f, d = f.tolist(), d.tolist()
+        pos = 0
+        for scan, grid in zip(scans, grids):
+            n, j, found, above = scan
+            x0 = _start(kind, n)
+            for i, b in enumerate(grid):
+                fb = f[pos + i]
+                if (fb <= 0.0) if found % 2 == 0 else (fb >= 0.0):
+                    found += 1
+                    a = x0 + (j + i) * _STEP
+                    brackets.append((n, found, a, b, fb, d[pos + i]))
+                    above += not a < x_max
+                    if done(found, above):
+                        break
+            pos += len(grid)
+            scan[1:] = j + i + 1, found, above
+        scans = [s for s in scans if not done(s[2], s[3])]
+    if brackets:
+        n, i, a, b, f, d = (np.array(col) for col in zip(*brackets))
+        for order, root in zip(n.tolist(), _newton(kind, n, i, a, b, b, f, d).tolist()):
+            zeros[order].append(root)
+    return zeros
+
+
+def _extrema(kind: BesselKind, wanted: list[tuple[int, int, float, float]]) -> list[float]:
+    """The extremum of J_n or j_l numbered `index` between consecutive zeros
+    a < b, for each (order, index, a, b), by Newton from the midpoint."""
+    if not wanted:
+        return []
+    n, i, a, b = (np.array(col) for col in zip(*wanted))
+    x = 0.5 * (a + b)
+    return _newton(kind, n, i, a, b, x, *_value_and_slope(kind, n, x)).tolist()
+
+
+def _store(kind: BesselKind, order: int, roots: list[float]) -> None:
+    for i, root in enumerate(roots, 1):
+        _cache.setdefault((kind, order, i), root)
+
+
+def _through(roots: list[float], x_max: float) -> list[float]:
+    """The leading roots through the first one above x_max."""
+    for i, root in enumerate(roots):
+        if not root <= x_max:
+            return roots[: i + 1]
+    raise AssertionError("no root above x_max")
+
+
+def _fill(kind: BesselKind, x_max: float) -> list[list[float]]:
+    low = 1 if kind in _SPHERICAL else 0
+    # no root of an order lies below its _start
+    orders = [low]
+    while _start(kind, orders[-1]) <= x_max:
+        orders.append(orders[-1] + 1)
+    zero_kind = _ZEROS[kind]
+    if kind is BesselKind.CYL_J_PRIME:
+        # J_0' = -J_1: the zeros of J_0' are those of J_1
+        zeros = _zeros(zero_kind, sorted({max(n, 1) for n in orders}), x_max=x_max)
+        roots = {0: zeros[1]}
+    else:
+        zeros = _zeros(zero_kind, orders, x_max=x_max)
+        roots = {}
+    for n, row in zeros.items():
+        _store(zero_kind, n, row)
+    if kind is zero_kind:
+        roots = zeros
+    else:
+        wanted = []
+        for n in orders:
+            if n in roots:
+                continue
+            # one extremum between consecutive zeros: with two zeros above
+            # x_max, one extremum lies above it
+            lows = [_start(kind, n)] + zeros[n]
+            count = len(_through(zeros[n], x_max)) + 1
+            roots[n] = [_cache.get((kind, n, i)) for i in range(1, count + 1)]
+            wanted += [(n, i, lows[i - 1], lows[i])
+                       for i, root in enumerate(roots[n], 1) if root is None]
+        for (n, i, _, _), root in zip(wanted, _extrema(kind, wanted)):
+            roots[n][i - 1] = _cache[(kind, n, i)] = root
+    table = []
+    for n in orders:
+        table.append(_through(roots[n], x_max))
+        if not table[-1][0] <= x_max:
+            break
+    return table
+
+
+def root_table(kind: BesselKind, x_max: float) -> list[list[float]]:
+    """Every root of `kind` below x_max, for every order, filled in one batch.
+
+    Row i holds the roots of order i (i + 1 for the spherical kinds) in
+    turn through the first one above x_max; the rows run through the
+    first order whose first root lies above x_max.  Each root equals
+    bessel_zero's bit for bit; they are cached, with every root the
+    batch found on the way.
+    """
+    if not isinstance(kind, BesselKind):
+        raise ValueError(f"kind must be a BesselKind, got {kind!r}")
+    if x_max == math.inf:
+        raise ValueError("x_max must be finite")
+    with _lock:
+        return _fill(kind, float(x_max))
 
 
 def _root(kind: BesselKind, order: int, index: int) -> float:
@@ -225,17 +382,12 @@ def _root(kind: BesselKind, order: int, index: int) -> float:
         return val
     with _lock:
         if key not in _cache:
-            if kind is BesselKind.CYL_J or kind is BesselKind.SPH_J:
-                _scan(kind, order, index)
-            else:  # one extremum between consecutive zeros of the same order
-                zeros = BesselKind.SPH_J
-                if kind is BesselKind.CYL_J_PRIME:
-                    zeros = BesselKind.CYL_J
-                a = _root(zeros, order, index - 1) if index > 1 else _start(kind, order)
-                b = _root(zeros, order, index)
-                x = 0.5 * (a + b)
-                _cache[key] = _newton(kind, order, index, a, b, x,
-                                      *_value_and_slope(kind, order, x))
+            zero_kind = _ZEROS[kind]
+            zeros = _zeros(zero_kind, [order], index=index)[order]
+            _store(zero_kind, order, zeros[:index])
+            if kind is not zero_kind:
+                a = zeros[index - 2] if index > 1 else _start(kind, order)
+                _cache[key] = _extrema(kind, [(order, index, a, zeros[index - 1])])[0]
         return _cache[key]
 
 
@@ -253,7 +405,7 @@ def bessel_zero(kind: BesselKind, order: int, index: int) -> float:
     order, index = int(order), int(index)
     if index < 1:
         raise ValueError(f"root index must be >= 1, got {index}")
-    min_order = 1 if kind in (BesselKind.SPH_J, BesselKind.SPH_XJ_PRIME) else 0
+    min_order = 1 if kind in _SPHERICAL else 0
     if order < min_order:
         raise ValueError(f"{kind.value} order must be >= {min_order}, got {order}")
     if kind is BesselKind.CYL_J_PRIME and order == 0:

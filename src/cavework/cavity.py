@@ -24,8 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 
-from .bessel import BesselKind, bessel_zero
+import numpy as np
+
+from .bessel import BesselKind, _squares, bessel_zero, root_table
 from .errors import ModeValidationError
 
 __all__ = [
@@ -282,15 +285,15 @@ def mode_spectrum(
     triple.  Cylindrical spectra enumerate azimuthal n >= 0 only; the
     opposite-helicity partners carry identical frequencies and couplings
     and are omitted.
+
+    The modes are built as arrays: the curved shapes take their roots
+    from one `root_table` per spectrum, and every frequency is evaluated
+    with mode_frequency's float operations in its order, so it equals
+    mode_frequency's value bit for bit.  The enumeration yields
+    admissible indices only.
     """
     if not lam > 0.0:
         raise ValueError("driven length must be positive")
-    out: list[tuple[ModeIndex, float]] = []
-
-    def keep(mode: ModeIndex) -> None:
-        w = mode_frequency(geom, pol, mode, lam)
-        if w <= max_frequency:
-            out.append((mode, w))
 
     if isinstance(geom, RectangularGeometry):
         nx = int(max_frequency * geom.lx / math.pi)
@@ -298,40 +301,77 @@ def mode_spectrum(
         nz = int(max_frequency * lam / math.pi)
         x0 = 0 if pol is Polarization.TE else 1
         z0 = 1 if pol is Polarization.TE else 0
-        for kx in range(x0, nx + 1):
-            for ky in range(x0, ny + 1):
-                if pol is Polarization.TE and kx == 0 and ky == 0:
-                    continue
-                for kz in range(z0, nz + 1):
-                    keep((kx, ky, kz))
-    elif isinstance(geom, CylindricalGeometry):
-        kind = _cyl_root_kind(pol)
+        kx, ky, kz = (
+            np.arange(lo, hi + 1) for lo, hi in ((x0, nx), (x0, ny), (z0, nz))
+        )
+        w = math.pi * np.sqrt(
+            _squares(kx / geom.lx)[:, None, None]
+            + _squares(ky / geom.ly)[None, :, None]
+            + _squares(kz / lam)[None, None, :]
+        )
+        keep = w <= max_frequency
+        if pol is Polarization.TE and keep.size:
+            keep[0, 0] = False  # kx = ky = 0
+        i, j, l = np.nonzero(keep)
+        return _sorted_modes(kx[i], ky[j], kz[l], w[keep])
+
+    # A root whose quotient root / length is at most max_frequency may
+    # exceed max_frequency * length by a few ulps: the table reaches past.
+    reach = 1.0 + 1e-12
+    if isinstance(geom, CylindricalGeometry):
         if geom.moving_wall is MovingWall.LONGITUDINAL:
             r_trans, l_axial = geom.radius, lam
         else:
             r_trans, l_axial = lam, geom.axis_length
+        table = root_table(_cyl_root_kind(pol), max_frequency * r_trans * reach)
+        n, m, root = _roots_below(table, r_trans, max_frequency)
         k0 = 1 if pol is Polarization.TE else 0
-        n = 0
-        while bessel_zero(kind, n, 1) / r_trans <= max_frequency:
-            m = 1
-            while bessel_zero(kind, n, m) / r_trans <= max_frequency:
-                for k in range(k0, int(max_frequency * l_axial / math.pi) + 1):
-                    keep((n, m, k))
-                m += 1
-            n += 1
-    else:
-        kind = _sph_root_kind(pol)
-        l = 1
-        while bessel_zero(kind, l, 1) / lam <= max_frequency:
-            n = 1
-            while bessel_zero(kind, l, n) / lam <= max_frequency:
-                for m in range(-l, l + 1):
-                    keep((n, l, m))
-                n += 1
-            l += 1
+        k = np.arange(k0, int(max_frequency * l_axial / math.pi) + 1)
+        w = np.sqrt(
+            _squares(root / r_trans)[:, None] + _squares(math.pi * k / l_axial)[None, :]
+        )
+        keep = w <= max_frequency
+        i, j = np.nonzero(keep)
+        return _sorted_modes(n[i], m[i], k[j], w[keep])
 
-    out.sort(key=lambda entry: (entry[1], entry[0]))
-    return out
+    if not isinstance(geom, SphericalGeometry):
+        raise ModeValidationError(f"unknown geometry {geom!r}")
+    table = root_table(_sph_root_kind(pol), max_frequency * lam * reach)
+    l, n, root = _roots_below(table, lam, max_frequency)
+    l += 1
+    w = root / lam  # the quotient the roots were cut on: all <= max_frequency
+    # (n, l, m) for each root of order l, m = -l .. l
+    size = 2 * l + 1
+    first = np.cumsum(size) - size
+    m = np.arange(size.sum()) - np.repeat(first + l, size)
+    return _sorted_modes(np.repeat(n, size), np.repeat(l, size), m, np.repeat(w, size))
+
+
+def _roots_below(
+    table: list[list[float]], length: float, max_frequency: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, index, root) for the roots with root / length <= max_frequency:
+    each row's leading roots, the rows through the first that has none."""
+    rows = []
+    for row in table:
+        row = list(takewhile(lambda r: r / length <= max_frequency, row))
+        if not row:
+            break
+        rows.append(row)
+    return (
+        np.array([i for i, row in enumerate(rows) for _ in row], dtype=np.int64),
+        np.array([m for row in rows for m in range(1, len(row) + 1)], dtype=np.int64),
+        np.array([r for row in rows for r in row], dtype=float),
+    )
+
+
+def _sorted_modes(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, w: np.ndarray
+) -> list[tuple[ModeIndex, float]]:
+    """(mode, omega) pairs sorted by omega, then by the index triple."""
+    order = np.lexsort((c, b, a, w))
+    modes = zip(a[order].tolist(), b[order].tolist(), c[order].tolist())
+    return list(zip(modes, w[order].tolist()))
 
 
 def mode_index_str(mode: ModeIndex) -> str:

@@ -1,4 +1,5 @@
-"""Root finder and recurrence evaluators against scipy."""
+"""Root finder and recurrence evaluators against scipy, and the array
+recurrence against the scalar one."""
 
 import math
 import random
@@ -11,12 +12,12 @@ from scipy import special
 
 from conftest import scipy_root_oracle
 from cavework import bessel
-from cavework.bessel import (
-    BesselKind,
-    bessel_zero,
-    clear_root_cache,
+from cavework.bessel import BesselKind, bessel_zero, clear_root_cache
+from spectrum_oracle import (
+    cyl_family,
     cyl_j,
     cyl_j_prime,
+    sph_family,
     sph_j,
     sph_xj_prime,
 )
@@ -48,6 +49,21 @@ def test_spherical_values_match_scipy():
             assert sph_xj_prime(order, x) == pytest.approx(want, abs=1e-13)
     with pytest.raises(ValueError, match="order"):
         sph_xj_prime(0, 1.0)
+
+
+def test_array_recurrence_is_the_scalar_one_bit_for_bit():
+    # one batch of (order, x) pairs that spans orders, as the root finder
+    # runs it: small and large x, below and above each order
+    rng = np.random.default_rng(7)
+    order = rng.integers(0, 45, 600)
+    x = np.concatenate([rng.uniform(0.05, 2.0, 100), rng.uniform(0.5, 90.0, 500)])
+    fam = bessel._cyl_family(order, x)
+    for row, n, xv in zip(fam, order.tolist(), x.tolist()):
+        assert row[: n + 1].tolist() == cyl_family(n, xv)
+    order = np.maximum(order, 1)
+    fam = bessel._sph_family(order, x)
+    for row, n, xv in zip(fam, order.tolist(), x.tolist()):
+        assert row[: n + 1].tolist() == sph_family(n, xv)
 
 
 @pytest.mark.parametrize(
@@ -100,6 +116,9 @@ def test_invalid_arguments_rejected():
             bessel_zero(BesselKind.CYL_J, order, index)
     with pytest.raises(ValueError, match="integer"):
         bessel_zero(BesselKind.SPH_XJ_PRIME, 2, np.float64(3.0))
+    # a table without end is refused, not searched for ever
+    with pytest.raises(ValueError, match="finite"):
+        bessel.root_table(BesselKind.CYL_J, math.inf)
     # numpy integers are integers
     assert bessel_zero(BesselKind.CYL_J, np.int64(2), np.int32(3)) == bessel_zero(
         BesselKind.CYL_J, 2, 3

@@ -21,6 +21,7 @@ from cavework.cavity import (
 )
 from cavework.errors import ModeValidationError
 from overlap_oracle import overlap_integral_oracle
+from spectrum_oracle import per_mode_spectrum
 
 RECT = RectangularGeometry(lx=0.9, ly=1.1)
 CYL_L = CylindricalGeometry(moving_wall=MovingWall.LONGITUDINAL, radius=1.0)
@@ -62,6 +63,8 @@ def test_mode_validation_rules():
         validate_mode(SPH, Polarization.TE, (1, 0, 0))  # l >= 1
     with pytest.raises(ModeValidationError):
         validate_mode(SPH, Polarization.TM, (1, 1, 2))  # |m| <= l
+    with pytest.raises(ModeValidationError, match="unknown geometry"):
+        mode_spectrum(object(), Polarization.TE, 1.0, 10.0)
 
 
 def test_spectrum_sorted_and_complete():
@@ -81,6 +84,32 @@ def test_spectrum_sorted_and_complete():
                 if w <= cutoff:
                     seen.add((kx, ky, kz))
     assert {m for m, _ in spec} == seen
+
+
+@pytest.mark.parametrize("pol", list(Polarization))
+@pytest.mark.parametrize("geom", [RECT, CYL_L, CYL_R, SPH])
+def test_spectrum_is_the_per_mode_enumeration(geom, pol):
+    lam = 1.1
+    cutoffs = [2.0, 3.0, 4.5, 7.3, 19.5]
+    # cutoffs placed exactly on a root's quotient and on a mode frequency
+    if isinstance(geom, CylindricalGeometry):
+        kind = BesselKind.CYL_J_PRIME if pol is Polarization.TE else BesselKind.CYL_J
+        r_trans = geom.radius if geom.moving_wall is MovingWall.LONGITUDINAL else lam
+        cutoffs += [bessel_zero(kind, 0, 2) / r_trans, bessel_zero(kind, 3, 2) / r_trans]
+    elif isinstance(geom, SphericalGeometry):
+        kind = BesselKind.SPH_J if pol is Polarization.TE else BesselKind.SPH_XJ_PRIME
+        cutoffs += [bessel_zero(kind, 1, 3) / lam, bessel_zero(kind, 4, 2) / lam]
+    cutoffs.append(mode_spectrum(geom, pol, lam, 12.0)[-5][1])
+    for cutoff in cutoffs:
+        spec = mode_spectrum(geom, pol, lam, cutoff)
+        assert spec == per_mode_spectrum(geom, pol, lam, cutoff)
+        for mode, w in spec:
+            validate_mode(geom, pol, mode)
+            assert all(type(i) is int for i in mode) and type(w) is float
+    assert spec and spec[-1][1] == cutoff
+    if isinstance(geom, CylindricalGeometry):
+        # TE n = 0 modes sit at zeros of J_0' = -J_1
+        assert any(mode[0] == 0 for mode, _ in mode_spectrum(geom, pol, lam, 19.5))
 
 
 def test_spectrum_csv_format():

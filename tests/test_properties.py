@@ -1,7 +1,8 @@
 """Property tests over random closed single-channel parameters, over
 random coupled and mode-disjoint resonance plans, over random work
-marginals for the Kolmogorov-Smirnov distance, and over random spectra
-for the resonance classifier.
+marginals for the Kolmogorov-Smirnov distance, over random spectra for
+the resonance classifier, and over random reaches of the Bessel root
+tables.
 
 Weak drive and moderate temperature keep every joint (work, photon)
 inversion at 64-128 samples per axis, so each example costs well under
@@ -13,6 +14,10 @@ source under the git-ignored .hypothesis/constants/ at the repo root.
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +26,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cavework import distributions  # noqa: E402
+from cavework import bessel, distributions  # noqa: E402
+from cavework.bessel import BesselKind, bessel_zero, clear_root_cache, root_table  # noqa: E402
 from cavework.cavity import (  # noqa: E402
     CylindricalGeometry,
     MovingWall,
@@ -68,6 +74,7 @@ from cavework.symplectic import (  # noqa: E402
 )
 from classifier_oracle import classify_reference  # noqa: E402
 from conftest import closed_protocol, synthetic_case  # noqa: E402
+from spectrum_oracle import ScalarRoots, per_mode_spectrum  # noqa: E402
 from test_distributions import _reference_ks  # noqa: E402
 
 PROPERTY = settings(
@@ -413,3 +420,91 @@ def _outcome(classify, *args):
 @given(classifier_inputs())
 def test_classifier_matches_the_all_pairs_reference(args):
     assert _outcome(classify_resonances, *args) == _outcome(classify_reference, *args)
+
+
+ROOT_REQUESTS = st.lists(
+    st.tuples(st.sampled_from(list(BesselKind)), st.integers(0, 12), st.integers(1, 8)),
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("kind", list(BesselKind))
+@settings(PROPERTY, max_examples=12)  # tens of ms per example
+@given(x_max=st.floats(0.0, 45.0), requests=ROOT_REQUESTS)
+@example(x_max=40.0, requests=[])  # the benchmark spectra's reach
+@example(x_max=40.0, requests=[(BesselKind.CYL_J, 1, 14), (BesselKind.CYL_J_PRIME, 3, 5),
+                               (BesselKind.SPH_XJ_PRIME, 5, 4), (BesselKind.SPH_J, 39, 1)])
+def test_root_table_caches_the_scalar_roots(kind, x_max, requests):
+    # bessel_zero requests first fill part of the cache, so the table
+    # resumes on orders with roots, and extrema, already cached
+    clear_root_cache()
+    scalar = ScalarRoots()
+    for request_kind, order, index in requests:
+        if request_kind in (BesselKind.SPH_J, BesselKind.SPH_XJ_PRIME):
+            order = max(order, 1)
+        want = scalar.zero(request_kind, order, index)
+        assert bessel_zero(request_kind, order, index) == want
+    assert root_table(kind, x_max) == scalar.fill(kind, x_max)
+    cache = dict(bessel._cache)
+    # every root that asking for each in turn caches, bit for bit ...
+    assert {key: cache.get(key) for key in scalar.cache} == scalar.cache
+    # ... and every other root the batch found on the way
+    for key, root in cache.items():
+        assert scalar.zero(*key) == root
+
+
+@settings(PROPERTY, max_examples=6)  # a spectrum per example
+@given(
+    st.sampled_from(GEOMETRIES[1:]),
+    st.sampled_from(list(Polarization)),
+    st.floats(2.0, 30.0),
+)
+@example(GEOMETRIES[3], Polarization.TM, 40.0)
+def test_concurrent_spectra_are_identical(geom, pol, cutoff):
+    clear_root_cache()
+    results = [None] * 4
+
+    def worker(slot: int) -> None:
+        results[slot] = mode_spectrum(geom, pol, 1.0, cutoff)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results[1:] == results[:1] * 3
+    assert results[0] == per_mode_spectrum(geom, pol, 1.0, cutoff)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 100))
+def test_fails(n):
+    assert n < 10
+"""
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    # under this repository's pytest configuration, warnings filters
+    # included, a falsified property ends in its example, not in an
+    # INTERNALERROR
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    config = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", config,
+         "--rootdir", str(tmp_path), "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "Falsifying example: test_fails(" in run.stdout
+    assert "n=10," in run.stdout
