@@ -15,13 +15,14 @@ Zeros are bracketed on each order's grid x0 + j * _STEP, whose step is
 shorter than any zero spacing, so counting sign changes certifies each
 zero's index; the extrema lie between consecutive zeros.  Newton steps
 inside the brackets, all brackets at once, refine each root to 1e-12
-absolute.  `root_table` fills the cache with every root of one kind
-below x_max, for every order, in one batch; `bessel_zero` runs the same
-routines for one root and computes no other order.  A scan resumes on
-the grid past the last cached zero, so each root keeps its bracket, and
-its bits, whatever the order of requests.  Roots are cached per (kind,
-order, index); the cache is safe for concurrent readers with a single
-locked writer.
+absolute.  The roots of each (kind, order) are cached as one row, in
+turn from the first, and one routine grows every row: `root_table`
+grows each order's row of one kind past x_max, all in one batch, and
+`bessel_zero` grows one row through the root it asks for and computes
+no other order.  A scan resumes on the grid past the row's last cached
+zero, so each root keeps its bracket, and its bits, whatever the order
+of requests.  A row only grows, under a lock, so readers index it
+without one.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def _value_and_slope(kind: BesselKind, order: np.ndarray,
                 (order * (order + 1) / _squares(x) - 1.0) * x * j)
 
 
-_cache: dict[tuple[BesselKind, int, int], float] = {}
+_cache: dict[tuple[BesselKind, int], list[float]] = {}
 _lock = threading.RLock()
 
 # Scan step along x, below every spacing of consecutive zeros of J_n and
@@ -198,6 +199,12 @@ def _start(kind: BesselKind, order: int) -> float:
     if kind in _SPHERICAL:
         return math.sqrt(order * (order + 1.0))
     return max(float(order), 1.0)
+
+
+def _key(kind: BesselKind, order: int) -> tuple[BesselKind, int]:
+    if kind is BesselKind.CYL_J_PRIME and order == 0:
+        return BesselKind.CYL_J, 1  # J_0' = -J_1: its zeros are those of J_1
+    return kind, order
 
 
 def _newton(kind: BesselKind, order: np.ndarray, index: np.ndarray, a: np.ndarray,
@@ -229,53 +236,59 @@ def _newton(kind: BesselKind, order: np.ndarray, index: np.ndarray, a: np.ndarra
                               f"no convergence on [{float(a[0])!r}, {float(b[0])!r}]")
 
 
-def _cached(kind: BesselKind, order: int) -> list[float]:
-    """The zeros of one order cached so far: always a run from index 1."""
-    roots = []
-    while (kind, order, len(roots) + 1) in _cache:
-        roots.append(_cache[(kind, order, len(roots) + 1)])
-    return roots
+def _through(roots: list[float], x_max: float) -> list[float]:
+    """The leading roots through the first one above x_max."""
+    for i, root in enumerate(roots):
+        if not root <= x_max:
+            return roots[: i + 1]
+    raise AssertionError("no root above x_max")
 
 
-def _zeros(kind: BesselKind, orders: list[int], index: int | None = None,
-           x_max: float = math.nan) -> dict[int, list[float]]:
-    """The zeros of J_n or j_l for each order, in turn from the first:
-    through number `index`, or else on until two of them lie above x_max.
+def _extend(kind: BesselKind, orders: list[int], index: int | None = None,
+            x_max: float = math.nan) -> None:
+    """Grow the cached row of `kind` for each order: through root number
+    `index`, or else through its first root above x_max.  Call under _lock.
 
-    Cached zeros are reused.  A scan resumes on the grid x0 + j * _STEP
-    past the last cached zero, which gives each zero the same bracket
-    whatever the order of requests; all orders scan in one batch, and
-    all brackets refine in one Newton batch.  Nothing is cached here."""
+    The zeros of J_n or j_l come first, in turn from the first: through
+    number `index`, or else on until two of them lie above x_max.  A scan
+    resumes on the grid x0 + j * _STEP past the row's last cached zero,
+    which gives each zero the same bracket whatever the order of
+    requests; all orders scan in one batch, and all brackets refine in
+    one Newton batch.  For the primed kinds, every missing extremum then
+    refines in a second batch, from the midpoint of its two zeros."""
+    keys = [_key(kind, n) for n in orders]
+    zero_kind = _ZEROS[kind]
+    zeros = {n: _cache.setdefault((zero_kind, n), []) for _, n in keys}
 
     def done(found: int, above: int) -> bool:
         return found >= index if index is not None else above >= 2
 
-    zeros = {n: _cached(kind, n) for n in orders}
     # [order, grid position, zeros found, zeros certainly above x_max]
     scans = []
-    for n, roots in zeros.items():
-        above = sum(not z <= x_max for z in roots)
-        if not done(len(roots), above):
-            j = int((roots[-1] - _start(kind, n)) / _STEP) + 1 if roots else 0
-            scans.append([n, j, len(roots), above])
+    for n, row in zeros.items():
+        above = sum(not z <= x_max for z in row)
+        if not done(len(row), above):
+            j = int((row[-1] - _start(zero_kind, n)) / _STEP) + 1 if row else 0
+            scans.append([n, j, len(row), above])
     brackets = []
     while scans:
         grids = []
         for n, j, found, _ in scans:
-            x0 = _start(kind, n)
+            x0 = _start(zero_kind, n)
             if index is not None:
                 size = 2 * (index - found) + 4
             else:
                 reach = (x_max - x0) / _STEP - j
                 size = int(reach) + 6 if reach > 0.0 else 6
             grids.append([x0 + (i + 1) * _STEP for i in range(j, j + size)])
-        f, d = _value_and_slope(kind, np.repeat([s[0] for s in scans], list(map(len, grids))),
+        f, d = _value_and_slope(zero_kind,
+                                np.repeat([s[0] for s in scans], list(map(len, grids))),
                                 np.array([b for grid in grids for b in grid]))
         f, d = f.tolist(), d.tolist()
         pos = 0
         for scan, grid in zip(scans, grids):
             n, j, found, above = scan
-            x0 = _start(kind, n)
+            x0 = _start(zero_kind, n)
             for i, b in enumerate(grid):
                 fb = f[pos + i]
                 if (fb <= 0.0) if found % 2 == 0 else (fb >= 0.0):
@@ -290,72 +303,23 @@ def _zeros(kind: BesselKind, orders: list[int], index: int | None = None,
         scans = [s for s in scans if not done(s[2], s[3])]
     if brackets:
         n, i, a, b, f, d = (np.array(col) for col in zip(*brackets))
-        for order, root in zip(n.tolist(), _newton(kind, n, i, a, b, b, f, d).tolist()):
+        for order, root in zip(n.tolist(), _newton(zero_kind, n, i, a, b, b, f, d).tolist()):
             zeros[order].append(root)
-    return zeros
-
-
-def _extrema(kind: BesselKind, wanted: list[tuple[int, int, float, float]]) -> list[float]:
-    """The extremum of J_n or j_l numbered `index` between consecutive zeros
-    a < b, for each (order, index, a, b), by Newton from the midpoint."""
-    if not wanted:
-        return []
-    n, i, a, b = (np.array(col) for col in zip(*wanted))
-    x = 0.5 * (a + b)
-    return _newton(kind, n, i, a, b, x, *_value_and_slope(kind, n, x)).tolist()
-
-
-def _store(kind: BesselKind, order: int, roots: list[float]) -> None:
-    for i, root in enumerate(roots, 1):
-        _cache.setdefault((kind, order, i), root)
-
-
-def _through(roots: list[float], x_max: float) -> list[float]:
-    """The leading roots through the first one above x_max."""
-    for i, root in enumerate(roots):
-        if not root <= x_max:
-            return roots[: i + 1]
-    raise AssertionError("no root above x_max")
-
-
-def _fill(kind: BesselKind, x_max: float) -> list[list[float]]:
-    low = 1 if kind in _SPHERICAL else 0
-    # no root of an order lies below its _start
-    orders = [low]
-    while _start(kind, orders[-1]) <= x_max:
-        orders.append(orders[-1] + 1)
-    zero_kind = _ZEROS[kind]
-    if kind is BesselKind.CYL_J_PRIME:
-        # J_0' = -J_1: the zeros of J_0' are those of J_1
-        zeros = _zeros(zero_kind, sorted({max(n, 1) for n in orders}), x_max=x_max)
-        roots = {0: zeros[1]}
-    else:
-        zeros = _zeros(zero_kind, orders, x_max=x_max)
-        roots = {}
-    for n, row in zeros.items():
-        _store(zero_kind, n, row)
-    if kind is zero_kind:
-        roots = zeros
-    else:
-        wanted = []
-        for n in orders:
-            if n in roots:
-                continue
-            # one extremum between consecutive zeros: with two zeros above
-            # x_max, one extremum lies above it
+    # one extremum between consecutive zeros: with two zeros above x_max,
+    # one extremum lies above it
+    wanted = []
+    for key in keys:
+        if key[0] is not zero_kind:
+            n, row = key[1], _cache.setdefault(key, [])
             lows = [_start(kind, n)] + zeros[n]
-            count = len(_through(zeros[n], x_max)) + 1
-            roots[n] = [_cache.get((kind, n, i)) for i in range(1, count + 1)]
-            wanted += [(n, i, lows[i - 1], lows[i])
-                       for i, root in enumerate(roots[n], 1) if root is None]
-        for (n, i, _, _), root in zip(wanted, _extrema(kind, wanted)):
-            roots[n][i - 1] = _cache[(kind, n, i)] = root
-    table = []
-    for n in orders:
-        table.append(_through(roots[n], x_max))
-        if not table[-1][0] <= x_max:
-            break
-    return table
+            stop = index if index is not None else len(_through(zeros[n], x_max)) + 1
+            wanted += [(n, i, lows[i - 1], lows[i]) for i in range(len(row) + 1, stop + 1)]
+    if wanted:
+        n, i, a, b = (np.array(col) for col in zip(*wanted))
+        x = 0.5 * (a + b)
+        roots = _newton(kind, n, i, a, b, x, *_value_and_slope(kind, n, x))
+        for order, root in zip(n.tolist(), roots.tolist()):
+            _cache[(kind, order)].append(root)
 
 
 def root_table(kind: BesselKind, x_max: float) -> list[list[float]]:
@@ -369,26 +333,21 @@ def root_table(kind: BesselKind, x_max: float) -> list[list[float]]:
     """
     if not isinstance(kind, BesselKind):
         raise ValueError(f"kind must be a BesselKind, got {kind!r}")
-    if x_max == math.inf:
-        raise ValueError("x_max must be finite")
+    x_max = float(x_max)
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max!r}")
+    # no root of an order lies below its _start
+    orders = [1 if kind in _SPHERICAL else 0]
+    while _start(kind, orders[-1]) <= x_max:
+        orders.append(orders[-1] + 1)
+    table = []
     with _lock:
-        return _fill(kind, float(x_max))
-
-
-def _root(kind: BesselKind, order: int, index: int) -> float:
-    key = (kind, order, index)
-    val = _cache.get(key)
-    if val is not None:
-        return val
-    with _lock:
-        if key not in _cache:
-            zero_kind = _ZEROS[kind]
-            zeros = _zeros(zero_kind, [order], index=index)[order]
-            _store(zero_kind, order, zeros[:index])
-            if kind is not zero_kind:
-                a = zeros[index - 2] if index > 1 else _start(kind, order)
-                _cache[key] = _extrema(kind, [(order, index, a, zeros[index - 1])])[0]
-        return _cache[key]
+        _extend(kind, orders, x_max=x_max)
+        for n in orders:
+            table.append(_through(_cache[_key(kind, n)], x_max))
+            if not table[-1][0] <= x_max:
+                break
+    return table
 
 
 def bessel_zero(kind: BesselKind, order: int, index: int) -> float:
@@ -408,6 +367,11 @@ def bessel_zero(kind: BesselKind, order: int, index: int) -> float:
     min_order = 1 if kind in _SPHERICAL else 0
     if order < min_order:
         raise ValueError(f"{kind.value} order must be >= {min_order}, got {order}")
-    if kind is BesselKind.CYL_J_PRIME and order == 0:
-        kind, order = BesselKind.CYL_J, 1  # J_0' = -J_1: its zeros are those of J_1
-    return _root(kind, order, index)
+    kind, order = _key(kind, order)
+    # a row only grows, so a cached root is read without the lock
+    row = _cache.get((kind, order), ())
+    if len(row) >= index:
+        return row[index - 1]
+    with _lock:
+        _extend(kind, [order], index=index)
+        return _cache[(kind, order)][index - 1]

@@ -292,8 +292,10 @@ def mode_spectrum(
     mode_frequency's value bit for bit.  The enumeration yields
     admissible indices only.
     """
-    if not lam > 0.0:
-        raise ValueError("driven length must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
+    if not math.isfinite(max_frequency):
+        raise ValueError(f"max_frequency must be finite, got {max_frequency!r}")
 
     if isinstance(geom, RectangularGeometry):
         nx = int(max_frequency * geom.lx / math.pi)

@@ -53,7 +53,6 @@ __all__ = [
     "JointDistribution",
     "TruncatedFockSpace",
     "build_evolution",
-    "charfun_numeric",
     "quadratic_operator",
     "two_point_measurement",
 ]
@@ -351,12 +350,3 @@ def two_point_measurement(
     peaks = _merge_peaks(acc, tol)
     residual = 1.0 - sum(p for _, _, p in peaks)
     return JointDistribution(peaks, residual, leak, tol)
-
-
-def charfun_numeric(dist: JointDistribution, u, v):
-    """Sum of prob * exp(i u w + i v dn) over the measured peaks, over
-    broadcast u and v; scalar input returns a Python complex."""
-    w, dn, p = np.array(dist.peaks, dtype=float).reshape(-1, 3).T
-    u, v = np.asarray(u)[..., None], np.asarray(v)[..., None]
-    g = (p * np.exp(1j * u * w + 1j * v * dn)).sum(axis=-1)
-    return complex(g) if g.ndim == 0 else g

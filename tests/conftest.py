@@ -15,6 +15,7 @@ from scipy import optimize, special
 
 from cavework.bessel import BesselKind
 from cavework.driving import DrivingProtocol, ResonanceCase, ResonanceKind
+from cavework.fock import JointDistribution
 
 # ---------------------------------------------------------------- criteria
 
@@ -106,3 +107,13 @@ def to_dense(op) -> np.ndarray:
     for idx, block in op:
         out[np.ix_(idx, idx)] = block
     return out
+
+
+def charfun_numeric(dist: JointDistribution, u, v):
+    """The oracle's G: the sum of prob * exp(i u w + i v dn) over the
+    measured peaks, over broadcast u and v; scalar input returns a Python
+    complex."""
+    w, dn, p = np.array(dist.peaks, dtype=float).reshape(-1, 3).T
+    u, v = np.asarray(u)[..., None], np.asarray(v)[..., None]
+    g = (p * np.exp(1j * u * w + 1j * v * dn)).sum(axis=-1)
+    return complex(g) if g.ndim == 0 else g

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    charfun_numeric,
     closed_protocol,
     record_criterion,
     scipy_root_oracle,
@@ -52,7 +53,6 @@ from cavework.charfun import classical_work_cdf
 from cavework.fock import (
     TruncatedFockSpace,
     build_evolution,
-    charfun_numeric,
     two_point_measurement,
 )
 from overlap_oracle import overlap_integral_oracle

@@ -14,6 +14,7 @@ from conftest import scipy_root_oracle
 from cavework import bessel
 from cavework.bessel import BesselKind, bessel_zero, clear_root_cache
 from spectrum_oracle import (
+    ScalarRoots,
     cyl_family,
     cyl_j,
     cyl_j_prime,
@@ -116,9 +117,10 @@ def test_invalid_arguments_rejected():
             bessel_zero(BesselKind.CYL_J, order, index)
     with pytest.raises(ValueError, match="integer"):
         bessel_zero(BesselKind.SPH_XJ_PRIME, 2, np.float64(3.0))
-    # a table without end is refused, not searched for ever
-    with pytest.raises(ValueError, match="finite"):
-        bessel.root_table(BesselKind.CYL_J, math.inf)
+    # a table without end, or without a reach, is refused, not searched
+    for x_max in (math.inf, -math.inf, math.nan, "inf"):
+        with pytest.raises(ValueError, match="finite"):
+            bessel.root_table(BesselKind.CYL_J, x_max)
     # numpy integers are integers
     assert bessel_zero(BesselKind.CYL_J, np.int64(2), np.int32(3)) == bessel_zero(
         BesselKind.CYL_J, 2, 3
@@ -157,13 +159,18 @@ def test_high_order_roots_match_mpmath():
         assert abs(bessel_zero(BesselKind.SPH_XJ_PRIME, l, n) - float(want)) <= 1e-12
 
 
+def _cached_orders() -> set[int]:
+    # the orders of the cached roots: each (kind, order) row holds its own
+    return {order for (_, order), row in bessel._cache.items() for _ in row}
+
+
 def test_one_root_computes_no_other_order():
     clear_root_cache()
     bessel_zero(BesselKind.CYL_J, 38, 13)
-    assert {order for _, order, _ in bessel._cache} == {38}
+    assert _cached_orders() == {38}
     clear_root_cache()
     bessel_zero(BesselKind.SPH_XJ_PRIME, 30, 4)
-    assert {order for _, order, _ in bessel._cache} == {30}
+    assert _cached_orders() == {30}
     clear_root_cache()
 
 
@@ -183,6 +190,43 @@ def test_concurrent_requests_get_identical_roots():
         random.Random(slot).shuffle(order)
         for key in order:
             results[slot][key] = bessel_zero(*key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert got == want
+
+
+def test_mixed_requests_from_threads_get_the_scalar_roots():
+    # bessel_zero reads a row without the lock while root_table and other
+    # bessel_zero calls grow it, for every kind
+    requests = [(bessel_zero, (kind, order, index)) for kind in BesselKind
+                for order in (1, 3, 9) for index in (1, 4, 8)]
+    requests += [(bessel_zero, (BesselKind.CYL_J_PRIME, 0, 3))]
+    requests += [(bessel.root_table, (kind, x_max)) for kind in BesselKind
+                 for x_max in (6.0, 17.5, 30.0)]
+    scalar = ScalarRoots()
+    want = {
+        (call, args): scalar.zero(*args) if call is bessel_zero else scalar.fill(*args)
+        for call, args in requests
+    }
+    clear_root_cache()
+    results = [dict() for _ in range(4)]
+
+    def worker(slot: int) -> None:
+        order = requests[:]
+        random.Random(slot).shuffle(order)
+        for call, args in order:
+            results[slot][(call, args)] = call(*args)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -65,6 +65,14 @@ def test_mode_validation_rules():
         validate_mode(SPH, Polarization.TM, (1, 1, 2))  # |m| <= l
     with pytest.raises(ModeValidationError, match="unknown geometry"):
         mode_spectrum(object(), Polarization.TE, 1.0, 10.0)
+    # a spectrum's inputs are checked before any geometry is enumerated
+    for geom in (RECT, CYL_L, CYL_R, SPH):
+        for lam in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="lam must be finite and positive"):
+                mode_spectrum(geom, Polarization.TM, lam, 10.0)
+        for cutoff in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_frequency must be finite"):
+                mode_spectrum(geom, Polarization.TM, 1.0, cutoff)
 
 
 def test_spectrum_sorted_and_complete():

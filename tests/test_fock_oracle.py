@@ -7,6 +7,7 @@ against another part of the simulation itself.
 
 import ast
 import dataclasses
+import importlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -29,12 +30,11 @@ from cavework.fock import (
     JointDistribution,
     TruncatedFockSpace,
     build_evolution,
-    charfun_numeric,
     quadratic_operator,
     two_point_measurement,
 )
 from cavework.symplectic import QuadraticForm
-from conftest import closed_protocol, synthetic_case, to_dense
+from conftest import charfun_numeric, closed_protocol, synthetic_case, to_dense
 
 DOF = ResonanceKind.DOUBLE
 SUF = ResonanceKind.SUM
@@ -563,3 +563,28 @@ def test_no_private_name_is_dead_and_every_export_is_defined():
                 ]
     assert not dead, dead
     assert not missing, missing
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench/tracer.py wraps these functions by name, at every module
+    # that looks them up, and perfbench/child.py clears the root cache
+    # before each invocation: deleting or rebinding one of them breaks
+    # the traced benchmark pass, not the tests, unless this guard fails
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = [
+        pair
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+        for pair in ast.literal_eval(node.value)
+    ]
+    assert traced
+    missing = [
+        f"{module}.{name}"
+        for module, name in traced
+        if not callable(getattr(importlib.import_module(f"cavework.{module}"), name, None))
+    ]
+    assert not missing, missing
+    for module in ("cli", "distributions"):
+        assert importlib.import_module(f"cavework.{module}").closed_form is closed_form
+    assert callable(importlib.import_module("cavework.bessel").clear_root_cache)

@@ -64,7 +64,6 @@ from cavework.errors import (  # noqa: E402
 from cavework.fock import (  # noqa: E402
     TruncatedFockSpace,
     build_evolution,
-    charfun_numeric,
     two_point_measurement,
 )
 from cavework.symplectic import (  # noqa: E402
@@ -73,7 +72,7 @@ from cavework.symplectic import (  # noqa: E402
     tracked_sqrt,
 )
 from classifier_oracle import classify_reference  # noqa: E402
-from conftest import closed_protocol, synthetic_case  # noqa: E402
+from conftest import charfun_numeric, closed_protocol, synthetic_case  # noqa: E402
 from spectrum_oracle import ScalarRoots, per_mode_spectrum  # noqa: E402
 from test_distributions import _reference_ks  # noqa: E402
 
@@ -445,7 +444,9 @@ def test_root_table_caches_the_scalar_roots(kind, x_max, requests):
         want = scalar.zero(request_kind, order, index)
         assert bessel_zero(request_kind, order, index) == want
     assert root_table(kind, x_max) == scalar.fill(kind, x_max)
-    cache = dict(bessel._cache)
+    # the cached rows as (kind, order, index) keys
+    cache = {(k, n, i): root for (k, n), row in bessel._cache.items()
+             for i, root in enumerate(row, 1)}
     # every root that asking for each in turn caches, bit for bit ...
     assert {key: cache.get(key) for key in scalar.cache} == scalar.cache
     # ... and every other root the batch found on the way
