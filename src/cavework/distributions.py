@@ -3,21 +3,22 @@
 The work support under a periodic drive is a delta comb on integer
 multiples of the drive quantum, so inversion is an exact discrete
 Fourier sum, not a quadrature: sampling G on one u-period and applying
-an FFT returns the peak weights directly.  The number of samples is
-doubled until the outer half of the lattice carries negligible mass.
-One N-dimensional inverter does this for P(w), P(delta_n) and their
-joint law.  Every characteristic function handed to it evaluates
-elementwise over coordinate arrays; the inverter samples it in blocks
-of at most _BLOCK points.
+an FFT returns the peak weights directly.  Each axis doubles its
+number of samples, keeping the samples it has, until the outer half of
+the lattice carries negligible mass.  One N-dimensional inverter does
+this for P(w), P(delta_n) and their joint law.  Every characteristic
+function handed to it evaluates elementwise over coordinate arrays; the
+inverter samples it in blocks of at most _BLOCK points.
 
-Also here: cumulative step functions with Gaussian fits, the
-Kolmogorov-Smirnov comparison against the classical work law, and the
-fluctuation-theorem verifier that exercises the Jarzynski and Crooks
-identities through two independent routes each.
+Also here: cumulative step functions with Gaussian fits and their
+Kolmogorov-Smirnov distance, and the fluctuation-theorem verifier that
+exercises the Jarzynski and Crooks identities through two independent
+routes each.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -38,7 +39,6 @@ __all__ = [
     "CumulativeFit",
     "VerificationReport",
     "WorkLattice",
-    "compare_classical",
     "cumulative_and_fit",
     "cumulative_to_csv",
     "extract_channel_marginals",
@@ -95,6 +95,25 @@ def _next_pow2(n: int) -> int:
     return m
 
 
+def _sample(
+    evaluate: Callable[..., np.ndarray],
+    target: np.ndarray,
+    grids: Sequence[np.ndarray],
+) -> None:
+    """Fill target with evaluate on the product grid of one coordinate
+    array per axis, in ij-meshgrid blocks of at most _BLOCK points made
+    of whole rows along the first axis.  The last block is freed on
+    return, before the comb takes its FFT."""
+    rows = max(1, _BLOCK // math.prod(len(g) for g in grids[1:]))
+    for lo in range(0, len(grids[0]), rows):
+        block = np.meshgrid(grids[0][lo : lo + rows], *grids[1:], indexing="ij")
+        target[lo : lo + rows] = evaluate(*block)
+
+
+# the even and the odd slots of a doubled axis
+_HALVES = (slice(0, None, 2), slice(1, None, 2))
+
+
 def _adaptive_comb(
     evaluate: Callable[..., np.ndarray],
     periods: Sequence[float],
@@ -104,19 +123,30 @@ def _adaptive_comb(
 
     evaluate takes one coordinate array per axis (an ij-meshgrid block of
     whole rows along the first axis) and returns G elementwise; it is
-    sampled on one period of each axis.  Every axis doubles its sample
-    count until the weights at |index| >= count / 4 on any axis sum
-    below _TAIL_TOL, within a budget of _MAX_SAMPLES per axis and
-    _MAX_TOTAL in all.
+    sampled on one period of each axis.  The comb stops once the weights
+    at |index| >= count / 4 on any axis sum below _TAIL_TOL.  Until then
+    it doubles the sample count of each axis whose own outer quarter
+    holds at least _TAIL_TOL / ndim (the union is at most the sum of
+    these, so some axis grows), within a budget of _MAX_SAMPLES per axis
+    and _MAX_TOTAL in all.
+
+    No point is evaluated twice: the previous grid fills the even slots
+    of the doubled axes and only the other cosets are evaluated, each a
+    strided product grid.  Sample k of m on a period p sits at p * k / m,
+    and p * 2k / 2m is the same float, so every sample is bit for bit
+    the one a from-scratch evaluation of the final grid would give.
     """
     counts = [_next_pow2(s) for s in starts]
+    grew = [False] * len(counts)
+    samples = None
     while max(counts) <= _MAX_SAMPLES and math.prod(counts) <= _MAX_TOTAL:
         axes = [p * np.arange(m) / m for p, m in zip(periods, counts)]
-        samples = np.empty(counts, dtype=complex)
-        rows = max(1, _BLOCK // math.prod(counts[1:]))
-        for lo in range(0, counts[0], rows):
-            block = np.meshgrid(axes[0][lo : lo + rows], *axes[1:], indexing="ij")
-            samples[lo : lo + rows] = evaluate(*block)
+        kept, samples = samples, np.empty(counts, dtype=complex)
+        cosets = itertools.product(*[_HALVES if g else (slice(None),) for g in grew])
+        if kept is not None:
+            samples[next(cosets)] = kept
+        for coset in cosets:
+            _sample(evaluate, samples[coset], [a[c] for a, c in zip(axes, coset)])
         coeff = np.fft.fftn(samples) / math.prod(counts)
         # lattice index of each FFT slot: 0..m/2-1, then -m/2..-1
         signed = [np.fft.fftfreq(m, 1.0 / m).astype(int) for m in counts]
@@ -124,7 +154,14 @@ def _adaptive_comb(
         outer = np.logical_or.reduce(np.meshgrid(*tails, indexing="ij"))
         if float(np.abs(coeff[outer]).sum()) < _TAIL_TOL:
             return signed, _validated_probs(coeff)
-        counts = [2 * m for m in counts]
+        mag = np.abs(coeff)
+        mass = np.array([
+            mag.sum(axis=tuple(b for b in range(mag.ndim) if b != a))[t].sum()
+            for a, t in enumerate(tails)
+        ])
+        # the largest mass always qualifies, and a NaN mass grows its axis
+        grew = (~(mass < min(_TAIL_TOL / mag.ndim, mass.max()))).tolist()
+        counts = [2 * m if g else m for m, g in zip(counts, grew)]
     raise InversionError(
         "comb weights did not decay within the sample budget; "
         "the distribution tail is too heavy for this lattice"
@@ -275,20 +312,6 @@ class CumulativeFit:
 
 def cumulative_and_fit(marginal: Sequence[tuple[float, float]]) -> CumulativeFit:
     return CumulativeFit(marginal)
-
-
-def compare_classical(
-    marginal: Sequence[tuple[float, float]],
-    classical_cdf: _Cdf,
-) -> float:
-    """Kolmogorov-Smirnov distance: step cumulative vs classical cumulative.
-
-    The classical comparison curve is the cumulative of
-    charfun.classical_work_pdf.  Any CDF is accepted that maps the sorted
-    work peaks to its values there, or to one scalar; it is called once.
-    """
-    fit = marginal if isinstance(marginal, CumulativeFit) else CumulativeFit(marginal)
-    return fit._sup_distance(classical_cdf)
 
 
 def _marginal_deviation(work, photons, other_work, other_photons, spacing) -> float:

@@ -14,6 +14,7 @@ import numpy as np
 from scipy import optimize, special
 
 from cavework.bessel import BesselKind
+from cavework.distributions import CumulativeFit
 from cavework.driving import DrivingProtocol, ResonanceCase, ResonanceKind
 from cavework.fock import JointDistribution
 
@@ -117,3 +118,42 @@ def charfun_numeric(dist: JointDistribution, u, v):
     u, v = np.asarray(u)[..., None], np.asarray(v)[..., None]
     g = (p * np.exp(1j * u * w + 1j * v * dn)).sum(axis=-1)
     return complex(g) if g.ndim == 0 else g
+
+
+def compare_classical(marginal, classical_cdf) -> float:
+    """Kolmogorov-Smirnov distance: step cumulative vs classical cumulative.
+
+    The classical comparison curve is the cumulative of
+    charfun.classical_work_pdf.  Any CDF is accepted that maps the sorted
+    work peaks to its values there, or to one scalar; it is called once.
+    A CumulativeFit is taken as it is, anything else as its marginal.
+    """
+    fit = marginal if isinstance(marginal, CumulativeFit) else CumulativeFit(marginal)
+    return fit._sup_distance(classical_cdf)
+
+
+def reference_comb(evaluate, periods, counts) -> np.ndarray:
+    """Complex Fourier weights of a comb with the given sample counts:
+    every sample of the grid evaluated from scratch in one call on its
+    full ij meshgrid, then one np.fft.fftn.  Sample k of m sits at
+    period * k / m, as in the inverter."""
+    axes = [p * np.arange(m) / m for p, m in zip(periods, counts)]
+    samples = evaluate(*np.meshgrid(*axes, indexing="ij"))
+    return np.fft.fftn(samples) / math.prod(counts)
+
+
+def outer_tail(coeff: np.ndarray) -> float:
+    """Summed |weight| at |index| >= count / 4 on any axis of an
+    FFT-ordered comb."""
+    tails = [np.abs(np.fft.fftfreq(m, 1.0 / m)) >= m // 4 for m in coeff.shape]
+    outer = np.logical_or.reduce(np.meshgrid(*tails, indexing="ij"))
+    return float(np.abs(coeff[outer]).sum())
+
+
+def joint_doubling_counts(evaluate, periods, starts, tol: float) -> list[int]:
+    """Final sample counts of a comb that doubles every axis together
+    until its outer tail is below tol."""
+    counts = list(starts)
+    while outer_tail(reference_comb(evaluate, periods, counts)) >= tol:
+        counts = [2 * m for m in counts]
+    return counts

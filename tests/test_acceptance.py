@@ -19,6 +19,7 @@ import pytest
 from conftest import (
     charfun_numeric,
     closed_protocol,
+    compare_classical,
     record_criterion,
     scipy_root_oracle,
     synthetic_case,
@@ -43,11 +44,7 @@ from cavework.charfun import (
     multi_resonance_product,
 )
 from cavework.cli import main as cli_main
-from cavework.distributions import (
-    WorkLattice,
-    compare_classical,
-    extract_marginal_work,
-)
+from cavework.distributions import WorkLattice, extract_marginal_work
 from cavework.driving import ResonanceKind, interaction_generator
 from cavework.charfun import classical_work_cdf
 from cavework.fock import (

@@ -16,7 +16,6 @@ from cavework.distributions import (
     WorkLattice,
     _adaptive_comb,
     _marginal_deviation,
-    compare_classical,
     cumulative_and_fit,
     cumulative_to_csv,
     extract_channel_marginals,
@@ -28,6 +27,7 @@ from cavework.distributions import (
 )
 from cavework.driving import ResonanceKind
 from cavework.errors import InversionError
+from conftest import compare_classical, outer_tail, reference_comb
 
 DOF = ResonanceKind.DOUBLE
 SUF = ResonanceKind.SUM
@@ -140,26 +140,29 @@ def test_non_decaying_comb_stops_at_the_sample_budget():
         calls += np.size(x[0])
         return np.where(np.logical_and.reduce([xi == 0.0 for xi in x]), 1.0, 0.0)
 
+    # every level keeps its samples, so the comb evaluates each point of
+    # its last grid within the budget once
     with pytest.raises(InversionError, match="sample budget"):
         _adaptive_comb(spike, (1.0,), (8,))
-    assert calls == sum(2**k for k in range(3, 17))  # 8 .. 2^16 samples
+    assert calls == 2**16
     calls = 0
     with pytest.raises(InversionError, match="sample budget"):
         _adaptive_comb(spike, (1.0, 2.0 * math.pi), (64, 64))
-    assert calls == sum(4**k for k in range(6, 11))  # 64^2 .. 1024^2 samples
+    assert calls == 1024**2
 
 
 def test_joint_inversion_resolves_every_axis():
     # one peak at index 40 on one axis: 64 and 128 samples put it in the
-    # outer quarter of that axis, 256 resolve it
-    for g, peak in [
-        (lambda u, v: np.exp(40j * u), (40, 0)),
-        (lambda u, v: np.exp(40j * v), (0, 40)),
+    # outer quarter of that axis, 256 resolve it; the other axis holds
+    # no tail mass and stays at 64
+    for g, peak, shape in [
+        (lambda u, v: np.exp(40j * u), (40, 0), (256, 64)),
+        (lambda u, v: np.exp(40j * v), (0, 40), (64, 256)),
     ]:
         (su, sv), probs = _adaptive_comb(
             g, (2.0 * math.pi, 2.0 * math.pi), (64, 64)
         )
-        assert probs.shape == (256, 256)
+        assert probs.shape == shape
         iu, iv = np.nonzero(probs > 0.5)
         assert list(zip(su[iu].tolist(), sv[iv].tolist())) == [peak]
 
@@ -182,14 +185,58 @@ def test_comb_weights_do_not_depend_on_the_block_size(monkeypatch):
         )
 
     (su, sv), want = joint()
-    # the 256 x 256 grid spans four blocks of the default size
-    assert want.shape == (256, 256) and want.size > distributions._BLOCK
-    # one row per block, and the whole grid at once
+    # the 128 x 256 grid is larger than one block of the default size
+    assert want.shape == (128, 256) and want.size > distributions._BLOCK
+    # one row per block, and each coset of new samples at once
     for block in (1, 1 << 20):
         monkeypatch.setattr(distributions, "_BLOCK", block)
         (su_b, sv_b), got = joint()
         assert np.array_equal(su_b, su) and np.array_equal(sv_b, sv)
         assert np.array_equal(got, want)
+
+
+def _closed_combs(kind):
+    """(evaluate, periods, starts) of the work, photon and joint combs of
+    one closed channel strong enough that each grows from 8 samples."""
+    params = params_for(kind, beta=0.4, g_tau=0.4)
+    period = 2.0 * math.pi / distributions._drive_quantum(params)
+    joint = functools.partial(closed_form, params)
+    return [
+        (lambda u: closed_form(params, u, 0.0), (period,), (8,)),
+        (lambda v: closed_form(params, 0.0, v), (2.0 * math.pi,), (8,)),
+        (joint, (period, 2.0 * math.pi), (8, 8)),
+        (joint, (period, 2.0 * math.pi), (64, 64)),
+    ]
+
+
+@pytest.mark.parametrize("kind", [DOF, SUF, DIF])
+def test_comb_weights_equal_a_from_scratch_fft_of_the_final_grid(kind):
+    # the kept samples are bit for bit the ones a fresh evaluation of the
+    # final grid gives, so the weights are too
+    for evaluate, periods, starts in _closed_combs(kind):
+        signed, probs = _adaptive_comb(evaluate, periods, starts)
+        assert [len(s) for s in signed] == list(probs.shape)
+        coeff = reference_comb(evaluate, periods, probs.shape)
+        assert np.array_equal(probs, np.clip(coeff.real, 0.0, None)), starts
+        assert outer_tail(coeff) < distributions._TAIL_TOL
+    # the work comb grows, the photon comb of the beam splitter does not
+    assert probs.shape[0] > 64
+    assert (probs.shape[1] == 64) == (kind is DIF)
+
+
+@pytest.mark.parametrize("kind", [DOF, SUF, DIF])
+def test_comb_evaluates_each_point_once(kind):
+    for evaluate, periods, starts in _closed_combs(kind):
+        points = []
+
+        def recorded(*x):
+            points.append(np.stack([np.ravel(a) for a in x], axis=-1))
+            return evaluate(*x)
+
+        _, probs = _adaptive_comb(recorded, periods, starts)
+        points = np.concatenate(points)
+        assert len(points) == probs.size, starts
+        assert len(np.unique(points, axis=0)) == len(points), starts
 
 
 def params_for(variant, beta, g_tau, wk=2.0, wp=1.0):
@@ -355,33 +402,25 @@ def test_verify_inverts_the_joint_law_once(monkeypatch):
     assert joint_calls == []
 
 
-def test_verify_tracks_each_single_mode_phase_once(monkeypatch):
-    # the joint comb and the Crooks grid repeat z = hbar omega_k u + v
-    # across rows, and the single-mode root is tracked once per distinct z
+def test_verify_tracks_no_single_mode_root(monkeypatch):
+    # every point verify evaluates on a closed single mode has its phase
+    # z = hbar omega_k u + v on the strip 0 <= Im z <= beta hbar omega_k,
+    # where the principal root is the branch; a point below it is tracked
     received = []
-    sampled = []
     tracker = charfun.tracked_sqrt
-    comb = distributions._adaptive_comb
 
     def recorded(radicand, points, steps, anchor_tol):
-        z = np.ravel(points[0])
-        assert np.unique(z).size == z.size
-        received.append(z.size)
+        received.append(np.ravel(points[0]).copy())
         return tracker(radicand, points, steps, anchor_tol)
 
-    def counted(evaluate, periods, starts):
-        def ev(*axes):
-            sampled.append(np.broadcast(*axes).size)
-            return evaluate(*axes)
-
-        return comb(ev, periods, starts)
-
     monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
-    monkeypatch.setattr(distributions, "_adaptive_comb", counted)
-    grid = 64
-    rep = verify_fluctuation_theorems(params_for(DOF, 0.5, 0.1, wk=1.0), grid=grid)
-    assert rep.worst() < 1e-10
-    assert 5 * sum(received) < sum(sampled) + 2 * grid * grid
+    params = params_for(DOF, 0.5, 0.1, wk=1.0)
+    rep = verify_fluctuation_theorems(params, grid=64)
+    assert rep.worst() < 1e-10 and rep.crooks_peakwise_error < 1e-8
+    assert received == []
+    closed_form(params, np.array([0.3, 0.3 - 0.05j]), 0.2)
+    [z] = received
+    assert z.tolist() == [0.5 - 0.05j]
 
 
 def test_perturbation_control_breaks_the_identities():

@@ -46,7 +46,6 @@ from cavework.charfun import (  # noqa: E402
 from cavework.distributions import (  # noqa: E402
     CumulativeFit,
     WorkLattice,
-    compare_classical,
     verify_fluctuation_theorems,
 )
 from cavework.driving import (  # noqa: E402
@@ -72,7 +71,15 @@ from cavework.symplectic import (  # noqa: E402
     tracked_sqrt,
 )
 from classifier_oracle import classify_reference  # noqa: E402
-from conftest import charfun_numeric, closed_protocol, synthetic_case  # noqa: E402
+from conftest import (  # noqa: E402
+    charfun_numeric,
+    closed_protocol,
+    compare_classical,
+    joint_doubling_counts,
+    outer_tail,
+    reference_comb,
+    synthetic_case,
+)
 from spectrum_oracle import ScalarRoots, per_mode_spectrum  # noqa: E402
 from test_distributions import _reference_ks  # noqa: E402
 
@@ -134,6 +141,29 @@ def test_joint_weights_sum_to_the_work_weights(params):
     direct = dict(zip(signed.tolist(), work.tolist()))
     for m in summed.keys() | direct.keys():
         assert abs(summed.get(m, 0.0) - direct.get(m, 0.0)) <= 1e-14, m
+
+
+@PROPERTY
+@given(closed_params())
+# the double_res reference: joint doubling ends at 512 x 512, the photon
+# axis alone needs 512 since delta_n = 2m
+@example(
+    CharfunParams(
+        variant=ResonanceKind.DOUBLE, beta=0.2 / 4.44, omega_k=(4.44, 4.44), g_tau=0.3
+    )
+)
+def test_joint_comb_grows_only_the_axes_that_need_it(params):
+    spacing = distributions._drive_quantum(params)
+    evaluate = functools.partial(closed_form, params)
+    periods, starts = (2.0 * math.pi / spacing, 2.0 * math.pi), (64, 64)
+    _, joint = distributions._adaptive_comb(evaluate, periods, starts)
+    tol = distributions._TAIL_TOL
+    jointly = joint_doubling_counts(evaluate, periods, starts, tol)
+    assert all(m <= j for m, j in zip(joint.shape, jointly)), (joint.shape, jointly)
+    if params.variant is ResonanceKind.DIFFERENCE:
+        # the beam splitter keeps the photon number: all weight at delta_n = 0
+        assert joint.shape[1] == 64
+    assert outer_tail(reference_comb(evaluate, periods, joint.shape)) < tol
 
 
 @settings(PROPERTY, max_examples=40)  # a few ms per example
