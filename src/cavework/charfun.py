@@ -40,7 +40,6 @@ __all__ = [
     "GeneralCharfun",
     "adiabatic_mode_factor",
     "classical_alphas",
-    "classical_charfun",
     "classical_work_cdf",
     "classical_work_pdf",
     "closed_form",
@@ -150,6 +149,38 @@ def _points(u, v) -> list[np.ndarray]:
     )
 
 
+def _real_points(u, v) -> list[np.ndarray] | None:
+    """u and v as float arrays of their common broadcast shape, or None
+    if either is complex."""
+    u, v = np.asarray(u), np.asarray(v)
+    if np.iscomplexobj(u) or np.iscomplexobj(v):
+        return None
+    return np.broadcast_arrays(u.astype(float), v.astype(float))
+
+
+# csin forms sin(x + iy) as (sin x cosh y, cos x sinh y) while |y| <= 709;
+# past that it scales its exponentials, and math.cosh soon overflows
+_CSIN_PLAIN = 709.0
+
+
+def _real_sines(x: np.ndarray, a: float, c0: float, amp: float):
+    """c0 + sin(x) sin(x - ia) amp at real x as the complex evaluation
+    forms it, or None for a non-finite phase or a shift past _CSIN_PLAIN.
+
+    csin forms both sines from one sin and cos of x, and every cross term
+    of the complex products is an exact zero, so each value keeps its
+    bits; only a zero imaginary part may differ in sign, which neither
+    the square root nor the division into G passes on.
+    """
+    if not (abs(a) <= _CSIN_PLAIN and np.isfinite(x).all()):
+        return None
+    s, c = np.sin(x), np.cos(x)
+    out = np.empty(x.shape, dtype=complex)
+    out.real = c0 + s * (s * math.cosh(-a)) * amp
+    out.imag = s * (c * math.sinh(-a)) * amp
+    return out
+
+
 def _result(g: np.ndarray):
     """A Python complex for a single point, else the array."""
     return complex(g) if g.ndim == 0 else g
@@ -159,8 +190,13 @@ def closed_form(params: CharfunParams, u, v):
     """G(u, v) for a boundary that returns to its starting position.
 
     u and v broadcast against each other; scalar input returns a Python
-    complex.  The single-mode form takes the principal square root on the
-    strip 0 <= Im z <= beta hbar omega_k of its phase z = hbar omega_k u + v,
+    complex.  Every form is a constant plus sin(x) sin(x - ia) times the
+    drive, with x real on the real axis: there the two sines come from
+    one real sin and cos of x (_real_sines), bit for bit the complex
+    evaluation, which stays for complex or non-finite input.
+
+    The single-mode form takes the principal square root on the strip
+    0 <= Im z <= beta hbar omega_k of its phase z = hbar omega_k u + v,
     which holds every point the package evaluates: real (u, v), u = i beta
     and u + i beta.  Only points off the strip track their root by
     tracked_sqrt.
@@ -171,11 +207,17 @@ def closed_form(params: CharfunParams, u, v):
         )
     beta, hb = params.beta, params.hbar
     xk = hb * params.omega_k[0]
-    u, v = _points(u, v)
+    real = _real_points(u, v)
     if params.variant is ResonanceKind.DOUBLE:
         sk = _sinh_half(beta, xk)
         amp = math.sinh(params.g_tau) ** 2
         bx = beta * xk
+        if real is not None:
+            u, v = real
+            rad1 = _real_sines((u * xk + v).ravel(), bx, sk * sk, amp)
+            if rad1 is not None:
+                return _result((sk / np.sqrt(rad1)).reshape(u.shape))
+        u, v = _points(u, v)
 
         def rad(s: float, z: np.ndarray) -> np.ndarray:
             return sk * sk + np.sin(s * z) * np.sin(s * z - 1j * bx * s) * amp
@@ -197,12 +239,21 @@ def closed_form(params: CharfunParams, u, v):
     if params.variant is ResonanceKind.SUM:
         half = (xk + xp) / 2.0
         amp = math.sinh(params.g_tau) ** 2
+    else:
+        half = (xk - xp) / 2.0
+        amp = math.sin(params.g_tau) ** 2
+    if real is not None:
+        u, v = real
+        x = u * half + v if params.variant is ResonanceKind.SUM else u * half
+        den = _real_sines(x, beta * half, sksp, amp)
+        if den is not None:
+            return _result(sksp / den)
+    u, v = _points(u, v)
+    if params.variant is ResonanceKind.SUM:
         den = sksp + np.sin(u * half + v) * np.sin(
             (u - 1j * beta) * half + v
         ) * amp
     else:
-        half = (xk - xp) / 2.0
-        amp = math.sin(params.g_tau) ** 2
         den = sksp + np.sin(u * half) * np.sin((u - 1j * beta) * half) * amp
     return _result(sksp / den)
 
@@ -227,6 +278,40 @@ def grand_potential_diff(pairs: Sequence, beta: float, hbar: float = 1.0) -> flo
     return total / beta
 
 
+def _principal_open_double(
+    u: np.ndarray, v: np.ndarray, beta: float, x0: float, x1: float, amp: float
+) -> np.ndarray:
+    """Where the principal root of the open single-mode radicand is the
+    branch tracked from s = 0.
+
+    With dx = x1 - x0, the radicand along the path is
+    rad(s) = sinh^2(W) + sin(P) sin(Q) A, where W = (beta x0 - i s u dx)/2,
+    P = s(u x1 + v), Q = s(u x0 + v) - i s beta x0 and A = sinh^2(g tau).
+    Take Im v = 0, 0 <= Im u <= beta and phi = s Re(u) dx with cos phi >= 0.
+    Then Re sinh^2(W) = [cosh(beta x0 + s Im(u) dx) cos phi - 1] / 2, whose
+    cosh is at least K = cosh(beta min(x0, x1)).  Im P >= 0 >= Im Q, so
+    |Im(P + Q)| <= Im(P - Q) <= beta max(x0, x1), and with
+    sin P sin Q = [cos(P - Q) - cos(P + Q)] / 2 and Re(P - Q) = phi,
+    Re sin P sin Q >= cosh(Im(P - Q)) (cos phi - 1) / 2
+    >= C (cos phi - 1) / 2, C = cosh(beta max(x0, x1)).  Together
+    Re rad(s) >= [(K + A C) cos phi - (1 + A C)] / 2.  For
+    |Re(u) dx| <= pi, cos phi is least at s = 1, so the radicand keeps a
+    positive real part on the whole path when
+    cos(Re(u) dx) > (1 + A C) / (K + A C); the margin covers rounding of
+    the phases, which grows with |Re u| and |v|.  A NaN fails every test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ac = amp * np.cosh(beta * max(x0, x1))
+        # NaN past cosh's overflow, which certifies no point
+        ratio = (1.0 + ac) / (np.cosh(beta * min(x0, x1)) + ac)
+    phi = u.real * (x1 - x0)
+    ok = (v.imag == 0.0) & (u.imag >= 0.0) & (u.imag <= beta)
+    ok &= np.abs(phi) <= math.pi
+    margin = 1e-9 * (1.0 + np.abs(u.real[ok]) * max(x0, x1) + np.abs(v.real[ok]))
+    ok[ok] = np.cos(phi[ok]) > ratio + margin
+    return ok
+
+
 def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
     """Open-endpoint G(u, v); returns (g_bar, g) with g = g_bar e^{i u dPhi}.
 
@@ -236,7 +321,10 @@ def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
     sin^2 of the coupling, evaluated at endpoint frequencies as written.
     Reduces to closed_form when the endpoints coincide and to the
     product of adiabatic_mode_factor values when the coupling vanishes.
-    u and v broadcast as in closed_form.
+    u and v broadcast as in closed_form.  The single-mode form takes the
+    principal square root wherever _principal_open_double certifies it,
+    which covers every point verify evaluates, and tracks the rest by
+    tracked_sqrt.
     """
     beta, hb = params.beta, params.hbar
     u, v = _points(u, v)
@@ -256,8 +344,15 @@ def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
                 s * (u * xk0 + v) - 1j * s * beta * xk0
             ) * amp
 
-        root = tracked_sqrt(rad, (u, v), steps=16, anchor_tol=1e-12)
-        g = np.exp(-1j * u * dxk / 2.0) * sk / root
+        # flat, as the tracker evaluates its points
+        uf, vf = u.ravel(), v.ravel()
+        root = np.sqrt(rad(1.0, uf, vf))
+        off = ~_principal_open_double(uf, vf, beta, xk0, xk1, amp)
+        if off.any():
+            root[off] = tracked_sqrt(
+                rad, (uf[off], vf[off]), steps=16, anchor_tol=1e-12
+            )
+        g = np.exp(-1j * u * dxk / 2.0) * sk / root.reshape(u.shape)
         dphi = grand_potential_diff([params.omega_k], beta, hb)
         return GeneralCharfun(_result(g * np.exp(-1j * u * dphi)), _result(g))
 
@@ -347,26 +442,6 @@ def _classical_amp(variant: ResonanceKind, g_tau: float) -> float:
     if variant is ResonanceKind.DIFFERENCE:
         return math.sin(g_tau) ** 2
     return math.sinh(g_tau) ** 2
-
-
-def classical_charfun(
-    variant: ResonanceKind, r: float | None, g_tau: float, u_tilde
-):
-    """hbar -> 0 limit of the characteristic function, u_tilde = u/beta.
-
-    u_tilde may be an array; scalar input returns a Python complex.
-    """
-    c = _classical_ratio_coeff(variant, r)
-    ut = np.asarray(u_tilde, dtype=complex)
-    amp = _classical_amp(variant, g_tau)
-    if variant is ResonanceKind.DOUBLE:
-        return _result(1.0 / tracked_sqrt(
-            lambda s, ut: 1.0 + c * ((s * ut) ** 2 - 1j * s * ut) * amp,
-            (ut,),
-            steps=16,
-            anchor_tol=1e-12,
-        ))
-    return _result(1.0 / (1.0 + c * (ut * ut - 1j * ut) * amp))
 
 
 def classical_alphas(

@@ -10,9 +10,10 @@ The square root's branch is the delicate part.  Thermal-weighted traces
 are fixed by a reference eigenvalue pairing; characteristic-function
 evaluations are fixed by homotopy from (u, v) = (0, 0), where the
 normalized value is exactly 1.  That homotopy is tracked_sqrt; it tracks
-a whole array of evaluation points at once.  The open-endpoint closed
-forms in charfun use it too, but the single-mode closed form needs it
-only off the strip where its principal root is provably the branch.
+a whole array of evaluation points at once.  The single-mode closed forms
+in charfun need it only at points where no bound proves their principal
+root to be the branch: off a strip of the phase for closed endpoints, and
+outside a certificate on Re u for open ones.
 
 Scalar prefactors (the 1/2-shifts of normal ordering) are never folded
 into the matrices.  In the characteristic-function ratio they cancel
@@ -172,8 +173,8 @@ def tracked_sqrt(
     drops out of the pass and is re-run from s = 0 at twice the steps,
     up to 64 times the starting count.  A pass ends as soon as all of its
     points have dropped out, so a batch costs what its points cost one
-    by one.  The single-mode closed form calls it only for points off
-    the strip where the principal root is certified.
+    by one.  The single-mode closed forms call it only for points where
+    the principal root is not certified to be the branch.
     """
     pts = np.broadcast_arrays(*map(np.asarray, points))
     shape = pts[0].shape

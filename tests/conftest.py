@@ -13,6 +13,7 @@ import math
 import numpy as np
 from scipy import optimize, special
 
+from cavework import charfun, symplectic
 from cavework.bessel import BesselKind
 from cavework.distributions import CumulativeFit
 from cavework.driving import DrivingProtocol, ResonanceCase, ResonanceKind
@@ -39,6 +40,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def same_bits(a, b) -> bool:
+    """Whether two float or complex arrays (or scalars) agree in shape,
+    dtype and every bit, the signs of zeros included, which
+    np.array_equal cannot tell apart."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype
+        and np.array_equal(
+            np.ascontiguousarray(a).view(np.uint64),
+            np.ascontiguousarray(b).view(np.uint64),
+        )
+    )
 
 
 def scipy_root_oracle(kind: BesselKind, order: int, index: int) -> float:
@@ -117,6 +133,28 @@ def charfun_numeric(dist: JointDistribution, u, v):
     w, dn, p = np.array(dist.peaks, dtype=float).reshape(-1, 3).T
     u, v = np.asarray(u)[..., None], np.asarray(v)[..., None]
     g = (p * np.exp(1j * u * w + 1j * v * dn)).sum(axis=-1)
+    return complex(g) if g.ndim == 0 else g
+
+
+def classical_charfun(variant: ResonanceKind, r: float | None, g_tau: float, u_tilde):
+    """hbar -> 0 limit of the characteristic function, u_tilde = u/beta.
+
+    u_tilde may be an array; scalar input returns a Python complex.  The
+    single-mode root is tracked by symplectic.tracked_sqrt, looked up at
+    each call so that a test may wrap it.
+    """
+    c = charfun._classical_ratio_coeff(variant, r)
+    ut = np.asarray(u_tilde, dtype=complex)
+    amp = charfun._classical_amp(variant, g_tau)
+    if variant is ResonanceKind.DOUBLE:
+        g = 1.0 / symplectic.tracked_sqrt(
+            lambda s, ut: 1.0 + c * ((s * ut) ** 2 - 1j * s * ut) * amp,
+            (ut,),
+            steps=16,
+            anchor_tol=1e-12,
+        )
+    else:
+        g = 1.0 / (1.0 + c * (ut * ut - 1j * ut) * amp)
     return complex(g) if g.ndim == 0 else g
 
 

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cavework import charfun, cli, symplectic
+from cavework import charfun, cli, distributions, symplectic
 from cavework.charfun import (
     CharfunParams,
     adiabatic_mode_factor,
-    classical_charfun,
     classical_work_cdf,
     classical_work_pdf,
     closed_form,
@@ -28,9 +27,13 @@ from cavework.distributions import (
     verify_fluctuation_theorems,
 )
 from cavework.driving import ResonanceKind, interaction_generator
-from cavework.errors import CoupledResonanceError, DegenerateResonanceError
+from cavework.errors import (
+    BranchTrackingError,
+    CoupledResonanceError,
+    DegenerateResonanceError,
+)
 from cavework.symplectic import charfun_from_generator
-from conftest import synthetic_case
+from conftest import classical_charfun, same_bits, synthetic_case
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -395,7 +398,88 @@ def test_single_mode_root_is_tracked_only_off_the_strip(monkeypatch):
         [closed_form(params, a, b) for a, b in zip(u.tolist(), v.tolist())]
     )
     # every bit, the signs of zeros included
-    assert np.array_equal(batch.view(np.uint64), pointwise.view(np.uint64))
+    assert same_bits(batch, pointwise)
+
+
+@pytest.mark.parametrize("name", ["double_res", "sum_res", "diff_res"])
+def test_real_points_keep_the_bits_of_the_complex_evaluation(name, monkeypatch):
+    # every real (u, v) that verify and moments evaluate on a reference
+    # config, the final comb grids included, takes the real-axis sines;
+    # the same values passed as complex take the complex ones
+    cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
+    params = cli._single_channel(cfg, "verify")
+    g = charfun._g
+    checked = []
+
+    def both(p, u, v):
+        got = g(p, u, v)
+        if not (np.iscomplexobj(u) or np.iscomplexobj(v)):
+            want = g(p, np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+            assert same_bits(got, want)
+            checked.append(np.size(got))
+        return got
+
+    monkeypatch.setattr(charfun, "_g", both)
+    monkeypatch.setattr(distributions, "_g", both)
+    verify_fluctuation_theorems(params)
+    moments(params)
+    # the joint comb alone holds at least 64 x 64 points
+    assert sum(checked) > 64 * 64
+
+
+def test_nan_phase_still_reaches_the_tracker(monkeypatch):
+    seen = []
+    tracker = symplectic.tracked_sqrt
+
+    def recorded(radicand, points, steps, anchor_tol):
+        seen.append(np.ravel(points[0]).copy())
+        return tracker(radicand, points, steps, anchor_tol)
+
+    monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
+    params = make_params(DOF)
+    with pytest.raises(BranchTrackingError):
+        closed_form(params, np.array([0.3, math.nan]), 0.1)
+    [received] = seen
+    assert received.size == 1 and np.isnan(received[0])
+
+
+def test_verify_tracks_no_open_endpoint_root(monkeypatch):
+    seen = []
+    tracker = symplectic.tracked_sqrt
+
+    def recorded(radicand, points, steps, anchor_tol):
+        seen.append([np.ravel(p).copy() for p in points])
+        return tracker(radicand, points, steps, anchor_tol)
+
+    monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
+    cfg = cli.load_config(str(CONFIGS / "open_endpoints.cfg"))
+    with pytest.warns(UserWarning):  # its epsilon of 0.12 strains the expansion
+        reference = cli._single_channel(cfg, "verify")
+    assert reference.variant is DOF and not reference.is_closed
+    records = [
+        reference,
+        # the benchmark's inverse-temperature copies scale beta by 1.06-1.09
+        dataclasses.replace(reference, beta=1.06 * reference.beta),
+        dataclasses.replace(reference, beta=1.09 * reference.beta),
+        CharfunParams(variant=DOF, beta=0.8, omega_k=(1.0, 1.1), g_tau=0.2),
+    ]
+    for params in records:
+        verify_fluctuation_theorems(params)
+    assert not seen
+
+    # off the certificate: Im u below 0 or above beta, |Re u dx| past pi,
+    # a complex v; each is tracked, with exactly its coordinates
+    params = records[-1]
+    beta, dx = params.beta, params.omega_k[1] - params.omega_k[0]
+    u = np.array(
+        [0.3, 0.3 + 1j * beta, 0.3 - 0.1j, 0.3 + 1.1j * beta, 1.1 * math.pi / dx, 0.3]
+    )
+    v = np.array([0.2, 0.2, 0.2, 0.2, 0.2, 0.2 + 0.1j])
+    batch = closed_form_general(params, u, v).g
+    [(got_u, got_v)] = seen
+    assert same_bits(got_u, u[2:]) and same_bits(got_v, v[2:])
+    pointwise = [closed_form_general(params, a, b).g for a, b in zip(u, v)]
+    assert same_bits(batch, np.array(pointwise))
 
 
 def test_params_validation():

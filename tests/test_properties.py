@@ -26,7 +26,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cavework import bessel, distributions  # noqa: E402
+from cavework import bessel, charfun, distributions  # noqa: E402
 from cavework.bessel import BesselKind, bessel_zero, clear_root_cache, root_table  # noqa: E402
 from cavework.cavity import (  # noqa: E402
     CylindricalGeometry,
@@ -41,6 +41,7 @@ from cavework.charfun import (  # noqa: E402
     CharfunParams,
     classical_work_cdf,
     closed_form,
+    closed_form_general,
     multi_resonance_product,
 )
 from cavework.distributions import (  # noqa: E402
@@ -78,6 +79,7 @@ from conftest import (  # noqa: E402
     joint_doubling_counts,
     outer_tail,
     reference_comb,
+    same_bits,
     synthetic_case,
 )
 from spectrum_oracle import ScalarRoots, per_mode_spectrum  # noqa: E402
@@ -295,8 +297,145 @@ def test_principal_root_is_the_tracked_root_on_the_strip(params, points):
             # the principal root is right where continuation gives up
             assert np.isfinite(g) and (sk / g).real > 0.0
             continue
-        got, want = np.array([g, want]).view(np.uint64).reshape(2, 2)
-        assert np.array_equal(got, want)  # every bit
+        assert same_bits(g, want)
+
+
+@st.composite
+def closed_records(draw) -> CharfunParams:
+    """A closed record of any kind over wide ranges, the second mode
+    clear of the degenerate difference resonance, hbar = 1 or not."""
+    kind = draw(st.sampled_from(list(ResonanceKind)))
+    wk = draw(st.floats(0.1, 5.0))
+    wp = None
+    if kind is not ResonanceKind.DOUBLE:
+        wp = wk * draw(st.floats(0.1, 0.9) | st.floats(1.1, 3.0))
+    return CharfunParams(
+        variant=kind,
+        beta=draw(st.floats(0.02, 5.0)),
+        omega_k=(wk, wk),
+        omega_p=None if wp is None else (wp, wp),
+        g_tau=draw(st.floats(0.0, 3.0)),
+        hbar=draw(st.sampled_from([1.0, None])) or draw(st.floats(0.2, 3.0)),
+    )
+
+
+REAL = (
+    st.sampled_from([0.0, -0.0])
+    | st.floats(-20.0, 20.0)
+    | st.floats(-1e12, 1e12)
+    | st.floats(-1e-300, 1e-300)
+)
+
+
+@settings(PROPERTY, max_examples=60)  # milliseconds per example
+@given(closed_records(), st.lists(st.tuples(REAL, REAL), min_size=1, max_size=8))
+# a shift beta hbar omega_k past 709, where csin rescales
+@example(CharfunParams(ResonanceKind.DOUBLE, 709.5, (1.0, 1.0), 0.3), [(0.3, 0.1)])
+def test_real_axis_sines_are_the_complex_evaluation(params, points):
+    u, v = np.array(points).T
+    batch = closed_form(params, u, v)
+    assert same_bits(batch, closed_form(params, u.astype(complex), v.astype(complex)))
+    for (a, b), g in zip(points, batch):
+        single = closed_form(params, a, b)
+        assert type(single) is complex
+        assert same_bits(single, closed_form(params, complex(a), complex(b)))
+        assert same_bits(single, g)
+
+
+def open_double_radicand(params: CharfunParams):
+    """The radicand of closed_form_general's single-mode form, op for op,
+    with the bound that certifies its principal root."""
+    beta = params.beta
+    x0, x1 = (params.hbar * w for w in params.omega_k)
+    dx = x1 - x0
+    amp = math.sinh(params.g_tau) ** 2
+
+    def rad(s, u, v):
+        ak = np.sinh((beta * x0 - 1j * s * u * dx) / 2.0)
+        return ak * ak + np.sin(s * (u * x1 + v)) * np.sin(
+            s * (u * x0 + v) - 1j * s * beta * x0
+        ) * amp
+
+    k_min = math.cosh(beta * min(x0, x1))
+    ac = amp * math.cosh(beta * max(x0, x1))
+
+    def bound(phi):
+        return ((k_min + ac) * np.cos(phi) - (1.0 + ac)) / 2.0
+
+    return rad, bound, k_min + ac
+
+
+@st.composite
+def open_double_records(draw) -> CharfunParams:
+    """A single-mode record whose end frequency differs from its start."""
+    w = draw(st.floats(0.1, 5.0))
+    return CharfunParams(
+        variant=ResonanceKind.DOUBLE,
+        beta=draw(st.floats(0.02, 5.0)),
+        omega_k=(w, w * draw(st.floats(0.5, 0.95) | st.floats(1.05, 2.0))),
+        g_tau=draw(st.floats(0.0, 3.0)),
+        hbar=draw(st.sampled_from([1.0, None])) or draw(st.floats(0.2, 3.0)),
+    )
+
+
+# (Re u, where Im u lies, a fraction of beta, v, the path parameter s)
+OPEN_POINTS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0) | st.floats(-50.0, 50.0),
+        st.sampled_from(["zero", "negative zero", "interior", "upper edge", "below"]),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, -0.0]) | st.floats(-math.pi, math.pi),
+        st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(PROPERTY, max_examples=60)  # milliseconds per example
+@given(open_double_records(), OPEN_POINTS)
+@example(
+    CharfunParams(ResonanceKind.DOUBLE, 0.8, (1.0, 1.1), 0.2),
+    [(0.3, "zero", 0.0, 0.2, 0.7), (-2.0, "upper edge", 0.0, -1.0, 1.0)],
+)
+def test_open_double_principal_root_is_the_tracked_root(params, points):
+    beta = params.beta
+    x0, x1 = (params.hbar * w for w in params.omega_k)
+    u = np.array([
+        {
+            "zero": complex(re, 0.0),
+            "negative zero": complex(re, -0.0),
+            "interior": complex(re, beta * t),
+            "upper edge": re + 1j * beta,
+            "below": complex(re, -beta * t - 1e-3),
+        }[where]
+        for re, where, t, _, _ in points
+    ])
+    v = np.array([complex(p[3]) for p in points])
+    rad, bound, scale = open_double_radicand(params)
+    certified = charfun._principal_open_double(
+        u, v, beta, x0, x1, math.sinh(params.g_tau) ** 2
+    )
+    for a, b, (_, where, _, _, s) in zip(u, v, points):
+        phi = s * a.real * (x1 - x0)
+        if where == "below" or math.cos(phi) < 0.0:
+            continue  # outside the bound's hypotheses
+        got = rad(s, np.array([a]), np.array([b]))[0].real
+        slack = 1e-12 * scale * (1.0 + abs(a.real) * max(x0, x1) + abs(b))
+        assert got >= bound(phi) - slack
+    # the certified points alone, which the package does not track
+    g = closed_form_general(params, u[certified], v[certified]).g
+    sk = math.sinh(beta * x0 / 2.0)
+    for a, b, got in zip(u[certified], v[certified], g):
+        a, b = np.array([a]), np.array([b])
+        try:
+            root = tracked_sqrt(rad, (a, b), steps=16, anchor_tol=1e-12)
+        except BranchTrackingError:
+            # the principal root is right where continuation gives up
+            assert np.isfinite(got) and (sk / got).real > 0.0
+            continue
+        want = np.exp(-1j * a * (x1 - x0) / 2.0) * sk / root
+        assert same_bits(got, want[0])
 
 
 TAU = math.pi  # closed_protocol(2.0): two half periods of the drive
