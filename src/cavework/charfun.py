@@ -2,8 +2,8 @@
 
 Single-resonance results for a boundary returning to its starting
 position, their generalization to unequal endpoint positions, products
-over mode-disjoint resonances, adiabatic spectator factors, grand
-potentials, classical (hbar -> 0) limits, and work moments.
+over mode-disjoint resonances, grand potentials, classical (hbar -> 0)
+limits, and work moments.
 
 Energy bookkeeping: every frequency enters as x = hbar * omega, the
 grand potential omits zero-point terms, and work counts only quantum
@@ -12,7 +12,7 @@ defects of the naive transcription: the numerator must stay the plain
 thermal sinh(beta x0 / 2) (the u-dependent sinh belongs only under the
 root) and a phase prefactor exp(-i u dx / 2) per participating mode is
 required.  Both are forced by the driving-free limit, where the exact
-result is the geometric sum implemented in adiabatic_mode_factor, and
+result is, per mode, the geometric sum <e^{i u dx n}> at fixed n, and
 are confirmed against the truncated-Fock simulation to its truncation
 floor; the naive transcription misses by O(0.1) on the same grids while
 still (deceptively) satisfying the Jarzynski identity.
@@ -20,7 +20,6 @@ still (deceptively) satisfying the Jarzynski identity.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -38,10 +37,8 @@ from .symplectic import tracked_sqrt
 __all__ = [
     "CharfunParams",
     "GeneralCharfun",
-    "adiabatic_mode_factor",
     "classical_alphas",
     "classical_work_cdf",
-    "classical_work_pdf",
     "closed_form",
     "closed_form_general",
     "grand_potential_diff",
@@ -229,8 +226,8 @@ def closed_form(params: CharfunParams, u, v):
         # on the strip Re rad(s, z) >= sk^2 for every s in [0, 1], since
         # Re[sin w sin(w - ia)] = [cosh a - cos 2x cosh(2y - a)] / 2 >= 0
         # for 0 <= y <= a, so the principal root is the tracked branch;
-        # a NaN phase fails the test and goes to the tracker too
-        off = ~((z.imag >= 0.0) & (z.imag <= bx))
+        # a non-finite phase has no branch to track and gives NaN
+        off = np.isfinite(z) & ~((z.imag >= 0.0) & (z.imag <= bx))
         if off.any():
             root[off] = tracked_sqrt(rad, (z[off],), steps=16, anchor_tol=1e-12)
         return _result((sk / root).reshape(u.shape))
@@ -320,7 +317,7 @@ def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
     interaction term sin(u x_tau + v) sin((u - i beta) x0 + v) sinh^2 or
     sin^2 of the coupling, evaluated at endpoint frequencies as written.
     Reduces to closed_form when the endpoints coincide and to the
-    product of adiabatic_mode_factor values when the coupling vanishes.
+    product of per-mode <e^{i u dx n}> when the coupling vanishes.
     u and v broadcast as in closed_form.  The single-mode form takes the
     principal square root wherever _principal_open_double certifies it,
     which covers every point verify evaluates, and tracks the rest by
@@ -344,10 +341,12 @@ def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
                 s * (u * xk0 + v) - 1j * s * beta * xk0
             ) * amp
 
-        # flat, as the tracker evaluates its points
+        # flat, as the tracker evaluates its points; a non-finite point
+        # has no branch to track and gives NaN
         uf, vf = u.ravel(), v.ravel()
         root = np.sqrt(rad(1.0, uf, vf))
-        off = ~_principal_open_double(uf, vf, beta, xk0, xk1, amp)
+        off = np.isfinite(uf) & np.isfinite(vf)
+        off &= ~_principal_open_double(uf, vf, beta, xk0, xk1, amp)
         if off.any():
             root[off] = tracked_sqrt(
                 rad, (uf[off], vf[off]), steps=16, anchor_tol=1e-12
@@ -409,21 +408,6 @@ def multi_resonance_product(
     return out
 
 
-def adiabatic_mode_factor(
-    omega0: float, omega_tau: float, beta: float, u: complex, hbar: float = 1.0
-) -> complex:
-    """Thermal average of e^{i u dx n} for an occupation-preserving mode."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if omega_tau == omega0:
-        return 1.0 + 0.0j
-    x0 = hbar * omega0
-    dx = hbar * (omega_tau - omega0)
-    return (1.0 - math.exp(-beta * x0)) / (
-        1.0 - cmath.exp(-beta * x0 + 1j * complex(u) * dx)
-    )
-
-
 def _classical_ratio_coeff(variant: ResonanceKind, r: float | None) -> float:
     if variant is ResonanceKind.DOUBLE:
         return 4.0
@@ -458,21 +442,10 @@ def classical_alphas(
     return (beta / 2.0) * (1.0 - root), (beta / 2.0) * (1.0 + root)
 
 
-def classical_work_pdf(
-    variant: ResonanceKind, r: float, g_tau: float, beta: float, w
-):
-    """Two-sided exponential density of classical work (two-mode cases)."""
-    ap, am = classical_alphas(variant, r, g_tau, beta)
-    pref = ap * am / (ap - am)
-    w = np.asarray(w, dtype=float)
-    out = pref * np.where(w >= 0.0, np.exp(ap * w), np.exp(am * w))
-    return float(out) if out.ndim == 0 else out
-
-
 def classical_work_cdf(
     variant: ResonanceKind, r: float, g_tau: float, beta: float, w
 ):
-    """Cumulative of classical_work_pdf, exact piecewise exponentials."""
+    """Cumulative two-sided exponential of classical work (two-mode cases)."""
     ap, am = classical_alphas(variant, r, g_tau, beta)
     pref = ap * am / (ap - am)
     w = np.asarray(w, dtype=float)

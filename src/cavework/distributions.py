@@ -6,14 +6,16 @@ Fourier sum, not a quadrature: sampling G on one u-period and applying
 an FFT returns the peak weights directly.  Each axis doubles its
 number of samples, keeping the samples it has, until the outer half of
 the lattice carries negligible mass.  One N-dimensional inverter does
-this for P(w), P(delta_n) and their joint law.  Every characteristic
-function handed to it evaluates elementwise over coordinate arrays; the
-inverter samples it in blocks of at most _BLOCK points.
+this for P(w), P(delta_n) and joint laws; a single channel's joint law
+is P(w) on the line delta_n = per * m, so it needs no joint inversion.
+Every characteristic function handed to it evaluates elementwise over
+coordinate arrays; the inverter samples it in blocks of at most _BLOCK
+points.
 
 Also here: cumulative step functions with Gaussian fits and their
 Kolmogorov-Smirnov distance, and the fluctuation-theorem verifier that
 exercises the Jarzynski and Crooks identities through two independent
-routes each.
+routes each, from one 1-D inversion of the work law.
 """
 
 from __future__ import annotations
@@ -347,6 +349,8 @@ class VerificationReport:
     conditioning differs (the e^{beta |w|} tilt amplifies inversion
     roundoff; see jarzynski_direct_error).  None marks a route that does
     not apply (open endpoints have no single work lattice).
+    periodicity_max_error includes, for a closed protocol, the line
+    support that the peakwise check rests on.
     """
 
     jarzynski_lhs: float
@@ -392,9 +396,9 @@ def _reversed_params(params: CharfunParams) -> CharfunParams:
 
 
 def _direct_exponential_average(
-    signed: np.ndarray, probs: np.ndarray, spacing: float, beta: float
+    weights: dict[int, float], spacing: float, beta: float
 ) -> float:
-    """Sum p(w) e^{-beta w} over the inverted work weights, noise-aware.
+    """Sum p(w) e^{-beta w} over the inverted work weights {m: p}, noise-aware.
 
     The tilt amplifies the absolute roundoff of the Fourier weights by
     e^{beta |w|} on the negative-work side, so terms are accumulated
@@ -402,7 +406,6 @@ def _direct_exponential_average(
     decay; the result is exact to ~1e-12 for weak driving and degrades
     gracefully (never diverges) when the tilted tail outruns f64.
     """
-    weights = dict(zip(signed.tolist(), probs.tolist()))
     half = max(abs(m) for m in weights)
     total = weights[0]
     for m in range(1, half + 1):
@@ -422,22 +425,9 @@ def _direct_exponential_average(
 _NOISE_FLOOR = 3e-15
 
 
-def _joint_peaks(
-    charfun2: Callable[[np.ndarray, np.ndarray], np.ndarray], spacing: float
-) -> dict[tuple[int, int], float]:
-    """{(m, delta_n): weight} of the joint law above the peak floor,
-    with work w = m * spacing."""
-    (su, sv), probs = _adaptive_comb(
-        charfun2, (2.0 * math.pi / spacing, 2.0 * math.pi), (64, 64)
-    )
-    iu, iv = np.nonzero(probs > _PEAK_FLOOR)
-    return dict(zip(zip(su[iu].tolist(), sv[iv].tolist()), probs[iu, iv].tolist()))
-
-
 def verify_fluctuation_theorems(
     params: CharfunParams,
     grid: int = 64,
-    peakwise: bool = True,
     perturbation: float = 0.0,
 ) -> VerificationReport:
     """Check Jarzynski and Crooks identities; errors are data, not raises.
@@ -445,10 +435,12 @@ def verify_fluctuation_theorems(
     The reverse protocol is the endpoint-frequency interchange.
     Jarzynski runs through the characteristic function at u = i beta and
     (for a closed protocol) the direct sum over inverted peaks; Crooks
-    runs pointwise on a (u, v) grid and (closed, peakwise=True) on the
-    joint peak weights, each side required to be resolvable.  A closed
-    protocol is its own reverse, so the peakwise check inverts the joint
-    law once and pairs each peak (m, delta_n) with (-m, -delta_n).
+    runs pointwise on a (u, v) grid and (closed) peak by peak, each side
+    required to be resolvable.  A closed protocol is its own reverse and
+    a single channel's joint peaks sit at (m, per * m), so the peakwise
+    check pairs peak m of the direct sum's work weights with -m: one 1-D
+    inversion in all.  Line support, that G is constant along
+    hbar Omega u + per v, is checked with the periodicity points.
 
     perturbation adds a constant to every G evaluation: a negative
     control that must break normalization and Jarzynski.
@@ -468,15 +460,23 @@ def verify_fluctuation_theorems(
     norm_err = abs(ev(params, 0.0, 0.0) - 1.0)
     closed = params.is_closed
 
-    direct_err = None
+    direct_err = peak_err = None
     if closed:
         signed, probs = _work_weights(
             lambda u: ev(params, u, 0.0), WorkLattice(spacing)
         )
         total = sum(p for _, p in _floored_peaks(signed.tolist(), probs))
         norm_err = max(norm_err, abs(total - 1.0))
-        direct = _direct_exponential_average(signed, probs, spacing, beta)
-        direct_err = abs(direct - rhs)
+        weights = dict(zip(signed.tolist(), probs.tolist()))
+        direct_err = abs(_direct_exponential_average(weights, spacing, beta) - rhs)
+        # the endpoint swap is the identity on a closed protocol, P_R = P_F,
+        # and work peak m is the joint peak (m, per * m): pair it with -m
+        peak_err = 0.0
+        for m, p in weights.items():
+            q = weights.get(-m, 0.0)
+            if p >= 1e-8 and q >= 1e-8:
+                tilted = q * math.exp(beta * (m * spacing - dphi))
+                peak_err = max(peak_err, abs(p - tilted) / max(p, tilted))
 
     # Crooks on the grid: G_R(-u, -v) = G_F(u + i beta, v) e^{beta dPhi}
     period = 2.0 * math.pi / spacing
@@ -489,25 +489,16 @@ def verify_fluctuation_theorems(
     right = ev(params, u + 1j * beta, v) * math.exp(beta * dphi)
     crooks = float(np.abs(left - right).max())
 
-    peak_err = None
-    if closed and peakwise:
-        # the endpoint swap is the identity on a closed protocol: P_R = P_F
-        joint = _joint_peaks(lambda u, v: ev(params, u, v), spacing)
-        peak_err = 0.0
-        for (m, n), p in joint.items():
-            q = joint.get((-m, -n), 0.0)
-            if p < 1e-8 or q < 1e-8:
-                continue
-            expected = math.exp(beta * (m * spacing - dphi))
-            peak_err = max(peak_err, abs(p - q * expected) / max(p, q * expected))
-
-    # periodicity: the u-period is only meaningful for a closed protocol
+    # periodicity, and for a closed protocol the u-period and the line
     frac = np.array([0.21, 0.55])
     u0, v0 = frac * period, frac * 2.0 * math.pi
     base = ev(params, u0, v0)
     per_err = float(np.abs(ev(params, u0, v0 + 2.0 * math.pi) - base).max())
     if closed:
-        per_err = max(per_err, float(np.abs(ev(params, u0 + period, v0) - base).max()))
+        dv = 1.3  # along spacing * u + per * v = const
+        du = -_PHOTONS_PER_QUANTUM[params.variant] * dv / spacing
+        for su, sv in ((u0 + period, v0), (u0 + du, v0 + dv)):
+            per_err = max(per_err, float(np.abs(ev(params, su, sv) - base).max()))
 
     return VerificationReport(
         jarzynski_lhs=abs(lhs),

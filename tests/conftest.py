@@ -8,12 +8,13 @@ lands exactly on its starting position in floating point).
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 from scipy import optimize, special
 
-from cavework import charfun, symplectic
+from cavework import charfun, distributions, symplectic
 from cavework.bessel import BesselKind
 from cavework.distributions import CumulativeFit
 from cavework.driving import DrivingProtocol, ResonanceCase, ResonanceKind
@@ -158,11 +159,39 @@ def classical_charfun(variant: ResonanceKind, r: float | None, g_tau: float, u_t
     return complex(g) if g.ndim == 0 else g
 
 
+def adiabatic_mode_factor(
+    omega0: float, omega_tau: float, beta: float, u: complex, hbar: float = 1.0
+) -> complex:
+    """Thermal average of e^{i u dx n} for an occupation-preserving mode:
+    the driving-free limit of charfun.closed_form_general, per mode."""
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    if omega_tau == omega0:
+        return 1.0 + 0.0j
+    x0 = hbar * omega0
+    dx = hbar * (omega_tau - omega0)
+    return (1.0 - math.exp(-beta * x0)) / (
+        1.0 - cmath.exp(-beta * x0 + 1j * complex(u) * dx)
+    )
+
+
+def classical_work_pdf(
+    variant: ResonanceKind, r: float, g_tau: float, beta: float, w
+):
+    """Two-sided exponential density of classical work (two-mode cases),
+    whose cumulative is charfun.classical_work_cdf."""
+    ap, am = charfun.classical_alphas(variant, r, g_tau, beta)
+    pref = ap * am / (ap - am)
+    w = np.asarray(w, dtype=float)
+    out = pref * np.where(w >= 0.0, np.exp(ap * w), np.exp(am * w))
+    return float(out) if out.ndim == 0 else out
+
+
 def compare_classical(marginal, classical_cdf) -> float:
     """Kolmogorov-Smirnov distance: step cumulative vs classical cumulative.
 
     The classical comparison curve is the cumulative of
-    charfun.classical_work_pdf.  Any CDF is accepted that maps the sorted
+    classical_work_pdf.  Any CDF is accepted that maps the sorted
     work peaks to its values there, or to one scalar; it is called once.
     A CumulativeFit is taken as it is, anything else as its marginal.
     """
@@ -195,3 +224,15 @@ def joint_doubling_counts(evaluate, periods, starts, tol: float) -> list[int]:
     while outer_tail(reference_comb(evaluate, periods, counts)) >= tol:
         counts = [2 * m for m in counts]
     return counts
+
+
+def joint_peaks(evaluate, spacing: float):
+    """((m, delta_n) signed indices, weights) of a joint law by one 2-D
+    comb, with work w = m * spacing; evaluate is G(u, v) over arrays.
+
+    The reference for a single channel's joint law, which verify reads
+    off the 1-D work inversion on the line delta_n = per * m.
+    """
+    return distributions._adaptive_comb(
+        evaluate, (2.0 * math.pi / spacing, 2.0 * math.pi), (64, 64)
+    )

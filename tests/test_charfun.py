@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,7 @@ from scipy.integrate import quad
 from cavework import charfun, cli, distributions, symplectic
 from cavework.charfun import (
     CharfunParams,
-    adiabatic_mode_factor,
     classical_work_cdf,
-    classical_work_pdf,
     closed_form,
     closed_form_general,
     grand_potential_diff,
@@ -28,12 +27,17 @@ from cavework.distributions import (
 )
 from cavework.driving import ResonanceKind, interaction_generator
 from cavework.errors import (
-    BranchTrackingError,
     CoupledResonanceError,
     DegenerateResonanceError,
 )
 from cavework.symplectic import charfun_from_generator
-from conftest import classical_charfun, same_bits, synthetic_case
+from conftest import (
+    adiabatic_mode_factor,
+    classical_charfun,
+    classical_work_pdf,
+    same_bits,
+    synthetic_case,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -423,24 +427,44 @@ def test_real_points_keep_the_bits_of_the_complex_evaluation(name, monkeypatch):
     monkeypatch.setattr(distributions, "_g", both)
     verify_fluctuation_theorems(params)
     moments(params)
-    # the joint comb alone holds at least 64 x 64 points
+    # the Crooks grid alone supplies 64 x 64 real points (its reverse side)
     assert sum(checked) > 64 * 64
 
 
-def test_nan_phase_still_reaches_the_tracker(monkeypatch):
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["u", "v"])
+def test_non_finite_points_give_nan_without_tracking(bad, axis, monkeypatch):
+    # one contract for every form: a non-finite u or v gives NaN (numpy
+    # may warn), the finite points keep their values to roundoff (they
+    # may leave the real-axis sines), and the single-mode forms hand no
+    # such point to the branch tracker.  The exchange channel's G does
+    # not depend on v, so a non-finite v leaves it finite.
     seen = []
     tracker = symplectic.tracked_sqrt
 
     def recorded(radicand, points, steps, anchor_tol):
-        seen.append(np.ravel(points[0]).copy())
+        seen.append(points)
         return tracker(radicand, points, steps, anchor_tol)
 
     monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
-    params = make_params(DOF)
-    with pytest.raises(BranchTrackingError):
-        closed_form(params, np.array([0.3, math.nan]), 0.1)
-    [received] = seen
-    assert received.size == 1 and np.isnan(received[0])
+    for variant in (DOF, SUF, DIF):
+        closed, opened = make_params(variant), open_params(variant)
+        for form in (
+            lambda u, v: closed_form(closed, u, v),
+            lambda u, v: closed_form_general(opened, u, v).g,
+        ):
+            good = form(0.3, 0.1)
+            pair = np.array([0.3 if axis == "u" else 0.1, bad])
+            u, v = (pair, 0.1) if axis == "u" else (0.3, pair)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = form(u, v)
+            assert got[0] == pytest.approx(good, rel=1e-14)
+            if axis == "v" and variant is DIF:
+                assert got[1] == got[0]
+            else:
+                assert np.isnan(got[1])
+    assert seen == []
 
 
 def test_verify_tracks_no_open_endpoint_root(monkeypatch):

@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cavework import fock
+from cavework import cli, distributions, fock
 from cavework.cli import load_config, main, resolve_omega_drive
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -277,6 +278,33 @@ def test_verify_refuses_a_non_finite_perturbation(workdir, flag, capsys):
     assert exc.value.code == 2
     assert "not finite" in capsys.readouterr().err
     assert not (workdir / "out").exists()
+
+
+def test_verify_cumulative_sum_meets_every_gate(workdir, capsys):
+    # the hot two-mode squeezer's joint law once needed a 1024 x 2048 comb
+    # past the sample budget; verify now inverts only its work law
+    assert main(["verify", str(CONFIGS / "cumulative_sum.cfg")]) == 0
+    path = workdir / "out" / "cumulative_sum" / "cumulative_report.json"
+    report = json.loads(path.read_text())
+    assert report["jarzynski_abs_error"] <= cli._VERIFY_JARZYNSKI_TOL
+    assert report["crooks_max_error"] <= cli._VERIFY_CROOKS_TOL
+    assert report["periodicity_max_error"] <= cli._VERIFY_PERIODICITY_TOL
+    assert report["normalization_error"] <= cli._VERIFY_NORMALIZATION_TOL
+    assert report["crooks_peakwise_error"] <= 1e-8
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_fails_a_g_that_leaves_the_line(workdir, monkeypatch):
+    # a G that spreads delta_n off per * m but keeps both periods fails
+    # the periodicity gate through its line-support part
+    g = distributions._g
+    monkeypatch.setattr(
+        distributions, "_g",
+        lambda p, u, v: g(p, u, v) * (1.0 + 0.01 * (np.cos(v) - 1.0)),
+    )
+    assert main(["verify", str(CONFIGS / "double_res.cfg")]) == 1
+    report = json.loads((workdir / "out/double_res/double_report.json").read_text())
+    assert report["periodicity_max_error"] > cli._VERIFY_PERIODICITY_TOL
 
 
 def test_verify_open_endpoints_config(workdir):

@@ -27,7 +27,7 @@ from cavework.distributions import (
 )
 from cavework.driving import ResonanceKind
 from cavework.errors import InversionError
-from conftest import compare_classical, outer_tail, reference_comb
+from conftest import compare_classical, joint_peaks, outer_tail, reference_comb
 
 DOF = ResonanceKind.DOUBLE
 SUF = ResonanceKind.SUM
@@ -277,7 +277,6 @@ def test_direct_jarzynski_sum_weak_driving():
                 if variant is DOF
                 else params_for(variant, beta, g_tau),
                 grid=8,
-                peakwise=False,
             )
             assert rep.jarzynski_direct_error is not None
             assert rep.jarzynski_direct_error < 1e-10
@@ -287,7 +286,7 @@ def test_direct_jarzynski_degrades_gracefully():
     # far outside the weak-tilt domain the route loses digits but must
     # not blow up: the noise-floor cutoff keeps the tilted tail finite
     rep = verify_fluctuation_theorems(
-        params_for(DOF, beta=1.5, g_tau=0.12), grid=4, peakwise=False
+        params_for(DOF, beta=1.5, g_tau=0.12), grid=4
     )
     assert rep.jarzynski_direct_error < 1e-6
 
@@ -382,24 +381,78 @@ def test_verify_open_endpoints():
     assert rep.worst() < 1e-9
 
 
-def test_verify_inverts_the_joint_law_once(monkeypatch):
-    # a closed protocol is its own reverse, so the peakwise Crooks check
-    # pairs peaks of one joint inversion; open endpoints have none
-    joint_calls = []
+def test_verify_inverts_once(monkeypatch):
+    # a closed protocol is its own reverse and a single channel's joint
+    # peaks sit at (m, per * m), so the peakwise Crooks check reads them
+    # off the one 1-D work inversion; open endpoints invert nothing
+    calls = []
     comb = distributions._adaptive_comb
 
     def counted(evaluate, periods, starts):
-        if len(periods) == 2:
-            joint_calls.append(periods)
+        calls.append(len(periods))
         return comb(evaluate, periods, starts)
 
     monkeypatch.setattr(distributions, "_adaptive_comb", counted)
-    verify_fluctuation_theorems(params_for(SUF, 0.8, 0.2), grid=8)
-    assert len(joint_calls) == 1
-    joint_calls.clear()
+    for variant in (DOF, SUF, DIF):
+        rep = verify_fluctuation_theorems(params_for(variant, 0.8, 0.2), grid=8)
+        assert rep.crooks_peakwise_error < 1e-8
+        assert calls == [1]
+        calls.clear()
     open_params = CharfunParams(variant=DOF, beta=0.8, omega_k=(1.0, 1.1), g_tau=0.2)
     verify_fluctuation_theorems(open_params, grid=8)
-    assert joint_calls == []
+    assert calls == []
+
+
+def _reference_params(name: str, factor: float) -> CharfunParams:
+    cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
+    cfg = dataclasses.replace(cfg, beta=cfg.beta * factor)
+    return cli._single_channel(cfg, "verify")
+
+
+@pytest.mark.parametrize("factor", [0.37, 1.0, 3.1])
+@pytest.mark.parametrize("name", ["double_res", "sum_res", "diff_res", "cumulative_sum"])
+def test_joint_law_of_a_single_channel_is_its_work_law_on_a_line(
+    name, factor, monkeypatch
+):
+    # the 2-D joint inversion puts no mass off delta_n = per * m and
+    # gives each peak on it the work weight that verify pairs; the hot
+    # cumulative_sum joint comb needs up to 2048 x 4096 samples
+    monkeypatch.setattr(distributions, "_MAX_TOTAL", 1 << 23)
+    params = _reference_params(name, factor)
+    spacing = distributions._drive_quantum(params)
+    per = distributions._PHOTONS_PER_QUANTUM[params.variant]
+    (su, sv), joint = joint_peaks(functools.partial(charfun._g, params), spacing)
+    on_line = sv[None, :] == per * su[:, None]
+    assert joint[~on_line].sum() < 1e-12
+    signed, work = distributions._work_weights(
+        lambda u: charfun._g(params, u, 0.0), WorkLattice(spacing)
+    )
+    line = dict(zip(su[on_line.any(axis=1)].tolist(), joint[on_line].tolist()))
+    direct = dict(zip(signed.tolist(), work.tolist()))
+    for m in line.keys() | direct.keys():
+        assert abs(line.get(m, 0.0) - direct.get(m, 0.0)) <= 1e-12, m
+
+
+def test_verify_catches_a_g_that_leaves_the_line(monkeypatch):
+    # 1 + 0.01 (cos v - 1) keeps normalization, both periods, the work law
+    # G(u, 0) and the Crooks grid, but spreads delta_n off per * m; only
+    # the line-support part of periodicity_max_error can see it
+    g = distributions._g
+
+    def off_line(p, u, v):
+        return g(p, u, v) * (1.0 + 0.01 * (np.cos(v) - 1.0))
+
+    for variant in (DOF, SUF, DIF):
+        params = params_for(variant, 0.8, 0.2)
+        clean = verify_fluctuation_theorems(params, grid=8)
+        with monkeypatch.context() as m:
+            m.setattr(distributions, "_g", off_line)
+            rep = verify_fluctuation_theorems(params, grid=8)
+        assert clean.periodicity_max_error < 1e-12
+        assert rep.periodicity_max_error > 1e-8
+        assert max(rep.normalization_error, rep.jarzynski_abs_error) < 1e-12
+        assert rep.crooks_max_error < 1e-12
+        assert rep.crooks_peakwise_error == clean.crooks_peakwise_error
 
 
 def test_verify_tracks_no_single_mode_root(monkeypatch):
@@ -425,8 +478,7 @@ def test_verify_tracks_no_single_mode_root(monkeypatch):
 
 def test_perturbation_control_breaks_the_identities():
     rep = verify_fluctuation_theorems(
-        params_for(DOF, 0.7, 0.25, wk=1.2), grid=8, peakwise=False,
-        perturbation=1e-3,
+        params_for(DOF, 0.7, 0.25, wk=1.2), grid=8, perturbation=1e-3,
     )
     assert rep.normalization_error > 5e-4
     assert rep.jarzynski_abs_error > 5e-4
