@@ -383,7 +383,7 @@ def mode_index_str(mode: ModeIndex) -> str:
 def spectrum_to_csv(
     spectrum: list[tuple[ModeIndex, float]], pol: Polarization
 ) -> str:
-    lines = ["mode_index,polarization,frequency"]
-    for mode, w in spectrum:
-        lines.append(f"{mode_index_str(mode)},{pol.value},{w:.12g}")
+    lines = ["mode_index,polarization,frequency"] + [
+        f"{i}:{j}:{k},{pol.value},{w:.12g}" for (i, j, k), w in spectrum
+    ]
     return "\n".join(lines) + "\n"

@@ -71,7 +71,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from . import fock
 from .cavity import (
@@ -626,6 +626,7 @@ def cmd_moments(args) -> int:
     return 0
 
 
+@cache  # built on first use, once per process; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavework",

@@ -47,6 +47,7 @@ __all__ = [
     "extract_marginal_photons",
     "extract_marginal_work",
     "format_prob",
+    "format_probs",
     "marginal_to_csv",
     "verify_fluctuation_theorems",
 ]
@@ -147,16 +148,23 @@ def _adaptive_comb(
         cosets = itertools.product(*[_HALVES if g else (slice(None),) for g in grew])
         if kept is not None:
             samples[next(cosets)] = kept
+        del kept  # freed before the transform
         for coset in cosets:
             _sample(evaluate, samples[coset], [a[c] for a, c in zip(axes, coset)])
-        coeff = np.fft.fftn(samples) / math.prod(counts)
+        # np.fft.fftn's passes, last axis first, each in place after the
+        # first: one grid-sized array beside the samples, the same bits
+        coeff = np.fft.fft(samples)
+        for axis in range(samples.ndim - 2, -1, -1):
+            np.fft.fft(coeff, axis=axis, out=coeff)
+        coeff /= math.prod(counts)
         # lattice index of each FFT slot: 0..m/2-1, then -m/2..-1
         signed = [np.fft.fftfreq(m, 1.0 / m).astype(int) for m in counts]
         tails = [np.abs(s) >= len(s) // 4 for s in signed]
         outer = np.logical_or.reduce(np.meshgrid(*tails, indexing="ij"))
-        if float(np.abs(coeff[outer]).sum()) < _TAIL_TOL:
-            return signed, _validated_probs(coeff)
         mag = np.abs(coeff)
+        if float(mag[outer].sum()) < _TAIL_TOL:
+            del samples, mag  # before validation takes its own copies
+            return signed, _validated_probs(coeff)
         mass = np.array([
             mag.sum(axis=tuple(b for b in range(mag.ndim) if b != a))[t].sum()
             for a, t in enumerate(tails)
@@ -186,9 +194,11 @@ def _validated_probs(coeff: np.ndarray) -> np.ndarray:
 
 
 def _floored_peaks(labels, probs) -> list[tuple]:
-    peaks = [(x, float(p)) for x, p in zip(labels, probs) if p > _PEAK_FLOOR]
-    peaks.sort()
-    return peaks
+    """(label, prob) pairs with prob above _PEAK_FLOOR, sorted, as Python
+    numbers."""
+    probs = np.asarray(probs, dtype=float)
+    keep = probs > _PEAK_FLOOR
+    return sorted(zip(np.asarray(labels)[keep].tolist(), probs[keep].tolist()))
 
 
 def _work_weights(
@@ -253,11 +263,9 @@ def extract_channel_marginals(
     signed, probs = _work_weights(charfun_eval, lattice)
     work = _floored_peaks(signed * lattice.spacing, probs)
     per = _PHOTONS_PER_QUANTUM[kind]
-    by_dn: dict[int, list[float]] = {}
-    for m, p in zip(signed.tolist(), probs.tolist()):
-        by_dn.setdefault(per * m, []).append(p)
-    photons = _floored_peaks(by_dn, [math.fsum(ps) for ps in by_dn.values()])
-    return work, photons
+    if per:  # one work peak per photon peak
+        return work, _floored_peaks(per * signed, probs)
+    return work, _floored_peaks([0], [math.fsum(probs.tolist())])
 
 
 class CumulativeFit:
@@ -512,31 +520,44 @@ def verify_fluctuation_theorems(
     )
 
 
-def format_prob(p: float) -> str:
-    """An inverted probability printed only to the digits it resolves.
+def format_probs(probs) -> list[str]:
+    """Inverted probabilities printed only to the digits they resolve.
 
     One rounding from the float, to 12 significant digits or to
     10**-_PROB_DECIMALS absolute, whichever is coarser: values >= 1e-3
-    print exactly as `.12g`, a 1.3287e-12 tail peak as `1.33e-12`.
+    print exactly as `.12g`, a 1.3287e-12 tail peak as `1.33e-12`.  One
+    np.log10 serves the whole column.
     """
-    if p == 0.0:
-        return "0"
-    # a log10 off by one within an ulp of a power of ten prints the same
-    digits = min(12, math.floor(math.log10(abs(p))) + 1 + _PROB_DECIMALS)
-    if digits < 1:
-        return f"{round(p, _PROB_DECIMALS):.12g}"
-    return f"{p:.{digits}g}"
+    probs = np.asarray(probs, dtype=float)
+    with np.errstate(divide="ignore"):
+        digits = np.floor(np.log10(np.abs(probs))) + (1 + _PROB_DECIMALS)
+    # a log10 off by one within an ulp of a power of ten prints the same;
+    # 0 digits (zero included) leave the absolute rounding.  %.*g takes
+    # the digit count as an argument, with no format spec built per row.
+    digits = np.clip(digits, 0, 12).astype(int).tolist()
+    return [
+        "%.*g" % (d, p) if d
+        else "0" if p == 0.0
+        else f"{round(p, _PROB_DECIMALS):.12g}"
+        for p, d in zip(probs.tolist(), digits)
+    ]
+
+
+def format_prob(p: float) -> str:
+    """One probability as format_probs prints it."""
+    return format_probs([p])[0]
 
 
 def marginal_to_csv(peaks: Sequence[tuple], kind: str = "work") -> str:
     """CSV text: `w,prob` for work, `delta_n,prob` for photon number.
 
-    prob is printed by format_prob.
+    prob is printed by format_probs.
     """
+    probs = format_probs([p for _, p in peaks])
     if kind == "work":
-        lines = ["w,prob"] + [f"{w:.12g},{format_prob(p)}" for w, p in peaks]
+        lines = ["w,prob"] + [f"{w:.12g},{p}" for (w, _), p in zip(peaks, probs)]
     elif kind == "photons":
-        lines = ["delta_n,prob"] + [f"{n},{format_prob(p)}" for n, p in peaks]
+        lines = ["delta_n,prob"] + [f"{n},{p}" for (n, _), p in zip(peaks, probs)]
     else:
         raise ValueError("kind must be 'work' or 'photons'")
     return "\n".join(lines) + "\n"
@@ -545,7 +566,7 @@ def marginal_to_csv(peaks: Sequence[tuple], kind: str = "work") -> str:
 def cumulative_to_csv(fit: CumulativeFit, classical_cdf: _Cdf | None = None) -> str:
     """CSV text `w,F_exact,F_gauss,F_classical`; missing columns stay empty.
 
-    F_exact, a sum of inverted weights, is printed by format_prob;
+    F_exact, a sum of inverted weights, is printed by format_probs;
     classical_cdf is called once, on the sorted peaks.
     """
     gauss = cls = [""] * len(fit.peaks)
@@ -555,7 +576,7 @@ def cumulative_to_csv(fit: CumulativeFit, classical_cdf: _Cdf | None = None) -> 
         col = np.broadcast_to(classical_cdf(fit._ws), fit._ws.shape)
         cls = [f"{c:.12g}" for c in col.tolist()]
     lines = ["w,F_exact,F_gauss,F_classical"] + [
-        f"{w:.12g},{format_prob(after)},{g},{c}"
-        for (w, _), after, g, c in zip(fit.peaks, fit._cum, gauss, cls)
+        f"{w:.12g},{after},{g},{c}"
+        for (w, _), after, g, c in zip(fit.peaks, format_probs(fit._cum), gauss, cls)
     ]
     return "\n".join(lines) + "\n"

@@ -278,7 +278,7 @@ class JointDistribution:
         work = _merge_close([(w, p) for w, _, p in self.peaks], self.merge_tol)
         return (
             _floored_peaks([w for w, _ in work], [p for _, p in work]),
-            _floored_peaks(by_dn, by_dn.values()),
+            _floored_peaks(list(by_dn), list(by_dn.values())),
         )
 
 

@@ -236,3 +236,34 @@ def joint_peaks(evaluate, spacing: float):
     return distributions._adaptive_comb(
         evaluate, (2.0 * math.pi / spacing, 2.0 * math.pi), (64, 64)
     )
+
+
+def format_prob_reference(p: float) -> str:
+    """The per-row print rule of an inverted probability: one math.log10
+    per value, 12 significant digits or 1e-14 absolute, whichever is
+    coarser.  The reference for distributions.format_probs."""
+    if p == 0.0:
+        return "0"
+    digits = min(12, math.floor(math.log10(abs(p))) + 1 + 14)
+    if digits < 1:
+        return f"{round(p, 14):.12g}"
+    return f"{p:.{digits}g}"
+
+
+def channel_marginals_reference(signed, probs, spacing: float, kind):
+    """(P(w), P(delta_n)) of one channel from its work weights, one
+    sample at a time: each weight goes to delta_n = per * m, every group
+    is summed by math.fsum, and peaks at or below 1e-12 are dropped.
+    The reference for distributions.extract_channel_marginals."""
+
+    def floored(labels, ps):
+        return sorted((x, float(p)) for x, p in zip(labels, ps) if p > 1e-12)
+
+    per = distributions._PHOTONS_PER_QUANTUM[kind]
+    by_dn: dict[int, list[float]] = {}
+    for m, p in zip(signed.tolist(), probs.tolist()):
+        by_dn.setdefault(per * m, []).append(p)
+    return (
+        floored(signed * spacing, probs),
+        floored(by_dn, [math.fsum(ps) for ps in by_dn.values()]),
+    )

@@ -133,6 +133,20 @@ def test_spectrum_csv_format():
     assert float(first[2]) == pytest.approx(spec[0][1], rel=1e-11)
 
 
+@pytest.mark.parametrize(
+    "geom, cutoff",
+    [(CylindricalGeometry(MovingWall.LONGITUDINAL, radius=0.8), 50.0), (SPH, 40.0)],
+)
+def test_spectrum_csv_is_bit_identical_to_the_per_row_writer(geom, cutoff):
+    for pol in Polarization:
+        spec = mode_spectrum(geom, pol, 0.8, cutoff)
+        assert len(spec) > 100
+        want = ["mode_index,polarization,frequency"] + [
+            f"{mode_index_str(mode)},{pol.value},{w:.12g}" for mode, w in spec
+        ]
+        assert spectrum_to_csv(spec, pol) == "\n".join(want) + "\n"
+
+
 def test_moving_frequency_share():
     assert moving_frequency_squared(RECT, Polarization.TE, (1, 2, 3), 1.5) == (
         pytest.approx((3 * math.pi / 1.5) ** 2, rel=1e-15)

@@ -266,6 +266,37 @@ def test_verify_exit_codes(workdir):
     assert main(["verify", cfg, "--perturb", "1e-3"]) == 1
 
 
+def test_one_parser_per_process_keeps_no_state_between_calls(workdir, capsys):
+    # main parses with one parser per process: a flag given to one call,
+    # or a usage error, must not reach the next call
+    assert cli.build_parser() is cli.build_parser()
+    cfg = str(CONFIGS / "double_res.cfg")
+    report = workdir / "out" / "double_res" / "double_report.json"
+    fresh_dir = workdir / "fresh"
+    fresh_dir.mkdir()
+    fresh = subprocess.run(
+        [sys.executable, "-m", "cavework", "verify", cfg],
+        capture_output=True, text=True, cwd=fresh_dir,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert fresh.returncode == 0
+    want = (fresh_dir / "out" / "double_res" / "double_report.json").read_bytes()
+    assert main(["verify", cfg, "--perturb", "1e-3"]) == 1
+    assert report.read_bytes() != want
+    capsys.readouterr()
+    assert main(["verify", cfg]) == 0
+    assert report.read_bytes() == want
+    assert capsys.readouterr().out == fresh.stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", cfg, "--perturb"])
+    assert exc.value.code == 2
+    report.unlink()
+    capsys.readouterr()
+    assert main(["verify", cfg]) == 0
+    assert report.read_bytes() == want
+    assert capsys.readouterr().out == fresh.stdout
+
+
 @pytest.mark.parametrize(
     "flag", [["--perturb", "nan"], ["--perturb", "inf"], ["--perturb=-inf"]]
 )

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,14 @@ from cavework.distributions import (
 )
 from cavework.driving import ResonanceKind
 from cavework.errors import InversionError
-from conftest import compare_classical, joint_peaks, outer_tail, reference_comb
+from conftest import (
+    channel_marginals_reference,
+    compare_classical,
+    joint_peaks,
+    outer_tail,
+    reference_comb,
+    same_bits,
+)
 
 DOF = ResonanceKind.DOUBLE
 SUF = ResonanceKind.SUM
@@ -222,6 +230,30 @@ def test_comb_weights_equal_a_from_scratch_fft_of_the_final_grid(kind):
     # the work comb grows, the photon comb of the beam splitter does not
     assert probs.shape[0] > 64
     assert (probs.shape[1] == 64) == (kind is DIF)
+
+
+def test_comb_holds_under_three_grids_at_its_last_doubling():
+    # two geometric laws, q = 0.9 and 0.8, end on a 1024 x 512 grid.  At
+    # the last doubling the comb holds the samples, the weights (the FFT
+    # transformed and divided in place), their magnitudes and the outer
+    # tail's copy of them: 2.875 complex grids, plus G's sample blocks
+    def geometric(q, x):
+        return (1.0 - q) / (1.0 - q * np.exp(1j * x))
+
+    def evaluate(u, v):
+        return geometric(0.9, u) * geometric(0.8, v)
+
+    periods = (2.0 * math.pi, 2.0 * math.pi)
+    tracemalloc.start()
+    try:
+        _, probs = _adaptive_comb(evaluate, periods, (64, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (1024, 512)
+    assert probs[3, 2] == pytest.approx(0.1 * 0.9**3 * 0.2 * 0.8**2, rel=1e-12)
+    grid = probs.size * 16
+    assert peak < 3.25 * grid, f"peak {peak / grid:.2f} x grid"
 
 
 @pytest.mark.parametrize("kind", [DOF, SUF, DIF])
@@ -431,6 +463,26 @@ def test_joint_law_of_a_single_channel_is_its_work_law_on_a_line(
     direct = dict(zip(signed.tolist(), work.tolist()))
     for m in line.keys() | direct.keys():
         assert abs(line.get(m, 0.0) - direct.get(m, 0.0)) <= 1e-12, m
+
+
+@pytest.mark.parametrize("factor", [0.37, 1.0, 3.1])
+@pytest.mark.parametrize("name", ["double_res", "sum_res", "diff_res", "cumulative_sum"])
+def test_channel_marginals_keep_the_bits_of_the_per_sample_relabelling(name, factor):
+    # a squeezing channel takes its photon peaks as the work weights at
+    # delta_n = per * m, the exchange channel one fsum of them at 0
+    params = _reference_params(name, factor)
+    lattice = WorkLattice(distributions._drive_quantum(params))
+
+    def evaluate(u):
+        return charfun._g(params, u, 0.0)
+
+    got = extract_channel_marginals(evaluate, lattice, params.variant)
+    signed, probs = distributions._work_weights(evaluate, lattice)
+    want = channel_marginals_reference(signed, probs, lattice.spacing, params.variant)
+    for mine, ref in zip(got, want):
+        assert same_bits(np.array(mine, dtype=float), np.array(ref, dtype=float))
+    assert all(type(dn) is int for dn, _ in got[1])
+    assert (len(got[1]) == 1) == (params.variant is DIF)
 
 
 def test_verify_catches_a_g_that_leaves_the_line(monkeypatch):

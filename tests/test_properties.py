@@ -76,6 +76,7 @@ from conftest import (  # noqa: E402
     charfun_numeric,
     closed_protocol,
     compare_classical,
+    format_prob_reference,
     joint_doubling_counts,
     outer_tail,
     reference_comb,
@@ -530,6 +531,36 @@ def test_ks_distance_is_bit_identical_to_the_per_peak_loop(marginal, beta, g_tau
     want = _reference_ks(fit, classical)
     assert compare_classical(marginal, classical) == want
     assert compare_classical(fit, classical) == want
+
+
+def _probabilities_near_powers_of_ten() -> list[float]:
+    """Every power of ten from 1e-20 to 1e2 and its neighbours 1 and 2
+    ulp away on each side, where a log10 may round across the power;
+    then zero, the smallest subnormal and tail values around 1e-14."""
+    column = []
+    for e in range(-20, 3):
+        x = float(f"1e{e}")
+        lo, hi = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
+        column += [
+            math.nextafter(lo, 0.0), lo, x, hi, math.nextafter(hi, math.inf)
+        ]
+    return column + [0.0, 5e-324, 3e-15, 7e-15, 1.3287178032e-12]
+
+
+@settings(PROPERTY, max_examples=300)  # microseconds per example
+@given(
+    st.lists(
+        st.floats(0.0, 1e2) | st.floats(-20.0, 2.0).map(lambda e: 10.0**e),
+        max_size=40,
+    )
+)
+@example(_probabilities_near_powers_of_ten())
+def test_column_formatter_is_the_per_row_rule(column):
+    # one np.log10 over the column prints what one math.log10 per row did
+    want = [format_prob_reference(p) for p in column]
+    assert distributions.format_probs(column) == want
+    assert distributions.format_probs(np.array(column)) == want
+    assert [distributions.format_prob(p) for p in column] == want
 
 
 GEOMETRIES = [
