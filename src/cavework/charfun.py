@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .symplectic import tracked_sqrt
 
 __all__ = [
     "CharfunParams",
-    "GeneralCharfun",
     "classical_alphas",
     "classical_work_cdf",
     "closed_form",
@@ -124,14 +123,6 @@ class CharfunParams:
         if self.omega_p is None:
             return (self.omega_k,)
         return (self.omega_k, self.omega_p)
-
-
-class GeneralCharfun(NamedTuple):
-    """Open-endpoint result: the drift-removed g_bar and the full g,
-    related by g = g_bar * exp(i u dPhi); arrays for array input."""
-
-    g_bar: "complex | np.ndarray"
-    g: "complex | np.ndarray"
 
 
 def _sinh_half(beta: float, x: float) -> float:
@@ -309,8 +300,8 @@ def _principal_open_double(
     return ok
 
 
-def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
-    """Open-endpoint G(u, v); returns (g_bar, g) with g = g_bar e^{i u dPhi}.
+def closed_form_general(params: CharfunParams, u, v):
+    """Open-endpoint G(u, v).
 
     Structure per participating mode s: a factor exp(-i u dx_s / 2) and
     a denominator entry A_s = sinh((beta x0_s - i u dx_s)/2), with the
@@ -351,9 +342,7 @@ def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
             root[off] = tracked_sqrt(
                 rad, (uf[off], vf[off]), steps=16, anchor_tol=1e-12
             )
-        g = np.exp(-1j * u * dxk / 2.0) * sk / root.reshape(u.shape)
-        dphi = grand_potential_diff([params.omega_k], beta, hb)
-        return GeneralCharfun(_result(g * np.exp(-1j * u * dphi)), _result(g))
+        return _result(np.exp(-1j * u * dxk / 2.0) * sk / root.reshape(u.shape))
 
     xp0, xp1 = (hb * w for w in params.omega_p)
     dxp = xp1 - xp0
@@ -370,17 +359,15 @@ def closed_form_general(params: CharfunParams, u, v) -> GeneralCharfun:
         den = ak * ap + np.sin(u * (xk1 - xp1) / 2.0) * np.sin(
             (u - 1j * beta) * (xk0 - xp0) / 2.0
         ) * amp
-    g = np.exp(-1j * u * (dxk + dxp) / 2.0) * sksp / den
-    dphi = grand_potential_diff(params.frequency_pairs(), beta, hb)
-    return GeneralCharfun(_result(g * np.exp(-1j * u * dphi)), _result(g))
+    return _result(np.exp(-1j * u * (dxk + dxp) / 2.0) * sksp / den)
 
 
 def _g(params: CharfunParams, u, v):
     """G(u, v) of one parameter record: closed_form for equal endpoints,
-    else the g of closed_form_general."""
+    else closed_form_general."""
     if params.is_closed:
         return closed_form(params, u, v)
-    return closed_form_general(params, u, v).g
+    return closed_form_general(params, u, v)
 
 
 def multi_resonance_product(
@@ -455,8 +442,8 @@ def classical_work_cdf(
     return float(out) if out.ndim == 0 else out
 
 
-def moments(params: CharfunParams, order: int = 2) -> tuple:
-    """(mean,) or (mean, central variance) of work by differentiation.
+def moments(params: CharfunParams) -> tuple[float, float]:
+    """(mean, central variance) of work by differentiation.
 
     Central differences of G(u, 0) at u=0 on three-step ladders with
     Richardson extrapolation; on each ladder the two extrapolants must
@@ -466,9 +453,6 @@ def moments(params: CharfunParams, order: int = 2) -> tuple:
     whichever is smaller of the quantum 1/(hbar omega) and thermal beta
     scales so both Table-like limits differentiate accurately.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-
     w_max = params.hbar * max(w for pair in params.frequency_pairs() for w in pair)
     scale = min(1.0 / w_max, params.beta)
     steps = [1e-3 * scale, 1e-4 * scale, 1e-5 * scale]
@@ -494,8 +478,6 @@ def moments(params: CharfunParams, order: int = 2) -> tuple:
     if abs(r1[0] - r1[1]) > max(1e-5 * abs(r1[1]), atol_mean):
         raise MomentConvergenceError("first-derivative ladder did not settle")
     mean = (-1j * r1[1]).real
-    if order == 1:
-        return (mean,)
     r2 = [(100.0 * d2(i + 1) - d2(i)) / 99.0 for i in range(2)]
     if abs(r2[0] - r2[1]) > max(1e-4 * abs(r2[1]), atol_mean**2):
         raise MomentConvergenceError("second-derivative ladder did not settle")

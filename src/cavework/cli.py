@@ -31,8 +31,6 @@ inverse temperature are required, everything else has defaults.
 
     [numerics]
     n_max = 40                # Fock cutoff per mode (--oracle / --freeze)
-    lattice_count = 256       # starting Fourier sample count
-    freeze_tol = 5e-3         # closed-form vs oracle gate for --freeze
 
     [sweep]                   # cmd_moments only
     variable = beta           # beta | hbar
@@ -42,13 +40,16 @@ inverse temperature are required, everything else has defaults.
     directory = out
     prefix = run
 
-Environment variables override the numerics block only, uniformly
-prefixed: CAVEWORK_N_MAX, CAVEWORK_LATTICE_COUNT, CAVEWORK_FREEZE_TOL.
-Values are checked where they are parsed, overrides included: numbers
-must be finite; lambda0, beta, hbar, freeze_tol and every sweep value
-positive; n_max >= 1 and lattice_count >= 8.  An --oracle / --freeze
-basis, (n_max + 1) ** (resonant modes), may hold at most 20000 states
-(fock._DIM_CAP).
+The environment variable CAVEWORK_N_MAX overrides n_max; any other
+CAVEWORK_* variable is refused like an unknown key.  Values are checked
+where they are parsed, the override included: numbers must be finite;
+lambda0, beta, hbar and every sweep value positive; n_max >= 1.  The
+drive quantum hbar * Omega must be finite, and beta * hbar * omega of
+every resonant mode, at both endpoints and at every sweep value, at most
+700 (sinh^2 of half of it leaves float range at 709.78).  An --oracle /
+--freeze basis, (n_max + 1) ** (resonant modes), may hold at most 20000
+states (fock._DIM_CAP).  --freeze refuses a closed-form vs oracle
+deviation above 5e-3.
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
 usage or config error, including every check above.  CSV output is
@@ -93,7 +94,7 @@ from .charfun import (
     multi_resonance_product,
 )
 from .distributions import (
-    WorkLattice,
+    _drive_quantum,
     _marginal_deviation,
     cumulative_and_fit,
     cumulative_to_csv,
@@ -121,18 +122,20 @@ _KNOWN_KEYS = {
     },
     "protocol": {"lambda0", "epsilon", "omega_drive", "tau", "phi", "hbar"},
     "thermal": {"beta"},
-    "numerics": {"n_max", "lattice_count", "freeze_tol"},
+    "numerics": {"n_max"},
     "sweep": {"variable", "values"},
     "output": {"directory", "prefix"},
 }
 
-_NUMERIC_DEFAULTS = {
-    "n_max": "40",
-    "lattice_count": "256",
-    "freeze_tol": "5e-3",
-}
+# the one environment override; any other CAVEWORK_* variable is refused
+_ENV_N_MAX = "CAVEWORK_N_MAX"
 
-_ENV_PREFIX = "CAVEWORK_"
+# --freeze gate: largest closed-form vs oracle marginal deviation
+_FREEZE_TOL = 5e-3
+
+# largest beta * hbar * omega of a resonant mode: sinh^2(x / 2) of the
+# thermal factors leaves float range at x = 709.78
+_MAX_THERMAL_EXPONENT = 700.0
 
 # cmd_verify gates; identities hold to roundoff, so these are generous
 _VERIFY_JARZYNSKI_TOL = 1e-10
@@ -156,8 +159,6 @@ class RunConfig:
     hbar: float
     beta: float
     n_max: int
-    lattice_count: int
-    freeze_tol: float
     sweep_variable: str | None
     sweep_values: tuple[float, ...]
     directory: str
@@ -243,6 +244,11 @@ def load_config(path: str) -> RunConfig:
         for key in cp[section]:
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
+    unknown = [v for v in os.environ if v.startswith("CAVEWORK_") and v != _ENV_N_MAX]
+    if unknown:
+        raise ConfigError(
+            f"unknown environment variable {min(unknown)} (only {_ENV_N_MAX} is read)"
+        )
 
     if "geometry" not in cp:
         raise ConfigError("missing required section [geometry]")
@@ -253,14 +259,6 @@ def load_config(path: str) -> RunConfig:
     proto = cp["protocol"] if "protocol" in cp else {}
     lambda0 = _get_float(proto, "lambda0", 1.0, positive=True)
     cutoff = _get_float(cp["geometry"], "cutoff", 8.0 / lambda0)
-
-    numerics = dict(_NUMERIC_DEFAULTS)
-    if "numerics" in cp:
-        numerics.update(cp["numerics"])
-    for key in numerics:
-        env = os.environ.get(_ENV_PREFIX + key.upper())
-        if env is not None:
-            numerics[key] = env
 
     sweep_var = None
     sweep_vals: tuple[float, ...] = ()
@@ -274,16 +272,16 @@ def load_config(path: str) -> RunConfig:
 
     out = cp["output"] if "output" in cp else {}
 
-    def _int(key: str, least: int) -> int:
-        try:
-            value = int(numerics[key])
-        except ValueError:
-            raise ConfigError(
-                f"numerics key '{key}': not an integer: {numerics[key]!r}"
-            ) from None
-        if value < least:
-            raise ConfigError(f"numerics key '{key}' must be at least {least}")
-        return value
+    numerics = cp["numerics"] if "numerics" in cp else {}
+    raw_n_max = os.environ.get(_ENV_N_MAX, numerics.get("n_max", "40"))
+    try:
+        n_max = int(raw_n_max)
+    except ValueError:
+        raise ConfigError(
+            f"numerics key 'n_max': not an integer: {raw_n_max!r}"
+        ) from None
+    if n_max < 1:
+        raise ConfigError("numerics key 'n_max' must be at least 1")
 
     return RunConfig(
         geometry=geom,
@@ -296,10 +294,7 @@ def load_config(path: str) -> RunConfig:
         phi=_get_float(proto, "phi", 0.0),
         hbar=_get_float(proto, "hbar", 1.0, positive=True),
         beta=_get_float(cp["thermal"], "beta", positive=True),
-        n_max=_int("n_max", 1),
-        # the fewest Fourier samples WorkLattice accepts
-        lattice_count=_int("lattice_count", 8),
-        freeze_tol=_get_float(numerics, "freeze_tol", positive=True),
+        n_max=n_max,
         sweep_variable=sweep_var,
         sweep_values=sweep_vals,
         directory=out.get("directory", "out"),
@@ -386,7 +381,25 @@ def _protocol_and_plan(cfg: RunConfig, spectrum: list):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     plan = classify_resonances(spectrum, protocol, cfg.geometry, cfg.polarization)
+    freqs = [w for case in plan.cases for w in (case.omega_k, case.omega_p) if w]
+    if not protocol.is_closed:
+        freqs += [w1 for _, _, w1 in _mode_table(cfg, protocol, plan)]
+    _check_energies(cfg.beta, cfg.hbar * omega, [cfg.hbar * w for w in freqs])
     return protocol, plan
+
+
+def _check_energies(beta: float, quantum: float, energies) -> None:
+    """Refuse a drive quantum hbar * Omega that is not finite, and beta
+    times a resonant mode's energy hbar * omega above
+    _MAX_THERMAL_EXPONENT."""
+    if not math.isfinite(quantum):
+        raise ConfigError(f"drive quantum hbar * Omega = {quantum!r} is not finite")
+    exponent = beta * max(energies, default=0.0)
+    if not exponent <= _MAX_THERMAL_EXPONENT:  # NaN fails too
+        raise ConfigError(
+            f"beta * hbar * omega = {exponent:.6g} of a resonant mode exceeds "
+            f"{_MAX_THERMAL_EXPONENT:g}; the thermal factors leave float range"
+        )
 
 
 def _mode_table(cfg: RunConfig, protocol: DrivingProtocol, plan) -> list:
@@ -521,24 +534,23 @@ def cmd_distribution(args) -> int:
         )
 
     evaluate, spacing = _closed_evaluator(cfg, protocol, plan)
-    lattice = WorkLattice(spacing=spacing, count=cfg.lattice_count)
     if len(plan.cases) == 1:
         work, photons = extract_channel_marginals(
-            lambda u: evaluate(u, 0.0), lattice, plan.cases[0].kind
+            lambda u: evaluate(u, 0.0), spacing, plan.cases[0].kind
         )
     else:
-        work = extract_marginal_work(lambda u: evaluate(u, 0.0), lattice)
+        work = extract_marginal_work(lambda u: evaluate(u, 0.0), spacing)
         photons = extract_marginal_photons(lambda v: evaluate(0.0, v))
 
     if args.freeze:
         oracle_dist = _oracle_joint(cfg, protocol, plan)
         worst = _marginal_deviation(work, photons, *oracle_dist.marginals(), spacing)
-        if worst > cfg.freeze_tol:
+        if worst > _FREEZE_TOL:
             print(
                 f"freeze refused: closed-form vs oracle deviation {worst:.3e} "
-                f"exceeds freeze_tol {cfg.freeze_tol:g} "
+                f"exceeds freeze_tol {_FREEZE_TOL:g} "
                 f"(residual mass {oracle_dist.residual_mass:.3e}); "
-                "raise n_max or freeze_tol",
+                "raise n_max",
                 file=sys.stderr,
             )
             return 1
@@ -546,7 +558,7 @@ def cmd_distribution(args) -> int:
             "max_marginal_deviation": worst,
             "oracle_residual_mass": oracle_dist.residual_mass,
             "n_max": cfg.n_max,
-            "freeze_tol": cfg.freeze_tol,
+            "freeze_tol": _FREEZE_TOL,
         }
         _write(
             _out_path(cfg, "freeze_report.json"),
@@ -615,10 +627,13 @@ def cmd_moments(args) -> int:
     base = _single_channel(cfg, "cmd_moments")
     if not base.is_closed:
         raise ConfigError("moment sweeps assume a closed protocol")
+    freqs = [w for pair in base.frequency_pairs() for w in pair]
     lines = [f"{cfg.sweep_variable},mean_w,std_w"]
     for val in cfg.sweep_values:
         params = dataclasses.replace(base, **{cfg.sweep_variable: val})
-        mean, var = moments(params, order=2)
+        energies = [params.hbar * w for w in freqs]
+        _check_energies(params.beta, _drive_quantum(params), energies)
+        mean, var = moments(params)
         lines.append(f"{val:.12g},{mean:.12g},{math.sqrt(max(var, 0.0)):.12g}")
     path = _out_path(cfg, "moments.csv")
     _write(path, "\n".join(lines) + "\n")
@@ -661,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--freeze", action="store_true",
         help="golden-file mode: verify closed forms against the oracle "
-             "within freeze_tol before writing",
+             f"within {_FREEZE_TOL:g} before writing",
     )
     p.set_defaults(func=cmd_distribution)
 

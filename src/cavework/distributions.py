@@ -40,7 +40,6 @@ from .errors import InversionError
 __all__ = [
     "CumulativeFit",
     "VerificationReport",
-    "WorkLattice",
     "cumulative_and_fit",
     "cumulative_to_csv",
     "extract_channel_marginals",
@@ -72,32 +71,6 @@ _PROB_DECIMALS = 14
 _Cdf = Callable[[np.ndarray], "np.ndarray | float"]
 
 
-@dataclass(frozen=True)
-class WorkLattice:
-    """Discrete support of P(w): w = m * spacing.
-
-    spacing is the drive quantum (times hbar) for a boundary returning
-    to its start.  count seeds the number of Fourier samples and grows
-    adaptively.
-    """
-
-    spacing: float
-    count: int = 256
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.spacing < math.inf:
-            raise ValueError("lattice spacing must be positive and finite")
-        if self.count < 8:
-            raise ValueError("sample count too small to resolve a comb")
-
-
-def _next_pow2(n: int) -> int:
-    m = 8
-    while m < n:
-        m *= 2
-    return m
-
-
 def _sample(
     evaluate: Callable[..., np.ndarray],
     target: np.ndarray,
@@ -126,8 +99,9 @@ def _adaptive_comb(
 
     evaluate takes one coordinate array per axis (an ij-meshgrid block of
     whole rows along the first axis) and returns G elementwise; it is
-    sampled on one period of each axis.  The comb stops once the weights
-    at |index| >= count / 4 on any axis sum below _TAIL_TOL.  Until then
+    sampled on one period of each axis, from a power-of-two count of
+    samples per axis.  The comb stops once the weights at
+    |index| >= count / 4 on any axis sum below _TAIL_TOL.  Until then
     it doubles the sample count of each axis whose own outer quarter
     holds at least _TAIL_TOL / ndim (the union is at most the sum of
     these, so some axis grows), within a budget of _MAX_SAMPLES per axis
@@ -139,7 +113,7 @@ def _adaptive_comb(
     and p * 2k / 2m is the same float, so every sample is bit for bit
     the one a from-scratch evaluation of the final grid would give.
     """
-    counts = [_next_pow2(s) for s in starts]
+    counts = list(starts)
     grew = [False] * len(counts)
     samples = None
     while max(counts) <= _MAX_SAMPLES and math.prod(counts) <= _MAX_TOTAL:
@@ -202,10 +176,13 @@ def _floored_peaks(labels, probs) -> list[tuple]:
 
 
 def _work_weights(
-    charfun_eval: Callable[[np.ndarray], np.ndarray], lattice: WorkLattice
+    charfun_eval: Callable[[np.ndarray], np.ndarray], spacing: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Signed lattice indices and validated weights of P(w)."""
-    period = 2.0 * math.pi / lattice.spacing
+    """Signed lattice indices and validated weights of P(w) on the comb
+    w = m * spacing, spacing the drive quantum hbar Omega."""
+    if not 0.0 < spacing < math.inf:
+        raise ValueError("lattice spacing must be positive and finite")
+    period = 2.0 * math.pi / spacing
     u = np.array([0.13, 0.41, 0.77]) * period
     a, b = charfun_eval(u + period), charfun_eval(u)
     if (np.abs(a - b) > 1e-8 * np.maximum(1.0, np.abs(b))).any():
@@ -213,21 +190,22 @@ def _work_weights(
             "characteristic function is not periodic on this lattice "
             "(incommensurate work support); use the Fock simulation"
         )
-    (signed,), probs = _adaptive_comb(charfun_eval, (period,), (lattice.count,))
+    (signed,), probs = _adaptive_comb(charfun_eval, (period,), (256,))
     return signed, probs
 
 
 def extract_marginal_work(
-    charfun_eval: Callable[[np.ndarray], np.ndarray], lattice: WorkLattice
+    charfun_eval: Callable[[np.ndarray], np.ndarray], spacing: float
 ) -> list[tuple[float, float]]:
-    """Peak weights of P(w) on the lattice by exact Fourier inversion.
+    """Peak weights of P(w) on the comb w = m * spacing by exact Fourier
+    inversion.
 
     Asserts u-periodicity first: an aperiodic G means the support is not
     this comb (unequal endpoint positions), where the truncated-Fock
     simulation is the appropriate tool.
     """
-    signed, probs = _work_weights(charfun_eval, lattice)
-    return _floored_peaks(signed * lattice.spacing, probs)
+    signed, probs = _work_weights(charfun_eval, spacing)
+    return _floored_peaks(signed * spacing, probs)
 
 
 def extract_marginal_photons(
@@ -248,20 +226,20 @@ _PHOTONS_PER_QUANTUM = {
 
 def extract_channel_marginals(
     charfun_eval: Callable[[np.ndarray], np.ndarray],
-    lattice: WorkLattice,
+    spacing: float,
     kind: ResonanceKind,
 ) -> tuple[list[tuple[float, float]], list[tuple[int, float]]]:
     """P(w) and P(delta_n) of a single resonance channel from one inversion.
 
-    Each drive quantum w = lattice.spacing of work creates a photon pair
+    Each drive quantum w = spacing of work creates a photon pair
     (squeezing, two-mode squeezing) or moves one photon between the two
     modes (beam splitter), so delta_n = 2m or 0 exactly at w = m *
     spacing.  P(delta_n) is that relabelling of the P(w) weights, summed
     before the peak floor, so the two marginals cannot disagree about
     the same event.
     """
-    signed, probs = _work_weights(charfun_eval, lattice)
-    work = _floored_peaks(signed * lattice.spacing, probs)
+    signed, probs = _work_weights(charfun_eval, spacing)
+    work = _floored_peaks(signed * spacing, probs)
     per = _PHOTONS_PER_QUANTUM[kind]
     if per:  # one work peak per photon peak
         return work, _floored_peaks(per * signed, probs)
@@ -434,17 +412,15 @@ _NOISE_FLOOR = 3e-15
 
 
 def verify_fluctuation_theorems(
-    params: CharfunParams,
-    grid: int = 64,
-    perturbation: float = 0.0,
+    params: CharfunParams, perturbation: float = 0.0
 ) -> VerificationReport:
     """Check Jarzynski and Crooks identities; errors are data, not raises.
 
     The reverse protocol is the endpoint-frequency interchange.
     Jarzynski runs through the characteristic function at u = i beta and
     (for a closed protocol) the direct sum over inverted peaks; Crooks
-    runs pointwise on a (u, v) grid and (closed) peak by peak, each side
-    required to be resolvable.  A closed protocol is its own reverse and
+    runs pointwise on a 64 x 64 (u, v) grid and (closed) peak by peak,
+    each side required to be resolvable.  A closed protocol is its own reverse and
     a single channel's joint peaks sit at (m, per * m), so the peakwise
     check pairs peak m of the direct sum's work weights with -m: one 1-D
     inversion in all.  Line support, that G is constant along
@@ -470,9 +446,7 @@ def verify_fluctuation_theorems(
 
     direct_err = peak_err = None
     if closed:
-        signed, probs = _work_weights(
-            lambda u: ev(params, u, 0.0), WorkLattice(spacing)
-        )
+        signed, probs = _work_weights(lambda u: ev(params, u, 0.0), spacing)
         total = sum(p for _, p in _floored_peaks(signed.tolist(), probs))
         norm_err = max(norm_err, abs(total - 1.0))
         weights = dict(zip(signed.tolist(), probs.tolist()))
@@ -488,6 +462,7 @@ def verify_fluctuation_theorems(
 
     # Crooks on the grid: G_R(-u, -v) = G_F(u + i beta, v) e^{beta dPhi}
     period = 2.0 * math.pi / spacing
+    grid = 64
     u, v = np.meshgrid(
         period * (np.arange(grid) + 0.31) / grid,
         2.0 * math.pi * (np.arange(grid) + 0.17) / grid,

@@ -175,6 +175,18 @@ def adiabatic_mode_factor(
     )
 
 
+def drift_removed(params: charfun.CharfunParams, u, v):
+    """g_bar = G e^{-i u dPhi}: the open-endpoint G with the free-energy
+    drift dPhi taken out, so that Jarzynski reads g_bar(i beta, 0) = 1.
+    A Python complex for a single point, else the array."""
+    dphi = charfun.grand_potential_diff(
+        params.frequency_pairs(), params.beta, hbar=params.hbar
+    )
+    g = charfun.closed_form_general(params, u, v)
+    g_bar = g * np.exp(-1j * np.asarray(u, dtype=complex) * dphi)
+    return complex(g_bar) if np.ndim(g_bar) == 0 else g_bar
+
+
 def classical_work_pdf(
     variant: ResonanceKind, r: float, g_tau: float, beta: float, w
 ):

@@ -21,7 +21,6 @@ from cavework.charfun import (
     multi_resonance_product,
 )
 from cavework.distributions import (
-    WorkLattice,
     extract_marginal_work,
     verify_fluctuation_theorems,
 )
@@ -35,6 +34,7 @@ from conftest import (
     adiabatic_mode_factor,
     classical_charfun,
     classical_work_pdf,
+    drift_removed,
     same_bits,
     synthetic_case,
 )
@@ -94,10 +94,9 @@ def test_mode_exchange_symmetry():
 def test_general_reduces_to_closed_at_equal_endpoints():
     for params in ALL:
         for u, v in [(0.4, 0.0), (-0.8, 1.2)]:
-            got = closed_form_general(params, u, v)
             want = closed_form(params, u, v)
-            assert abs(got.g - want) < 1e-13
-            assert abs(got.g_bar - want) < 1e-13
+            assert abs(closed_form_general(params, u, v) - want) < 1e-13
+            assert abs(drift_removed(params, u, v) - want) < 1e-13
 
 
 def open_params(variant, beta=0.6, hbar=1.0):
@@ -115,24 +114,14 @@ def open_params(variant, beta=0.6, hbar=1.0):
     )
 
 
-def test_general_drift_relation():
-    # g = g_bar * exp(i u dPhi) with dPhi from the participating modes
-    for variant in (DOF, SUF, DIF):
-        params = open_params(variant)
-        dphi = grand_potential_diff(params.frequency_pairs(), params.beta)
-        for u in (0.3, -1.7, 0.5 + 0.2j):
-            got = closed_form_general(params, u, 0.9)
-            assert abs(got.g - got.g_bar * cmath.exp(1j * u * dphi)) < 1e-12
-
-
 def test_jarzynski_open_endpoints():
     # <e^{-beta w}> = e^{-beta dPhi}; equivalently g_bar(i beta) = 1
     for variant in (DOF, SUF, DIF):
         params = open_params(variant)
         dphi = grand_potential_diff(params.frequency_pairs(), params.beta)
         got = closed_form_general(params, 1j * params.beta, 0.0)
-        assert abs(got.g - math.exp(-params.beta * dphi)) < 1e-12
-        assert abs(got.g_bar - 1.0) < 1e-12
+        assert abs(got - math.exp(-params.beta * dphi)) < 1e-12
+        assert abs(drift_removed(params, 1j * params.beta, 0.0) - 1.0) < 1e-12
 
 
 def test_zero_coupling_is_adiabatic_product():
@@ -149,7 +138,7 @@ def test_zero_coupling_is_adiabatic_product():
             want = 1.0 + 0.0j
             for w0, w1 in params.frequency_pairs():
                 want *= adiabatic_mode_factor(w0, w1, params.beta, u)
-            assert abs(closed_form_general(params, u, 0.0).g - want) < 1e-12
+            assert abs(closed_form_general(params, u, 0.0) - want) < 1e-12
 
 
 def test_adiabatic_factor_values():
@@ -245,11 +234,10 @@ def test_quantum_charfun_approaches_classical_limit():
 def test_moments_match_lattice_average():
     # derivative route vs. explicit sum over inverted peak weights
     params = make_params(SUF, beta=0.4, wk=2.0, wp=1.0, g_tau=0.3)
-    lattice = WorkLattice(spacing=3.0)
-    peaks = extract_marginal_work(lambda u: closed_form(params, u, 0.0), lattice)
+    peaks = extract_marginal_work(lambda u: closed_form(params, u, 0.0), 3.0)
     mean_sum = sum(w * p for w, p in peaks)
     var_sum = sum((w - mean_sum) ** 2 * p for w, p in peaks)
-    mean, var = moments(params, order=2)
+    mean, var = moments(params)
     assert mean == pytest.approx(mean_sum, rel=1e-8)
     # the lattice sum drops sub-1e-12 tail peaks, which w^2 amplifies
     assert var == pytest.approx(var_sum, rel=1e-6)
@@ -264,11 +252,12 @@ def test_moments_variance_matches_lattice_sum_on_sweeps(name):
     base = CharfunParams.from_case(plan.cases[0], cfg.beta, protocol.tau)
     for hbar in cfg.sweep_values:
         params = dataclasses.replace(base, hbar=hbar)
-        lattice = WorkLattice(spacing=hbar * protocol.omega_drive)
-        peaks = extract_marginal_work(lambda u: closed_form(params, u, 0.0), lattice)
+        peaks = extract_marginal_work(
+            lambda u: closed_form(params, u, 0.0), hbar * protocol.omega_drive
+        )
         mean_sum = sum(w * p for w, p in peaks)
         var_sum = sum((w - mean_sum) ** 2 * p for w, p in peaks)
-        _, var = moments(params, order=2)
+        _, var = moments(params)
         assert var == pytest.approx(var_sum, rel=1e-7), hbar
 
 
@@ -330,8 +319,8 @@ def test_array_charfuns_match_pointwise_at_strong_drive(monkeypatch):
         "double": (lambda a, b: closed_form(dof, a, b), False),
         "sum": (lambda a, b: closed_form(suf, a, b), False),
         "difference": (lambda a, b: closed_form(dif, a, b), False),
-        "open double": (lambda a, b: closed_form_general(open_dof, a, b).g, True),
-        "open sum": (lambda a, b: closed_form_general(open_suf, a, b).g_bar, False),
+        "open double": (lambda a, b: closed_form_general(open_dof, a, b), True),
+        "open sum": (lambda a, b: drift_removed(open_suf, a, b), False),
         # off the real axis, where the classical single-mode root winds
         "classical": (
             lambda a, b: classical_charfun(DOF, None, g_tau, a + 1j * b),
@@ -390,7 +379,7 @@ def test_single_mode_root_is_tracked_only_off_the_strip(monkeypatch):
     closed_form(params, strip_u, strip_v)
     # the package's own points: inversion, Jarzynski, the Crooks grid
     # and the moment ladders
-    verify_fluctuation_theorems(params, grid=16)
+    verify_fluctuation_theorems(params)
     moments(params)
     assert not seen
     u = np.concatenate([strip_u, off_u])
@@ -451,7 +440,7 @@ def test_non_finite_points_give_nan_without_tracking(bad, axis, monkeypatch):
         closed, opened = make_params(variant), open_params(variant)
         for form in (
             lambda u, v: closed_form(closed, u, v),
-            lambda u, v: closed_form_general(opened, u, v).g,
+            lambda u, v: closed_form_general(opened, u, v),
         ):
             good = form(0.3, 0.1)
             pair = np.array([0.3 if axis == "u" else 0.1, bad])
@@ -499,10 +488,10 @@ def test_verify_tracks_no_open_endpoint_root(monkeypatch):
         [0.3, 0.3 + 1j * beta, 0.3 - 0.1j, 0.3 + 1.1j * beta, 1.1 * math.pi / dx, 0.3]
     )
     v = np.array([0.2, 0.2, 0.2, 0.2, 0.2, 0.2 + 0.1j])
-    batch = closed_form_general(params, u, v).g
+    batch = closed_form_general(params, u, v)
     [(got_u, got_v)] = seen
     assert same_bits(got_u, u[2:]) and same_bits(got_v, v[2:])
-    pointwise = [closed_form_general(params, a, b).g for a, b in zip(u, v)]
+    pointwise = [closed_form_general(params, a, b) for a, b in zip(u, v)]
     assert same_bits(batch, np.array(pointwise))
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from cavework import cli, distributions, fock
 from cavework.cli import load_config, main, resolve_omega_drive
+from cavework.errors import ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -169,9 +171,9 @@ def test_open_protocol_demands_oracle(workdir):
 
 def test_env_overrides(workdir, monkeypatch):
     cfg = str(CONFIGS / "double_res.cfg")
-    monkeypatch.setenv("CAVEWORK_FREEZE_TOL", "1e-12")
-    assert main(["distribution", cfg, "--freeze"]) == 1
-    monkeypatch.delenv("CAVEWORK_FREEZE_TOL")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_FREEZE_TOL", 1e-12)
+        assert main(["distribution", cfg, "--freeze"]) == 1
     monkeypatch.setenv("CAVEWORK_N_MAX", "many")
     assert main(["distribution", write_cfg(workdir)]) == 2
 
@@ -185,6 +187,7 @@ def test_freeze_writes_report(workdir):
     assert set(report) == {
         "max_marginal_deviation", "oracle_residual_mass", "n_max", "freeze_tol",
     }
+    assert report["freeze_tol"] == 0.005
     assert 0.0 <= report["max_marginal_deviation"] < report["freeze_tol"]
     assert 0.0 <= report["oracle_residual_mass"] < 0.05
     assert report["n_max"] == 40
@@ -383,11 +386,13 @@ def test_distribution_runs_are_byte_identical(workdir):
 
 # invalid config values, each with a command that would use it: a config
 # section to append, an (old, new) edit of the config text, or
-# environment overrides.  Every one is a config error.
+# environment overrides.  Every one is a config error.  The rows named
+# "unknown ..." set a key or variable that is no longer read; their
+# error must name it.
 INVALID_VALUES = {
     "n_max=0": ("\n[numerics]\nn_max = 0\n", ["distribution", "--oracle"]),
-    "lattice_count=4": ("\n[numerics]\nlattice_count = 4\n", ["distribution"]),
-    "freeze_tol=abc": ("\n[numerics]\nfreeze_tol = abc\n", ["spectrum"]),
+    "unknown lattice_count": ("\n[numerics]\nlattice_count = 4\n", ["distribution"]),
+    "unknown freeze_tol": ("\n[numerics]\nfreeze_tol = abc\n", ["spectrum"]),
     "lambda0=0": (("lambda0 = 1.0", "lambda0 = 0"), ["spectrum"]),
     "cutoff=nan": (("cutoff = 4.6", "cutoff = nan"), ["spectrum"]),
     "beta=nan": (("beta = 0.225", "beta = nan"), ["distribution"]),
@@ -396,14 +401,30 @@ INVALID_VALUES = {
     "omega_drive=1e400": (("= 2*w(0:1:1)", "= 1e400"), ["distribution"]),
     "sweep beta": ("\n[sweep]\nvariable = beta\nvalues = 0.5 -1\n", ["moments"]),
     "sweep hbar": ("\n[sweep]\nvariable = hbar\nvalues = 0 1\n", ["moments"]),
+    # hbar * Omega past float range, then beta * hbar * omega past 700:
+    # each crashed, or wrote inf and nan, before the energy check
+    "hbar=1e308": (("tau = ", "hbar = 1e308\ntau = "), ["distribution"]),
+    "hbar=1e308 oracle": (
+        ("tau = ", "hbar = 1e308\ntau = "), ["distribution", "--oracle"]
+    ),
+    "hbar=1e308 verify": (("tau = ", "hbar = 1e308\ntau = "), ["verify"]),
+    "hbar=1e300": (("tau = ", "hbar = 1e300\ntau = "), ["distribution"]),
+    "hbar=1e300 verify": (("tau = ", "hbar = 1e300\ntau = "), ["verify"]),
+    "sweep beta=160": ("\n[sweep]\nvariable = beta\nvalues = 1 160\n", ["moments"]),
+    "sweep beta=400": ("\n[sweep]\nvariable = beta\nvalues = 1 400\n", ["moments"]),
     "env freeze_tol": ({"CAVEWORK_FREEZE_TOL": "nan"}, ["distribution", "--freeze"]),
+    "unknown CAVEWORK_LATTICE_COUNT": (
+        {"CAVEWORK_LATTICE_COUNT": "256"}, ["distribution"]
+    ),
 }
 
 
 @pytest.mark.parametrize(
     "change,command", INVALID_VALUES.values(), ids=list(INVALID_VALUES)
 )
-def test_invalid_config_values_exit_2(workdir, monkeypatch, capsys, change, command):
+def test_invalid_config_values_exit_2(
+    request, workdir, monkeypatch, capsys, change, command
+):
     extra = change if isinstance(change, str) else ""
     path = Path(write_cfg(workdir, tau=1.0 / math.sqrt(2.0), beta=0.225, extra=extra))
     if isinstance(change, tuple):
@@ -412,7 +433,12 @@ def test_invalid_config_values_exit_2(workdir, monkeypatch, capsys, change, comm
         for key, value in change.items():
             monkeypatch.setenv(key, value)
     assert main([command[0], str(path), *command[1:]]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert not (workdir / "out").exists()  # refused before any output
+    row = request.node.callspec.id
+    if row.startswith("unknown "):
+        assert row.removeprefix("unknown ") in err
 
 
 def test_fock_basis_above_the_cap_exits_2(workdir, monkeypatch, capsys):
@@ -447,3 +473,48 @@ def test_import_loads_no_scipy(workdir):
         cwd=workdir, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip().split("\n")[-1] == f"{[0] * len(runs)} []"
+
+
+def _ini_keys(block: str) -> dict[str, set[str]]:
+    """{section: keys} of an INI example, commented-out keys included."""
+    keys: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        head = re.match(r"\s*\[(\w+)\]", line)
+        if head:
+            section = keys.setdefault(head.group(1), set())
+        elif key := re.match(r"\s*#?\s*(\w+)\s*=", line):
+            section.add(key.group(1))
+    return keys
+
+
+def _env_names(text: str) -> set[str]:
+    return set(re.findall(r"CAVEWORK_[A-Z][A-Z0-9_]*", text))
+
+
+def test_documented_keys_and_variables_are_the_ones_read(monkeypatch):
+    # the INI example of the module help (its indented :: block) and of
+    # the README's CLI section list every known key and no other, and
+    # name no CAVEWORK_* variable but the one load_config reads
+    doc = cli.__doc__
+    lines = doc.split("::\n", 1)[1].splitlines()
+    end = next(i for i, line in enumerate(lines) if line and not line.startswith(" "))
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    ini = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    known = {name: set(keys) for name, keys in cli._KNOWN_KEYS.items()}
+    assert _ini_keys("\n".join(lines[:end])) == known
+    assert _ini_keys(ini) == known
+    read = {cli._ENV_N_MAX}
+    assert _env_names(doc) == read
+    assert _env_names(section) == read
+    # and load_config reads that one, refusing every other
+    source = Path(cli.__file__).read_text()
+    assert set(re.findall(r'"(CAVEWORK_[A-Z][A-Z0-9_]*)"', source)) == read
+    cfg = str(CONFIGS / "double_res.cfg")
+    monkeypatch.setenv("CAVEWORK_N_MAX", "7")
+    assert load_config(cfg).n_max == 7
+    for name in ("CAVEWORK_LATTICE_COUNT", "CAVEWORK_FREEZE_TOL", "CAVEWORK_X"):
+        with monkeypatch.context() as m:
+            m.setenv(name, "1")
+            with pytest.raises(ConfigError, match=name):
+                load_config(cfg)

@@ -14,7 +14,6 @@ from cavework import charfun, cli, distributions
 from cavework.charfun import CharfunParams, classical_work_cdf, closed_form
 from cavework.distributions import (
     CumulativeFit,
-    WorkLattice,
     _adaptive_comb,
     _marginal_deviation,
     cumulative_and_fit,
@@ -50,16 +49,15 @@ def comb_eval(weights: dict, spacing: float):
 
 
 def test_work_lattice_validation():
-    with pytest.raises(ValueError):
-        WorkLattice(spacing=0.0)
-    with pytest.raises(ValueError):
-        WorkLattice(spacing=1.0, count=4)
+    for spacing in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="spacing"):
+            extract_marginal_work(lambda u: np.ones_like(u, dtype=complex), spacing)
 
 
 def test_synthetic_comb_round_trip():
     spacing = 0.7
     weights = {-2: 0.1, 0: 0.5, 1: 0.25, 3: 0.15}
-    peaks = extract_marginal_work(comb_eval(weights, spacing), WorkLattice(spacing))
+    peaks = extract_marginal_work(comb_eval(weights, spacing), spacing)
     assert len(peaks) == 4
     for (w, p), (m, q) in zip(peaks, sorted(weights.items())):
         assert w == pytest.approx(m * spacing, abs=1e-15)
@@ -67,7 +65,7 @@ def test_synthetic_comb_round_trip():
 
 
 def test_unit_charfun_is_a_delta_at_zero():
-    peaks = extract_marginal_work(lambda u: 1.0 + 0.0j, WorkLattice(2.0))
+    peaks = extract_marginal_work(lambda u: 1.0 + 0.0j, 2.0)
     assert peaks == [(0.0, 1.0)]
 
 
@@ -96,11 +94,11 @@ def test_channel_photons_relabel_the_work_inversion():
     for params, spacing in cases:
         work, photons = extract_channel_marginals(
             lambda u: closed_form(params, u, 0.0),
-            WorkLattice(spacing),
+            spacing,
             params.variant,
         )
         assert work == extract_marginal_work(
-            lambda u: closed_form(params, u, 0.0), WorkLattice(spacing)
+            lambda u: closed_form(params, u, 0.0), spacing
         )
         direct = extract_marginal_photons(lambda v: closed_form(params, 0.0, v))
         assert [dn for dn, _ in photons] == [dn for dn, _ in direct]
@@ -120,13 +118,13 @@ def test_incommensurate_support_is_rejected():
         return 0.5 * np.exp(1j * u) + 0.5 * np.exp(1j * u * math.sqrt(2.0))
 
     with pytest.raises(InversionError, match="Fock"):
-        extract_marginal_work(g, WorkLattice(1.0))
+        extract_marginal_work(g, 1.0)
 
 
 def test_negative_weights_are_rejected():
     with pytest.raises(InversionError, match="negative"):
         extract_marginal_work(
-            comb_eval({0: 1.5, 1: -0.5}, 1.0), WorkLattice(1.0)
+            comb_eval({0: 1.5, 1: -0.5}, 1.0), 1.0
         )
 
 
@@ -135,7 +133,7 @@ def test_imaginary_weights_are_rejected():
         return 1.0 + 1e-6j * (np.exp(1j * u) - 1.0)
 
     with pytest.raises(InversionError, match="imaginary"):
-        extract_marginal_work(g, WorkLattice(1.0))
+        extract_marginal_work(g, 1.0)
 
 
 def test_non_decaying_comb_stops_at_the_sample_budget():
@@ -307,8 +305,7 @@ def test_direct_jarzynski_sum_weak_driving():
             rep = verify_fluctuation_theorems(
                 params_for(variant, beta, g_tau, wk=spacing[variant] / 2.0)
                 if variant is DOF
-                else params_for(variant, beta, g_tau),
-                grid=8,
+                else params_for(variant, beta, g_tau)
             )
             assert rep.jarzynski_direct_error is not None
             assert rep.jarzynski_direct_error < 1e-10
@@ -317,9 +314,7 @@ def test_direct_jarzynski_sum_weak_driving():
 def test_direct_jarzynski_degrades_gracefully():
     # far outside the weak-tilt domain the route loses digits but must
     # not blow up: the noise-floor cutoff keeps the tilted tail finite
-    rep = verify_fluctuation_theorems(
-        params_for(DOF, beta=1.5, g_tau=0.12), grid=4
-    )
+    rep = verify_fluctuation_theorems(params_for(DOF, beta=1.5, g_tau=0.12))
     assert rep.jarzynski_direct_error < 1e-6
 
 
@@ -354,7 +349,7 @@ def test_cumulative_fit_moments_and_cdf():
 def test_strong_drive_is_visibly_non_gaussian():
     params = params_for(DOF, beta=1.0, g_tau=1.2, wk=1.0)
     peaks = extract_marginal_work(
-        lambda u: closed_form(params, u, 0.0), WorkLattice(2.0)
+        lambda u: closed_form(params, u, 0.0), 2.0
     )
     fit = cumulative_and_fit(peaks)
     assert fit.sup_distance > 0.01
@@ -365,7 +360,7 @@ def test_classical_comparison_tracks_temperature():
     for beta, bound, hot in [(0.05, 0.1, True), (2.5, 0.3, False)]:
         params = params_for(SUF, beta=beta, g_tau=g_tau)
         peaks = extract_marginal_work(
-            lambda u: closed_form(params, u, 0.0), WorkLattice(3.0)
+            lambda u: closed_form(params, u, 0.0), 3.0
         )
         ks = compare_classical(
             peaks, lambda w: classical_work_cdf(SUF, r, g_tau, beta, w)
@@ -426,12 +421,12 @@ def test_verify_inverts_once(monkeypatch):
 
     monkeypatch.setattr(distributions, "_adaptive_comb", counted)
     for variant in (DOF, SUF, DIF):
-        rep = verify_fluctuation_theorems(params_for(variant, 0.8, 0.2), grid=8)
+        rep = verify_fluctuation_theorems(params_for(variant, 0.8, 0.2))
         assert rep.crooks_peakwise_error < 1e-8
         assert calls == [1]
         calls.clear()
     open_params = CharfunParams(variant=DOF, beta=0.8, omega_k=(1.0, 1.1), g_tau=0.2)
-    verify_fluctuation_theorems(open_params, grid=8)
+    verify_fluctuation_theorems(open_params)
     assert calls == []
 
 
@@ -457,7 +452,7 @@ def test_joint_law_of_a_single_channel_is_its_work_law_on_a_line(
     on_line = sv[None, :] == per * su[:, None]
     assert joint[~on_line].sum() < 1e-12
     signed, work = distributions._work_weights(
-        lambda u: charfun._g(params, u, 0.0), WorkLattice(spacing)
+        lambda u: charfun._g(params, u, 0.0), spacing
     )
     line = dict(zip(su[on_line.any(axis=1)].tolist(), joint[on_line].tolist()))
     direct = dict(zip(signed.tolist(), work.tolist()))
@@ -471,14 +466,14 @@ def test_channel_marginals_keep_the_bits_of_the_per_sample_relabelling(name, fac
     # a squeezing channel takes its photon peaks as the work weights at
     # delta_n = per * m, the exchange channel one fsum of them at 0
     params = _reference_params(name, factor)
-    lattice = WorkLattice(distributions._drive_quantum(params))
+    spacing = distributions._drive_quantum(params)
 
     def evaluate(u):
         return charfun._g(params, u, 0.0)
 
-    got = extract_channel_marginals(evaluate, lattice, params.variant)
-    signed, probs = distributions._work_weights(evaluate, lattice)
-    want = channel_marginals_reference(signed, probs, lattice.spacing, params.variant)
+    got = extract_channel_marginals(evaluate, spacing, params.variant)
+    signed, probs = distributions._work_weights(evaluate, spacing)
+    want = channel_marginals_reference(signed, probs, spacing, params.variant)
     for mine, ref in zip(got, want):
         assert same_bits(np.array(mine, dtype=float), np.array(ref, dtype=float))
     assert all(type(dn) is int for dn, _ in got[1])
@@ -496,10 +491,10 @@ def test_verify_catches_a_g_that_leaves_the_line(monkeypatch):
 
     for variant in (DOF, SUF, DIF):
         params = params_for(variant, 0.8, 0.2)
-        clean = verify_fluctuation_theorems(params, grid=8)
+        clean = verify_fluctuation_theorems(params)
         with monkeypatch.context() as m:
             m.setattr(distributions, "_g", off_line)
-            rep = verify_fluctuation_theorems(params, grid=8)
+            rep = verify_fluctuation_theorems(params)
         assert clean.periodicity_max_error < 1e-12
         assert rep.periodicity_max_error > 1e-8
         assert max(rep.normalization_error, rep.jarzynski_abs_error) < 1e-12
@@ -520,7 +515,7 @@ def test_verify_tracks_no_single_mode_root(monkeypatch):
 
     monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
     params = params_for(DOF, 0.5, 0.1, wk=1.0)
-    rep = verify_fluctuation_theorems(params, grid=64)
+    rep = verify_fluctuation_theorems(params)
     assert rep.worst() < 1e-10 and rep.crooks_peakwise_error < 1e-8
     assert received == []
     closed_form(params, np.array([0.3, 0.3 - 0.05j]), 0.2)
@@ -530,7 +525,7 @@ def test_verify_tracks_no_single_mode_root(monkeypatch):
 
 def test_perturbation_control_breaks_the_identities():
     rep = verify_fluctuation_theorems(
-        params_for(DOF, 0.7, 0.25, wk=1.2), grid=8, perturbation=1e-3,
+        params_for(DOF, 0.7, 0.25, wk=1.2), perturbation=1e-3,
     )
     assert rep.normalization_error > 5e-4
     assert rep.jarzynski_abs_error > 5e-4
@@ -610,7 +605,7 @@ def test_one_ks_method_is_bit_identical_to_both_loops():
     for beta in (0.05, 2.5):
         params = params_for(SUF, beta=beta, g_tau=g_tau)
         peaks = extract_marginal_work(
-            lambda u: closed_form(params, u, 0.0), WorkLattice(3.0)
+            lambda u: closed_form(params, u, 0.0), 3.0
         )
         fit = cumulative_and_fit(peaks)
         assert fit.sup_distance == _reference_ks(fit, fit.gaussian_cdf)
@@ -648,8 +643,7 @@ def golden_marginals():
             cfg = dataclasses.replace(base, beta=base.beta * factor)
             protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
             evaluate, spacing = cli._closed_evaluator(cfg, protocol, plan)
-            lattice = WorkLattice(spacing, cfg.lattice_count)
-            work = extract_marginal_work(lambda u: evaluate(u, 0.0), lattice)
+            work = extract_marginal_work(lambda u: evaluate(u, 0.0), spacing)
             (case,) = plan.cases
             classical = None
             if case.kind is not DOF:

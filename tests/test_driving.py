@@ -17,7 +17,7 @@ from cavework.cavity import (
     mode_spectrum,
 )
 from cavework.charfun import CharfunParams
-from cavework.distributions import WorkLattice
+from cavework.distributions import extract_marginal_work
 from cavework.driving import (
     DrivingProtocol,
     ResonanceKind,
@@ -63,8 +63,8 @@ def _charfun(beta=1.0, hbar=1.0, omega_k=(1.0, 1.0)):
         lambda: _charfun(hbar=NAN),
         lambda: _charfun(omega_k=(NAN, NAN)),
         lambda: _charfun(omega_k=(INF, INF)),
-        lambda: WorkLattice(NAN),
-        lambda: WorkLattice(INF),
+        lambda: extract_marginal_work(lambda u: np.ones_like(u, dtype=complex), NAN),
+        lambda: extract_marginal_work(lambda u: np.ones_like(u, dtype=complex), INF),
         lambda: TruncatedFockSpace([((0, 1, 1), NAN, 1.0)], 2),
         lambda: TruncatedFockSpace([((0, 1, 1), 1.0, INF)], 2),
         lambda: RectangularGeometry(INF, 1.0),

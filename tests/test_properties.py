@@ -46,7 +46,6 @@ from cavework.charfun import (  # noqa: E402
 )
 from cavework.distributions import (  # noqa: E402
     CumulativeFit,
-    WorkLattice,
     verify_fluctuation_theorems,
 )
 from cavework.driving import (  # noqa: E402
@@ -121,7 +120,7 @@ def closed_params(draw) -> CharfunParams:
 @given(closed_params())
 def test_fluctuation_theorems_hold(params):
     assert distributions._reversed_params(params) == params
-    report = verify_fluctuation_theorems(params, grid=8)
+    report = verify_fluctuation_theorems(params)
     assert report.normalization_error <= 1e-10
     assert report.jarzynski_abs_error <= 1e-10
     assert report.crooks_peakwise_error <= 1e-8
@@ -138,7 +137,7 @@ def test_joint_weights_sum_to_the_work_weights(params):
     )
     assert 64 <= len(su) <= 128 and 64 <= len(sv) <= 128
     signed, work = distributions._work_weights(
-        lambda u: closed_form(params, u, 0.0), WorkLattice(spacing)
+        lambda u: closed_form(params, u, 0.0), spacing
     )
     summed = dict(zip(su.tolist(), joint.sum(axis=1).tolist()))
     direct = dict(zip(signed.tolist(), work.tolist()))
@@ -425,7 +424,7 @@ def test_open_double_principal_root_is_the_tracked_root(params, points):
         slack = 1e-12 * scale * (1.0 + abs(a.real) * max(x0, x1) + abs(b))
         assert got >= bound(phi) - slack
     # the certified points alone, which the package does not track
-    g = closed_form_general(params, u[certified], v[certified]).g
+    g = closed_form_general(params, u[certified], v[certified])
     sk = math.sinh(beta * x0 / 2.0)
     for a, b, got in zip(u[certified], v[certified], g):
         a, b = np.array([a]), np.array([b])
