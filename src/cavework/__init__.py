@@ -9,7 +9,6 @@ from .errors import (
     DegenerateResonanceError,
     InversionError,
     ModeValidationError,
-    MomentConvergenceError,
     RootBracketingError,
     SymplecticityError,
     TraceDivergenceError,
@@ -26,7 +25,6 @@ __all__ = [
     "DegenerateResonanceError",
     "InversionError",
     "ModeValidationError",
-    "MomentConvergenceError",
     "RootBracketingError",
     "SymplecticityError",
     "TraceDivergenceError",

@@ -3,7 +3,7 @@
 Single-resonance results for a boundary returning to its starting
 position, their generalization to unequal endpoint positions, products
 over mode-disjoint resonances, grand potentials, classical (hbar -> 0)
-limits, and work moments.
+limits, and the work mean and variance as exact cumulants of G.
 
 Energy bookkeeping: every frequency enters as x = hbar * omega, the
 grand potential omits zero-point terms, and work counts only quantum
@@ -27,11 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .driving import ResonanceCase, ResonanceKind
-from .errors import (
-    CoupledResonanceError,
-    DegenerateResonanceError,
-    MomentConvergenceError,
-)
+from .errors import CoupledResonanceError, DegenerateResonanceError
 from .symplectic import tracked_sqrt
 
 __all__ = [
@@ -127,6 +123,11 @@ class CharfunParams:
 
 def _sinh_half(beta: float, x: float) -> float:
     return math.sinh(beta * x / 2.0)
+
+
+def _coth(y: float) -> float:
+    """coth y for y >= 0; inf where y underflows to zero."""
+    return 1.0 / math.tanh(y) if y else math.inf
 
 
 def _points(u, v) -> list[np.ndarray]:
@@ -260,8 +261,10 @@ def grand_potential_diff(pairs: Sequence, beta: float, hbar: float = 1.0) -> flo
         w0, w1 = float(w0), float(w1)
         if w0 <= 0.0 or w1 <= 0.0:
             raise ValueError("frequencies must be positive")
-        total += math.log1p(-math.exp(-beta * hbar * w1)) - math.log1p(
-            -math.exp(-beta * hbar * w0)
+        # -expm1(-x) keeps 1 - e^{-x} positive for every x > 0; 1 - exp(-x)
+        # rounds to 0 below x = 1.1e-16
+        total += math.log(-math.expm1(-beta * hbar * w1)) - math.log(
+            -math.expm1(-beta * hbar * w0)
         )
     return total / beta
 
@@ -409,7 +412,7 @@ def _classical_ratio_coeff(variant: ResonanceKind, r: float | None) -> float:
     return (r - 1.0) ** 2 / r
 
 
-def _classical_amp(variant: ResonanceKind, g_tau: float) -> float:
+def _coupling_amp(variant: ResonanceKind, g_tau: float) -> float:
     if variant is ResonanceKind.DIFFERENCE:
         return math.sin(g_tau) ** 2
     return math.sinh(g_tau) ** 2
@@ -424,7 +427,7 @@ def classical_alphas(
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     c = _classical_ratio_coeff(variant, r)
-    amp = _classical_amp(variant, g_tau)
+    amp = _coupling_amp(variant, g_tau)
     root = math.sqrt(1.0 + 4.0 / (c * amp))
     return (beta / 2.0) * (1.0 - root), (beta / 2.0) * (1.0 + root)
 
@@ -443,43 +446,28 @@ def classical_work_cdf(
 
 
 def moments(params: CharfunParams) -> tuple[float, float]:
-    """(mean, central variance) of work by differentiation.
+    """(mean, central variance) of work for a closed protocol: the first
+    two cumulants of G, -i d/du ln G(u, 0) and -d^2/du^2 ln G(u, 0) at
+    u = 0, exact and without evaluating G.
 
-    Central differences of G(u, 0) at u=0 on three-step ladders with
-    Richardson extrapolation; on each ladder the two extrapolants must
-    agree or it is declared unconverged.  The second derivative takes a
-    ladder 30x coarser than the first, since its difference quotient
-    divides the roundoff of G by h^2.  The step scale adapts to
-    whichever is smaller of the quantum 1/(hbar omega) and thermal beta
-    scales so both Table-like limits differentiate accurately.
+    With c_j = coth(beta x_j / 2), h = (x_k +- x_p) / 2 and A the
+    coupling amplitude, the two-mode forms give mean = A h (c_p +- c_k)
+    and variance = A h^2 [2 (c_k c_p +- 1) + A (c_p +- c_k)^2], + for
+    the sum and - for the difference.  The single-mode form is the sum
+    form at x_p = x_k under a square root, so it takes half of each.
+    Written with coth, neither overflows for large beta x.
     """
-    w_max = params.hbar * max(w for pair in params.frequency_pairs() for w in pair)
-    scale = min(1.0 / w_max, params.beta)
-    steps = [1e-3 * scale, 1e-4 * scale, 1e-5 * scale]
-    steps2 = [3e-2 * scale, 3e-3 * scale, 3e-4 * scale]
-    # both ladders in one evaluation.  G(-u, 0) is the conjugate of
-    # G(u, 0) for a real distribution; taking it so keeps the roundoff of
-    # the two sides mirrored, which the second differences need
-    us = np.array([0.0] + steps + steps2)
-    g = _g(params, us, 0.0).tolist()
-    g0, gp = g[0], g[1:]
-    gm = [x.conjugate() for x in gp]
-
-    def d1(i: int) -> complex:
-        return (gp[i] - gm[i]) / (2.0 * steps[i])
-
-    def d2(i: int) -> complex:
-        h = steps2[i]
-        return (gp[3 + i] - 2.0 * g0 + gm[3 + i]) / (h * h)
-
-    # ladder steps differ by 10, so Richardson weights are 100/99
-    r1 = [(100.0 * d1(i + 1) - d1(i)) / 99.0 for i in range(2)]
-    atol_mean = 1e-9 * (w_max + 1.0 / params.beta)
-    if abs(r1[0] - r1[1]) > max(1e-5 * abs(r1[1]), atol_mean):
-        raise MomentConvergenceError("first-derivative ladder did not settle")
-    mean = (-1j * r1[1]).real
-    r2 = [(100.0 * d2(i + 1) - d2(i)) / 99.0 for i in range(2)]
-    if abs(r2[0] - r2[1]) > max(1e-4 * abs(r2[1]), atol_mean**2):
-        raise MomentConvergenceError("second-derivative ladder did not settle")
-    second_moment = (-r2[1]).real
-    return (mean, second_moment - mean * mean)
+    if not params.is_closed:
+        raise ValueError("endpoint frequencies differ; moments need a closed protocol")
+    xk = params.hbar * params.omega_k[0]
+    xp = xk if params.omega_p is None else params.hbar * params.omega_p[0]
+    ck, cp = (_coth(params.beta * x / 2.0) for x in (xk, xp))
+    sign = -1.0 if params.variant is ResonanceKind.DIFFERENCE else 1.0
+    amp = _coupling_amp(params.variant, params.g_tau)
+    h = (xk + sign * xp) / 2.0
+    c = cp + sign * ck
+    mean = amp * h * c
+    var = amp * h * h * (2.0 * (ck * cp + sign) + amp * c * c)
+    if params.variant is ResonanceKind.DOUBLE:
+        return mean / 2.0, var / 2.0
+    return mean, var

@@ -46,7 +46,8 @@ where they are parsed, the override included: numbers must be finite;
 lambda0, beta, hbar and every sweep value positive; n_max >= 1.  The
 drive quantum hbar * Omega must be finite, and beta * hbar * omega of
 every resonant mode, at both endpoints and at every sweep value, at most
-700 (sinh^2 of half of it leaves float range at 709.78).  An --oracle /
+700 (sinh^2 of half of it leaves float range at 709.78), and the work
+mean and variance at every sweep value finite.  An --oracle /
 --freeze basis, (n_max + 1) ** (resonant modes), may hold at most 20000
 states (fock._DIM_CAP).  --freeze refuses a closed-form vs oracle
 deviation above 5e-3.
@@ -634,7 +635,11 @@ def cmd_moments(args) -> int:
         energies = [params.hbar * w for w in freqs]
         _check_energies(params.beta, _drive_quantum(params), energies)
         mean, var = moments(params)
-        lines.append(f"{val:.12g},{mean:.12g},{math.sqrt(max(var, 0.0)):.12g}")
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            raise ConfigError(
+                f"{cfg.sweep_variable} = {val!r}: the work moments leave float range"
+            )
+        lines.append(f"{val:.12g},{mean:.12g},{math.sqrt(var):.12g}")
     path = _out_path(cfg, "moments.csv")
     _write(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(cfg.sweep_values)} sweep points)")

@@ -59,9 +59,5 @@ class InversionError(CaveworkError):
     """Characteristic-function inversion failed a consistency check."""
 
 
-class MomentConvergenceError(CaveworkError):
-    """Richardson ladder for a work moment failed to settle."""
-
-
 class ConfigError(CaveworkError, ValueError):
     """Bad or incomplete run configuration."""

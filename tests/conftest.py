@@ -146,7 +146,7 @@ def classical_charfun(variant: ResonanceKind, r: float | None, g_tau: float, u_t
     """
     c = charfun._classical_ratio_coeff(variant, r)
     ut = np.asarray(u_tilde, dtype=complex)
-    amp = charfun._classical_amp(variant, g_tau)
+    amp = charfun._coupling_amp(variant, g_tau)
     if variant is ResonanceKind.DOUBLE:
         g = 1.0 / symplectic.tracked_sqrt(
             lambda s, ut: 1.0 + c * ((s * ut) ** 2 - 1j * s * ut) * amp,

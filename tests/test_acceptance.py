@@ -2,8 +2,8 @@
 
 Every check pits an implementation route against an independent one
 (closed forms vs truncated-Fock simulation, symplectic traces vs dense
-matrix exponentials, table limits vs differentiated characteristic
-functions, couplings vs quadrature) or against frozen golden values.
+matrix exponentials, table limits vs the exact cumulants of the closed
+forms, couplings vs quadrature) or against frozen golden values.
 Verdicts are recorded via record_criterion before the assert fires, so
 the terminal summary always carries all nine lines.
 """

@@ -232,7 +232,7 @@ def test_quantum_charfun_approaches_classical_limit():
 
 
 def test_moments_match_lattice_average():
-    # derivative route vs. explicit sum over inverted peak weights
+    # exact cumulants vs. explicit sum over inverted peak weights
     params = make_params(SUF, beta=0.4, wk=2.0, wp=1.0, g_tau=0.3)
     peaks = extract_marginal_work(lambda u: closed_form(params, u, 0.0), 3.0)
     mean_sum = sum(w * p for w, p in peaks)
@@ -243,10 +243,15 @@ def test_moments_match_lattice_average():
     assert var == pytest.approx(var_sum, rel=1e-6)
 
 
+def test_moments_refuse_open_endpoints():
+    with pytest.raises(ValueError, match="closed protocol"):
+        moments(CharfunParams(SUF, 0.4, (2.0, 2.2), 0.3, (1.0, 1.0)))
+
+
 @pytest.mark.parametrize("name", ["moments_cold", "moments_hot"])
 def test_moments_variance_matches_lattice_sum_on_sweeps(name):
-    # the moments CLI prints std_w to 12 digits: the second derivative
-    # must resolve far more than the ~5 digits a roundoff-bound step gives
+    # the moments CLI prints std_w to 12 digits, so the exact variance
+    # must match the lattice sum of every sweep point closely
     cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
     protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
     base = CharfunParams.from_case(plan.cases[0], cfg.beta, protocol.tau)
@@ -377,10 +382,8 @@ def test_single_mode_root_is_tracked_only_off_the_strip(monkeypatch):
 
     monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
     closed_form(params, strip_u, strip_v)
-    # the package's own points: inversion, Jarzynski, the Crooks grid
-    # and the moment ladders
+    # the package's own points: inversion, Jarzynski and the Crooks grid
     verify_fluctuation_theorems(params)
-    moments(params)
     assert not seen
     u = np.concatenate([strip_u, off_u])
     v = np.concatenate([strip_v, off_v])
@@ -396,9 +399,9 @@ def test_single_mode_root_is_tracked_only_off_the_strip(monkeypatch):
 
 @pytest.mark.parametrize("name", ["double_res", "sum_res", "diff_res"])
 def test_real_points_keep_the_bits_of_the_complex_evaluation(name, monkeypatch):
-    # every real (u, v) that verify and moments evaluate on a reference
-    # config, the final comb grids included, takes the real-axis sines;
-    # the same values passed as complex take the complex ones
+    # every real (u, v) that verify evaluates on a reference config, the
+    # final comb grids included, takes the real-axis sines; the same
+    # values passed as complex take the complex ones
     cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
     params = cli._single_channel(cfg, "verify")
     g = charfun._g
@@ -415,7 +418,6 @@ def test_real_points_keep_the_bits_of_the_complex_evaluation(name, monkeypatch):
     monkeypatch.setattr(charfun, "_g", both)
     monkeypatch.setattr(distributions, "_g", both)
     verify_fluctuation_theorems(params)
-    moments(params)
     # the Crooks grid alone supplies 64 x 64 real points (its reverse side)
     assert sum(checked) > 64 * 64
 

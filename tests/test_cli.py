@@ -365,6 +365,28 @@ def test_moments_sweep_shows_classical_flattening(workdir):
     assert hot < 0.05
 
 
+def test_moments_sweep_to_a_hot_limit_stays_finite(workdir):
+    cfg = write_cfg(workdir, extra="\n[sweep]\nvariable = beta\nvalues = 1 1e-100\n")
+    assert main(["moments", cfg]) == 0
+    lines = (workdir / "out" / "t_moments.csv").read_text().strip().split("\n")
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "1e-100"]
+    assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=0.12 strains")
+@pytest.mark.parametrize("name", ["double_res", "open_endpoints"])
+def test_verify_near_infinite_temperature_fails_without_a_traceback(
+    workdir, capsys, name
+):
+    # beta * hbar * omega below 1.1e-16 once broke the grand potential
+    # with a math domain error; the run now ends at a numerical gate
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    path = workdir / f"{name}.cfg"
+    path.write_text(re.sub(r"(?m)^beta = .*$", "beta = 1e-100", text))
+    assert main(["verify", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_moments_requires_sweep_section(workdir):
     assert main(["moments", write_cfg(workdir)]) == 2
     cfg = write_cfg(workdir, extra="\n[sweep]\nvariable = epsilon\nvalues = 1\n")
@@ -412,6 +434,20 @@ INVALID_VALUES = {
     "hbar=1e300 verify": (("tau = ", "hbar = 1e300\ntau = "), ["verify"]),
     "sweep beta=160": ("\n[sweep]\nvariable = beta\nvalues = 1 160\n", ["moments"]),
     "sweep beta=400": ("\n[sweep]\nvariable = beta\nvalues = 1 400\n", ["moments"]),
+    # exact moments past float range: inf for both, or a finite mean
+    # beside an infinite variance while beta * hbar * omega stays below 700
+    "sweep beta=1e-320": (
+        "\n[sweep]\nvariable = beta\nvalues = 1 1e-320\n", ["moments"]
+    ),
+    "sweep hbar=1e200": (
+        ("beta = 0.225", "beta = 1e-198\n\n[sweep]\nvariable = hbar\nvalues = 1e200"),
+        ["moments"],
+    ),
+    # beta * hbar * omega / 2 underflows to zero: coth is infinite
+    "sweep hbar=1e-200": (
+        ("beta = 0.225", "beta = 1e-200\n\n[sweep]\nvariable = hbar\nvalues = 1e-200"),
+        ["moments"],
+    ),
     "env freeze_tol": ({"CAVEWORK_FREEZE_TOL": "nan"}, ["distribution", "--freeze"]),
     "unknown CAVEWORK_LATTICE_COUNT": (
         {"CAVEWORK_LATTICE_COUNT": "256"}, ["distribution"]

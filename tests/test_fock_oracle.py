@@ -565,6 +565,29 @@ def test_no_private_name_is_dead_and_every_export_is_defined():
     assert not missing, missing
 
 
+def test_every_exception_type_is_raised_and_exported():
+    # an exception type that no line of the package raises is a dead
+    # public name; the package exports exactly the live ones and its base
+    errors = importlib.import_module("cavework.errors")
+    types = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, errors.CaveworkError)
+        and obj is not errors.CaveworkError
+    }
+    raised = set()
+    for path in (ROOT / "src" / "cavework").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert not types - raised, sorted(types - raised)
+    exported = set(importlib.import_module("cavework").__all__)
+    assert exported == types | {"CaveworkError", "__version__"}
+
+
 def test_every_name_the_benchmark_tracer_wraps_resolves():
     # perfbench/tracer.py wraps these functions by name, at every module
     # that looks them up, and perfbench/child.py clears the root cache

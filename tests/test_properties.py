@@ -128,6 +128,32 @@ def test_fluctuation_theorems_hold(params):
 
 @PROPERTY
 @given(closed_params())
+def test_moments_are_the_lattice_sum_of_the_work_weights(params):
+    peaks = distributions.extract_marginal_work(
+        lambda u: closed_form(params, u, 0.0), distributions._drive_quantum(params)
+    )
+    mean_sum = math.fsum(w * p for w, p in peaks)
+    var_sum = math.fsum((w - mean_sum) ** 2 * p for w, p in peaks)
+    mean, var = charfun.moments(params)
+    assert mean == pytest.approx(mean_sum, rel=1e-8)
+    assert var == pytest.approx(var_sum, rel=1e-7)
+
+
+@PROPERTY
+@given(closed_params())
+def test_moments_evaluate_no_charfun(params):
+    def refuse(*args):
+        raise AssertionError("moments evaluated G")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_g", "closed_form", "closed_form_general"):
+            patch.setattr(charfun, name, refuse)
+        mean, var = charfun.moments(params)
+    assert math.isfinite(mean) and var > 0.0
+
+
+@PROPERTY
+@given(closed_params())
 def test_joint_weights_sum_to_the_work_weights(params):
     spacing = distributions._drive_quantum(params)
     (su, sv), joint = distributions._adaptive_comb(
