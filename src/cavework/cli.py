@@ -46,8 +46,9 @@ where they are parsed, the override included: numbers must be finite;
 lambda0, beta, hbar and every sweep value positive; n_max >= 1.  The
 drive quantum hbar * Omega must be finite, and beta * hbar * omega of
 every resonant mode, at both endpoints and at every sweep value, at most
-700 (sinh^2 of half of it leaves float range at 709.78), and the work
-mean and variance at every sweep value finite.  An --oracle /
+700 (sinh^2 of half of it leaves float range at 709.78) and above 0
+(coth of half of it is infinite), and the work mean and variance at
+every sweep value finite.  An --oracle /
 --freeze basis, (n_max + 1) ** (resonant modes), may hold at most 20000
 states (fock._DIM_CAP).  --freeze refuses a closed-form vs oracle
 deviation above 5e-3.
@@ -235,8 +236,8 @@ def load_config(path: str) -> RunConfig:
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
     try:
-        cp.read(path)
-    except configparser.Error as exc:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
     for section in cp.sections():
@@ -392,7 +393,7 @@ def _protocol_and_plan(cfg: RunConfig, spectrum: list):
 def _check_energies(beta: float, quantum: float, energies) -> None:
     """Refuse a drive quantum hbar * Omega that is not finite, and beta
     times a resonant mode's energy hbar * omega above
-    _MAX_THERMAL_EXPONENT."""
+    _MAX_THERMAL_EXPONENT or underflowing to 0."""
     if not math.isfinite(quantum):
         raise ConfigError(f"drive quantum hbar * Omega = {quantum!r} is not finite")
     exponent = beta * max(energies, default=0.0)
@@ -401,6 +402,8 @@ def _check_energies(beta: float, quantum: float, energies) -> None:
             f"beta * hbar * omega = {exponent:.6g} of a resonant mode exceeds "
             f"{_MAX_THERMAL_EXPONENT:g}; the thermal factors leave float range"
         )
+    if beta * min(energies, default=1.0) == 0.0:
+        raise ConfigError("beta * hbar * omega of a resonant mode underflows to 0")
 
 
 def _mode_table(cfg: RunConfig, protocol: DrivingProtocol, plan) -> list:
@@ -420,7 +423,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _out_path(cfg: RunConfig, suffix: str) -> str:
-    os.makedirs(cfg.directory, exist_ok=True)
+    try:
+        os.makedirs(cfg.directory, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(
+            f"[output] directory {cfg.directory}: {exc.strerror}"
+        ) from None
     return os.path.join(cfg.directory, f"{cfg.prefix}_{suffix}")
 
 

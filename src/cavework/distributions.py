@@ -3,14 +3,14 @@
 The work support under a periodic drive is a delta comb on integer
 multiples of the drive quantum, so inversion is an exact discrete
 Fourier sum, not a quadrature: sampling G on one u-period and applying
-an FFT returns the peak weights directly.  Each axis doubles its
-number of samples, keeping the samples it has, until the outer half of
-the lattice carries negligible mass.  One N-dimensional inverter does
-this for P(w), P(delta_n) and joint laws; a single channel's joint law
+an FFT returns the peak weights directly.  The comb doubles its number
+of samples, keeping the samples it has, until the outer half of the
+lattice carries negligible mass.  One 1-D inverter does this for P(w)
+from G(u, 0) and P(delta_n) from G(0, v); a single channel's joint law
 is P(w) on the line delta_n = per * m, so it needs no joint inversion.
 Every characteristic function handed to it evaluates elementwise over
-coordinate arrays; the inverter samples it in blocks of at most _BLOCK
-points.
+a coordinate array; the inverter samples it in blocks of at most
+_BLOCK points.
 
 Also here: cumulative step functions with Gaussian fits and their
 Kolmogorov-Smirnov distance, and the fluctuation-theorem verifier that
@@ -20,7 +20,6 @@ routes each, from one 1-D inversion of the work law.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -55,10 +54,9 @@ _TAIL_TOL = 1e-10
 _IMAG_TOL = 1e-10
 _NEG_TOL = -1e-10
 _PEAK_FLOOR = 1e-12
-_MAX_SAMPLES = 1 << 16  # per axis
-_MAX_TOTAL = 1 << 20
-# G is sampled in blocks of at most this many points (whole rows along
-# the first axis), which bounds the memory of an array evaluation
+_MAX_SAMPLES = 1 << 16
+# G is sampled in blocks of at most this many points, which bounds the
+# memory of an array evaluation
 _BLOCK = 1 << 14
 # Inverted weights are printed to 12 significant digits or to
 # 10**-_PROB_DECIMALS absolute, whichever is coarser.  The Fourier
@@ -71,81 +69,37 @@ _PROB_DECIMALS = 14
 _Cdf = Callable[[np.ndarray], "np.ndarray | float"]
 
 
-def _sample(
-    evaluate: Callable[..., np.ndarray],
-    target: np.ndarray,
-    grids: Sequence[np.ndarray],
-) -> None:
-    """Fill target with evaluate on the product grid of one coordinate
-    array per axis, in ij-meshgrid blocks of at most _BLOCK points made
-    of whole rows along the first axis.  The last block is freed on
-    return, before the comb takes its FFT."""
-    rows = max(1, _BLOCK // math.prod(len(g) for g in grids[1:]))
-    for lo in range(0, len(grids[0]), rows):
-        block = np.meshgrid(grids[0][lo : lo + rows], *grids[1:], indexing="ij")
-        target[lo : lo + rows] = evaluate(*block)
-
-
-# the even and the odd slots of a doubled axis
-_HALVES = (slice(0, None, 2), slice(1, None, 2))
-
-
 def _adaptive_comb(
-    evaluate: Callable[..., np.ndarray],
-    periods: Sequence[float],
-    starts: Sequence[int],
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Signed lattice indices per axis and validated weights of an N-D comb.
+    evaluate: Callable[[np.ndarray], np.ndarray], period: float, start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed lattice indices and validated weights of a comb.
 
-    evaluate takes one coordinate array per axis (an ij-meshgrid block of
-    whole rows along the first axis) and returns G elementwise; it is
-    sampled on one period of each axis, from a power-of-two count of
-    samples per axis.  The comb stops once the weights at
-    |index| >= count / 4 on any axis sum below _TAIL_TOL.  Until then
-    it doubles the sample count of each axis whose own outer quarter
-    holds at least _TAIL_TOL / ndim (the union is at most the sum of
-    these, so some axis grows), within a budget of _MAX_SAMPLES per axis
-    and _MAX_TOTAL in all.
-
-    No point is evaluated twice: the previous grid fills the even slots
-    of the doubled axes and only the other cosets are evaluated, each a
-    strided product grid.  Sample k of m on a period p sits at p * k / m,
+    evaluate returns G elementwise over a coordinate array.  It is
+    sampled on one period, from a power-of-two count that doubles until
+    the weights at |index| >= count / 4 sum below _TAIL_TOL, within
+    _MAX_SAMPLES.  A doubling keeps the samples it has in the even slots
+    and evaluates only the odd ones: sample k of m sits at p * k / m,
     and p * 2k / 2m is the same float, so every sample is bit for bit
     the one a from-scratch evaluation of the final grid would give.
     """
-    counts = list(starts)
-    grew = [False] * len(counts)
-    samples = None
-    while max(counts) <= _MAX_SAMPLES and math.prod(counts) <= _MAX_TOTAL:
-        axes = [p * np.arange(m) / m for p, m in zip(periods, counts)]
-        kept, samples = samples, np.empty(counts, dtype=complex)
-        cosets = itertools.product(*[_HALVES if g else (slice(None),) for g in grew])
+    count, samples, step = start, None, 1
+    while count <= _MAX_SAMPLES:
+        kept, samples = samples, np.empty(count, dtype=complex)
         if kept is not None:
-            samples[next(cosets)] = kept
+            samples[::2] = kept
         del kept  # freed before the transform
-        for coset in cosets:
-            _sample(evaluate, samples[coset], [a[c] for a, c in zip(axes, coset)])
-        # np.fft.fftn's passes, last axis first, each in place after the
-        # first: one grid-sized array beside the samples, the same bits
+        for lo in range(step - 1, count, step * _BLOCK):
+            k = np.arange(lo, min(count, lo + step * _BLOCK), step)
+            samples[k] = evaluate(period * k / count)
         coeff = np.fft.fft(samples)
-        for axis in range(samples.ndim - 2, -1, -1):
-            np.fft.fft(coeff, axis=axis, out=coeff)
-        coeff /= math.prod(counts)
-        # lattice index of each FFT slot: 0..m/2-1, then -m/2..-1
-        signed = [np.fft.fftfreq(m, 1.0 / m).astype(int) for m in counts]
-        tails = [np.abs(s) >= len(s) // 4 for s in signed]
-        outer = np.logical_or.reduce(np.meshgrid(*tails, indexing="ij"))
-        mag = np.abs(coeff)
-        if float(mag[outer].sum()) < _TAIL_TOL:
-            del samples, mag  # before validation takes its own copies
+        coeff /= count
+        # slots count/4 .. 3 count/4 hold the indices with |index| >= count/4
+        if float(np.abs(coeff[count // 4 : 3 * count // 4 + 1]).sum()) < _TAIL_TOL:
+            del samples  # before validation takes its own copies
+            # lattice index of each FFT slot: 0..m/2-1, then -m/2..-1
+            signed = np.fft.fftfreq(count, 1.0 / count).astype(int)
             return signed, _validated_probs(coeff)
-        mass = np.array([
-            mag.sum(axis=tuple(b for b in range(mag.ndim) if b != a))[t].sum()
-            for a, t in enumerate(tails)
-        ])
-        # the largest mass always qualifies, and a NaN mass grows its axis
-        grew = (~(mass < min(_TAIL_TOL / mag.ndim, mass.max()))).tolist()
-        counts = [2 * m if g else m for m, g in zip(counts, grew)]
+        count, step = 2 * count, 2
     raise InversionError(
         "comb weights did not decay within the sample budget; "
         "the distribution tail is too heavy for this lattice"
@@ -190,8 +144,7 @@ def _work_weights(
             "characteristic function is not periodic on this lattice "
             "(incommensurate work support); use the Fock simulation"
         )
-    (signed,), probs = _adaptive_comb(charfun_eval, (period,), (256,))
-    return signed, probs
+    return _adaptive_comb(charfun_eval, period, 256)
 
 
 def extract_marginal_work(
@@ -212,7 +165,7 @@ def extract_marginal_photons(
     charfun_eval: Callable[[np.ndarray], np.ndarray],
 ) -> list[tuple[int, float]]:
     """Weights of P(delta_n) from G(0, v); the v-period is exactly 2 pi."""
-    (signed,), probs = _adaptive_comb(charfun_eval, (2.0 * math.pi,), (64,))
+    signed, probs = _adaptive_comb(charfun_eval, 2.0 * math.pi, 64)
     return _floored_peaks(signed.tolist(), probs)
 
 

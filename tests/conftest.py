@@ -213,12 +213,21 @@ def compare_classical(marginal, classical_cdf) -> float:
 
 def reference_comb(evaluate, periods, counts) -> np.ndarray:
     """Complex Fourier weights of a comb with the given sample counts:
-    every sample of the grid evaluated from scratch in one call on its
-    full ij meshgrid, then one np.fft.fftn.  Sample k of m sits at
-    period * k / m, as in the inverter."""
+    every sample of the grid evaluated from scratch on its ij meshgrid,
+    in blocks of whole rows along the first axis that bound the memory of
+    G's temporaries (a grid of up to 2**16 points in one call), then an
+    in-place FFT along each axis.  Sample k of m sits at period * k / m,
+    as in the inverter."""
     axes = [p * np.arange(m) / m for p, m in zip(periods, counts)]
-    samples = evaluate(*np.meshgrid(*axes, indexing="ij"))
-    return np.fft.fftn(samples) / math.prod(counts)
+    coeff = np.empty(counts, dtype=complex)
+    rows = max(1, (1 << 16) // math.prod(counts[1:]))
+    for lo in range(0, counts[0], rows):
+        block = np.meshgrid(axes[0][lo : lo + rows], *axes[1:], indexing="ij")
+        coeff[lo : lo + rows] = evaluate(*block)
+    for axis in range(coeff.ndim):
+        np.fft.fft(coeff, axis=axis, out=coeff)
+    coeff /= coeff.size
+    return coeff
 
 
 def outer_tail(coeff: np.ndarray) -> float:
@@ -229,25 +238,17 @@ def outer_tail(coeff: np.ndarray) -> float:
     return float(np.abs(coeff[outer]).sum())
 
 
-def joint_doubling_counts(evaluate, periods, starts, tol: float) -> list[int]:
-    """Final sample counts of a comb that doubles every axis together
-    until its outer tail is below tol."""
-    counts = list(starts)
-    while outer_tail(reference_comb(evaluate, periods, counts)) >= tol:
-        counts = [2 * m for m in counts]
-    return counts
-
-
-def joint_peaks(evaluate, spacing: float):
-    """((m, delta_n) signed indices, weights) of a joint law by one 2-D
-    comb, with work w = m * spacing; evaluate is G(u, v) over arrays.
+def joint_peaks(evaluate, spacing: float, counts):
+    """((m, delta_n) signed indices, complex weights) of a joint law on a
+    fixed grid of counts (u, v) samples, with work w = m * spacing;
+    evaluate is G(u, v) over arrays.
 
     The reference for a single channel's joint law, which verify reads
     off the 1-D work inversion on the line delta_n = per * m.
     """
-    return distributions._adaptive_comb(
-        evaluate, (2.0 * math.pi / spacing, 2.0 * math.pi), (64, 64)
-    )
+    signed = [np.fft.fftfreq(m, 1.0 / m).astype(int) for m in counts]
+    periods = (2.0 * math.pi / spacing, 2.0 * math.pi)
+    return signed, reference_comb(evaluate, periods, counts)
 
 
 def format_prob_reference(p: float) -> str:

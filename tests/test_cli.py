@@ -411,6 +411,10 @@ def test_distribution_runs_are_byte_identical(workdir):
 # environment overrides.  Every one is a config error.  The rows named
 # "unknown ..." set a key or variable that is no longer read; their
 # error must name it.
+# hbar = 1e-200 in [protocol] and beta = 1e-200
+UNDERFLOW = (
+    "\n\n[thermal]\nbeta = 0.225", "\nhbar = 1e-200\n\n[thermal]\nbeta = 1e-200"
+)
 INVALID_VALUES = {
     "n_max=0": ("\n[numerics]\nn_max = 0\n", ["distribution", "--oracle"]),
     "unknown lattice_count": ("\n[numerics]\nlattice_count = 4\n", ["distribution"]),
@@ -448,6 +452,12 @@ INVALID_VALUES = {
         ("beta = 0.225", "beta = 1e-200\n\n[sweep]\nvariable = hbar\nvalues = 1e-200"),
         ["moments"],
     ),
+    # beta * hbar * omega underflows to zero: verify died in the grand
+    # potential with a traceback, distribution sampled NaN
+    "beta=hbar=1e-200": (UNDERFLOW, ["distribution"]),
+    "beta=hbar=1e-200 verify": (UNDERFLOW, ["verify"]),
+    # a byte that is not UTF-8, in a comment: a UnicodeDecodeError escaped
+    "non-UTF-8 byte": (b"# \xff\n", ["spectrum"]),
     "env freeze_tol": ({"CAVEWORK_FREEZE_TOL": "nan"}, ["distribution", "--freeze"]),
     "unknown CAVEWORK_LATTICE_COUNT": (
         {"CAVEWORK_LATTICE_COUNT": "256"}, ["distribution"]
@@ -465,6 +475,8 @@ def test_invalid_config_values_exit_2(
     path = Path(write_cfg(workdir, tau=1.0 / math.sqrt(2.0), beta=0.225, extra=extra))
     if isinstance(change, tuple):
         path.write_text(path.read_text().replace(*change))
+    if isinstance(change, bytes):
+        path.write_bytes(path.read_bytes() + change)
     if isinstance(change, dict):
         for key, value in change.items():
             monkeypatch.setenv(key, value)
@@ -475,6 +487,17 @@ def test_invalid_config_values_exit_2(
     row = request.node.callspec.id
     if row.startswith("unknown "):
         assert row.removeprefix("unknown ") in err
+
+
+def test_output_directory_that_is_a_file_exits_2(workdir, capsys):
+    # os.makedirs raised FileExistsError with a traceback
+    cfg = write_cfg(workdir, tau=1.0 / math.sqrt(2.0), beta=0.225)
+    (workdir / "out").write_text("")
+    for command in ("spectrum", "distribution", "verify"):
+        assert main([command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "directory out" in err
+    assert (workdir / "out").read_text() == ""
 
 
 def test_fock_basis_above_the_cap_exits_2(workdir, monkeypatch, capsys):

@@ -141,77 +141,49 @@ def test_non_decaying_comb_stops_at_the_sample_budget():
     # no sample count passes the tail test
     calls = 0
 
-    def spike(*x: np.ndarray) -> np.ndarray:
+    def spike(x: np.ndarray) -> np.ndarray:
         nonlocal calls
-        calls += np.size(x[0])
-        return np.where(np.logical_and.reduce([xi == 0.0 for xi in x]), 1.0, 0.0)
+        calls += np.size(x)
+        return np.where(x == 0.0, 1.0, 0.0)
 
     # every level keeps its samples, so the comb evaluates each point of
     # its last grid within the budget once
     with pytest.raises(InversionError, match="sample budget"):
-        _adaptive_comb(spike, (1.0,), (8,))
+        _adaptive_comb(spike, 1.0, 8)
     assert calls == 2**16
-    calls = 0
-    with pytest.raises(InversionError, match="sample budget"):
-        _adaptive_comb(spike, (1.0, 2.0 * math.pi), (64, 64))
-    assert calls == 1024**2
 
 
-def test_joint_inversion_resolves_every_axis():
-    # one peak at index 40 on one axis: 64 and 128 samples put it in the
-    # outer quarter of that axis, 256 resolve it; the other axis holds
-    # no tail mass and stays at 64
-    for g, peak, shape in [
-        (lambda u, v: np.exp(40j * u), (40, 0), (256, 64)),
-        (lambda u, v: np.exp(40j * v), (0, 40), (64, 256)),
-    ]:
-        (su, sv), probs = _adaptive_comb(
-            g, (2.0 * math.pi, 2.0 * math.pi), (64, 64)
-        )
-        assert probs.shape == shape
-        iu, iv = np.nonzero(probs > 0.5)
-        assert list(zip(su[iu].tolist(), sv[iv].tolist())) == [peak]
-
-
-def test_joint_inversion_rejects_negative_weights():
+def test_comb_rejects_negative_weights():
     with pytest.raises(InversionError, match="negative"):
-        _adaptive_comb(
-            lambda u, v: 1.5 - 0.5 * np.exp(1j * (u + v)),
-            (2.0 * math.pi, 2.0 * math.pi),
-            (8, 8),
-        )
+        _adaptive_comb(lambda u: 1.5 - 0.5 * np.exp(1j * u), 2.0 * math.pi, 8)
 
 
 def test_comb_weights_do_not_depend_on_the_block_size(monkeypatch):
-    params = params_for(DOF, beta=1.0, g_tau=0.5, wk=1.0)
+    params = params_for(DOF, beta=0.4, g_tau=0.4)
+    period = 2.0 * math.pi / distributions._drive_quantum(params)
 
-    def joint():
-        return _adaptive_comb(
-            lambda u, v: closed_form(params, u, v), (math.pi, 2.0 * math.pi), (64, 64)
-        )
+    def work():
+        return _adaptive_comb(lambda u: closed_form(params, u, 0.0), period, 8)
 
-    (su, sv), want = joint()
-    # the 128 x 256 grid is larger than one block of the default size
-    assert want.shape == (128, 256) and want.size > distributions._BLOCK
-    # one row per block, and each coset of new samples at once
-    for block in (1, 1 << 20):
+    signed, want = work()
+    # the 128-point comb spans many blocks of 5 points, and its last
+    # doubling evaluates its 64 new points in one block of 1 << 20
+    assert len(want) == 128
+    for block in (1, 5, 1 << 20):
         monkeypatch.setattr(distributions, "_BLOCK", block)
-        (su_b, sv_b), got = joint()
-        assert np.array_equal(su_b, su) and np.array_equal(sv_b, sv)
+        signed_b, got = work()
+        assert np.array_equal(signed_b, signed)
         assert np.array_equal(got, want)
 
 
 def _closed_combs(kind):
-    """(evaluate, periods, starts) of the work, photon and joint combs of
-    one closed channel strong enough that each grows from 8 samples."""
+    """(evaluate, period, start) of the work and photon combs of one
+    closed channel strong enough that each grows from 8 samples."""
     params = params_for(kind, beta=0.4, g_tau=0.4)
     period = 2.0 * math.pi / distributions._drive_quantum(params)
-    joint = functools.partial(closed_form, params)
     return [
-        (lambda u: closed_form(params, u, 0.0), (period,), (8,)),
-        (lambda v: closed_form(params, 0.0, v), (2.0 * math.pi,), (8,)),
-        (joint, (period, 2.0 * math.pi), (8, 8)),
-        (joint, (period, 2.0 * math.pi), (64, 64)),
+        (lambda u: closed_form(params, u, 0.0), period, 8),
+        (lambda v: closed_form(params, 0.0, v), 2.0 * math.pi, 8),
     ]
 
 
@@ -219,54 +191,54 @@ def _closed_combs(kind):
 def test_comb_weights_equal_a_from_scratch_fft_of_the_final_grid(kind):
     # the kept samples are bit for bit the ones a fresh evaluation of the
     # final grid gives, so the weights are too
-    for evaluate, periods, starts in _closed_combs(kind):
-        signed, probs = _adaptive_comb(evaluate, periods, starts)
-        assert [len(s) for s in signed] == list(probs.shape)
-        coeff = reference_comb(evaluate, periods, probs.shape)
-        assert np.array_equal(probs, np.clip(coeff.real, 0.0, None)), starts
+    counts = []
+    for evaluate, period, start in _closed_combs(kind):
+        signed, probs = _adaptive_comb(evaluate, period, start)
+        assert len(signed) == len(probs)
+        coeff = reference_comb(evaluate, (period,), probs.shape)
+        assert np.array_equal(probs, np.clip(coeff.real, 0.0, None))
         assert outer_tail(coeff) < distributions._TAIL_TOL
+        counts.append(len(probs))
     # the work comb grows, the photon comb of the beam splitter does not
-    assert probs.shape[0] > 64
-    assert (probs.shape[1] == 64) == (kind is DIF)
+    assert counts[0] > 64
+    assert (counts[1] == 8) == (kind is DIF)
 
 
 def test_comb_holds_under_three_grids_at_its_last_doubling():
-    # two geometric laws, q = 0.9 and 0.8, end on a 1024 x 512 grid.  At
-    # the last doubling the comb holds the samples, the weights (the FFT
-    # transformed and divided in place), their magnitudes and the outer
-    # tail's copy of them: 2.875 complex grids, plus G's sample blocks
-    def geometric(q, x):
+    # a geometric law, q = 0.998, ends on 2**16 samples, four blocks.  At
+    # the last doubling the comb holds the samples, the new points, the
+    # weights (the FFT divided in place), the previous level's weights
+    # and the outer half's magnitudes, plus G's sample blocks
+    q = 0.998
+
+    def geometric(x):
         return (1.0 - q) / (1.0 - q * np.exp(1j * x))
 
-    def evaluate(u, v):
-        return geometric(0.9, u) * geometric(0.8, v)
-
-    periods = (2.0 * math.pi, 2.0 * math.pi)
     tracemalloc.start()
     try:
-        _, probs = _adaptive_comb(evaluate, periods, (64, 64))
+        _, probs = _adaptive_comb(geometric, 2.0 * math.pi, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert probs.shape == (1024, 512)
-    assert probs[3, 2] == pytest.approx(0.1 * 0.9**3 * 0.2 * 0.8**2, rel=1e-12)
+    assert len(probs) == 2**16 == 4 * distributions._BLOCK
+    assert probs[3] == pytest.approx((1.0 - q) * q**3, rel=1e-12)
     grid = probs.size * 16
     assert peak < 3.25 * grid, f"peak {peak / grid:.2f} x grid"
 
 
 @pytest.mark.parametrize("kind", [DOF, SUF, DIF])
 def test_comb_evaluates_each_point_once(kind):
-    for evaluate, periods, starts in _closed_combs(kind):
+    for evaluate, period, start in _closed_combs(kind):
         points = []
 
-        def recorded(*x):
-            points.append(np.stack([np.ravel(a) for a in x], axis=-1))
-            return evaluate(*x)
+        def recorded(x):
+            points.append(np.array(x))
+            return evaluate(x)
 
-        _, probs = _adaptive_comb(recorded, periods, starts)
+        _, probs = _adaptive_comb(recorded, period, start)
         points = np.concatenate(points)
-        assert len(points) == probs.size, starts
-        assert len(np.unique(points, axis=0)) == len(points), starts
+        assert len(points) == probs.size, start
+        assert len(np.unique(points)) == len(points), start
 
 
 def params_for(variant, beta, g_tau, wk=2.0, wp=1.0):
@@ -415,15 +387,15 @@ def test_verify_inverts_once(monkeypatch):
     calls = []
     comb = distributions._adaptive_comb
 
-    def counted(evaluate, periods, starts):
-        calls.append(len(periods))
-        return comb(evaluate, periods, starts)
+    def counted(evaluate, period, start):
+        calls.append(start)
+        return comb(evaluate, period, start)
 
     monkeypatch.setattr(distributions, "_adaptive_comb", counted)
     for variant in (DOF, SUF, DIF):
         rep = verify_fluctuation_theorems(params_for(variant, 0.8, 0.2))
         assert rep.crooks_peakwise_error < 1e-8
-        assert calls == [1]
+        assert calls == [256]
         calls.clear()
     open_params = CharfunParams(variant=DOF, beta=0.8, omega_k=(1.0, 1.1), g_tau=0.2)
     verify_fluctuation_theorems(open_params)
@@ -438,22 +410,24 @@ def _reference_params(name: str, factor: float) -> CharfunParams:
 
 @pytest.mark.parametrize("factor", [0.37, 1.0, 3.1])
 @pytest.mark.parametrize("name", ["double_res", "sum_res", "diff_res", "cumulative_sum"])
-def test_joint_law_of_a_single_channel_is_its_work_law_on_a_line(
-    name, factor, monkeypatch
-):
-    # the 2-D joint inversion puts no mass off delta_n = per * m and
-    # gives each peak on it the work weight that verify pairs; the hot
-    # cumulative_sum joint comb needs up to 2048 x 4096 samples
-    monkeypatch.setattr(distributions, "_MAX_TOTAL", 1 << 23)
+def test_joint_law_of_a_single_channel_is_its_work_law_on_a_line(name, factor):
+    # a 2-D joint comb on the work comb's M u-samples puts no mass off
+    # delta_n = per * m and gives each peak on it the work weight that
+    # verify pairs; the hot cumulative_sum grid is 2048 x 4096 samples
     params = _reference_params(name, factor)
     spacing = distributions._drive_quantum(params)
     per = distributions._PHOTONS_PER_QUANTUM[params.variant]
-    (su, sv), joint = joint_peaks(functools.partial(charfun._g, params), spacing)
-    on_line = sv[None, :] == per * su[:, None]
-    assert joint[~on_line].sum() < 1e-12
     signed, work = distributions._work_weights(
         lambda u: charfun._g(params, u, 0.0), spacing
     )
+    counts = (len(work), max(64, per * len(work)))
+    evaluate = functools.partial(charfun._g, params)
+    (su, sv), coeff = joint_peaks(evaluate, spacing, counts)
+    assert outer_tail(coeff) < distributions._TAIL_TOL
+    joint = np.clip(coeff.real, 0.0, None)
+    del coeff
+    on_line = sv[None, :] == per * su[:, None]
+    assert joint[~on_line].sum() < 1e-12
     line = dict(zip(su[on_line.any(axis=1)].tolist(), joint[on_line].tolist()))
     direct = dict(zip(signed.tolist(), work.tolist()))
     for m in line.keys() | direct.keys():

@@ -4,11 +4,12 @@ marginals for the Kolmogorov-Smirnov distance, over random spectra for
 the resonance classifier, and over random reaches of the Bessel root
 tables.
 
-Weak drive and moderate temperature keep every joint (work, photon)
-inversion at 64-128 samples per axis, so each example costs well under
-a second.  Hypothesis is derandomized and keeps no example database, so
-a run is repeatable; it still caches the constants it scans from the
-source under the git-ignored .hypothesis/constants/ at the repo root.
+Weak drive and moderate temperature keep every work inversion and every
+joint (work, photon) reference grid small, so each example costs well
+under a second.  Hypothesis is derandomized and keeps no example
+database, so a run is repeatable; it still caches the constants it
+scans from the source under the git-ignored .hypothesis/constants/ at
+the repo root.
 """
 
 import dataclasses
@@ -76,9 +77,7 @@ from conftest import (  # noqa: E402
     closed_protocol,
     compare_classical,
     format_prob_reference,
-    joint_doubling_counts,
-    outer_tail,
-    reference_comb,
+    joint_peaks,
     same_bits,
     synthetic_case,
 )
@@ -155,43 +154,20 @@ def test_moments_evaluate_no_charfun(params):
 @PROPERTY
 @given(closed_params())
 def test_joint_weights_sum_to_the_work_weights(params):
+    # a joint grid on the work comb's M u-samples: summed over delta_n,
+    # its weights are the work weights
     spacing = distributions._drive_quantum(params)
-    (su, sv), joint = distributions._adaptive_comb(
-        lambda u, v: closed_form(params, u, v),
-        (2.0 * math.pi / spacing, 2.0 * math.pi),
-        (64, 64),
-    )
-    assert 64 <= len(su) <= 128 and 64 <= len(sv) <= 128
     signed, work = distributions._work_weights(
         lambda u: closed_form(params, u, 0.0), spacing
     )
-    summed = dict(zip(su.tolist(), joint.sum(axis=1).tolist()))
+    per = distributions._PHOTONS_PER_QUANTUM[params.variant]
+    counts = (len(work), max(64, per * len(work)))
+    evaluate = functools.partial(closed_form, params)
+    (su, _), coeff = joint_peaks(evaluate, spacing, counts)
+    summed = dict(zip(su.tolist(), coeff.real.sum(axis=1).tolist()))
     direct = dict(zip(signed.tolist(), work.tolist()))
     for m in summed.keys() | direct.keys():
         assert abs(summed.get(m, 0.0) - direct.get(m, 0.0)) <= 1e-14, m
-
-
-@PROPERTY
-@given(closed_params())
-# the double_res reference: joint doubling ends at 512 x 512, the photon
-# axis alone needs 512 since delta_n = 2m
-@example(
-    CharfunParams(
-        variant=ResonanceKind.DOUBLE, beta=0.2 / 4.44, omega_k=(4.44, 4.44), g_tau=0.3
-    )
-)
-def test_joint_comb_grows_only_the_axes_that_need_it(params):
-    spacing = distributions._drive_quantum(params)
-    evaluate = functools.partial(closed_form, params)
-    periods, starts = (2.0 * math.pi / spacing, 2.0 * math.pi), (64, 64)
-    _, joint = distributions._adaptive_comb(evaluate, periods, starts)
-    tol = distributions._TAIL_TOL
-    jointly = joint_doubling_counts(evaluate, periods, starts, tol)
-    assert all(m <= j for m, j in zip(joint.shape, jointly)), (joint.shape, jointly)
-    if params.variant is ResonanceKind.DIFFERENCE:
-        # the beam splitter keeps the photon number: all weight at delta_n = 0
-        assert joint.shape[1] == 64
-    assert outer_tail(reference_comb(evaluate, periods, joint.shape)) < tol
 
 
 @settings(PROPERTY, max_examples=40)  # a few ms per example
