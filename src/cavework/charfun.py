@@ -5,6 +5,15 @@ position, their generalization to unequal endpoint positions, products
 over mode-disjoint resonances, grand potentials, classical (hbar -> 0)
 limits, and the work mean and variance as exact cumulants of G.
 
+The three resonance channels are one form in x = hbar omega:
+sinh(beta x_k / 2) sinh(beta x_p / 2) + sin(z) sin(z - i beta h) A, with
+z = h u + v and A the coupling amplitude.  The sum channel (pair
+creation at omega_k + omega_p) takes h = (x_k + x_p) / 2 and
+A = sinh^2(g tau); the difference channel (beam splitting at
+|omega_k - omega_p|) h = (x_k - x_p) / 2, A = sin^2(g tau) and no v in
+z; the double channel (squeezing at 2 omega_k) is the sum form at
+x_p = x_k under a square root.
+
 Energy bookkeeping: every frequency enters as x = hbar * omega, the
 grand potential omits zero-point terms, and work counts only quantum
 exchanges hbar * omega * delta_n.  The generalized forms here fix two
@@ -175,76 +184,85 @@ def _result(g: np.ndarray):
     return complex(g) if g.ndim == 0 else g
 
 
+def _energies(params: CharfunParams, end: int) -> tuple[float, float, float]:
+    """(x_k, x_p, h) of the sum form at one endpoint, x = hbar omega:
+    x_p = x_k on the single-mode channel, h = (x_k + x_p) / 2, or
+    (x_k - x_p) / 2 on the difference channel."""
+    xk = params.hbar * params.omega_k[end]
+    xp = xk if params.omega_p is None else params.hbar * params.omega_p[end]
+    if params.variant is ResonanceKind.DIFFERENCE:
+        return xk, xp, (xk - xp) / 2.0
+    return xk, xp, (xk + xp) / 2.0
+
+
+def _phase(params: CharfunParams, h: float, u, v):
+    """h u + v, or h u on the difference channel, whose G has no v."""
+    if params.variant is ResonanceKind.DIFFERENCE:
+        return u * h
+    return u * h + v
+
+
+def _root(rad, points: tuple[np.ndarray, ...], certified: np.ndarray) -> np.ndarray:
+    """sqrt(rad(1, *points)) over flat points: the principal root where
+    certified, the root tracked from s = 0 at the other finite points.
+    A non-finite point has no branch to track and gives NaN."""
+    root = np.sqrt(rad(1.0, *points))
+    off = ~certified & np.logical_and.reduce([np.isfinite(p) for p in points])
+    if off.any():
+        root[off] = tracked_sqrt(
+            rad, tuple(p[off] for p in points), steps=16, anchor_tol=1e-12
+        )
+    return root
+
+
 def closed_form(params: CharfunParams, u, v):
     """G(u, v) for a boundary that returns to its starting position.
 
-    u and v broadcast against each other; scalar input returns a Python
-    complex.  Every form is a constant plus sin(x) sin(x - ia) times the
-    drive, with x real on the real axis: there the two sines come from
-    one real sin and cos of x (_real_sines), bit for bit the complex
-    evaluation, which stays for complex or non-finite input.
+    Every channel is one form: with x = hbar omega, A the coupling
+    amplitude and c0 = sinh(beta x_k / 2) sinh(beta x_p / 2),
+    G = c0 / [c0 + sin(z) sin(z - i beta h) A], where z = h u + v and
+    h = (x_k + x_p) / 2, or z = h u and h = (x_k - x_p) / 2 on the
+    difference channel.  The single-mode channel is sinh(beta x_k / 2)
+    over the root of the sum form's denominator at x_p = x_k.
 
-    The single-mode form takes the principal square root on the strip
-    0 <= Im z <= beta hbar omega_k of its phase z = hbar omega_k u + v,
-    which holds every point the package evaluates: real (u, v), u = i beta
-    and u + i beta.  Only points off the strip track their root by
+    u and v broadcast against each other; scalar input returns a Python
+    complex.  At real (u, v) the two sines come from one real sin and
+    cos of z (_real_sines), bit for bit the complex evaluation, which
+    stays for complex or non-finite input.  The single-mode form takes
+    the principal square root on the strip 0 <= Im z <= beta x_k, which
+    holds every point the package evaluates: real (u, v), u = i beta and
+    u + i beta.  Only points off the strip track their root by
     tracked_sqrt.
     """
     if not params.is_closed:
-        raise ValueError(
-            "endpoint frequencies differ; use closed_form_general"
-        )
-    beta, hb = params.beta, params.hbar
-    xk = hb * params.omega_k[0]
+        raise ValueError("endpoint frequencies differ; use closed_form_general")
+    xk, xp, h = _energies(params, 0)
+    double = params.variant is ResonanceKind.DOUBLE
+    sk = _sinh_half(params.beta, xk)
+    c0 = sk * _sinh_half(params.beta, xp)
+    num = sk if double else c0
+    a = params.beta * h
+    amp = _coupling_amp(params.variant, params.g_tau)
     real = _real_points(u, v)
-    if params.variant is ResonanceKind.DOUBLE:
-        sk = _sinh_half(beta, xk)
-        amp = math.sinh(params.g_tau) ** 2
-        bx = beta * xk
-        if real is not None:
-            u, v = real
-            rad1 = _real_sines((u * xk + v).ravel(), bx, sk * sk, amp)
-            if rad1 is not None:
-                return _result((sk / np.sqrt(rad1)).reshape(u.shape))
-        u, v = _points(u, v)
-
-        def rad(s: float, z: np.ndarray) -> np.ndarray:
-            return sk * sk + np.sin(s * z) * np.sin(s * z - 1j * bx * s) * amp
-
-        # the scaled path multiplies u and v jointly so the (u - i beta)
-        # argument scales as s*z - i*s*beta*xk with z = u*xk + v
-        z = (u * xk + v).ravel()
-        root = np.sqrt(rad(1.0, z))
-        # on the strip Re rad(s, z) >= sk^2 for every s in [0, 1], since
-        # Re[sin w sin(w - ia)] = [cosh a - cos 2x cosh(2y - a)] / 2 >= 0
-        # for 0 <= y <= a, so the principal root is the tracked branch;
-        # a non-finite phase has no branch to track and gives NaN
-        off = np.isfinite(z) & ~((z.imag >= 0.0) & (z.imag <= bx))
-        if off.any():
-            root[off] = tracked_sqrt(rad, (z[off],), steps=16, anchor_tol=1e-12)
-        return _result((sk / root).reshape(u.shape))
-    xp = hb * params.omega_p[0]
-    sksp = _sinh_half(beta, xk) * _sinh_half(beta, xp)
-    if params.variant is ResonanceKind.SUM:
-        half = (xk + xp) / 2.0
-        amp = math.sinh(params.g_tau) ** 2
-    else:
-        half = (xk - xp) / 2.0
-        amp = math.sin(params.g_tau) ** 2
     if real is not None:
-        u, v = real
-        x = u * half + v if params.variant is ResonanceKind.SUM else u * half
-        den = _real_sines(x, beta * half, sksp, amp)
+        den = _real_sines(_phase(params, h, *real), a, c0, amp)
         if den is not None:
-            return _result(sksp / den)
-    u, v = _points(u, v)
-    if params.variant is ResonanceKind.SUM:
-        den = sksp + np.sin(u * half + v) * np.sin(
-            (u - 1j * beta) * half + v
-        ) * amp
-    else:
-        den = sksp + np.sin(u * half) * np.sin((u - 1j * beta) * half) * amp
-    return _result(sksp / den)
+            return _result(num / (np.sqrt(den) if double else den))
+
+    # the denominator at phase s z: G's at s = 1, the tracker's path below
+    def rad(s: float, z: np.ndarray) -> np.ndarray:
+        z = z if s == 1.0 else s * z
+        return c0 + np.sin(z) * np.sin(z - 1j * a * s) * amp
+
+    z = _phase(params, h, *_points(u, v))
+    if not double:
+        return _result(num / rad(1.0, z))
+    # on the strip Re rad(s, z) >= c0 for every s in [0, 1], since
+    # Re[sin w sin(w - ia)] = [cosh a - cos 2x cosh(2y - a)] / 2 >= 0
+    # for 0 <= y <= a, so the principal root is the tracked branch
+    zf = z.ravel()
+    root = _root(rad, (zf,), (zf.imag >= 0.0) & (zf.imag <= a))
+    return _result((num / root).reshape(z.shape))
 
 
 def grand_potential_diff(pairs: Sequence, beta: float, hbar: float = 1.0) -> float:
@@ -304,65 +322,51 @@ def _principal_open_double(
 
 
 def closed_form_general(params: CharfunParams, u, v):
-    """Open-endpoint G(u, v).
+    """Open-endpoint G(u, v): the form of closed_form with start and end
+    energies x0, x1 and dx = x1 - x0 per mode,
 
-    Structure per participating mode s: a factor exp(-i u dx_s / 2) and
-    a denominator entry A_s = sinh((beta x0_s - i u dx_s)/2), with the
-    interaction term sin(u x_tau + v) sin((u - i beta) x0 + v) sinh^2 or
-    sin^2 of the coupling, evaluated at endpoint frequencies as written.
-    Reduces to closed_form when the endpoints coincide and to the
-    product of per-mode <e^{i u dx n}> when the coupling vanishes.
-    u and v broadcast as in closed_form.  The single-mode form takes the
+        G = exp(-i u (dx_k + dx_p) / 2) c0 / [A_k A_p + sin(P) sin(Q) A],
+
+    A_j = sinh((beta x0_j - i u dx_j) / 2), P = h1 u + v and
+    Q = h0 u + v - i beta h0, with h0, h1 the h of closed_form at each
+    end and c0 at the start; again no v on the difference channel, and
+    the single-mode channel the root of this form at x_p = x_k.  It
+    reduces to closed_form when the endpoints coincide and to the product
+    of per-mode <e^{i u dx n}> when the coupling vanishes.  u and v
+    broadcast as in closed_form.  The single-mode form takes the
     principal square root wherever _principal_open_double certifies it,
     which covers every point verify evaluates, and tracks the rest by
     tracked_sqrt.
     """
-    beta, hb = params.beta, params.hbar
+    beta = params.beta
+    xk0, xp0, h0 = _energies(params, 0)
+    xk1, xp1, h1 = _energies(params, 1)
+    dxk, dxp = xk1 - xk0, xp1 - xp0
+    double = params.variant is ResonanceKind.DOUBLE
+    sk = _sinh_half(beta, xk0)
+    c0 = sk * _sinh_half(beta, xp0)
+    amp = _coupling_amp(params.variant, params.g_tau)
+
+    # the denominator at (s u, s v): G's at s = 1, the tracker's path below
+    def rad(s: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        ak = np.sinh((beta * xk0 - 1j * s * u * dxk) / 2.0)
+        # A_p is A_k on the single-mode channel: no second sinh
+        ap = ak if double else np.sinh((beta * xp0 - 1j * s * u * dxp) / 2.0)
+        p, q = (_phase(params, h, u, v) for h in (h1, h0))
+        p, q = (p, q) if s == 1.0 else (s * p, s * q)
+        return ak * ap + np.sin(p) * np.sin(q - 1j * s * beta * h0) * amp
+
     u, v = _points(u, v)
-    xk0, xk1 = (hb * w for w in params.omega_k)
-    dxk = xk1 - xk0
-
-    def a_factor(x0: float, dx: float, s: float, u: np.ndarray) -> np.ndarray:
-        return np.sinh((beta * x0 - 1j * s * u * dx) / 2.0)
-
-    if params.variant is ResonanceKind.DOUBLE:
-        amp = math.sinh(params.g_tau) ** 2
-        sk = _sinh_half(beta, xk0)
-
-        def rad(s: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            ak = a_factor(xk0, dxk, s, u)
-            return ak * ak + np.sin(s * (u * xk1 + v)) * np.sin(
-                s * (u * xk0 + v) - 1j * s * beta * xk0
-            ) * amp
-
-        # flat, as the tracker evaluates its points; a non-finite point
-        # has no branch to track and gives NaN
+    if double:
         uf, vf = u.ravel(), v.ravel()
-        root = np.sqrt(rad(1.0, uf, vf))
-        off = np.isfinite(uf) & np.isfinite(vf)
-        off &= ~_principal_open_double(uf, vf, beta, xk0, xk1, amp)
-        if off.any():
-            root[off] = tracked_sqrt(
-                rad, (uf[off], vf[off]), steps=16, anchor_tol=1e-12
-            )
-        return _result(np.exp(-1j * u * dxk / 2.0) * sk / root.reshape(u.shape))
-
-    xp0, xp1 = (hb * w for w in params.omega_p)
-    dxp = xp1 - xp0
-    ak = a_factor(xk0, dxk, 1.0, u)
-    ap = a_factor(xp0, dxp, 1.0, u)
-    sksp = _sinh_half(beta, xk0) * _sinh_half(beta, xp0)
-    if params.variant is ResonanceKind.SUM:
-        amp = math.sinh(params.g_tau) ** 2
-        den = ak * ap + np.sin(u * (xk1 + xp1) / 2.0 + v) * np.sin(
-            (u - 1j * beta) * (xk0 + xp0) / 2.0 + v
-        ) * amp
+        certified = _principal_open_double(uf, vf, beta, xk0, xk1, amp)
+        den = _root(rad, (uf, vf), certified).reshape(u.shape)
     else:
-        amp = math.sin(params.g_tau) ** 2
-        den = ak * ap + np.sin(u * (xk1 - xp1) / 2.0) * np.sin(
-            (u - 1j * beta) * (xk0 - xp0) / 2.0
-        ) * amp
-    return _result(np.exp(-1j * u * (dxk + dxp) / 2.0) * sksp / den)
+        den = rad(1.0, u, v)
+    # exp(-i u dx / 2) per mode: the single-mode channel's is the root of
+    # the sum form's exp(-i u dx_k)
+    shift = np.exp(-1j * u * (dxk + dxp) / (4.0 if double else 2.0))
+    return _result(shift * (sk if double else c0) / den)
 
 
 def _g(params: CharfunParams, u, v):
@@ -400,10 +404,10 @@ def multi_resonance_product(
 
 def _classical_ratio_coeff(variant: ResonanceKind, r: float | None) -> float:
     if variant is ResonanceKind.DOUBLE:
-        return 4.0
+        r = 1.0  # the sum form at omega_p = omega_k: (1 + 1)^2 / 1 = 4
     if r is None or r <= 0.0:
         raise ValueError("two-mode classical forms need a positive ratio r")
-    if variant is ResonanceKind.SUM:
+    if variant is not ResonanceKind.DIFFERENCE:
         return (r + 1.0) ** 2 / r
     if abs(r - 1.0) < _DEGENERATE_RATIO_TOL:
         raise DegenerateResonanceError(
@@ -421,14 +425,15 @@ def _coupling_amp(variant: ResonanceKind, g_tau: float) -> float:
 def classical_alphas(
     variant: ResonanceKind, r: float, g_tau: float, beta: float
 ) -> tuple[float, float]:
-    """Decay rates (alpha_plus, alpha_minus) of the two-sided exponential."""
+    """Decay rates (alpha_plus, alpha_minus) of the two-sided exponential;
+    -inf and inf, the point law at w = 0, where the coupling amplitude
+    vanishes."""
     if variant is ResonanceKind.DOUBLE:
         raise ValueError("the two-sided exponential covers only two-mode cases")
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    c = _classical_ratio_coeff(variant, r)
-    amp = _coupling_amp(variant, g_tau)
-    root = math.sqrt(1.0 + 4.0 / (c * amp))
+    c = _classical_ratio_coeff(variant, r) * _coupling_amp(variant, g_tau)
+    root = math.sqrt(1.0 + 4.0 / c) if c else math.inf
     return (beta / 2.0) * (1.0 - root), (beta / 2.0) * (1.0 + root)
 
 
@@ -459,12 +464,10 @@ def moments(params: CharfunParams) -> tuple[float, float]:
     """
     if not params.is_closed:
         raise ValueError("endpoint frequencies differ; moments need a closed protocol")
-    xk = params.hbar * params.omega_k[0]
-    xp = xk if params.omega_p is None else params.hbar * params.omega_p[0]
+    xk, xp, h = _energies(params, 0)
     ck, cp = (_coth(params.beta * x / 2.0) for x in (xk, xp))
     sign = -1.0 if params.variant is ResonanceKind.DIFFERENCE else 1.0
     amp = _coupling_amp(params.variant, params.g_tau)
-    h = (xk + sign * xp) / 2.0
     c = cp + sign * ck
     mean = amp * h * c
     var = amp * h * h * (2.0 * (ck * cp + sign) + amp * c * c)

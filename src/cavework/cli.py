@@ -44,14 +44,17 @@ The environment variable CAVEWORK_N_MAX overrides n_max; any other
 CAVEWORK_* variable is refused like an unknown key.  Values are checked
 where they are parsed, the override included: numbers must be finite;
 lambda0, beta, hbar and every sweep value positive; n_max >= 1.  The
-drive quantum hbar * Omega must be finite, and beta * hbar * omega of
-every resonant mode, at both endpoints and at every sweep value, at most
-700 (sinh^2 of half of it leaves float range at 709.78) and above 0
-(coth of half of it is infinite), and the work mean and variance at
-every sweep value finite.  An --oracle /
---freeze basis, (n_max + 1) ** (resonant modes), may hold at most 20000
-states (fock._DIM_CAP).  --freeze refuses a closed-form vs oracle
-deviation above 5e-3.
+drive quantum hbar * Omega and its u-period 2 pi / (hbar * Omega) must
+be finite, the resonance tolerance 1e-9 * Omega above 0, |g| * tau of
+a double or sum channel at most 355 (sinh^2 of it leaves float range at
+355.58), beta * hbar * omega of every resonant mode, at both endpoints
+and at every sweep value, at most 700 (sinh^2 of half of it leaves
+float range at 709.78) and above 0 (coth of half of it is infinite),
+and the work mean and variance at every sweep value finite.  An
+--oracle / --freeze basis, (n_max + 1) ** (resonant modes), may hold at
+most 20000 states (fock._DIM_CAP).  --freeze refuses a closed-form vs
+oracle deviation above 5e-3, and --oracle a basis too small for any
+work peak to clear 1e-12.
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
 usage or config error, including every check above.  CSV output is
@@ -90,6 +93,7 @@ from .cavity import (
 )
 from .charfun import (
     CharfunParams,
+    classical_alphas,
     classical_work_cdf,
     closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
     moments,
@@ -108,6 +112,7 @@ from .distributions import (
     verify_fluctuation_theorems,
 )
 from .driving import (
+    _RESONANCE_TOL,
     DrivingProtocol,
     ResonanceKind,
     classify_resonances,
@@ -138,6 +143,10 @@ _FREEZE_TOL = 5e-3
 # largest beta * hbar * omega of a resonant mode: sinh^2(x / 2) of the
 # thermal factors leaves float range at x = 709.78
 _MAX_THERMAL_EXPONENT = 700.0
+
+# largest |g| * tau of a double or sum channel: its coupling amplitude
+# sinh^2(|g| tau) leaves float range at 355.58
+_MAX_SQUEEZING = 355.0
 
 # cmd_verify gates; identities hold to roundoff, so these are generous
 _VERIFY_JARZYNSKI_TOL = 1e-10
@@ -382,7 +391,22 @@ def _protocol_and_plan(cfg: RunConfig, spectrum: list):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not _RESONANCE_TOL * omega > 0.0:
+        raise ConfigError(
+            f"omega_drive = {omega!r}: the resonance tolerance "
+            f"{_RESONANCE_TOL:g} * Omega underflows to 0"
+        )
     plan = classify_resonances(spectrum, protocol, cfg.geometry, cfg.polarization)
+    for case in plan.cases:
+        g_tau = abs(case.strength * cfg.tau)
+        limit = _MAX_SQUEEZING
+        if case.kind is ResonanceKind.DIFFERENCE:  # sin^2 of any finite g tau
+            limit = sys.float_info.max
+        if not g_tau <= limit:
+            raise ConfigError(
+                f"|g| * tau = {g_tau:.6g} of a {case.kind.value} channel exceeds "
+                f"{limit:.6g}; its coupling amplitude leaves float range"
+            )
     freqs = [w for case in plan.cases for w in (case.omega_k, case.omega_p) if w]
     if not protocol.is_closed:
         freqs += [w1 for _, _, w1 in _mode_table(cfg, protocol, plan)]
@@ -391,11 +415,17 @@ def _protocol_and_plan(cfg: RunConfig, spectrum: list):
 
 
 def _check_energies(beta: float, quantum: float, energies) -> None:
-    """Refuse a drive quantum hbar * Omega that is not finite, and beta
-    times a resonant mode's energy hbar * omega above
-    _MAX_THERMAL_EXPONENT or underflowing to 0."""
+    """Refuse a drive quantum hbar * Omega that is not finite or whose
+    u-period 2 pi / (hbar * Omega) is not, and beta times a resonant
+    mode's energy hbar * omega above _MAX_THERMAL_EXPONENT or
+    underflowing to 0."""
     if not math.isfinite(quantum):
         raise ConfigError(f"drive quantum hbar * Omega = {quantum!r} is not finite")
+    if not (quantum > 0.0 and math.isfinite(2.0 * math.pi / quantum)):
+        raise ConfigError(
+            f"drive quantum hbar * Omega = {quantum!r}: its period "
+            "2 pi / (hbar * Omega) in u is not finite"
+        )
     exponent = beta * max(energies, default=0.0)
     if not exponent <= _MAX_THERMAL_EXPONENT:  # NaN fails too
         raise ConfigError(
@@ -519,8 +549,15 @@ def cmd_distribution(args) -> int:
 
     if args.oracle and not args.freeze:
         oracle_dist = _oracle_joint(cfg, protocol, plan)
+        work, photons = oracle_dist.marginals()
+        if not work:
+            raise CaveworkError(
+                "no oracle work peak clears 1e-12: the basis at n_max = "
+                f"{cfg.n_max} misses the thermal state (residual mass "
+                f"{oracle_dist.residual_mass:.3e}); raise n_max"
+            )
         _write_distribution(
-            cfg, *oracle_dist.marginals(), residual_mass=oracle_dist.residual_mass
+            cfg, work, photons, residual_mass=oracle_dist.residual_mass
         )
         print(
             f"oracle distributions written "
@@ -580,7 +617,10 @@ def cmd_distribution(args) -> int:
         case = plan.cases[0]
         r = case.omega_p / case.omega_k
         g_tau = abs(case.strength) * protocol.tau
-        classical_cdf = partial(classical_work_cdf, case.kind, r, g_tau, cfg.beta)
+        # no finite rates without coupling: F_classical stays empty, as
+        # F_gauss does for the point law
+        if all(map(math.isfinite, classical_alphas(case.kind, r, g_tau, cfg.beta))):
+            classical_cdf = partial(classical_work_cdf, case.kind, r, g_tau, cfg.beta)
 
     _write_distribution(cfg, work, photons, classical_cdf)
     print(

@@ -77,10 +77,11 @@ def _adaptive_comb(
     evaluate returns G elementwise over a coordinate array.  It is
     sampled on one period, from a power-of-two count that doubles until
     the weights at |index| >= count / 4 sum below _TAIL_TOL, within
-    _MAX_SAMPLES.  A doubling keeps the samples it has in the even slots
-    and evaluates only the odd ones: sample k of m sits at p * k / m,
-    and p * 2k / 2m is the same float, so every sample is bit for bit
-    the one a from-scratch evaluation of the final grid would give.
+    _MAX_SAMPLES; a sum that is not finite stops it at once.  A doubling
+    keeps the samples it has in the even slots and evaluates only the
+    odd ones: sample k of m sits at p * k / m, and p * 2k / 2m is the
+    same float, so every sample is bit for bit the one a from-scratch
+    evaluation of the final grid would give.
     """
     count, samples, step = start, None, 1
     while count <= _MAX_SAMPLES:
@@ -94,7 +95,12 @@ def _adaptive_comb(
         coeff = np.fft.fft(samples)
         coeff /= count
         # slots count/4 .. 3 count/4 hold the indices with |index| >= count/4
-        if float(np.abs(coeff[count // 4 : 3 * count // 4 + 1]).sum()) < _TAIL_TOL:
+        tail = float(np.abs(coeff[count // 4 : 3 * count // 4 + 1]).sum())
+        if not math.isfinite(tail):  # more samples cannot mend a NaN or inf
+            raise InversionError(
+                f"characteristic function is not finite on the {count}-sample comb"
+            )
+        if tail < _TAIL_TOL:
             del samples  # before validation takes its own copies
             # lattice index of each FFT slot: 0..m/2-1, then -m/2..-1
             signed = np.fft.fftfreq(count, 1.0 / count).astype(int)
@@ -317,12 +323,10 @@ class VerificationReport:
 def _drive_quantum(params: CharfunParams) -> float:
     """Energy spacing of the work lattice, hbar * Omega."""
     wk = params.omega_k[0]
-    if params.variant is ResonanceKind.DOUBLE:
-        return params.hbar * 2.0 * wk
-    wp = params.omega_p[0]
-    if params.variant is ResonanceKind.SUM:
-        return params.hbar * (wk + wp)
-    return params.hbar * abs(wk - wp)
+    wp = wk if params.omega_p is None else params.omega_p[0]
+    if params.variant is ResonanceKind.DIFFERENCE:
+        return params.hbar * abs(wk - wp)
+    return params.hbar * (wk + wp)
 
 
 def _reversed_params(params: CharfunParams) -> CharfunParams:

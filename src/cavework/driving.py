@@ -54,6 +54,9 @@ __all__ = [
     "interaction_generator",
 ]
 
+# classify_resonances' default tolerance, relative to Omega
+_RESONANCE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DrivingProtocol:
@@ -259,7 +262,7 @@ def classify_resonances(
         raise ValueError("spectrum must be nonempty")
     omega = protocol.omega_drive
     if tol is None:
-        tol = 1e-9 * omega
+        tol = _RESONANCE_TOL * omega
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 

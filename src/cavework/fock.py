@@ -128,7 +128,7 @@ class TruncatedFockSpace:
         e0 = self.occupations() @ self.omega0()
         z_full = 1.0
         for w in self.omega0():
-            z_full /= 1.0 - math.exp(-beta * hbar * w)
+            z_full /= -math.expm1(-beta * hbar * w)  # > 0 for every beta hbar w > 0
         return np.exp(-beta * hbar * e0) / z_full
 
 

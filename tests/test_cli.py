@@ -459,6 +459,16 @@ INVALID_VALUES = {
     # a byte that is not UTF-8, in a comment: a UnicodeDecodeError escaped
     "non-UTF-8 byte": (b"# \xff\n", ["spectrum"]),
     "env freeze_tol": ({"CAVEWORK_FREEZE_TOL": "nan"}, ["distribution", "--freeze"]),
+    # sinh^2(|g| tau) past float range: verify raised OverflowError
+    "tau=1e12 verify": (("tau = 0.7071067811865475", "tau = 1e12"), ["verify"]),
+    # 1e-9 * Omega, the resonance tolerance, underflows to 0: ValueError
+    "omega_drive=5e-324": (("= 2*w(0:1:1)", "= 5e-324"), ["distribution"]),
+    # the u-period 2 pi / (hbar Omega) overflows: the comb sampled NaN up
+    # to its budget and exited 1
+    "hbar=1e-320": (
+        ("\n\n[thermal]\nbeta = 0.225", "\nhbar = 1e-320\n\n[thermal]\nbeta = 1"),
+        ["distribution"],
+    ),
     "unknown CAVEWORK_LATTICE_COUNT": (
         {"CAVEWORK_LATTICE_COUNT": "256"}, ["distribution"]
     ),
@@ -474,7 +484,9 @@ def test_invalid_config_values_exit_2(
     extra = change if isinstance(change, str) else ""
     path = Path(write_cfg(workdir, tau=1.0 / math.sqrt(2.0), beta=0.225, extra=extra))
     if isinstance(change, tuple):
-        path.write_text(path.read_text().replace(*change))
+        text = path.read_text()
+        assert change[0] in text  # else the row would test the base config
+        path.write_text(text.replace(*change))
     if isinstance(change, bytes):
         path.write_bytes(path.read_bytes() + change)
     if isinstance(change, dict):
@@ -487,6 +499,43 @@ def test_invalid_config_values_exit_2(
     row = request.node.callspec.id
     if row.startswith("unknown "):
         assert row.removeprefix("unknown ") in err
+
+
+@pytest.mark.parametrize("name", ["sum_res", "diff_res"])
+@pytest.mark.parametrize(
+    "key,value", [("tau", None), ("tau", "5e-324"), ("epsilon", "5e-324")],
+    ids=["tau deleted", "subnormal tau", "subnormal epsilon"],
+)
+def test_an_undriven_two_mode_channel_writes_the_point_law(workdir, name, key, value):
+    # g tau = 0: the classical rates divided by zero with a traceback;
+    # F_classical now stays empty, as F_gauss does for the point law
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    line = re.search(rf"^{key} = .*\n", text, re.M).group(0)
+    cfg = workdir / "run.cfg"
+    cfg.write_text(text.replace(line, "" if value is None else f"{key} = {value}\n"))
+    assert main(["distribution", str(cfg)]) == 0
+    written = {p.name.split("_")[-1]: p.read_text() for p in workdir.rglob("*.csv")}
+    assert written == {
+        "work.csv": "w,prob\n0,1\n",
+        "photons.csv": "delta_n,prob\n0,1\n",
+        "cumulative.csv": "w,F_exact,F_gauss,F_classical\n0,1,,\n",
+    }
+
+
+@pytest.mark.parametrize("beta", ["1e-300", "1e-12"])
+def test_an_oracle_basis_that_misses_the_thermal_state_exits_1(
+    workdir, monkeypatch, capsys, beta
+):
+    # beta = 1e-300 divided by zero in thermal_weights; at 1e-12 no peak
+    # cleared the 1e-12 floor and CumulativeFit raised "empty marginal"
+    monkeypatch.setenv("CAVEWORK_N_MAX", "8")
+    cfg = workdir / "run.cfg"
+    text = (CONFIGS / "diff_res.cfg").read_text()
+    cfg.write_text(re.sub(r"^beta = .*$", f"beta = {beta}", text, flags=re.M))
+    assert main(["distribution", "--oracle", str(cfg)]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error:") and "n_max = 8" in err
+    assert not (workdir / "out").exists()
 
 
 def test_output_directory_that_is_a_file_exits_2(workdir, capsys):

@@ -153,6 +153,19 @@ def test_non_decaying_comb_stops_at_the_sample_budget():
     assert calls == 2**16
 
 
+def test_comb_stops_at_the_first_non_finite_block():
+    # a NaN G used to be sampled on ever finer combs up to the budget
+    sizes = []
+
+    def nan(x: np.ndarray) -> np.ndarray:
+        sizes.append(np.size(x))
+        return np.full(np.shape(x), np.nan + 0j)
+
+    with pytest.raises(InversionError, match="not finite on the 64-sample comb"):
+        _adaptive_comb(nan, 2.0 * math.pi, 64)
+    assert sizes == [64]
+
+
 def test_comb_rejects_negative_weights():
     with pytest.raises(InversionError, match="negative"):
         _adaptive_comb(lambda u: 1.5 - 0.5 * np.exp(1j * u), 2.0 * math.pi, 8)

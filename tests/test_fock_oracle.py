@@ -275,6 +275,13 @@ def test_thermal_weights_are_geometric():
     assert p.sum() == pytest.approx(1.0 - ratio**13, rel=1e-13)
 
 
+def test_thermal_weights_near_infinite_temperature():
+    # 1 - exp(-beta w) rounded to 0 at beta = 1e-300 and divided by zero
+    w = 1.3
+    p = single_mode_space(n_max=12, w0=w).thermal_weights(1e-300)
+    assert np.array_equal(p, np.full(13, 1e-300 * w))
+
+
 def test_thermal_weights_product_basis():
     space = TruncatedFockSpace([(MODE, 1.0, 1.0), (MODE2, 2.0, 2.0)], (4, 3))
     beta = 0.7

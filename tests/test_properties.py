@@ -440,6 +440,35 @@ def test_open_double_principal_root_is_the_tracked_root(params, points):
         assert same_bits(got, want[0])
 
 
+@settings(PROPERTY, max_examples=300)  # milliseconds per example
+@given(
+    beta=st.floats(0.05, 3.0),
+    wk=st.floats(0.2, 3.0),
+    ratio=st.floats(0.5, 0.95) | st.floats(1.05, 2.0),
+    g_tau=st.floats(0.0, 1.0),
+    u=st.floats(-3.0, 3.0),
+    v=st.floats(-math.pi, math.pi),
+)
+def test_every_channel_is_the_sum_form(beta, wk, ratio, g_tau, u, v):
+    # the identity closed_form and closed_form_general are written in:
+    # the single-mode G is the root of the sum form at omega_p = omega_k,
+    # at real (u, v), at u = i beta and at u + i beta, with closed and
+    # open endpoints; the difference channel's G has no v
+    us = np.array([u, 1j * beta, u + 1j * beta])
+    ends = ((wk, wk), closed_form), ((wk, wk * ratio), closed_form_general)
+    for pair, form in ends:
+        double = CharfunParams(ResonanceKind.DOUBLE, beta, pair, g_tau)
+        same = dataclasses.replace(double, variant=ResonanceKind.SUM, omega_p=pair)
+        np.testing.assert_allclose(
+            form(double, us, v) ** 2, form(same, us, v), rtol=1e-13, atol=0.0
+        )
+        other = tuple(w * ratio for w in pair)
+        diff = dataclasses.replace(
+            same, variant=ResonanceKind.DIFFERENCE, omega_p=other
+        )
+        assert same_bits(form(diff, us, v), form(diff, us, 0.0))
+
+
 TAU = math.pi  # closed_protocol(2.0): two half periods of the drive
 MODES = ((0, 0, 1), (0, 0, 2), (0, 0, 3))
 
