@@ -2,8 +2,9 @@
 
 Single-resonance results for a boundary returning to its starting
 position, their generalization to unequal endpoint positions, products
-over mode-disjoint resonances, grand potentials, classical (hbar -> 0)
-limits, and the work mean and variance as exact cumulants of G.
+over mode-disjoint resonances, G of a whole resonance plan with its work
+lattice (plan_charfun), grand potentials, classical (hbar -> 0) limits,
+and the work mean and variance as exact cumulants of G.
 
 The three resonance channels are one form in x = hbar omega:
 sinh(beta x_k / 2) sinh(beta x_p / 2) + sin(z) sin(z - i beta h) A, with
@@ -12,7 +13,9 @@ creation at omega_k + omega_p) takes h = (x_k + x_p) / 2 and
 A = sinh^2(g tau); the difference channel (beam splitting at
 |omega_k - omega_p|) h = (x_k - x_p) / 2, A = sin^2(g tau) and no v in
 z; the double channel (squeezing at 2 omega_k) is the sum form at
-x_p = x_k under a square root.
+x_p = x_k under a square root.  A channel's work quantum is 2 |h| =
+x_k +- x_p (_drive_quantum), hbar Omega at exact resonance: G's period
+in u is 2 pi over it, and every channel of a plan must share it.
 
 Energy bookkeeping: every frequency enters as x = hbar * omega, the
 grand potential omits zero-point terms, and work counts only quantum
@@ -35,9 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .driving import ResonanceCase, ResonanceKind
+from .driving import DrivingProtocol, ResonanceCase, ResonanceKind, ResonancePlan
 from .errors import CoupledResonanceError, DegenerateResonanceError
-from .symplectic import tracked_sqrt
+from .symplectic import charfun_general, tracked_sqrt
 
 __all__ = [
     "CharfunParams",
@@ -48,9 +51,13 @@ __all__ = [
     "grand_potential_diff",
     "moments",
     "multi_resonance_product",
+    "plan_charfun",
 ]
 
 _DEGENERATE_RATIO_TOL = 1e-6
+# channels share a work lattice when their quanta x_k +- x_p agree to
+# the rounding of those sums: a few ulps of the plan's largest energy
+_LATTICE_ROUNDING = 8e-16
 
 
 @dataclass(frozen=True)
@@ -193,6 +200,11 @@ def _energies(params: CharfunParams, end: int) -> tuple[float, float, float]:
     if params.variant is ResonanceKind.DIFFERENCE:
         return xk, xp, (xk - xp) / 2.0
     return xk, xp, (xk + xp) / 2.0
+
+
+def _drive_quantum(params: CharfunParams) -> float:
+    """The work quantum 2 |h| = x_k +- x_p: G's u-period is 2 pi over it."""
+    return 2.0 * abs(_energies(params, 0)[2])
 
 
 def _phase(params: CharfunParams, h: float, u, v):
@@ -400,6 +412,41 @@ def multi_resonance_product(
     for params in params_list:
         out *= _g(params, u, v)
     return out
+
+
+def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
+    """(G(u, v) over broadcast arrays, work spacing) of a resonance plan
+    under a closed protocol: the closed forms of its mode-disjoint
+    channels times symplectic.charfun_general of each coupled group, on
+    the first channel's quantum.  Raises ValueError for an open protocol
+    and for channels whose quanta differ beyond their rounding."""
+    if not protocol.is_closed:
+        raise ValueError(
+            "the boundary does not return to its start (lambda(tau) != "
+            "lambda0): the work support is incommensurate and the closed-"
+            "form inversion does not apply"
+        )
+    tau, hbar = protocol.tau, protocol.hbar
+    params = [CharfunParams.from_case(c, beta, tau, hbar=hbar) for c in plan.cases]
+    quanta = [_drive_quantum(p) for p in params]
+    largest = max(x for p in params for x in _energies(p, 0)[:2])
+    if max(quanta) - min(quanta) > _LATTICE_ROUNDING * largest:
+        raise ValueError(
+            f"the channels' work quanta span {min(quanta)!r} to "
+            f"{max(quanta)!r}, beyond the rounding of their energies: they "
+            "share no work lattice"
+        )
+    single = [g[0] for g in plan.groups if len(g) == 1]
+    cases, records = [plan.cases[i] for i in single], [params[i] for i in single]
+    coupled = [[plan.cases[i] for i in g] for g in plan.groups if len(g) > 1]
+
+    def evaluate(u, v):
+        g = multi_resonance_product(cases, records, u, v)
+        for group in coupled:
+            g = g * charfun_general(group, protocol, beta, u, v)
+        return g
+
+    return evaluate, quanta[0]
 
 
 def _classical_ratio_coeff(variant: ResonanceKind, r: float | None) -> float:

@@ -54,7 +54,12 @@ and the work mean and variance at every sweep value finite.  An
 --oracle / --freeze basis, (n_max + 1) ** (resonant modes), may hold at
 most 20000 states (fock._DIM_CAP).  --freeze refuses a closed-form vs
 oracle deviation above 5e-3, and --oracle a basis too small for any
-work peak to clear 1e-12.
+work peak to clear 1e-12.  distribution inverts G on the channel
+quantum hbar (omega_k +- omega_p), which is hbar * Omega at exact
+resonance, and refuses, ending in "Re-run with --oracle", an open
+protocol (lambda(tau) != lambda0: no work lattice) and a plan whose
+channels' quanta differ by more than 8e-16 times its largest
+hbar * omega (no common lattice).
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
 usage or config error, including every check above.  CSV output is
@@ -93,14 +98,14 @@ from .cavity import (
 )
 from .charfun import (
     CharfunParams,
+    _drive_quantum,
     classical_alphas,
     classical_work_cdf,
     closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
     moments,
-    multi_resonance_product,
+    plan_charfun,
 )
 from .distributions import (
-    _drive_quantum,
     _marginal_deviation,
     cumulative_and_fit,
     cumulative_to_csv,
@@ -120,7 +125,6 @@ from .driving import (
     interaction_generator,
 )
 from .errors import CaveworkError, ConfigError
-from .symplectic import charfun_general
 
 _KNOWN_KEYS = {
     "geometry": {
@@ -471,28 +475,6 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _closed_evaluator(cfg: RunConfig, protocol, plan):
-    """(G(u, v) over broadcast arrays, work spacing) for a closed boundary
-    protocol: the closed forms of the mode-disjoint cases times the trace
-    formula of each coupled group."""
-    groups = plan.case_groups()
-    singletons = [group[0] for group in groups if len(group) == 1]
-    coupled_groups = [group for group in groups if len(group) > 1]
-    params = [
-        CharfunParams.from_case(case, cfg.beta, protocol.tau, hbar=cfg.hbar)
-        for case in singletons
-    ]
-
-    def evaluate(u, v):
-        g = multi_resonance_product(singletons, params, u, v)
-        for group in coupled_groups:
-            g = g * charfun_general(group, protocol, cfg.beta, u, v)
-        return g
-
-    # every resonance channel under one drive exchanges the quantum hbar Omega
-    return evaluate, cfg.hbar * protocol.omega_drive
-
-
 def _oracle_joint(cfg: RunConfig, protocol, plan) -> fock.JointDistribution:
     """Truncated-Fock simulation of all resonant modes.  The result
     carries residual_mass and top_shell_leak; the CSVs and
@@ -572,14 +554,10 @@ def cmd_distribution(args) -> int:
             "homotopy engine, or --oracle for the truncated-Fock simulation"
         )
 
-    if not protocol.is_closed:
-        raise ConfigError(
-            "the boundary does not return to its start (lambda(tau) != "
-            "lambda0): the work support is incommensurate and the closed-"
-            "form inversion does not apply.  Re-run with --oracle"
-        )
-
-    evaluate, spacing = _closed_evaluator(cfg, protocol, plan)
+    try:
+        evaluate, spacing = plan_charfun(plan, protocol, cfg.beta)
+    except ValueError as exc:  # an open protocol, or channels off one lattice
+        raise ConfigError(f"{exc}.  Re-run with --oracle") from None
     if len(plan.cases) == 1:
         work, photons = extract_channel_marginals(
             lambda u: evaluate(u, 0.0), spacing, plan.cases[0].kind

@@ -29,6 +29,7 @@ import numpy as np
 
 from .charfun import (
     CharfunParams,
+    _drive_quantum,
     _g,
     closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
     grand_potential_diff,
@@ -139,7 +140,7 @@ def _work_weights(
     charfun_eval: Callable[[np.ndarray], np.ndarray], spacing: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signed lattice indices and validated weights of P(w) on the comb
-    w = m * spacing, spacing the drive quantum hbar Omega."""
+    w = m * spacing, spacing the channel quantum hbar (omega_k +- omega_p)."""
     if not 0.0 < spacing < math.inf:
         raise ValueError("lattice spacing must be positive and finite")
     period = 2.0 * math.pi / spacing
@@ -320,15 +321,6 @@ class VerificationReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _drive_quantum(params: CharfunParams) -> float:
-    """Energy spacing of the work lattice, hbar * Omega."""
-    wk = params.omega_k[0]
-    wp = wk if params.omega_p is None else params.omega_p[0]
-    if params.variant is ResonanceKind.DIFFERENCE:
-        return params.hbar * abs(wk - wp)
-    return params.hbar * (wk + wp)
-
-
 def _reversed_params(params: CharfunParams) -> CharfunParams:
     """The reverse protocol: each endpoint-frequency pair interchanged."""
     return replace(
@@ -381,7 +373,8 @@ def verify_fluctuation_theorems(
     a single channel's joint peaks sit at (m, per * m), so the peakwise
     check pairs peak m of the direct sum's work weights with -m: one 1-D
     inversion in all.  Line support, that G is constant along
-    hbar Omega u + per v, is checked with the periodicity points.
+    hbar (omega_k +- omega_p) u + per v, is checked with the periodicity
+    points.
 
     perturbation adds a constant to every G evaluation: a negative
     control that must break normalization and Jarzynski.

@@ -24,7 +24,12 @@ from cavework.distributions import (
     extract_marginal_work,
     verify_fluctuation_theorems,
 )
-from cavework.driving import ResonanceKind, interaction_generator
+from cavework.driving import (
+    DrivingProtocol,
+    ResonanceKind,
+    ResonancePlan,
+    interaction_generator,
+)
 from cavework.errors import (
     CoupledResonanceError,
     DegenerateResonanceError,
@@ -33,6 +38,7 @@ from cavework.symplectic import charfun_from_generator
 from conftest import (
     adiabatic_mode_factor,
     classical_charfun,
+    closed_protocol,
     classical_work_pdf,
     drift_removed,
     same_bits,
@@ -282,6 +288,38 @@ def test_multi_resonance_product_factorizes():
     shared = dataclasses.replace(case2, k=(0, 0, 1))
     with pytest.raises(CoupledResonanceError):
         multi_resonance_product([case1, shared], [p1, p2], u, v)
+
+
+def _disjoint_plan(*cases) -> ResonancePlan:
+    return ResonancePlan(tuple(cases), tuple((i,) for i in range(len(cases))), ())
+
+
+def test_plan_charfun_is_the_product_on_the_first_channels_lattice():
+    protocol = closed_protocol(5.0)
+    tau, beta = protocol.tau, 0.5
+    double = synthetic_case(DOF, 2.5, None, 0.3, tau)
+
+    def pair(omega_p):  # a sum channel on modes of its own, quantum 3 + omega_p
+        case = synthetic_case(SUF, 3.0, omega_p, 0.2, tau)
+        return dataclasses.replace(case, k=(0, 1, 1), p=(0, 1, 2))
+
+    # quanta 5.0 and one ulp above it: the rounding of x_k + x_p
+    plan = _disjoint_plan(double, pair(2.0 + math.ulp(5.0)))
+    evaluate, spacing = charfun.plan_charfun(plan, protocol, beta)
+    params = [CharfunParams.from_case(c, beta, tau) for c in plan.cases]
+    assert spacing == charfun._drive_quantum(params[0]) == 5.0
+    assert charfun._drive_quantum(params[1]) == math.nextafter(5.0, 6.0)
+    u, v = np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 3)[:, None]
+    want = multi_resonance_product(plan.cases, params, u, v)
+    assert same_bits(evaluate(u, v), want)
+
+    # a quantum 1e-12 off shares no lattice with the first
+    with pytest.raises(ValueError, match="share no work lattice"):
+        charfun.plan_charfun(_disjoint_plan(double, pair(2.0 + 1e-12)), protocol, beta)
+    # an open protocol has no work lattice at all
+    opened = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0, tau=tau / 4.0)
+    with pytest.raises(ValueError, match="does not return to its start"):
+        charfun.plan_charfun(_disjoint_plan(double), opened, beta)
 
 
 def test_array_charfuns_match_pointwise_at_strong_drive(monkeypatch):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,73 @@ def test_freeze_refusals_build_no_oracle(workdir, monkeypatch):
         assert main(
             ["distribution", str(CONFIGS / "open_endpoints.cfg"), "--freeze"]
         ) == 2
+
+
+def _work_column(path: Path) -> list[str]:
+    return [line.split(",")[0] for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize(
+    "name,flags,detuning",
+    [
+        ("double_res", [], 2e-10),
+        ("sum_res", [], 2e-10),
+        ("diff_res", [], 2e-10),
+        ("double_res", ["--freeze"], 2e-10),
+        ("coupled", ["--symplectic"], 1e-10),
+    ],
+    ids=["double", "sum", "difference", "double freeze", "coupled"],
+)
+def test_a_detuned_numeric_drive_keeps_the_symbolic_lattice(
+    workdir, name, flags, detuning
+):
+    # a numeric omega_drive inside the classifier's 1e-9 tolerance: the
+    # comb spaced by hbar Omega, not by the channels' quantum, leaked its
+    # tails past the sample budget (exit 1) or wrote shifted w values
+    text = COUPLED if name == "coupled" else (CONFIGS / f"{name}.cfg").read_text()
+    cfg = workdir / "exact.cfg"
+    cfg.write_text(text)
+    loaded = load_config(str(cfg))
+    omega = resolve_omega_drive(loaded, cli._spectrum(loaded))
+    work = Path(loaded.directory) / f"{loaded.prefix}_work.csv"
+    assert main(["distribution", str(cfg), *flags]) == 0
+    exact = _work_column(work)
+    detuned = re.sub(
+        r"^omega_drive = .*$", f"omega_drive = {omega * (1.0 + detuning)!r}",
+        text, flags=re.M,
+    )
+    cfg.write_text(detuned)
+    assert main(["distribution", str(cfg), *flags]) == 0
+    assert _work_column(work) == exact
+
+
+# two double channels on the modes (0,1,1) and (1,0,1) of a box whose
+# transverse sides differ by 1e-11: both lie inside the classifier's
+# tolerance, and their quanta differ by 5e-12 relative
+OFF_LATTICE = BASE.replace("ly = 1.0", "ly = 1.00000000001").format(
+    lx=1.0, cutoff=6.0, epsilon=0.01, drive="2*w(0:1:1)",
+    tau=2.0 * math.pi / 8.885765876272304, beta=0.5,
+)
+
+
+@pytest.mark.parametrize("name", ["open_endpoints", "off_lattice"])
+def test_a_plan_without_a_work_lattice_points_to_the_oracle(
+    workdir, monkeypatch, capsys, name
+):
+    # an open protocol, or channels whose quanta differ beyond rounding:
+    # the off-lattice plan wrote tails leaked by the wrong spacing
+    cfg = workdir / "run.cfg"
+    cfg.write_text(
+        OFF_LATTICE if name == "off_lattice" else (CONFIGS / f"{name}.cfg").read_text()
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # open_endpoints' strained epsilon
+        assert main(["distribution", str(cfg)]) == 2
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("config error:") and err.endswith("Re-run with --oracle")
+        assert not (workdir / "out").exists()
+        monkeypatch.setenv("CAVEWORK_N_MAX", "6")
+        assert main(["distribution", str(cfg), "--oracle"]) == 0
 
 
 def test_verify_exit_codes(workdir):

@@ -629,7 +629,7 @@ def golden_marginals():
         for factor in (1.0, 0.37, 3.1):
             cfg = dataclasses.replace(base, beta=base.beta * factor)
             protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
-            evaluate, spacing = cli._closed_evaluator(cfg, protocol, plan)
+            evaluate, spacing = charfun.plan_charfun(plan, protocol, cfg.beta)
             work = extract_marginal_work(lambda u: evaluate(u, 0.0), spacing)
             (case,) = plan.cases
             classical = None

@@ -1,8 +1,8 @@
 """Property tests over random closed single-channel parameters, over
 random coupled and mode-disjoint resonance plans, over random work
 marginals for the Kolmogorov-Smirnov distance, over random spectra for
-the resonance classifier, and over random reaches of the Bessel root
-tables.
+the resonance classifier, over random reaches of the Bessel root
+tables, and over reference configs with one key set to an extreme value.
 
 Weak drive and moderate temperature keep every work inversion and every
 joint (work, photon) reference grid small, so each example costs well
@@ -12,13 +12,20 @@ scans from the source under the git-ignored .hypothesis/constants/ at
 the repo root.
 """
 
+import configparser
+import contextlib
 import dataclasses
 import functools
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +34,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cavework import bessel, charfun, distributions  # noqa: E402
+from cavework import bessel, charfun, cli, distributions  # noqa: E402
 from cavework.bessel import BesselKind, bessel_zero, clear_root_cache, root_table  # noqa: E402
 from cavework.cavity import (  # noqa: E402
     CylindricalGeometry,
@@ -711,6 +718,89 @@ def test_concurrent_spectra_are_identical(geom, pol, cutoff):
     assert not any(t.is_alive() for t in threads)
     assert results[1:] == results[:1] * 3
     assert results[0] == per_mode_spectrum(geom, pol, 1.0, cutoff)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# each reference config with the commands it is run through; "oracle"
+# is distribution --oracle at CAVEWORK_N_MAX = 8
+CLI_RUNS = {
+    "double_res": ("distribution", "verify", "oracle"),
+    "open_endpoints": ("distribution", "verify", "oracle"),
+    "sum_res": ("distribution", "verify", "oracle"),
+    "diff_res": ("distribution", "verify", "oracle"),
+    "moments_hot": ("moments",),
+}
+CONFIG_KEYS = sorted(
+    (section, key)
+    for section, keys in cli._KNOWN_KEYS.items()
+    if section != "output"
+    for key in keys
+)
+EXTREME_VALUES = (
+    "0", "-1", "1e-320", "5e-324", "1e-300", "1e300", "inf", "nan", "1e-12",
+    "1e12", "abc", "",
+)
+# lengths at these values size the spectrum's arrays before any check:
+# left out until the spectrum has a size cap
+SPECTRUM_SIZES = {"lx", "ly", "lambda0", "cutoff"}, {"1e12", "1e300"}
+
+
+@st.composite
+def extreme_runs(draw):
+    """(config name, command, section, key, value): one key outside
+    [output] of a reference config set to an extreme value."""
+    name = draw(st.sampled_from(sorted(CLI_RUNS)))
+    command = draw(st.sampled_from(CLI_RUNS[name]))
+    section, key = draw(st.sampled_from(CONFIG_KEYS))
+    sizes, huge = SPECTRUM_SIZES
+    values = [v for v in EXTREME_VALUES if key not in sizes or v not in huge]
+    return name, command, section, key, draw(st.sampled_from(values))
+
+
+@settings(PROPERTY, max_examples=150)  # milliseconds per run, a few far more
+@given(run=extreme_runs())
+# the classes that raised out of main before they were mended
+@example(run=("sum_res", "distribution", "protocol", "tau", "0"))
+@example(run=("double_res", "verify", "protocol", "tau", "1e12"))
+@example(run=("double_res", "distribution", "protocol", "omega_drive", "5e-324"))
+@example(run=("double_res", "distribution", "protocol", "hbar", "1e-320"))
+@example(run=("diff_res", "oracle", "thermal", "beta", "1e-300"))
+@example(run=("diff_res", "oracle", "thermal", "beta", "1e-12"))
+def test_every_extreme_config_value_ends_in_a_documented_exit_code(run):
+    # exit 0, 1 or 2 and nothing raised; an exit 2 writes no file, and
+    # an exit 1 or 2 prints one error line
+    name, command, section, key, value = run
+    cp = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=("#", ";")
+    )
+    cp.read(CONFIGS / f"{name}.cfg", encoding="utf-8")
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp[section][key] = value
+    argv = ["distribution", "--oracle"] if command == "oracle" else [command]
+    env = {cli._ENV_N_MAX: "8"} if command == "oracle" else {}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        cp["output"]["directory"] = out
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        with (
+            mock.patch.dict(os.environ, env),
+            warnings.catch_warnings(record=True),
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+        ):
+            warnings.simplefilter("always")  # recorded, as a shell prints them
+            code = cli.main([*argv, path])
+        written = [f for _, _, files in os.walk(out) for f in files]
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert written == []
+    if code:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith(("error:", "config error:"))
 
 
 FAILING_PROPERTY = """
