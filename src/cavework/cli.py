@@ -52,19 +52,19 @@ and at every sweep value, at most 700 (sinh^2 of half of it leaves
 float range at 709.78) and above 0 (coth of half of it is infinite),
 and the work mean and variance at every sweep value finite.  An
 --oracle / --freeze basis, (n_max + 1) ** (resonant modes), may hold at
-most 20000 states (fock._DIM_CAP).  --freeze refuses a closed-form vs
-oracle deviation above 5e-3, and --oracle a basis too small for any
-work peak to clear 1e-12.  distribution inverts G on the channel
-quantum hbar (omega_k +- omega_p), which is hbar * Omega at exact
-resonance, and refuses, ending in "Re-run with --oracle", an open
+most 20000 states (fock._DIM_CAP).  distribution inverts G on the
+channel quantum hbar (omega_k +- omega_p), which is hbar * Omega at
+exact resonance, and refuses, ending in "Re-run with --oracle", an open
 protocol (lambda(tau) != lambda0: no work lattice) and a plan whose
 channels' quanta differ by more than 8e-16 times its largest
 hbar * omega (no common lattice).
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
-usage or config error, including every check above.  CSV output is
-deterministic: 12 significant digits, '.' decimal separator, '\\n' line
-endings, fixed ordering.
+usage or config error, including every check above.  The numerical
+gates include --freeze refusing a closed-form vs oracle deviation above
+5e-3 and --oracle refusing a basis too small for any work peak to clear
+1e-12: both exit 1.  CSV output is deterministic: 12 significant digits,
+'.' decimal separator, '\\n' line endings, fixed ordering.
 Inverted probabilities (the prob and F_exact columns) are printed to
 12 significant digits or to 1e-14 absolute, whichever is coarser
 (distributions.format_prob), and so is the residual_mass tail of

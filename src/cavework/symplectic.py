@@ -10,10 +10,13 @@ The square root's branch is the delicate part.  Thermal-weighted traces
 are fixed by a reference eigenvalue pairing; characteristic-function
 evaluations are fixed by homotopy from (u, v) = (0, 0), where the
 normalized value is exactly 1.  That homotopy is tracked_sqrt; it tracks
-a whole array of evaluation points at once.  The single-mode closed forms
-in charfun need it only at points where no bound proves their principal
-root to be the branch: off a strip of the phase for closed endpoints, and
-outside a certificate on Re u for open ones.
+a whole array of evaluation points at once.  The trace formula continues
+it once along a comb's ray instead, at one determinant per point, and
+falls back to tracked_sqrt off a ray or on a failed step.  The
+single-mode closed forms in charfun need it only at points where no
+bound proves their principal root to be the branch: off a strip of the
+phase for closed endpoints, and outside a certificate on Re u for open
+ones.
 
 Scalar prefactors (the 1/2-shifts of normal ordering) are never folded
 into the matrices.  In the characteristic-function ratio they cancel
@@ -228,6 +231,48 @@ def tracked_sqrt(
         steps *= 2
 
 
+def _ray_sqrt(radicand, points, steps, anchor_tol):
+    """tracked_sqrt at one radicand per point, for points (u, v) on one
+    ray from the origin: u >= 0 with v = 0, or u = 0 with v >= 0, all
+    finite, at least one, and not scalar.
+
+    Each point's homotopy segment then lies on the farthest point's, so
+    one continuation across the sorted points, merged with the
+    tracker's `steps` steps to the farthest, reaches every root with no
+    step longer than the tracker's: N + steps radicands in one batch.
+    Off such a ray, or when the anchor or any step fails the tracker's
+    tests, tracked_sqrt runs unchanged.
+    """
+    u, v = np.broadcast_arrays(*map(np.asarray, points))
+    on_u = not v.any()
+    t = (u if on_u else v).ravel()
+    if (
+        not u.ndim or np.iscomplexobj(u) or np.iscomplexobj(v)
+        or (not on_u and u.any())
+        or not (t.size and np.isfinite(t).all() and (t >= 0.0).all())
+    ):
+        return tracked_sqrt(radicand, points, steps, anchor_tol)
+    grid, zero = t.max() * np.arange(1, steps + 1) / steps, np.zeros(steps)
+    order = np.argsort(np.concatenate([t, grid]), kind="stable")
+    su = np.concatenate([u.ravel(), grid if on_u else zero])[order]
+    sv = np.concatenate([v.ravel(), zero if on_u else grid])[order]
+    d0 = complex(np.ravel(radicand(0.0, su[:1], sv[:1]))[0])
+    cur = np.asarray(radicand(1.0, su, sv), dtype=complex)
+    prev = np.append(d0, cur[:-1])
+    if not (
+        d0.real > 0.0 and abs(d0.imag) <= anchor_tol * abs(d0)
+        and ((cur * prev.conj()).real > 0.0).all()
+        and (np.abs(cur) >= 1e-14 * abs(d0)).all()
+    ):
+        return tracked_sqrt(radicand, points, steps, anchor_tol)
+    # the tracker's pick of near or -near at each step, as a sign chain
+    near = np.sqrt(cur)
+    turn = (near * np.append(np.sqrt(d0), near[:-1]).conj()).real > 0.0
+    root = np.empty_like(near)
+    root[order] = np.where(np.cumprod(np.where(turn, 1.0, -1.0)) > 0.0, near, -near)
+    return root[: t.size].reshape(u.shape)
+
+
 def trace_from_char(m: np.ndarray) -> complex:
     """Tr J from [J], square-root branch picked against an eigenvalue
     reference.
@@ -279,7 +324,9 @@ def charfun_from_generator(
     generator, and H counted without zero-point shift (the shifts cancel
     in this equal-endpoint ratio).  Branch of the trace square root is
     carried by homotopy s*(u, v), s in [0, 1], anchored at the real
-    positive thermal determinant.  u and v broadcast; the weights of all
+    positive thermal determinant: continued once along the sorted
+    points where they lie on one ray from the origin (_ray_sqrt), by
+    tracked_sqrt otherwise.  u and v broadcast; the weights of all
     points are stacked 2n x 2n matrices, and scalar input returns a
     Python complex.
     """
@@ -315,7 +362,7 @@ def charfun_from_generator(
             return d0
         return _branch_determinant(total(s * u, s * v))
 
-    g = np.sqrt(d0) / tracked_sqrt(radicand, (u, v), steps=64, anchor_tol=1e-9)
+    g = np.sqrt(d0) / _ray_sqrt(radicand, (u, v), steps=64, anchor_tol=1e-9)
     return complex(g) if g.ndim == 0 else g
 
 

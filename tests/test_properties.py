@@ -34,7 +34,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cavework import bessel, charfun, cli, distributions  # noqa: E402
+from cavework import bessel, charfun, cli, distributions, symplectic  # noqa: E402
 from cavework.bessel import BesselKind, bessel_zero, clear_root_cache, root_table  # noqa: E402
 from cavework.cavity import (  # noqa: E402
     CylindricalGeometry,
@@ -481,9 +481,9 @@ MODES = ((0, 0, 1), (0, 0, 2), (0, 0, 3))
 
 
 @st.composite
-def resonance_plans(draw) -> tuple[list[ResonanceCase], bool, float]:
-    """(cases, coupled, beta) for two weakly driven channels on two or
-    three modes of ascending frequency.
+def resonance_plans(draw, g_tau_max=0.3) -> tuple[list[ResonanceCase], bool, float]:
+    """(cases, coupled, beta) for two channels on two or three modes of
+    ascending frequency, each driven at g tau in [0.05, g_tau_max].
 
     Coupled plans share a mode: a double and a difference, or a sum and
     a difference in a chain.  Disjoint plans put a double on the lowest
@@ -493,7 +493,7 @@ def resonance_plans(draw) -> tuple[list[ResonanceCase], bool, float]:
     w = [draw(st.floats(0.5, 2.0))]
     for _ in range(2):
         w.append(w[-1] * draw(st.floats(1.2, 2.0)))
-    g_taus = st.floats(0.05, 0.3)
+    g_taus = st.floats(0.05, g_tau_max)
     DOUBLE, SUM, DIFF = ResonanceKind
 
     def case(kind, k, p=None):
@@ -540,6 +540,36 @@ def test_fluctuation_theorems_hold_for_resonance_plans(plan):
     err = np.abs(charfun_numeric(dist, u, v) - routes[0](u, v)).max()
     truncation = dist.residual_mass + dist.top_shell_leak
     assert err <= max(ORACLE_TRUNCATION_MULTIPLE * truncation, ORACLE_ROUNDOFF)
+
+
+def _comb_outcome(cases, beta, u, v):
+    """G of a coupled group on comb points, or None where the tracker
+    refuses them."""
+    try:
+        return charfun_general(cases, closed_protocol(2.0), beta, u, v)
+    except BranchTrackingError:
+        return None
+
+
+@PROPERTY
+@given(resonance_plans(g_tau_max=2.0).filter(lambda plan: plan[1]))
+def test_the_ray_path_keeps_the_trackers_bits_on_comb_points(plan):
+    # up to g tau = 2 some radicands wind fast enough that a ray step
+    # fails and the whole call falls back to the tracker
+    cases, _, beta = plan
+    quantum = charfun._drive_quantum(CharfunParams.from_case(cases[0], beta, TAU))
+    period = 2.0 * math.pi / quantum
+    combs = [
+        (period * np.arange(256) / 256, 0.0),  # the work comb
+        (period * np.arange(1, 512, 2) / 512, 0.0),  # its first doubling
+        (period * np.array([1.13, 1.41, 1.77]), 0.0),  # the periodicity probe
+        (0.0, 2.0 * math.pi * np.arange(64) / 64),  # the photon comb
+    ]
+    for u, v in combs:
+        ray = _comb_outcome(cases, beta, u, v)
+        with mock.patch.object(symplectic, "_ray_sqrt", tracked_sqrt):
+            tracked = _comb_outcome(cases, beta, u, v)
+        assert (ray is None and tracked is None) or same_bits(ray, tracked)
 
 
 @st.composite

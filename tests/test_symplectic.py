@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import synthetic_case
-from cavework import symplectic
-from cavework.charfun import CharfunParams, closed_form
+from conftest import same_bits, synthetic_case
+from test_cli import COUPLED
+from cavework import cli, symplectic
+from cavework.charfun import CharfunParams, closed_form, plan_charfun
 from cavework.driving import DrivingProtocol, ResonanceKind, interaction_generator
 from cavework.errors import (
     BranchTrackingError,
@@ -279,3 +280,111 @@ def test_tracked_sqrt_refines_only_the_failing_points():
     assert root.shape == xs.shape
     assert np.allclose(root.ravel(), [r for r, _ in alone], rtol=1e-14, atol=0.0)
     assert np.allclose(root, np.exp(21j * xs), rtol=0.0, atol=1e-12)
+
+
+def coupled_group(tmp_path):
+    """(group, protocol, beta, work spacing) of the coupled config."""
+    path = tmp_path / "coupled.cfg"
+    path.write_text(COUPLED)
+    cfg = cli.load_config(str(path))
+    protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
+    [group] = [[plan.cases[i] for i in g] for g in plan.groups]
+    return group, protocol, cfg.beta, plan_charfun(plan, protocol, cfg.beta)[1]
+
+
+def test_the_ray_path_keeps_the_trackers_bits_on_the_coupled_config(
+    tmp_path, monkeypatch
+):
+    # the four trace-formula calls of one distribution --symplectic: the
+    # periodicity probe (3 + 3 points), the work comb and the photon comb
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coupled.cfg").write_text(COUPLED)
+    calls = []
+    generator = symplectic.charfun_from_generator
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs, generator(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(symplectic, "charfun_from_generator", recorded)
+    assert cli.main(["distribution", "coupled.cfg", "--symplectic"]) == 0
+    assert [g.size for _, _, g in calls] == [3, 3, 256, 64]
+    monkeypatch.setattr(symplectic, "_ray_sqrt", tracked_sqrt)
+    for args, kwargs, g in calls:
+        assert same_bits(g, generator(*args, **kwargs))
+
+
+def test_a_comb_on_one_ray_costs_one_determinant_per_sample(tmp_path, monkeypatch):
+    group, protocol, beta, spacing = coupled_group(tmp_path)
+    points = []
+    determinant = symplectic._branch_determinant
+
+    def counted(m):
+        points.append(m[..., 0, 0].size)
+        return determinant(m)
+
+    monkeypatch.setattr(symplectic, "_branch_determinant", counted)
+    u = 2.0 * math.pi / spacing * np.arange(256) / 256
+    charfun_general(group, protocol, beta, u, 0.0)
+    # the anchor, then the samples merged with the tracker's 64 steps to
+    # the farthest one, in one batch; the tracker alone evaluates 65 N
+    assert points == [1, 256 + 64]
+
+
+class Tracked(Exception):
+    pass
+
+
+def test_only_points_on_one_ray_skip_the_tracker(tmp_path, monkeypatch):
+    group, protocol, beta, spacing = coupled_group(tmp_path)
+
+    def tracker(radicand, points, steps, anchor_tol):
+        raise Tracked
+
+    monkeypatch.setattr(symplectic, "tracked_sqrt", tracker)
+    comb = 2.0 * math.pi * np.arange(64) / 64
+    for u, v in [(comb / spacing, 0.0), (0.0, comb), (np.zeros(3), np.zeros(3))]:
+        charfun_general(group, protocol, beta, u, v)
+    u, v = np.meshgrid(comb[:4], comb[:3], indexing="ij")
+    off_ray = [
+        (0.5, 0.0),  # a scalar point
+        (comb + 1j * beta, 0.0),  # Jarzynski: complex u
+        (u, v),  # a mixed (u, v) grid
+        (comb - 1.0, 0.0),  # negative u
+        (np.append(comb, np.nan), 0.0),  # a point that is not finite
+        (0.0, np.append(comb, np.inf)),
+        (np.zeros(0), 0.0),  # no point
+    ]
+    for u, v in off_ray:
+        with pytest.raises(Tracked):
+            charfun_general(group, protocol, beta, u, v)
+
+
+def test_a_ray_step_the_tracker_would_refuse_falls_back_to_it():
+    ray = (np.array([0.5, 1.0]), 0.0)
+    # every step count from 64 to 4096 to u = 1 turns each step by
+    # +-2 pi / 3 modulo 2 pi: the ray's step test fails, and the tracker
+    # winds too fast at every count
+    fast = 8192.0 * math.pi / 3.0
+    with pytest.raises(BranchTrackingError, match="winds too fast"):
+        symplectic._ray_sqrt(
+            lambda s, u, v: np.exp(1j * fast * s * u), ray, steps=64, anchor_tol=1e-9
+        )
+    with pytest.raises(BranchTrackingError, match="anchor"):
+        symplectic._ray_sqrt(
+            lambda s, u, v: -1.0 - s * u, ray, steps=64, anchor_tol=1e-9
+        )
+    # 1 - u at the last point is one ulp: below the tracker's floor
+    with pytest.raises(BranchTrackingError, match="vanished"):
+        symplectic._ray_sqrt(
+            lambda s, u, v: 1.0 - s * u, (np.array([0.5, 1.0 - 2.0**-53]), 0.0),
+            steps=64, anchor_tol=1e-9,
+        )
+    # a turn of 26 pi / 64 per tracker step to u = 1: the continued root
+    # leaves the principal branch, and only the sign chain follows it
+    radicand = lambda s, u, v: np.exp(26j * math.pi * s * u)  # noqa: E731
+    ray = (np.array([1.0, 0.1]), 0.0)
+    root = symplectic._ray_sqrt(radicand, ray, steps=64, anchor_tol=1e-9)
+    assert same_bits(root, tracked_sqrt(radicand, ray, steps=64, anchor_tol=1e-9))
+    assert np.allclose(root, np.exp(13j * math.pi * ray[0]), rtol=0.0, atol=1e-12)
+    assert np.allclose(root, -np.sqrt(radicand(1.0, ray[0], 0.0)), rtol=0.0, atol=1e-12)
