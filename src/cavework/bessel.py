@@ -16,12 +16,13 @@ shorter than any zero spacing, so counting sign changes certifies each
 zero's index; the extrema lie between consecutive zeros.  Newton steps
 inside the brackets, all brackets at once, refine each root to 1e-12
 absolute.  The roots of each (kind, order) are cached as one row, in
-turn from the first, and one routine grows every row: `root_table`
-grows each order's row of one kind past x_max, all in one batch, and
-`bessel_zero` grows one row through the root it asks for and computes
-no other order.  A scan resumes on the grid past the row's last cached
-zero, so each root keeps its bracket, and its bits, whatever the order
-of requests.  A row only grows, under a lock, so readers index it
+turn from the first, and one routine grows every row past a reach:
+`root_table` grows each order's row of one kind past x_max, all in one
+batch, and `bessel_zero` grows one row past its last cached root plus
+pi per missing root, and again until the row holds the root it asks
+for, computing no other order.  A scan resumes on the grid past the
+row's last cached zero, so each root keeps its bracket, and its bits,
+whatever the order of requests.  A row only grows, under a lock, so readers index it
 without one.
 """
 
@@ -244,30 +245,25 @@ def _through(roots: list[float], x_max: float) -> list[float]:
     raise AssertionError("no root above x_max")
 
 
-def _extend(kind: BesselKind, orders: list[int], index: int | None = None,
-            x_max: float = math.nan) -> None:
-    """Grow the cached row of `kind` for each order: through root number
-    `index`, or else through its first root above x_max.  Call under _lock.
+def _extend(kind: BesselKind, orders: list[int], x_max: float) -> None:
+    """Grow the cached row of `kind` for each order through its first
+    root above x_max.  Call under _lock.
 
-    The zeros of J_n or j_l come first, in turn from the first: through
-    number `index`, or else on until two of them lie above x_max.  A scan
-    resumes on the grid x0 + j * _STEP past the row's last cached zero,
-    which gives each zero the same bracket whatever the order of
-    requests; all orders scan in one batch, and all brackets refine in
-    one Newton batch.  For the primed kinds, every missing extremum then
-    refines in a second batch, from the midpoint of its two zeros."""
+    The zeros of J_n or j_l come first, in turn from the first, on until
+    two of them lie above x_max.  A scan resumes on the grid x0 + j *
+    _STEP past the row's last cached zero, which gives each zero the
+    same bracket whatever the order of requests; all orders scan in one
+    batch, and all brackets refine in one Newton batch.  For the primed
+    kinds, every missing extremum then refines in a second batch, from
+    the midpoint of its two zeros."""
     keys = [_key(kind, n) for n in orders]
     zero_kind = _ZEROS[kind]
     zeros = {n: _cache.setdefault((zero_kind, n), []) for _, n in keys}
-
-    def done(found: int, above: int) -> bool:
-        return found >= index if index is not None else above >= 2
-
     # [order, grid position, zeros found, zeros certainly above x_max]
     scans = []
     for n, row in zeros.items():
         above = sum(not z <= x_max for z in row)
-        if not done(len(row), above):
+        if above < 2:
             j = int((row[-1] - _start(zero_kind, n)) / _STEP) + 1 if row else 0
             scans.append([n, j, len(row), above])
     brackets = []
@@ -275,11 +271,8 @@ def _extend(kind: BesselKind, orders: list[int], index: int | None = None,
         grids = []
         for n, j, found, _ in scans:
             x0 = _start(zero_kind, n)
-            if index is not None:
-                size = 2 * (index - found) + 4
-            else:
-                reach = (x_max - x0) / _STEP - j
-                size = int(reach) + 6 if reach > 0.0 else 6
+            reach = (x_max - x0) / _STEP - j
+            size = int(reach) + 6 if reach > 0.0 else 6
             grids.append([x0 + (i + 1) * _STEP for i in range(j, j + size)])
         f, d = _value_and_slope(zero_kind,
                                 np.repeat([s[0] for s in scans], list(map(len, grids))),
@@ -296,11 +289,11 @@ def _extend(kind: BesselKind, orders: list[int], index: int | None = None,
                     a = x0 + (j + i) * _STEP
                     brackets.append((n, found, a, b, fb, d[pos + i]))
                     above += not a < x_max
-                    if done(found, above):
+                    if above >= 2:
                         break
             pos += len(grid)
             scan[1:] = j + i + 1, found, above
-        scans = [s for s in scans if not done(s[2], s[3])]
+        scans = [s for s in scans if s[3] < 2]
     if brackets:
         n, i, a, b, f, d = (np.array(col) for col in zip(*brackets))
         for order, root in zip(n.tolist(), _newton(zero_kind, n, i, a, b, b, f, d).tolist()):
@@ -312,7 +305,7 @@ def _extend(kind: BesselKind, orders: list[int], index: int | None = None,
         if key[0] is not zero_kind:
             n, row = key[1], _cache.setdefault(key, [])
             lows = [_start(kind, n)] + zeros[n]
-            stop = index if index is not None else len(_through(zeros[n], x_max)) + 1
+            stop = len(_through(zeros[n], x_max)) + 1
             wanted += [(n, i, lows[i - 1], lows[i]) for i in range(len(row) + 1, stop + 1)]
     if wanted:
         n, i, a, b = (np.array(col) for col in zip(*wanted))
@@ -373,5 +366,8 @@ def bessel_zero(kind: BesselKind, order: int, index: int) -> float:
     if len(row) >= index:
         return row[index - 1]
     with _lock:
-        _extend(kind, [order], index=index)
-        return _cache[(kind, order)][index - 1]
+        while len(row) < index:  # roots lie about pi apart
+            last = row[-1] if row else _start(kind, order)
+            _extend(kind, [order], last + (index - len(row)) * math.pi)
+            row = _cache[(kind, order)]
+        return row[index - 1]

@@ -236,16 +236,8 @@ def coupling_coefficient(
         kind = _cyl_root_kind(pol)
         rk = bessel_zero(kind, n, k[1])
         rp = bessel_zero(kind, n, p[1])
-        if pol is Polarization.TE:
-            if k[1] == p[1]:
-                return rk**2 / (rk**2 - n**2)
-            return (
-                2.0 * rk * rp / (rk**2 - rp**2)
-                * math.sqrt((rk**2 - n**2) / (rp**2 - n**2))
-            )
-        if k[1] == p[1]:
-            return 0.0
-        return 2.0 * rk * rp / (rk**2 - rp**2)
+        c = n**2 if pol is Polarization.TE else None
+        return _radial_table(rk, rp, k[1] == p[1], c)
 
     # spherical: mixing acts on the radial quantum number only
     if k[1] != p[1] or k[2] != p[2]:
@@ -254,17 +246,18 @@ def coupling_coefficient(
     kind = _sph_root_kind(pol)
     rk = bessel_zero(kind, l, k[0])
     rp = bessel_zero(kind, l, p[0])
-    if pol is Polarization.TE:
-        if k[0] == p[0]:
-            return 0.0
-        return 2.0 * rk * rp / (rk**2 - rp**2)
-    ll1 = l * (l + 1)
-    if k[0] == p[0]:
-        return rk**2 / (rk**2 - ll1)
-    return (
-        2.0 * rk * rp / (rk**2 - rp**2)
-        * math.sqrt((rk**2 - ll1) / (rp**2 - ll1))
-    )
+    c = l * (l + 1) if pol is Polarization.TM else None
+    return _radial_table(rk, rp, k[0] == p[0], c)
+
+
+def _radial_table(rk: float, rp: float, same: bool, c: int | None) -> float:
+    # overlap of two radial profiles of one order, roots rk and rp (same:
+    # one root); c = n^2 (cylinder, TE) or l(l+1) (sphere, TM) normalises
+    # each profile by sqrt(r^2 - c), None leaves the plain form
+    if same:
+        return 0.0 if c is None else rk**2 / (rk**2 - c)
+    ratio = 2.0 * rk * rp / (rk**2 - rp**2)
+    return ratio if c is None else ratio * math.sqrt((rk**2 - c) / (rp**2 - c))
 
 
 def _axial_table(pol: Polarization, kz: int, pz: int) -> float:

@@ -32,7 +32,7 @@ inverse temperature are required, everything else has defaults.
     [numerics]
     n_max = 40                # Fock cutoff per mode (--oracle / --freeze)
 
-    [sweep]                   # cmd_moments only
+    [sweep]                   # moments only
     variable = beta           # beta | hbar
     values = 0.1 0.2 0.5 1.0
 
@@ -628,7 +628,7 @@ def _single_channel(cfg: RunConfig, command: str) -> CharfunParams:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    params = _single_channel(cfg, "cmd_verify")
+    params = _single_channel(cfg, "verify")
     report = verify_fluctuation_theorems(params, perturbation=args.perturb)
     path = _out_path(cfg, "report.json")
     _write(path, report.to_json())
@@ -650,8 +650,8 @@ def cmd_verify(args) -> int:
 def cmd_moments(args) -> int:
     cfg = load_config(args.config)
     if cfg.sweep_variable is None or not cfg.sweep_values:
-        raise ConfigError("cmd_moments needs a [sweep] section with values")
-    base = _single_channel(cfg, "cmd_moments")
+        raise ConfigError("moments needs a [sweep] section with values")
+    base = _single_channel(cfg, "moments")
     if not base.is_closed:
         raise ConfigError("moment sweeps assume a closed protocol")
     freqs = [w for pair in base.frequency_pairs() for w in pair]

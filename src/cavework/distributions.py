@@ -136,6 +136,25 @@ def _floored_peaks(labels, probs) -> list[tuple]:
     return sorted(zip(np.asarray(labels)[keep].tolist(), probs[keep].tolist()))
 
 
+def _merge_runs(w, dn, p, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sum of w p, delta_n, sum of p) of each run of peaks that share a
+    delta_n and lie within tol of their neighbour in w: the rule by which
+    float-noisy work values are one peak.
+
+    Runs come sorted by (delta_n, w) and each sums in (w, p) order, from
+    0.0, so a sum or a mean sum(w p) / sum(p) has the bits of a Python
+    loop over the sorted (w, p) pairs of each delta_n.
+    """
+    order = np.lexsort((p, w, dn))
+    w, dn, p = w[order], dn[order], p[order]
+    new = np.ones(w.size, dtype=bool)
+    new[1:] = (dn[1:] != dn[:-1]) | (w[1:] - w[:-1] > tol)
+    run = np.cumsum(new) - 1
+    # astype: for no peaks, bincount returns ints
+    wp, tot = (np.bincount(run, weights=x).astype(float) for x in (w * p, p))
+    return wp, dn[new], tot
+
+
 def _work_weights(
     charfun_eval: Callable[[np.ndarray], np.ndarray], spacing: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -266,23 +285,18 @@ def _marginal_deviation(work, photons, other_work, other_photons, spacing) -> fl
     """Largest |delta p| between two routes' (P(w), P(delta_n)), each
     sorted (value, prob) peaks, over the union of their peaks.
 
-    A work peak pairs with the other route's nearest work peak within
-    1e-6 spacing, a photon peak with the other's at the same delta_n; a
-    peak with no partner counts against 0.
+    The other route's weights enter negated, and peaks pair by the
+    oracle's own rule (_merge_runs): work peaks within 1e-6 spacing of
+    their neighbour, photon peaks at one delta_n (work peaks carry
+    delta_n = inf, which no photon peak has).  Both routes' work peaks
+    lie on one lattice, one spacing apart, so each run is one peak or
+    one pair and sums to p - q, or to p for a peak with no partner.
     """
-    worst = 0.0
-    for mine, other in ((work, other_work), (other_work, work)):
-        w, p = np.array(mine, dtype=float).reshape(-1, 2).T
-        # fenced by +-inf, every w has a neighbour on each side
-        wo, po = np.array([(-math.inf, 0.0), *other, (math.inf, 0.0)]).T
-        right = np.searchsorted(wo, w)
-        near = np.where(w - wo[right - 1] <= wo[right] - w, right - 1, right)
-        q = np.where(np.abs(wo[near] - w) < 1e-6 * spacing, po[near], 0.0)
-        worst = max(worst, float(np.abs(p - q).max(initial=0.0)))
-    mine, other = dict(photons), dict(other_photons)
-    for dn in mine.keys() | other.keys():
-        worst = max(worst, abs(mine.get(dn, 0.0) - other.get(dn, 0.0)))
-    return worst
+    signs = ((1.0, work, photons), (-1.0, other_work, other_photons))
+    rows = [(w, math.inf, s * p) for s, peaks, _ in signs for w, p in peaks]
+    rows += [(0.0, dn, s * p) for s, _, peaks in signs for dn, p in peaks]
+    w, dn, p = np.array(rows, dtype=float).reshape(-1, 3).T
+    return float(np.abs(_merge_runs(w, dn, p, 1e-6 * spacing)[2]).max(initial=0.0))
 
 
 @dataclass(frozen=True)

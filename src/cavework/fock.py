@@ -31,9 +31,11 @@ grand-potential bookkeeping of the closed forms.
 
 A space holds at most _DIM_CAP = 20000 basis states; larger cutoffs are
 refused when the space is built, before any array is allocated.  Peaks
-that differ by float roundoff are merged within 1e-9 hbar times the
-smallest mode frequency, and JointDistribution.marginals applies the
-same rule to the work marginal across delta_n.
+at one delta_n whose work values differ by float roundoff are one peak:
+sorted runs within 1e-9 hbar times the smallest mode frequency of their
+neighbour merge in one array pass (distributions._merge_runs, the rule
+by which --freeze also pairs peaks), and JointDistribution.marginals
+applies the same rule to the work marginal across delta_n.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import ModeIndex
-from .distributions import _floored_peaks
+from .distributions import _floored_peaks, _merge_runs
 from .driving import _components
 from .symplectic import QuadraticForm
 
@@ -268,48 +270,18 @@ class JointDistribution:
     ) -> tuple[list[tuple[float, float]], list[tuple[int, float]]]:
         """(P(w), P(delta_n)) as sorted (value, prob) peaks above 1e-12.
 
-        Work peaks of different delta_n that lie within merge_tol are one
-        work value and merge as in two_point_measurement; photon weights
-        sum exactly per delta_n.
+        P(w) merges the peaks by two_point_measurement's rule with one
+        delta_n for all: work peaks of different delta_n that lie within
+        merge_tol are one work value.  Photon weights sum exactly per
+        delta_n, in peak order.
         """
-        by_dn: dict[int, float] = {}
-        for _, dn, p in self.peaks:
-            by_dn[dn] = by_dn.get(dn, 0.0) + p
-        work = _merge_close([(w, p) for w, _, p in self.peaks], self.merge_tol)
+        w, dn, p = np.array(self.peaks, dtype=float).reshape(-1, 3).T
+        wp, _, tot = _merge_runs(w, np.zeros_like(dn), p, self.merge_tol)
+        labels, inv = np.unique(dn.astype(int), return_inverse=True)
         return (
-            _floored_peaks([w for w, _ in work], [p for _, p in work]),
-            _floored_peaks(list(by_dn), list(by_dn.values())),
+            _floored_peaks(wp / tot, tot),
+            _floored_peaks(labels, np.bincount(inv, weights=p)),
         )
-
-
-def _merge_close(
-    pairs: list[tuple[float, float]], tol: float
-) -> list[tuple[float, float]]:
-    """(probability-weighted mean w, total prob) of each run of the sorted
-    (w, prob) pairs whose neighbours lie within tol of each other."""
-    pairs = sorted(pairs)
-    merged: list[tuple[float, float]] = []
-    start = 0
-    for end in range(1, len(pairs) + 1):
-        if end == len(pairs) or pairs[end][0] - pairs[end - 1][0] > tol:
-            run = pairs[start:end]
-            tot = sum(p for _, p in run)
-            merged.append((sum(w * p for w, p in run) / tot, tot))
-            start = end
-    return merged
-
-
-def _merge_peaks(
-    acc: dict[complex, float], tol: float
-) -> tuple[tuple[float, int, float], ...]:
-    by_dn: dict[int, list[tuple[float, float]]] = {}
-    for key, prob in acc.items():
-        by_dn.setdefault(int(round(key.imag)), []).append((key.real, prob))
-    peaks = [
-        (w, dn, p) for dn, pairs in by_dn.items() for w, p in _merge_close(pairs, tol)
-    ]
-    peaks.sort(key=lambda t: (t[0], t[1]))
-    return tuple(peaks)
 
 
 def two_point_measurement(
@@ -323,9 +295,10 @@ def two_point_measurement(
     First measurement projects the thermal state onto occupations at the
     starting frequencies, the second reads the evolved state at the
     final frequencies; w = hbar * (E_end(n') - E_start(n)).  Peaks are
-    merged within 1e-9 of the smallest active frequency.  U comes as
-    the (basis indices, block) pairs of build_evolution; every entry of
-    every block is visited, row-major with ascending columns.  The
+    merged within 1e-9 of the smallest active frequency
+    (distributions._merge_runs).  U comes as the (basis indices, block)
+    pairs of build_evolution; every entry of every block is visited,
+    row-major with ascending columns.  The
     entries whose final state lies in the top occupation shell add up
     to top_shell_leak.
     """
@@ -346,7 +319,10 @@ def two_point_measurement(
     z = hbar * (e1[rows] - e0[cols]) + 1j * (ntot[rows] - ntot[cols])
     uz, inv = np.unique(z, return_inverse=True)
     sums = np.bincount(inv, weights=prob)
-    acc = {complex(key): float(s) for key, s in zip(uz, sums) if s > 0.0}
-    peaks = _merge_peaks(acc, tol)
+    uz, sums = uz[sums > 0.0], sums[sums > 0.0]
+    wp, dn, p = _merge_runs(uz.real, np.rint(uz.imag).astype(int), sums, tol)
+    w = wp / p
+    order = np.lexsort((dn, w))  # peaks sorted by (w, delta_n)
+    peaks = tuple(zip(w[order].tolist(), dn[order].tolist(), p[order].tolist()))
     residual = 1.0 - sum(p for _, _, p in peaks)
     return JointDistribution(peaks, residual, leak, tol)

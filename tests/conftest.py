@@ -280,3 +280,60 @@ def channel_marginals_reference(signed, probs, spacing: float, kind):
         floored(signed * spacing, probs),
         floored(by_dn, [math.fsum(ps) for ps in by_dn.values()]),
     )
+
+
+def merge_close_reference(
+    pairs: list[tuple[float, float]], tol: float
+) -> list[tuple[float, float]]:
+    """(probability-weighted mean w, total prob) of each run of the sorted
+    (w, prob) pairs whose neighbours lie within tol of each other, one
+    Python loop per run: the oracle's former merge rule, the reference
+    for distributions._merge_runs."""
+    pairs = sorted(pairs)
+    merged: list[tuple[float, float]] = []
+    start = 0
+    for end in range(1, len(pairs) + 1):
+        if end == len(pairs) or pairs[end][0] - pairs[end - 1][0] > tol:
+            run = pairs[start:end]
+            tot = sum(p for _, p in run)
+            merged.append((sum(w * p for w, p in run) / tot, tot))
+            start = end
+    return merged
+
+
+def merge_peaks_reference(
+    acc: dict[complex, float], tol: float
+) -> tuple[tuple[float, int, float], ...]:
+    """The oracle's former readout from its unified entries, keyed
+    w + 1j * delta_n: merge_close_reference per delta_n, then sort by
+    (w, delta_n)."""
+    by_dn: dict[int, list[tuple[float, float]]] = {}
+    for key, prob in acc.items():
+        by_dn.setdefault(int(round(key.imag)), []).append((key.real, prob))
+    peaks = [
+        (w, dn, p)
+        for dn, pairs in by_dn.items()
+        for w, p in merge_close_reference(pairs, tol)
+    ]
+    peaks.sort(key=lambda t: (t[0], t[1]))
+    return tuple(peaks)
+
+
+def marginal_deviation_reference(work, photons, other_work, other_photons, spacing):
+    """Largest |delta p| between two routes' marginals by nearest partners:
+    each work peak pairs with the other route's nearest work peak within
+    1e-6 spacing (a search fenced by +-inf), each photon peak with the
+    other's at the same delta_n; a peak with no partner counts against 0.
+    The former rule of distributions._marginal_deviation."""
+    worst = 0.0
+    for mine, other in ((work, other_work), (other_work, work)):
+        w, p = np.array(mine, dtype=float).reshape(-1, 2).T
+        wo, po = np.array([(-math.inf, 0.0), *other, (math.inf, 0.0)]).T
+        right = np.searchsorted(wo, w)
+        near = np.where(w - wo[right - 1] <= wo[right] - w, right - 1, right)
+        q = np.where(np.abs(wo[near] - w) < 1e-6 * spacing, po[near], 0.0)
+        worst = max(worst, float(np.abs(p - q).max(initial=0.0)))
+    mine, other = dict(photons), dict(other_photons)
+    for dn in mine.keys() | other.keys():
+        worst = max(worst, abs(mine.get(dn, 0.0) - other.get(dn, 0.0)))
+    return worst

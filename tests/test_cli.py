@@ -461,6 +461,25 @@ def test_moments_requires_sweep_section(workdir):
     assert main(["moments", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, config, reason",
+    [
+        ("verify", "coupled", "handles exactly one resonance channel, found 2;"),
+        ("moments", "double_res", "needs a [sweep] section with values"),
+    ],
+    ids=["verify", "moments"],
+)
+def test_a_refusal_names_the_command(workdir, capsys, command, config, reason):
+    cfg = workdir / f"{config}.cfg"
+    text = COUPLED if config == "coupled" else (CONFIGS / f"{config}.cfg").read_text()
+    cfg.write_text(text)
+    assert main([command, str(cfg)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {command} {reason}")
+    assert "cmd_" not in line
+    assert [p for p in workdir.rglob("*") if p != cfg] == []
+
+
 def test_distribution_runs_are_byte_identical(workdir):
     cfg = str(CONFIGS / "diff_res.cfg")
     assert main(["distribution", cfg]) == 0

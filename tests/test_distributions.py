@@ -277,6 +277,10 @@ def test_marginal_deviation_counts_peaks_of_either_route():
     assert _marginal_deviation(work, photons, shifted, photons, 2.0) == 0.4
 
 
+def test_marginal_deviation_of_no_peaks_is_zero():
+    assert _marginal_deviation([], [], [], [], 1.0) == 0.0
+
+
 def test_direct_jarzynski_sum_weak_driving():
     # the tilted sum over inverted peaks holds to 1e-10 for weak drives;
     # the e^{beta w} tilt amplifies inversion roundoff, so the contract

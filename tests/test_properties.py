@@ -1,7 +1,8 @@
 """Property tests over random closed single-channel parameters, over
 random coupled and mode-disjoint resonance plans, over random work
-marginals for the Kolmogorov-Smirnov distance, over random spectra for
-the resonance classifier, over random reaches of the Bessel root
+marginals for the Kolmogorov-Smirnov distance, over random peak sets
+for the rule that merges float-noisy work values into one peak, over
+random spectra for the resonance classifier, over random reaches of the Bessel root
 tables, and over reference configs with one key set to an extreme value.
 
 Weak drive and moderate temperature keep every work inversion and every
@@ -34,7 +35,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cavework import bessel, charfun, cli, distributions, symplectic  # noqa: E402
+from cavework import bessel, charfun, cli, distributions, fock, symplectic  # noqa: E402
 from cavework.bessel import BesselKind, bessel_zero, clear_root_cache, root_table  # noqa: E402
 from cavework.cavity import (  # noqa: E402
     CylindricalGeometry,
@@ -69,6 +70,7 @@ from cavework.errors import (  # noqa: E402
     DegenerateResonanceError,
 )
 from cavework.fock import (  # noqa: E402
+    JointDistribution,
     TruncatedFockSpace,
     build_evolution,
     two_point_measurement,
@@ -85,6 +87,9 @@ from conftest import (  # noqa: E402
     compare_classical,
     format_prob_reference,
     joint_peaks,
+    marginal_deviation_reference,
+    merge_close_reference,
+    merge_peaks_reference,
     same_bits,
     synthetic_case,
 )
@@ -628,6 +633,121 @@ def test_column_formatter_is_the_per_row_rule(column):
     assert distributions.format_probs(column) == want
     assert distributions.format_probs(np.array(column)) == want
     assert [distributions.format_prob(p) for p in column] == want
+
+
+MERGE_TOL = 1e-9
+
+
+@st.composite
+def noisy_peaks(draw) -> list[tuple[float, int, float]]:
+    """(w, delta_n, p) triples in clusters, or none: float-noise copies
+    of a base w within MERGE_TOL of their neighbours (0.1 + 0.2 next to
+    0.3 among the bases), exact repeats of one w at one delta_n or at
+    several, and probabilities from a few values, so that a run of three
+    sums in an order that shows in its bits."""
+    peaks = []
+    for _ in range(draw(st.integers(0, 6))):
+        base = draw(st.sampled_from([-1.5, 0.0, 0.1 + 0.2, 0.3, 2.0]))
+        for _ in range(draw(st.integers(1, 5))):
+            shift = draw(st.sampled_from([0.0, 0.0, 0.4, -0.4, 0.9])) * MERGE_TOL
+            dn = draw(st.sampled_from([-2, 0, 2]))
+            p = draw(st.sampled_from([0.1, 0.2, 0.3, 1.0 / 3.0, 0.7, 1e-13]))
+            peaks.append((base + shift, dn, p))
+    return peaks
+
+
+@settings(PROPERTY, max_examples=100)  # well under a millisecond per example
+@given(noisy_peaks())
+@example([(0.3, 0, 0.1), (0.3, 0, 0.7), (0.3, 0, 0.3)])  # 1.1 in p order, not 1.0999...
+@example([(0.3, 0, 0.5), (0.1 + 0.2, 2, 0.5)])  # one w value, two delta_n
+@example([])
+def test_the_run_rule_keeps_the_loop_merges_bits(peaks):
+    by_dn: dict[int, list[tuple[float, float]]] = {}
+    for w, dn, p in peaks:
+        by_dn.setdefault(dn, []).append((w, p))
+    want = [
+        (w, dn, p)
+        for dn in sorted(by_dn)
+        for w, p in merge_close_reference(by_dn[dn], MERGE_TOL)
+    ]
+    w, dn, p = np.array(peaks, dtype=float).reshape(-1, 3).T
+    wp, runs_dn, tot = distributions._merge_runs(w, dn.astype(int), p, MERGE_TOL)
+    want_w, want_dn, want_p = np.array(want, dtype=float).reshape(-1, 3).T
+    assert same_bits(wp / tot, want_w) and same_bits(tot, want_p)
+    assert runs_dn.tolist() == want_dn.astype(int).tolist()
+    # P(w) merges across delta_n by the same rule; P(delta_n) sums in peak order
+    by_value: dict[int, float] = {}
+    for _, dn, p in peaks:
+        by_value[dn] = by_value.get(dn, 0.0) + p
+    work, photons = JointDistribution(tuple(peaks), 0.0, 0.0, MERGE_TOL).marginals()
+    pairs = merge_close_reference([(w, p) for w, _, p in peaks], MERGE_TOL)
+    assert repr(work) == repr(sorted((w, p) for w, p in pairs if p > 1e-12))
+    want_photons = sorted((n, p) for n, p in by_value.items() if p > 1e-12)
+    assert repr(photons) == repr(want_photons)
+
+
+@settings(PROPERTY, max_examples=40)  # a 64-state basis at most
+@given(
+    freqs=st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7]), min_size=2, max_size=3),
+    n_max=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_oracle_readout_keeps_the_loop_merges_bits(freqs, n_max, seed):
+    # sums of 0.1, 0.2 and 0.3 carry float noise, so entries of one
+    # delta_n land within the merge tolerance of each other; any block
+    # is a valid input, unitary or not
+    space = TruncatedFockSpace([((i, 1, 1), w, w) for i, w in enumerate(freqs)], n_max)
+    rng = np.random.default_rng(seed)
+    dim = space.dimension
+    block = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    merge_runs, seen = distributions._merge_runs, []
+
+    def spy(w, dn, p, tol):
+        seen.append((w, dn, p, tol))
+        return merge_runs(w, dn, p, tol)
+
+    with mock.patch.object(fock, "_merge_runs", spy):
+        dist = two_point_measurement(space, [(np.arange(dim), block / dim)], 1.0)
+    [(w, dn, p, tol)] = seen  # the unified entries, keyed as before
+    acc = {complex(x, n): q for x, n, q in zip(w.tolist(), dn.tolist(), p.tolist())}
+    want = merge_peaks_reference(acc, tol)
+    assert repr(dist.peaks) == repr(want)
+    assert repr(dist.residual_mass) == repr(1.0 - sum(q for _, _, q in want))
+
+
+@st.composite
+def two_routes(draw):
+    """Two routes' (P(w), P(delta_n)) and their lattice spacing.  Each
+    lattice site or delta_n carries a peak in one route, in the other or
+    in both; the other route's copy of a work peak may sit up to 1e-7
+    spacing off the site, and its weight may differ."""
+    spacing = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    prob = st.sampled_from([0.1, 0.2, 0.3, 1.0 / 3.0, 0.7, 1e-13])
+    change = st.sampled_from([0.0, 1e-4, 0.05])
+
+    def pair(labels, noise):
+        mine, other = [], []
+        for label in labels:
+            p, which = draw(prob), draw(st.sampled_from(["both", "mine", "other"]))
+            if which != "other":
+                mine.append((label, p))
+            if which != "mine":
+                other.append((label + draw(noise), p + draw(change)))
+        return sorted(mine), sorted(other)
+
+    sites = draw(st.sets(st.integers(-4, 4), max_size=6))
+    noise = st.sampled_from([0.0, 1e-9, -1e-9, 1e-7]).map(lambda x: x * spacing)
+    work, other_work = pair([m * spacing for m in sites], noise)
+    dns = draw(st.sets(st.integers(-4, 4), max_size=6))
+    photons, other_photons = pair([2 * n for n in dns], st.just(0))
+    return work, photons, other_work, other_photons, spacing
+
+
+@settings(PROPERTY, max_examples=100)  # well under a millisecond per example
+@given(two_routes())
+def test_the_freeze_deviation_keeps_the_nearest_partner_bits(args):
+    got = distributions._marginal_deviation(*args)
+    assert same_bits(got, marginal_deviation_reference(*args))
 
 
 GEOMETRIES = [
