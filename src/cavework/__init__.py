@@ -5,7 +5,6 @@ from .errors import (
     BranchTrackingError,
     CaveworkError,
     ConfigError,
-    CoupledResonanceError,
     DegenerateResonanceError,
     InversionError,
     ModeValidationError,
@@ -21,7 +20,6 @@ __all__ = [
     "BranchTrackingError",
     "CaveworkError",
     "ConfigError",
-    "CoupledResonanceError",
     "DegenerateResonanceError",
     "InversionError",
     "ModeValidationError",

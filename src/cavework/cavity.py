@@ -50,6 +50,11 @@ __all__ = [
 
 ModeIndex = tuple[int, int, int]
 
+# the most entries mode_spectrum may build, as _spectrum_size estimates
+# them: about 500 MB for a box, over 100 times the largest spectrum of
+# the reference configs and of the benchmark
+_SPECTRUM_CAP = 4_000_000
+
 
 class Polarization(Enum):
     TE = "TE"
@@ -289,6 +294,13 @@ def mode_spectrum(
         raise ValueError(f"lam must be finite and positive, got {lam!r}")
     if not math.isfinite(max_frequency):
         raise ValueError(f"max_frequency must be finite, got {max_frequency!r}")
+    entries = _spectrum_size(geom, lam, max_frequency)
+    if not entries <= _SPECTRUM_CAP:
+        raise ValueError(
+            f"the spectrum below cutoff {max_frequency:g} may take {entries:.3g} "
+            f"entries, above {_SPECTRUM_CAP} (cavity._SPECTRUM_CAP); lower the "
+            "cutoff or the cavity size"
+        )
 
     if isinstance(geom, RectangularGeometry):
         nx = int(max_frequency * geom.lx / math.pi)
@@ -314,10 +326,7 @@ def mode_spectrum(
     # exceed max_frequency * length by a few ulps: the table reaches past.
     reach = 1.0 + 1e-12
     if isinstance(geom, CylindricalGeometry):
-        if geom.moving_wall is MovingWall.LONGITUDINAL:
-            r_trans, l_axial = geom.radius, lam
-        else:
-            r_trans, l_axial = lam, geom.axis_length
+        r_trans, l_axial = _cylinder_lengths(geom, lam)
         table = root_table(_cyl_root_kind(pol), max_frequency * r_trans * reach)
         n, m, root = _roots_below(table, r_trans, max_frequency)
         k0 = 1 if pol is Polarization.TE else 0
@@ -340,6 +349,34 @@ def mode_spectrum(
     first = np.cumsum(size) - size
     m = np.arange(size.sum()) - np.repeat(first + l, size)
     return _sorted_modes(np.repeat(n, size), np.repeat(l, size), m, np.repeat(w, size))
+
+
+def _cylinder_lengths(geom: CylindricalGeometry, lam: float) -> tuple[float, float]:
+    """(radius, axis length) of a cylinder at driven length lam."""
+    if geom.moving_wall is MovingWall.LONGITUDINAL:
+        return geom.radius, lam
+    return lam, geom.axis_length
+
+
+def _spectrum_size(geom: Geometry, lam: float, max_frequency: float) -> float:
+    """An upper estimate of the entries mode_spectrum builds, in Python
+    floats, so that a huge cutoff or size gives inf and never an error.
+
+    A box builds its grid of (nx + 1)(ny + 1)(nz + 1) frequencies.  A
+    curved shape takes (x + 1)^2 (y / pi + 1), x the cutoff times the
+    length that scales its Bessel roots and y the cutoff times the axial
+    length, or y = x on the sphere: the root table holds fewer than
+    (x + 1)^2 roots (orders below x, roots about pi apart), and the
+    modes number fewer than the roots times y / pi + 1, the cylinder's
+    axial indices or the sphere's 2l + 1 copies of an order-l root.
+    """
+    k = max(max_frequency, 0.0)
+    if isinstance(geom, RectangularGeometry):
+        return math.prod(k * s / math.pi + 1.0 for s in (geom.lx, geom.ly, lam))
+    x = y = k * lam
+    if isinstance(geom, CylindricalGeometry):
+        x, y = (k * s for s in _cylinder_lengths(geom, lam))
+    return (x + 1.0) * (x + 1.0) * (y / math.pi + 1.0)
 
 
 def _roots_below(

@@ -1,10 +1,11 @@
 """Closed-form characteristic functions of work and photon-number change.
 
 Single-resonance results for a boundary returning to its starting
-position, their generalization to unequal endpoint positions, products
-over mode-disjoint resonances, G of a whole resonance plan with its work
-lattice (plan_charfun), grand potentials, classical (hbar -> 0) limits,
-and the work mean and variance as exact cumulants of G.
+position, their generalization to unequal endpoint positions, G of a
+whole resonance plan with its work lattice and its reverse protocol
+(plan_charfun, the one builder of G for the distribution and verify
+commands), grand potentials, classical (hbar -> 0) limits, and the work
+mean and variance as exact cumulants of G.
 
 The three resonance channels are one form in x = hbar omega:
 sinh(beta x_k / 2) sinh(beta x_p / 2) + sin(z) sin(z - i beta h) A, with
@@ -33,13 +34,14 @@ still (deceptively) satisfying the Jarzynski identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .driving import DrivingProtocol, ResonanceCase, ResonanceKind, ResonancePlan
-from .errors import CoupledResonanceError, DegenerateResonanceError
+from .errors import DegenerateResonanceError
 from .symplectic import charfun_general, tracked_sqrt
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
     "closed_form_general",
     "grand_potential_diff",
     "moments",
-    "multi_resonance_product",
     "plan_charfun",
 ]
 
@@ -389,45 +390,34 @@ def _g(params: CharfunParams, u, v):
     return closed_form_general(params, u, v)
 
 
-def multi_resonance_product(
-    cases: Sequence[ResonanceCase],
-    params_list: Sequence[CharfunParams],
-    u,
-    v,
+def plan_charfun(
+    plan: ResonancePlan,
+    protocol: DrivingProtocol,
+    beta: float,
+    final: dict | None = None,
 ):
-    """Product of per-case closed forms for mode-disjoint resonances, over
-    broadcast u and v as in closed_form."""
-    if len(cases) != len(params_list):
-        raise ValueError("one parameter record per case is required")
-    seen: set = set()
-    for case in cases:
-        overlap = seen.intersection(case.modes)
-        if overlap:
-            raise CoupledResonanceError(
-                f"cases share mode(s) {sorted(overlap)}; the factorized "
-                "product does not apply, use symplectic.charfun_general"
-            )
-        seen.update(case.modes)
-    out = 1.0 + 0.0j
-    for params in params_list:
-        out *= _g(params, u, v)
-    return out
-
-
-def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
-    """(G(u, v) over broadcast arrays, work spacing) of a resonance plan
-    under a closed protocol: the closed forms of its mode-disjoint
-    channels times symplectic.charfun_general of each coupled group, on
-    the first channel's quantum.  Raises ValueError for an open protocol
-    and for channels whose quanta differ beyond their rounding."""
-    if not protocol.is_closed:
+    """(G(u, v) over broadcast arrays, work spacing, reverse G) of a
+    resonance plan: the closed forms of its mode-disjoint channels times
+    symplectic.charfun_general of each coupled group, on the first
+    channel's quantum.  A closed protocol is its own reverse, given as
+    None.  An open one needs final, each resonant mode's frequency at
+    lambda(tau), and no coupled group; its reverse swaps every channel's
+    endpoints.  Raises ValueError for an open protocol without final or
+    with a coupled group, and for channels whose quanta differ beyond
+    their rounding."""
+    coupled = [[plan.cases[i] for i in g] for g in plan.groups if len(g) > 1]
+    if not protocol.is_closed and (final is None or coupled):
         raise ValueError(
-            "the boundary does not return to its start (lambda(tau) != "
-            "lambda0): the work support is incommensurate and the closed-"
-            "form inversion does not apply"
+            "the boundary does not return to its start (lambda(tau) != lambda0): "
+            + ("the trace formula of a coupled group needs a closed protocol"
+               if final is not None else "the work support is incommensurate "
+               "and the closed-form inversion does not apply")
         )
     tau, hbar = protocol.tau, protocol.hbar
-    params = [CharfunParams.from_case(c, beta, tau, hbar=hbar) for c in plan.cases]
+    params = [
+        CharfunParams.from_case(c, beta, tau, hbar=hbar, final_frequencies=final)
+        for c in plan.cases
+    ]
     quanta = [_drive_quantum(p) for p in params]
     largest = max(x for p in params for x in _energies(p, 0)[:2])
     if max(quanta) - min(quanta) > _LATTICE_ROUNDING * largest:
@@ -436,17 +426,21 @@ def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
             f"{max(quanta)!r}, beyond the rounding of their energies: they "
             "share no work lattice"
         )
-    single = [g[0] for g in plan.groups if len(g) == 1]
-    cases, records = [plan.cases[i] for i in single], [params[i] for i in single]
-    coupled = [[plan.cases[i] for i in g] for g in plan.groups if len(g) > 1]
+    single = [params[g[0]] for g in plan.groups if len(g) == 1]
 
-    def evaluate(u, v):
-        g = multi_resonance_product(cases, records, u, v)
+    def evaluate(u, v, records=single):
+        g = 1.0 + 0.0j
+        for record in records:
+            g = g * _g(record, u, v)
         for group in coupled:
             g = g * charfun_general(group, protocol, beta, u, v)
         return g
 
-    return evaluate, quanta[0]
+    if protocol.is_closed:
+        return evaluate, quanta[0], None
+    swap = [replace(p, omega_k=p.omega_k[::-1], omega_p=p.omega_p and p.omega_p[::-1])
+            for p in single]
+    return evaluate, quanta[0], partial(evaluate, records=swap)
 
 
 def _classical_ratio_coeff(variant: ResonanceKind, r: float | None) -> float:

@@ -50,14 +50,21 @@ a double or sum channel at most 355 (sinh^2 of it leaves float range at
 355.58), beta * hbar * omega of every resonant mode, at both endpoints
 and at every sweep value, at most 700 (sinh^2 of half of it leaves
 float range at 709.78) and above 0 (coth of half of it is infinite),
-and the work mean and variance at every sweep value finite.  An
---oracle / --freeze basis, (n_max + 1) ** (resonant modes), may hold at
-most 20000 states (fock._DIM_CAP).  distribution inverts G on the
-channel quantum hbar (omega_k +- omega_p), which is hbar * Omega at
-exact resonance, and refuses, ending in "Re-run with --oracle", an open
-protocol (lambda(tau) != lambda0: no work lattice) and a plan whose
-channels' quanta differ by more than 8e-16 times its largest
-hbar * omega (no common lattice).
+and the work mean and variance at every sweep value finite.  A
+spectrum may take at most 4000000 entries (cavity._SPECTRUM_CAP) by its
+size estimate, made before any array: the (nx + 1)(ny + 1)(nz + 1)
+frequency grid of a box, (x + 1)^2 (y / pi + 1) for a curved shape, x
+the cutoff times its radius and y the cutoff times its axis length (the
+radius again for the sphere).  An --oracle / --freeze basis,
+(n_max + 1) ** (resonant modes), may hold at most 20000 states
+(fock._DIM_CAP).  distribution and verify share one G of the plan
+(charfun.plan_charfun) on the channel quantum hbar (omega_k +- omega_p),
+hbar * Omega at exact resonance.  Both refuse channels whose quanta
+differ by more than 8e-16 times the largest hbar * omega (no common
+lattice).  distribution also refuses an open protocol (lambda(tau) !=
+lambda0: no work lattice), both ending in "Re-run with --oracle", and
+takes a coupled group only under --symplectic; verify takes a coupled
+group as it is, under a closed protocol only.
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
 usage or config error, including every check above.  The numerical
@@ -102,10 +109,12 @@ from .charfun import (
     classical_alphas,
     classical_work_cdf,
     closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
+    grand_potential_diff,
     moments,
     plan_charfun,
 )
 from .distributions import (
+    _PHOTONS_PER_QUANTUM,
     _marginal_deviation,
     cumulative_and_fit,
     cumulative_to_csv,
@@ -374,7 +383,10 @@ def resolve_omega_drive(cfg: RunConfig, spectrum: list) -> float:
 
 
 def _spectrum(cfg: RunConfig) -> list:
-    spec = mode_spectrum(cfg.geometry, cfg.polarization, cfg.lambda0, cfg.cutoff)
+    try:
+        spec = mode_spectrum(cfg.geometry, cfg.polarization, cfg.lambda0, cfg.cutoff)
+    except ValueError as exc:  # the size cap
+        raise ConfigError(str(exc)) from None
     if not spec:
         raise ConfigError(
             f"no modes below cutoff {cfg.cutoff:g}; raise [geometry] cutoff"
@@ -555,7 +567,7 @@ def cmd_distribution(args) -> int:
         )
 
     try:
-        evaluate, spacing = plan_charfun(plan, protocol, cfg.beta)
+        evaluate, spacing, _ = plan_charfun(plan, protocol, cfg.beta)
     except ValueError as exc:  # an open protocol, or channels off one lattice
         raise ConfigError(f"{exc}.  Re-run with --oracle") from None
     if len(plan.cases) == 1:
@@ -608,28 +620,27 @@ def cmd_distribution(args) -> int:
     return 0
 
 
-def _single_channel(cfg: RunConfig, command: str) -> CharfunParams:
-    """Parameters of the one resonance channel a command handles, with
-    the final frequencies of an open protocol."""
-    protocol, plan = _protocol_and_plan(cfg, _spectrum(cfg))
-    if len(plan.cases) != 1:
-        raise ConfigError(
-            f"{command} handles exactly one resonance channel, found "
-            f"{len(plan.cases)}; the multi-resonance identities are covered "
-            "by the library test suite"
-        )
-    fin = None
-    if not protocol.is_closed:
-        fin = {m: w1 for m, _, w1 in _mode_table(cfg, protocol, plan)}
-    return CharfunParams.from_case(
-        plan.cases[0], cfg.beta, protocol.tau, hbar=cfg.hbar, final_frequencies=fin
-    )
-
-
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    params = _single_channel(cfg, "verify")
-    report = verify_fluctuation_theorems(params, perturbation=args.perturb)
+    protocol, plan = _protocol_and_plan(cfg, _spectrum(cfg))
+    if not plan.cases:  # plan_charfun takes its spacing from a channel
+        raise ConfigError("verify needs a resonance channel, found none")
+    final, dphi = None, 0.0
+    if not protocol.is_closed:
+        table = _mode_table(cfg, protocol, plan)
+        final = {m: w1 for m, _, w1 in table}
+        dphi = grand_potential_diff([t[1:] for t in table], cfg.beta, hbar=cfg.hbar)
+    try:
+        evaluate, spacing, reverse = plan_charfun(plan, protocol, cfg.beta, final)
+    except ValueError as exc:  # an open coupled group, or channels off one lattice
+        raise ConfigError(str(exc)) from None
+    # a line delta_n = per * m only where every channel has the same per
+    pers = {_PHOTONS_PER_QUANTUM[case.kind] for case in plan.cases}
+    report = verify_fluctuation_theorems(
+        evaluate, spacing, cfg.beta,
+        per=pers.pop() if len(pers) == 1 else None,
+        reverse=reverse, dphi=dphi, perturbation=args.perturb,
+    )
     path = _out_path(cfg, "report.json")
     _write(path, report.to_json())
     checks = [
@@ -651,9 +662,14 @@ def cmd_moments(args) -> int:
     cfg = load_config(args.config)
     if cfg.sweep_variable is None or not cfg.sweep_values:
         raise ConfigError("moments needs a [sweep] section with values")
-    base = _single_channel(cfg, "moments")
-    if not base.is_closed:
+    protocol, plan = _protocol_and_plan(cfg, _spectrum(cfg))
+    if len(plan.cases) != 1:
+        raise ConfigError(
+            f"moments handles exactly one resonance channel, found {len(plan.cases)}"
+        )
+    if not protocol.is_closed:
         raise ConfigError("moment sweeps assume a closed protocol")
+    base = CharfunParams.from_case(plan.cases[0], cfg.beta, protocol.tau, hbar=cfg.hbar)
     freqs = [w for pair in base.frequency_pairs() for w in pair]
     lines = [f"{cfg.sweep_variable},mean_w,std_w"]
     for val in cfg.sweep_values:

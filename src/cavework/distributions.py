@@ -22,17 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .charfun import (
-    CharfunParams,
-    _drive_quantum,
-    _g,
     closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
-    grand_potential_diff,
 )
 from .driving import ResonanceKind
 from .errors import InversionError
@@ -335,15 +331,6 @@ class VerificationReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
-def _reversed_params(params: CharfunParams) -> CharfunParams:
-    """The reverse protocol: each endpoint-frequency pair interchanged."""
-    return replace(
-        params,
-        omega_k=params.omega_k[::-1],
-        omega_p=None if params.omega_p is None else params.omega_p[::-1],
-    )
-
-
 def _direct_exponential_average(
     weights: dict[int, float], spacing: float, beta: float
 ) -> float:
@@ -375,48 +362,53 @@ _NOISE_FLOOR = 3e-15
 
 
 def verify_fluctuation_theorems(
-    params: CharfunParams, perturbation: float = 0.0
+    evaluate: Callable,
+    spacing: float,
+    beta: float,
+    per: int | None = None,
+    reverse: Callable | None = None,
+    dphi: float = 0.0,
+    perturbation: float = 0.0,
 ) -> VerificationReport:
     """Check Jarzynski and Crooks identities; errors are data, not raises.
 
-    The reverse protocol is the endpoint-frequency interchange.
-    Jarzynski runs through the characteristic function at u = i beta and
-    (for a closed protocol) the direct sum over inverted peaks; Crooks
-    runs pointwise on a 64 x 64 (u, v) grid and (closed) peak by peak,
-    each side required to be resolvable.  A closed protocol is its own reverse and
-    a single channel's joint peaks sit at (m, per * m), so the peakwise
-    check pairs peak m of the direct sum's work weights with -m: one 1-D
-    inversion in all.  Line support, that G is constant along
-    hbar (omega_k +- omega_p) u + per v, is checked with the periodicity
-    points.
+    evaluate is G(u, v) of the forward protocol over broadcast arrays,
+    spacing its work quantum and reverse G of the reverse protocol, None
+    for a closed protocol, which is its own reverse (plan_charfun gives
+    all three); dphi is the grand-potential difference.  Jarzynski runs
+    through G at u = i beta and (for a closed protocol) the direct sum
+    over inverted peaks; Crooks runs pointwise on a 64 x 64 (u, v) grid
+    and (closed) peak by peak, each side required to be resolvable.
+    With no chemical potential the Crooks factor e^{beta (w - dPhi)}
+    does not depend on delta_n, so the peakwise check pairs peak m of
+    the direct sum's work weights with -m for any plan: one 1-D
+    inversion in all.  per is the photon-number change per quantum
+    that every channel shares (2 for double and sum, 0 for difference)
+    or None if they differ; given it, a closed check also takes the
+    line support, that G is constant along spacing u + per v, with the
+    periodicity points.
 
     perturbation adds a constant to every G evaluation: a negative
     control that must break normalization and Jarzynski.
     """
-    reverse = _reversed_params(params)
+    closed = reverse is None
 
-    def ev(p: CharfunParams, u, v):
-        return _g(p, u, v) + perturbation
+    def ev(g: Callable, u, v):
+        return g(u, v) + perturbation
 
-    beta = params.beta
-    dphi = grand_potential_diff(params.frequency_pairs(), beta, hbar=params.hbar)
     rhs = math.exp(-beta * dphi)
-    lhs = ev(params, 1j * beta, 0.0)
+    lhs = ev(evaluate, 1j * beta, 0.0)
     jz_err = abs(lhs - rhs)
-
-    spacing = _drive_quantum(params)
-    norm_err = abs(ev(params, 0.0, 0.0) - 1.0)
-    closed = params.is_closed
+    norm_err = abs(ev(evaluate, 0.0, 0.0) - 1.0)
 
     direct_err = peak_err = None
     if closed:
-        signed, probs = _work_weights(lambda u: ev(params, u, 0.0), spacing)
+        signed, probs = _work_weights(lambda u: ev(evaluate, u, 0.0), spacing)
         total = sum(p for _, p in _floored_peaks(signed.tolist(), probs))
         norm_err = max(norm_err, abs(total - 1.0))
         weights = dict(zip(signed.tolist(), probs.tolist()))
         direct_err = abs(_direct_exponential_average(weights, spacing, beta) - rhs)
-        # the endpoint swap is the identity on a closed protocol, P_R = P_F,
-        # and work peak m is the joint peak (m, per * m): pair it with -m
+        # P_R = P_F on a closed protocol: pair work peak m with -m
         peak_err = 0.0
         for m, p in weights.items():
             q = weights.get(-m, 0.0)
@@ -432,20 +424,23 @@ def verify_fluctuation_theorems(
         2.0 * math.pi * (np.arange(grid) + 0.17) / grid,
         indexing="ij",
     )
-    left = ev(reverse, -u, -v)
-    right = ev(params, u + 1j * beta, v) * math.exp(beta * dphi)
+    left = ev(reverse or evaluate, -u, -v)
+    right = ev(evaluate, u + 1j * beta, v) * math.exp(beta * dphi)
     crooks = float(np.abs(left - right).max())
 
     # periodicity, and for a closed protocol the u-period and the line
     frac = np.array([0.21, 0.55])
     u0, v0 = frac * period, frac * 2.0 * math.pi
-    base = ev(params, u0, v0)
-    per_err = float(np.abs(ev(params, u0, v0 + 2.0 * math.pi) - base).max())
+    base = ev(evaluate, u0, v0)
+    shifts = [(u0, v0 + 2.0 * math.pi)]
     if closed:
+        shifts.append((u0 + period, v0))
+    if closed and per is not None:
         dv = 1.3  # along spacing * u + per * v = const
-        du = -_PHOTONS_PER_QUANTUM[params.variant] * dv / spacing
-        for su, sv in ((u0 + period, v0), (u0 + du, v0 + dv)):
-            per_err = max(per_err, float(np.abs(ev(params, su, sv) - base).max()))
+        shifts.append((u0 - per * dv / spacing, v0 + dv))
+    per_err = max(
+        float(np.abs(ev(evaluate, su, sv) - base).max()) for su, sv in shifts
+    )
 
     return VerificationReport(
         jarzynski_lhs=abs(lhs),

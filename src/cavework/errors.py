@@ -51,10 +51,6 @@ class BranchTrackingError(CaveworkError):
     """The square-root branch could not be followed continuously."""
 
 
-class CoupledResonanceError(CaveworkError, ValueError):
-    """Operation valid only for mode-disjoint cases got a shared mode."""
-
-
 class InversionError(CaveworkError):
     """Characteristic-function inversion failed a consistency check."""
 

@@ -9,12 +9,13 @@ lands exactly on its starting position in floating point).
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 from scipy import optimize, special
 
-from cavework import charfun, distributions, symplectic
+from cavework import charfun, cli, distributions, symplectic
 from cavework.bessel import BesselKind
 from cavework.distributions import CumulativeFit
 from cavework.driving import DrivingProtocol, ResonanceCase, ResonanceKind
@@ -185,6 +186,59 @@ def drift_removed(params: charfun.CharfunParams, u, v):
     g = charfun.closed_form_general(params, u, v)
     g_bar = g * np.exp(-1j * np.asarray(u, dtype=complex) * dphi)
     return complex(g_bar) if np.ndim(g_bar) == 0 else g_bar
+
+
+def channel_params(cfg) -> charfun.CharfunParams:
+    """The one resonance channel of a run config as a parameter record,
+    with the final frequencies of an open protocol."""
+    protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
+    (case,) = plan.cases
+    final = None
+    if not protocol.is_closed:
+        final = {m: w1 for m, _, w1 in cli._mode_table(cfg, protocol, plan)}
+    return charfun.CharfunParams.from_case(
+        case, cfg.beta, protocol.tau, hbar=cfg.hbar, final_frequencies=final
+    )
+
+
+def verify_channel(params: charfun.CharfunParams, perturbation: float = 0.0):
+    """The fluctuation-theorem verifier on one channel's record: G from
+    charfun._g, looked up at each call so that a test may patch it, the
+    endpoint-swapped record as the reverse of an open protocol, its
+    grand-potential difference, the channel quantum and its photons per
+    quantum."""
+
+    def g_of(record):
+        return lambda u, v: charfun._g(record, u, v)
+
+    reverse, dphi = None, 0.0
+    if not params.is_closed:
+        swapped = [pair[::-1] for pair in params.frequency_pairs()]
+        reverse = g_of(dataclasses.replace(
+            params, omega_k=swapped[0], omega_p=swapped[1] if params.omega_p else None
+        ))
+        dphi = charfun.grand_potential_diff(
+            params.frequency_pairs(), params.beta, hbar=params.hbar
+        )
+    return distributions.verify_fluctuation_theorems(
+        g_of(params),
+        charfun._drive_quantum(params),
+        params.beta,
+        per=distributions._PHOTONS_PER_QUANTUM[params.variant],
+        reverse=reverse,
+        dphi=dphi,
+        perturbation=perturbation,
+    )
+
+
+def channel_product(records, u, v):
+    """G of mode-disjoint channels as the product of their closed forms,
+    from 1 + 0j in record order: plan_charfun's arithmetic, also for
+    channels that share no work lattice, which plan_charfun refuses."""
+    g = 1.0 + 0.0j
+    for record in records:
+        g = g * charfun._g(record, u, v)
+    return g
 
 
 def classical_work_pdf(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cavework import charfun, cli, distributions, symplectic
+from cavework import charfun, cli, symplectic
 from cavework.charfun import (
     CharfunParams,
     classical_work_cdf,
@@ -18,31 +18,26 @@ from cavework.charfun import (
     closed_form_general,
     grand_potential_diff,
     moments,
-    multi_resonance_product,
 )
-from cavework.distributions import (
-    extract_marginal_work,
-    verify_fluctuation_theorems,
-)
+from cavework.distributions import extract_marginal_work
 from cavework.driving import (
     DrivingProtocol,
     ResonanceKind,
     ResonancePlan,
     interaction_generator,
 )
-from cavework.errors import (
-    CoupledResonanceError,
-    DegenerateResonanceError,
-)
+from cavework.errors import DegenerateResonanceError
 from cavework.symplectic import charfun_from_generator
 from conftest import (
     adiabatic_mode_factor,
+    channel_params,
     classical_charfun,
     closed_protocol,
     classical_work_pdf,
     drift_removed,
     same_bits,
     synthetic_case,
+    verify_channel,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -272,26 +267,24 @@ def test_moments_variance_matches_lattice_sum_on_sweeps(name):
         assert var == pytest.approx(var_sum, rel=1e-7), hbar
 
 
-def test_multi_resonance_product_factorizes():
-    tau = math.pi
-    case1 = synthetic_case(DOF, 1.0, None, 0.3, tau)
+def _disjoint_plan(*cases) -> ResonancePlan:
+    return ResonancePlan(tuple(cases), tuple((i,) for i in range(len(cases))), ())
+
+
+def test_plan_charfun_factorizes_over_disjoint_channels():
+    # a squeezed mode and a pair on two modes of their own, one quantum 5
+    protocol = closed_protocol(5.0)
+    tau, beta = protocol.tau, 0.5
+    case1 = synthetic_case(DOF, 2.5, None, 0.3, tau)
     case2 = dataclasses.replace(
         synthetic_case(SUF, 3.0, 2.0, 0.2, tau), k=(0, 1, 1), p=(0, 1, 2)
     )
-    beta = 0.5
     p1 = CharfunParams.from_case(case1, beta, tau)
     p2 = CharfunParams.from_case(case2, beta, tau)
+    evaluate, _, _ = charfun.plan_charfun(_disjoint_plan(case1, case2), protocol, beta)
     u, v = 0.7, -0.4
-    got = multi_resonance_product([case1, case2], [p1, p2], u, v)
     want = closed_form(p1, u, v) * closed_form(p2, u, v)
-    assert got == pytest.approx(want, rel=1e-14)
-    shared = dataclasses.replace(case2, k=(0, 0, 1))
-    with pytest.raises(CoupledResonanceError):
-        multi_resonance_product([case1, shared], [p1, p2], u, v)
-
-
-def _disjoint_plan(*cases) -> ResonancePlan:
-    return ResonancePlan(tuple(cases), tuple((i,) for i in range(len(cases))), ())
+    assert evaluate(u, v) == pytest.approx(want, rel=1e-14)
 
 
 def test_plan_charfun_is_the_product_on_the_first_channels_lattice():
@@ -305,12 +298,13 @@ def test_plan_charfun_is_the_product_on_the_first_channels_lattice():
 
     # quanta 5.0 and one ulp above it: the rounding of x_k + x_p
     plan = _disjoint_plan(double, pair(2.0 + math.ulp(5.0)))
-    evaluate, spacing = charfun.plan_charfun(plan, protocol, beta)
+    evaluate, spacing, reverse = charfun.plan_charfun(plan, protocol, beta)
+    assert reverse is None  # a closed protocol is its own reverse
     params = [CharfunParams.from_case(c, beta, tau) for c in plan.cases]
     assert spacing == charfun._drive_quantum(params[0]) == 5.0
     assert charfun._drive_quantum(params[1]) == math.nextafter(5.0, 6.0)
     u, v = np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 3)[:, None]
-    want = multi_resonance_product(plan.cases, params, u, v)
+    want = (1.0 + 0.0j) * closed_form(params[0], u, v) * closed_form(params[1], u, v)
     assert same_bits(evaluate(u, v), want)
 
     # a quantum 1e-12 off shares no lattice with the first
@@ -320,6 +314,46 @@ def test_plan_charfun_is_the_product_on_the_first_channels_lattice():
     opened = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0, tau=tau / 4.0)
     with pytest.raises(ValueError, match="does not return to its start"):
         charfun.plan_charfun(_disjoint_plan(double), opened, beta)
+
+
+def test_plan_charfun_of_an_open_protocol_reverses_every_channel():
+    # given each mode's final frequency, an open plan's G is the product
+    # of the general forms, and its reverse swaps every endpoint pair
+    opened = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0, tau=0.4)
+    tau, beta = opened.tau, 0.4
+    double = synthetic_case(DOF, 2.5, None, 0.3, tau)
+    pair = dataclasses.replace(
+        synthetic_case(SUF, 3.0, 2.0, 0.2, tau), k=(0, 1, 1), p=(0, 1, 2)
+    )
+    final = {(0, 0, 1): 2.6, (0, 1, 1): 3.1, (0, 1, 2): 1.9}
+    evaluate, spacing, reverse = charfun.plan_charfun(
+        _disjoint_plan(double, pair), opened, beta, final
+    )
+    assert spacing == 5.0
+    records = [
+        CharfunParams.from_case(c, beta, tau, final_frequencies=final)
+        for c in (double, pair)
+    ]
+    swapped = [
+        dataclasses.replace(
+            r, omega_k=r.omega_k[::-1], omega_p=r.omega_p and r.omega_p[::-1]
+        )
+        for r in records
+    ]
+    u, v = np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 1.0, 3)[:, None]
+    for got, rs in ((evaluate, records), (reverse, swapped)):
+        want = (1.0 + 0.0j) * closed_form_general(rs[0], u, v)
+        assert same_bits(got(u, v), want * closed_form_general(rs[1], u, v))
+    # the trace formula of a coupled group needs a closed protocol
+    shared = dataclasses.replace(
+        synthetic_case(DIF, 7.5, 2.5, 0.2, tau), k=(0, 2, 1), p=(0, 0, 1)
+    )
+    coupled = ResonancePlan((double, shared), ((0, 1),), ())
+    with pytest.raises(ValueError, match="needs a closed protocol"):
+        charfun.plan_charfun(coupled, opened, beta, final)
+    # without final frequencies an open plan keeps the lattice refusal
+    with pytest.raises(ValueError, match="does not return to its start"):
+        charfun.plan_charfun(coupled, opened, beta)
 
 
 def test_array_charfuns_match_pointwise_at_strong_drive(monkeypatch):
@@ -421,7 +455,7 @@ def test_single_mode_root_is_tracked_only_off_the_strip(monkeypatch):
     monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
     closed_form(params, strip_u, strip_v)
     # the package's own points: inversion, Jarzynski and the Crooks grid
-    verify_fluctuation_theorems(params)
+    verify_channel(params)
     assert not seen
     u = np.concatenate([strip_u, off_u])
     v = np.concatenate([strip_v, off_v])
@@ -441,7 +475,7 @@ def test_real_points_keep_the_bits_of_the_complex_evaluation(name, monkeypatch):
     # final comb grids included, takes the real-axis sines; the same
     # values passed as complex take the complex ones
     cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
-    params = cli._single_channel(cfg, "verify")
+    params = channel_params(cfg)
     g = charfun._g
     checked = []
 
@@ -454,8 +488,7 @@ def test_real_points_keep_the_bits_of_the_complex_evaluation(name, monkeypatch):
         return got
 
     monkeypatch.setattr(charfun, "_g", both)
-    monkeypatch.setattr(distributions, "_g", both)
-    verify_fluctuation_theorems(params)
+    verify_channel(params)
     # the Crooks grid alone supplies 64 x 64 real points (its reverse side)
     assert sum(checked) > 64 * 64
 
@@ -507,7 +540,7 @@ def test_verify_tracks_no_open_endpoint_root(monkeypatch):
     monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
     cfg = cli.load_config(str(CONFIGS / "open_endpoints.cfg"))
     with pytest.warns(UserWarning):  # its epsilon of 0.12 strains the expansion
-        reference = cli._single_channel(cfg, "verify")
+        reference = channel_params(cfg)
     assert reference.variant is DOF and not reference.is_closed
     records = [
         reference,
@@ -517,7 +550,7 @@ def test_verify_tracks_no_open_endpoint_root(monkeypatch):
         CharfunParams(variant=DOF, beta=0.8, omega_k=(1.0, 1.1), g_tau=0.2),
     ]
     for params in records:
-        verify_fluctuation_theorems(params)
+        verify_channel(params)
     assert not seen
 
     # off the certificate: Im u below 0 or above beta, |Re u dx| past pi,

@@ -7,13 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavework import cli, distributions, fock
+from cavework import cavity, charfun, cli, fock
 from cavework.cli import load_config, main, resolve_omega_drive
 from cavework.errors import ConfigError
 
@@ -235,8 +236,22 @@ def test_coupled_group_needs_symplectic_flag(workdir, monkeypatch):
     spacing = 2.0 * math.pi * math.sqrt(3.0)
     for w in probs:
         assert abs(w / spacing - round(w / spacing)) < 1e-9
-    # the single-channel verifier refuses a coupled plan
-    assert main(["verify", str(cfg)]) == 2
+    # verify runs on the same plan-level G and passes every gate; its
+    # double and difference channels move different photon counts per
+    # quantum, so no line delta_n = per * m is checked
+    pers, verifier = [], cli.verify_fluctuation_theorems
+
+    def recorded(*args, **kwargs):
+        pers.append(kwargs["per"])
+        return verifier(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_fluctuation_theorems", recorded)
+    assert main(["verify", str(cfg)]) == 0
+    report = json.loads((workdir / "out" / "c_report.json").read_text())
+    assert report["crooks_peakwise_error"] <= 1e-8
+    assert pers == [None]
+    # the negative control trips the gates
+    assert main(["verify", "--perturb", "1e-3", str(cfg)]) == 1
     # the truncated-Fock oracle needs no closed form, so --oracle alone runs
     monkeypatch.setenv("CAVEWORK_N_MAX", "6")
     assert main(["distribution", str(cfg), "--oracle"]) == 0
@@ -399,9 +414,9 @@ def test_verify_cumulative_sum_meets_every_gate(workdir, capsys):
 def test_verify_fails_a_g_that_leaves_the_line(workdir, monkeypatch):
     # a G that spreads delta_n off per * m but keeps both periods fails
     # the periodicity gate through its line-support part
-    g = distributions._g
+    g = charfun._g
     monkeypatch.setattr(
-        distributions, "_g",
+        charfun, "_g",
         lambda p, u, v: g(p, u, v) * (1.0 + 0.01 * (np.cos(v) - 1.0)),
     )
     assert main(["verify", str(CONFIGS / "double_res.cfg")]) == 1
@@ -464,14 +479,18 @@ def test_moments_requires_sweep_section(workdir):
 @pytest.mark.parametrize(
     "command, config, reason",
     [
-        ("verify", "coupled", "handles exactly one resonance channel, found 2;"),
+        ("verify", "no_channel", "needs a resonance channel, found none"),
         ("moments", "double_res", "needs a [sweep] section with values"),
     ],
     ids=["verify", "moments"],
 )
 def test_a_refusal_names_the_command(workdir, capsys, command, config, reason):
     cfg = workdir / f"{config}.cfg"
-    text = COUPLED if config == "coupled" else (CONFIGS / f"{config}.cfg").read_text()
+    if config == "no_channel":  # a drive resonant with no mode
+        text = (CONFIGS / "double_res.cfg").read_text()
+        text = re.sub(r"(?m)^omega_drive = .*$", "omega_drive = 1.0", text)
+    else:
+        text = (CONFIGS / f"{config}.cfg").read_text()
     cfg.write_text(text)
     assert main([command, str(cfg)]) == 2
     [line] = capsys.readouterr().err.splitlines()
@@ -642,6 +661,55 @@ def test_fock_basis_above_the_cap_exits_2(workdir, monkeypatch, capsys):
     monkeypatch.setenv("CAVEWORK_N_MAX", "20000")
     assert main(["distribution", str(CONFIGS / "double_res.cfg"), "--oracle"]) == 2
     assert "20001" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        "kind = cylindrical\nmoving_wall = longitudinal\nradius = 1.0",
+        "kind = cylindrical\nmoving_wall = radial\naxis_length = 1.0",
+        "kind = spherical",
+        "kind = rectangular\nlx = 1.0\nly = 1.0",
+    ],
+    ids=["cylinder", "radial-cylinder", "sphere", "box"],
+)
+def test_a_spectrum_above_the_cap_exits_2_before_any_array(workdir, capsys, geometry):
+    # a cutoff of 1e12 would ask for ~1e35 entries: the size estimate
+    # refuses it at once, from Python floats, before a root or a grid
+    cfg = workdir / "huge.cfg"
+    cfg.write_text(
+        f"[geometry]\n{geometry}\npolarization = TM\ncutoff = 1e12\n\n"
+        "[thermal]\nbeta = 1.0\n"
+    )
+    for command in ("spectrum", "distribution", "verify"):
+        tracemalloc.start()
+        try:
+            assert main([command, str(cfg)]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (command, peak)
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: the spectrum below cutoff 1e+12")
+        assert f"above {cavity._SPECTRUM_CAP}" in line
+    assert [p for p in workdir.rglob("*") if p != cfg] == []
+
+
+def test_the_spectrum_cap_leaves_headroom_over_every_reference_spectrum():
+    # the benchmark's curved spectra reach cutoff * size = 40.8 at most
+    for name in ("double_res", "sum_res", "diff_res", "cumulative_sum",
+                 "open_endpoints", "moments_hot", "moments_cold"):
+        cfg = load_config(str(CONFIGS / f"{name}.cfg"))
+        size = cavity._spectrum_size(cfg.geometry, cfg.lambda0, cfg.cutoff)
+        assert 100.0 * size <= cavity._SPECTRUM_CAP, name
+    reach = 40.8
+    for size in (0.8, 1.25):
+        for geom in (
+            cavity.CylindricalGeometry(cavity.MovingWall.LONGITUDINAL, radius=size),
+            cavity.SphericalGeometry(),
+        ):
+            estimate = cavity._spectrum_size(geom, size, reach / size)
+            assert 100.0 * estimate <= cavity._SPECTRUM_CAP, geom
 
 
 def test_import_loads_no_scipy(workdir):

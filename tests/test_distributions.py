@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from cavework import charfun, cli, distributions
-from cavework.charfun import CharfunParams, classical_work_cdf, closed_form
+from cavework.charfun import (
+    CharfunParams,
+    classical_work_cdf,
+    closed_form,
+    grand_potential_diff,
+)
 from cavework.distributions import (
     CumulativeFit,
     _adaptive_comb,
@@ -25,15 +30,22 @@ from cavework.distributions import (
     marginal_to_csv,
     verify_fluctuation_theorems,
 )
-from cavework.driving import ResonanceKind
+from cavework.driving import (
+    DrivingProtocol,
+    ResonanceCase,
+    ResonanceKind,
+    ResonancePlan,
+)
 from cavework.errors import InversionError
 from conftest import (
     channel_marginals_reference,
+    channel_params,
     compare_classical,
     joint_peaks,
     outer_tail,
     reference_comb,
     same_bits,
+    verify_channel,
 )
 
 DOF = ResonanceKind.DOUBLE
@@ -173,7 +185,7 @@ def test_comb_rejects_negative_weights():
 
 def test_comb_weights_do_not_depend_on_the_block_size(monkeypatch):
     params = params_for(DOF, beta=0.4, g_tau=0.4)
-    period = 2.0 * math.pi / distributions._drive_quantum(params)
+    period = 2.0 * math.pi / charfun._drive_quantum(params)
 
     def work():
         return _adaptive_comb(lambda u: closed_form(params, u, 0.0), period, 8)
@@ -193,7 +205,7 @@ def _closed_combs(kind):
     """(evaluate, period, start) of the work and photon combs of one
     closed channel strong enough that each grows from 8 samples."""
     params = params_for(kind, beta=0.4, g_tau=0.4)
-    period = 2.0 * math.pi / distributions._drive_quantum(params)
+    period = 2.0 * math.pi / charfun._drive_quantum(params)
     return [
         (lambda u: closed_form(params, u, 0.0), period, 8),
         (lambda v: closed_form(params, 0.0, v), 2.0 * math.pi, 8),
@@ -291,7 +303,7 @@ def test_direct_jarzynski_sum_weak_driving():
         for _ in range(3):
             beta = rng.uniform(0.15, 1.2 / spacing[variant])
             g_tau = rng.uniform(0.02, 0.12)
-            rep = verify_fluctuation_theorems(
+            rep = verify_channel(
                 params_for(variant, beta, g_tau, wk=spacing[variant] / 2.0)
                 if variant is DOF
                 else params_for(variant, beta, g_tau)
@@ -303,7 +315,7 @@ def test_direct_jarzynski_sum_weak_driving():
 def test_direct_jarzynski_degrades_gracefully():
     # far outside the weak-tilt domain the route loses digits but must
     # not blow up: the noise-floor cutoff keeps the tilted tail finite
-    rep = verify_fluctuation_theorems(params_for(DOF, beta=1.5, g_tau=0.12))
+    rep = verify_channel(params_for(DOF, beta=1.5, g_tau=0.12))
     assert rep.jarzynski_direct_error < 1e-6
 
 
@@ -361,7 +373,7 @@ def test_classical_comparison_tracks_temperature():
 
 
 def test_verify_closed_double_resonance():
-    rep = verify_fluctuation_theorems(params_for(DOF, 0.5, 0.1, wk=1.0))
+    rep = verify_channel(params_for(DOF, 0.5, 0.1, wk=1.0))
     assert rep.jarzynski_rhs == 1.0  # closed endpoints: dPhi = 0
     assert rep.jarzynski_abs_error < 1e-12
     assert rep.jarzynski_direct_error < 1e-10
@@ -388,13 +400,87 @@ def test_verify_open_endpoints():
     params = CharfunParams(
         variant=DOF, beta=0.8, omega_k=(1.0, 1.1), g_tau=0.2
     )
-    rep = verify_fluctuation_theorems(params)
+    rep = verify_channel(params)
     assert rep.jarzynski_direct_error is None
     assert rep.crooks_peakwise_error is None
     assert rep.jarzynski_rhs != 1.0
     assert rep.jarzynski_abs_error < 1e-12
     assert rep.crooks_max_error < 1e-9
     assert rep.worst() < 1e-9
+
+
+def _quantum_five_plan(*kinds):
+    """A plan of mode-disjoint channels that share the work quantum 5:
+    a squeezed mode at 2.5, a pair at 3 + 2, an exchange at 7 - 2."""
+    freqs = {DOF: (2.5, None), SUF: (3.0, 2.0), DIF: (7.0, 2.0)}
+    cases = []
+    for i, kind in enumerate(kinds):
+        wk, wp = freqs[kind]
+        cases.append(ResonanceCase(
+            kind, (0, i, 1), None if wp is None else (0, i, 2), wk, wp, 0.2, 0.0
+        ))
+    return ResonancePlan(tuple(cases), tuple((i,) for i in range(len(cases))), ())
+
+
+def _meets_every_gate(rep) -> bool:
+    return (
+        rep.jarzynski_abs_error <= cli._VERIFY_JARZYNSKI_TOL
+        and rep.crooks_max_error <= cli._VERIFY_CROOKS_TOL
+        and rep.periodicity_max_error <= cli._VERIFY_PERIODICITY_TOL
+        and rep.normalization_error <= cli._VERIFY_NORMALIZATION_TOL
+    )
+
+
+@pytest.mark.parametrize(
+    "kinds", [(DOF, SUF), (DOF, DIF), (DOF, SUF, DIF)], ids=["ds", "dd", "dsd"]
+)
+def test_verify_closed_disjoint_plans(kinds):
+    # closed plans of two and three channels on the plan-level G: every
+    # gate, and the peakwise Crooks check, which with no chemical
+    # potential needs only P(w)
+    protocol = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0,
+                               tau=2.0 * math.pi / 5.0)
+    evaluate, spacing, reverse = charfun.plan_charfun(
+        _quantum_five_plan(*kinds), protocol, 0.4
+    )
+    assert reverse is None
+    rep = verify_fluctuation_theorems(evaluate, spacing, 0.4)
+    assert _meets_every_gate(rep), rep
+    assert rep.crooks_peakwise_error <= 1e-8
+
+
+def test_verify_checks_the_line_only_for_a_shared_photon_count():
+    # per = 2 shared by two squeezing channels holds the line; the
+    # exchange channel moves no photons, so a double + difference plan
+    # has no line spacing u + per v and passes only with per = None
+    protocol = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0,
+                               tau=2.0 * math.pi / 5.0)
+    shared = charfun.plan_charfun(_quantum_five_plan(DOF, SUF), protocol, 0.4)
+    rep = verify_fluctuation_theorems(*shared[:2], 0.4, per=2)
+    assert _meets_every_gate(rep), rep
+    evaluate, spacing, _ = charfun.plan_charfun(
+        _quantum_five_plan(DOF, DIF), protocol, 0.4
+    )
+    for per in (2, 0):
+        rep = verify_fluctuation_theorems(evaluate, spacing, 0.4, per=per)
+        assert rep.periodicity_max_error > cli._VERIFY_PERIODICITY_TOL, per
+
+
+def test_verify_open_two_channel_plan():
+    # an open plan: the reverse swaps every channel's endpoints and dPhi
+    # sums over all three modes; nothing is inverted
+    protocol = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0, tau=0.4)
+    plan = _quantum_five_plan(DOF, SUF)
+    final = {(0, 0, 1): 2.6, (0, 1, 1): 3.1, (0, 1, 2): 1.9}
+    evaluate, spacing, reverse = charfun.plan_charfun(plan, protocol, 0.4, final)
+    start = {(0, 0, 1): 2.5, (0, 1, 1): 3.0, (0, 1, 2): 2.0}
+    dphi = grand_potential_diff([(start[m], final[m]) for m in start], 0.4)
+    rep = verify_fluctuation_theorems(
+        evaluate, spacing, 0.4, reverse=reverse, dphi=dphi
+    )
+    assert _meets_every_gate(rep), rep
+    assert rep.jarzynski_rhs != 1.0
+    assert rep.jarzynski_direct_error is None and rep.crooks_peakwise_error is None
 
 
 def test_verify_inverts_once(monkeypatch):
@@ -410,19 +496,19 @@ def test_verify_inverts_once(monkeypatch):
 
     monkeypatch.setattr(distributions, "_adaptive_comb", counted)
     for variant in (DOF, SUF, DIF):
-        rep = verify_fluctuation_theorems(params_for(variant, 0.8, 0.2))
+        rep = verify_channel(params_for(variant, 0.8, 0.2))
         assert rep.crooks_peakwise_error < 1e-8
         assert calls == [256]
         calls.clear()
     open_params = CharfunParams(variant=DOF, beta=0.8, omega_k=(1.0, 1.1), g_tau=0.2)
-    verify_fluctuation_theorems(open_params)
+    verify_channel(open_params)
     assert calls == []
 
 
 def _reference_params(name: str, factor: float) -> CharfunParams:
     cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
     cfg = dataclasses.replace(cfg, beta=cfg.beta * factor)
-    return cli._single_channel(cfg, "verify")
+    return channel_params(cfg)
 
 
 @pytest.mark.parametrize("factor", [0.37, 1.0, 3.1])
@@ -432,7 +518,7 @@ def test_joint_law_of_a_single_channel_is_its_work_law_on_a_line(name, factor):
     # delta_n = per * m and gives each peak on it the work weight that
     # verify pairs; the hot cumulative_sum grid is 2048 x 4096 samples
     params = _reference_params(name, factor)
-    spacing = distributions._drive_quantum(params)
+    spacing = charfun._drive_quantum(params)
     per = distributions._PHOTONS_PER_QUANTUM[params.variant]
     signed, work = distributions._work_weights(
         lambda u: charfun._g(params, u, 0.0), spacing
@@ -457,7 +543,7 @@ def test_channel_marginals_keep_the_bits_of_the_per_sample_relabelling(name, fac
     # a squeezing channel takes its photon peaks as the work weights at
     # delta_n = per * m, the exchange channel one fsum of them at 0
     params = _reference_params(name, factor)
-    spacing = distributions._drive_quantum(params)
+    spacing = charfun._drive_quantum(params)
 
     def evaluate(u):
         return charfun._g(params, u, 0.0)
@@ -475,17 +561,17 @@ def test_verify_catches_a_g_that_leaves_the_line(monkeypatch):
     # 1 + 0.01 (cos v - 1) keeps normalization, both periods, the work law
     # G(u, 0) and the Crooks grid, but spreads delta_n off per * m; only
     # the line-support part of periodicity_max_error can see it
-    g = distributions._g
+    g = charfun._g
 
     def off_line(p, u, v):
         return g(p, u, v) * (1.0 + 0.01 * (np.cos(v) - 1.0))
 
     for variant in (DOF, SUF, DIF):
         params = params_for(variant, 0.8, 0.2)
-        clean = verify_fluctuation_theorems(params)
+        clean = verify_channel(params)
         with monkeypatch.context() as m:
-            m.setattr(distributions, "_g", off_line)
-            rep = verify_fluctuation_theorems(params)
+            m.setattr(charfun, "_g", off_line)
+            rep = verify_channel(params)
         assert clean.periodicity_max_error < 1e-12
         assert rep.periodicity_max_error > 1e-8
         assert max(rep.normalization_error, rep.jarzynski_abs_error) < 1e-12
@@ -506,7 +592,7 @@ def test_verify_tracks_no_single_mode_root(monkeypatch):
 
     monkeypatch.setattr(charfun, "tracked_sqrt", recorded)
     params = params_for(DOF, 0.5, 0.1, wk=1.0)
-    rep = verify_fluctuation_theorems(params)
+    rep = verify_channel(params)
     assert rep.worst() < 1e-10 and rep.crooks_peakwise_error < 1e-8
     assert received == []
     closed_form(params, np.array([0.3, 0.3 - 0.05j]), 0.2)
@@ -515,7 +601,7 @@ def test_verify_tracks_no_single_mode_root(monkeypatch):
 
 
 def test_perturbation_control_breaks_the_identities():
-    rep = verify_fluctuation_theorems(
+    rep = verify_channel(
         params_for(DOF, 0.7, 0.25, wk=1.2), perturbation=1e-3,
     )
     assert rep.normalization_error > 5e-4
@@ -633,7 +719,7 @@ def golden_marginals():
         for factor in (1.0, 0.37, 3.1):
             cfg = dataclasses.replace(base, beta=base.beta * factor)
             protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
-            evaluate, spacing = charfun.plan_charfun(plan, protocol, cfg.beta)
+            evaluate, spacing, _ = charfun.plan_charfun(plan, protocol, cfg.beta)
             work = extract_marginal_work(lambda u: evaluate(u, 0.0), spacing)
             (case,) = plan.cases
             classical = None

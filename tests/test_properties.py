@@ -51,12 +51,8 @@ from cavework.charfun import (  # noqa: E402
     classical_work_cdf,
     closed_form,
     closed_form_general,
-    multi_resonance_product,
 )
-from cavework.distributions import (  # noqa: E402
-    CumulativeFit,
-    verify_fluctuation_theorems,
-)
+from cavework.distributions import CumulativeFit  # noqa: E402
 from cavework.driving import (  # noqa: E402
     DrivingProtocol,
     ResonanceCase,
@@ -82,6 +78,7 @@ from cavework.symplectic import (  # noqa: E402
 )
 from classifier_oracle import classify_reference  # noqa: E402
 from conftest import (  # noqa: E402
+    channel_product,
     charfun_numeric,
     closed_protocol,
     compare_classical,
@@ -92,6 +89,7 @@ from conftest import (  # noqa: E402
     merge_peaks_reference,
     same_bits,
     synthetic_case,
+    verify_channel,
 )
 from spectrum_oracle import ScalarRoots, per_mode_spectrum  # noqa: E402
 from test_distributions import _reference_ks  # noqa: E402
@@ -130,8 +128,7 @@ def closed_params(draw) -> CharfunParams:
 @PROPERTY
 @given(closed_params())
 def test_fluctuation_theorems_hold(params):
-    assert distributions._reversed_params(params) == params
-    report = verify_fluctuation_theorems(params)
+    report = verify_channel(params)
     assert report.normalization_error <= 1e-10
     assert report.jarzynski_abs_error <= 1e-10
     assert report.crooks_peakwise_error <= 1e-8
@@ -141,7 +138,7 @@ def test_fluctuation_theorems_hold(params):
 @given(closed_params())
 def test_moments_are_the_lattice_sum_of_the_work_weights(params):
     peaks = distributions.extract_marginal_work(
-        lambda u: closed_form(params, u, 0.0), distributions._drive_quantum(params)
+        lambda u: closed_form(params, u, 0.0), charfun._drive_quantum(params)
     )
     mean_sum = math.fsum(w * p for w, p in peaks)
     var_sum = math.fsum((w - mean_sum) ** 2 * p for w, p in peaks)
@@ -168,7 +165,7 @@ def test_moments_evaluate_no_charfun(params):
 def test_joint_weights_sum_to_the_work_weights(params):
     # a joint grid on the work comb's M u-samples: summed over delta_n,
     # its weights are the work weights
-    spacing = distributions._drive_quantum(params)
+    spacing = charfun._drive_quantum(params)
     signed, work = distributions._work_weights(
         lambda u: closed_form(params, u, 0.0), spacing
     )
@@ -526,7 +523,7 @@ def test_fluctuation_theorems_hold_for_resonance_plans(plan):
     routes = [lambda u, v: charfun_general(cases, protocol, beta, u, v)]
     if not coupled:
         params = [CharfunParams.from_case(c, beta, TAU) for c in cases]
-        routes.append(lambda u, v: multi_resonance_product(cases, params, u, v))
+        routes.append(lambda u, v: channel_product(params, u, v))
     u, v = np.meshgrid(
         np.linspace(-2.0, 2.0, 9), np.linspace(-math.pi, math.pi, 7), indexing="ij"
     )
@@ -890,9 +887,6 @@ EXTREME_VALUES = (
     "0", "-1", "1e-320", "5e-324", "1e-300", "1e300", "inf", "nan", "1e-12",
     "1e12", "abc", "",
 )
-# lengths at these values size the spectrum's arrays before any check:
-# left out until the spectrum has a size cap
-SPECTRUM_SIZES = {"lx", "ly", "lambda0", "cutoff"}, {"1e12", "1e300"}
 
 
 @st.composite
@@ -902,9 +896,7 @@ def extreme_runs(draw):
     name = draw(st.sampled_from(sorted(CLI_RUNS)))
     command = draw(st.sampled_from(CLI_RUNS[name]))
     section, key = draw(st.sampled_from(CONFIG_KEYS))
-    sizes, huge = SPECTRUM_SIZES
-    values = [v for v in EXTREME_VALUES if key not in sizes or v not in huge]
-    return name, command, section, key, draw(st.sampled_from(values))
+    return name, command, section, key, draw(st.sampled_from(EXTREME_VALUES))
 
 
 @settings(PROPERTY, max_examples=150)  # milliseconds per run, a few far more
