@@ -2,10 +2,11 @@
 
 Single-resonance results for a boundary returning to its starting
 position, their generalization to unequal endpoint positions, G of a
-whole resonance plan with its work lattice and its reverse protocol
-(plan_charfun, the one builder of G for the distribution and verify
-commands), grand potentials, classical (hbar -> 0) limits, and the work
-mean and variance as exact cumulants of G.
+whole resonance plan with its work lattice, its reverse protocol and
+its grand-potential difference (plan_charfun, the one builder of G for
+the distribution and verify commands), grand potentials, classical
+(hbar -> 0) limits, and the work mean and variance as exact cumulants
+of G.
 
 The three resonance channels are one form in x = hbar omega:
 sinh(beta x_k / 2) sinh(beta x_p / 2) + sin(z) sin(z - i beta h) A, with
@@ -103,25 +104,14 @@ class CharfunParams:
 
     @classmethod
     def from_case(
-        cls,
-        case: ResonanceCase,
-        beta: float,
-        tau: float,
-        hbar: float = 1.0,
-        final_frequencies: dict | None = None,
+        cls, case: ResonanceCase, beta: float, tau: float, hbar: float = 1.0
     ) -> "CharfunParams":
-        """Build parameters from a classified resonance; closed endpoints
-        unless a mode -> final-frequency map says otherwise."""
-        fin = final_frequencies or {}
-        wk = (case.omega_k, fin.get(case.k, case.omega_k))
-        wp = None
-        if case.p is not None:
-            wp = (case.omega_p, fin.get(case.p, case.omega_p))
+        """Build parameters from a classified resonance, closed endpoints."""
         return cls(
             variant=case.kind,
             beta=beta,
-            omega_k=wk,
-            omega_p=wp,
+            omega_k=(case.omega_k, case.omega_k),
+            omega_p=None if case.p is None else (case.omega_p, case.omega_p),
             g_tau=case.strength * tau,
             hbar=hbar,
         )
@@ -390,34 +380,26 @@ def _g(params: CharfunParams, u, v):
     return closed_form_general(params, u, v)
 
 
-def plan_charfun(
-    plan: ResonancePlan,
-    protocol: DrivingProtocol,
-    beta: float,
-    final: dict | None = None,
-):
-    """(G(u, v) over broadcast arrays, work spacing, reverse G) of a
+def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
+    """(G(u, v) over broadcast arrays, work spacing, reverse G, dPhi) of a
     resonance plan: the closed forms of its mode-disjoint channels times
     symplectic.charfun_general of each coupled group, on the first
     channel's quantum.  A closed protocol is its own reverse, given as
-    None.  An open one needs final, each resonant mode's frequency at
-    lambda(tau), and no coupled group; its reverse swaps every channel's
-    endpoints.  Raises ValueError for an open protocol without final or
-    with a coupled group, and for channels whose quanta differ beyond
-    their rounding."""
+    None, with dPhi = 0; its closed forms take every mode at its lambda0
+    frequency at both ends.  An open one ends each mode at the plan's
+    lambda(tau) frequency and needs no coupled group; its reverse swaps
+    every channel's endpoints, and dPhi is grand_potential_diff over the
+    plan's resonant modes.  Raises ValueError for an open protocol with a
+    coupled group, and for channels whose quanta differ beyond their
+    rounding."""
     coupled = [[plan.cases[i] for i in g] for g in plan.groups if len(g) > 1]
-    if not protocol.is_closed and (final is None or coupled):
+    if not protocol.is_closed and coupled:
         raise ValueError(
             "the boundary does not return to its start (lambda(tau) != lambda0): "
-            + ("the trace formula of a coupled group needs a closed protocol"
-               if final is not None else "the work support is incommensurate "
-               "and the closed-form inversion does not apply")
+            "the trace formula of a coupled group needs a closed protocol"
         )
     tau, hbar = protocol.tau, protocol.hbar
-    params = [
-        CharfunParams.from_case(c, beta, tau, hbar=hbar, final_frequencies=final)
-        for c in plan.cases
-    ]
+    params = [CharfunParams.from_case(c, beta, tau, hbar=hbar) for c in plan.cases]
     quanta = [_drive_quantum(p) for p in params]
     largest = max(x for p in params for x in _energies(p, 0)[:2])
     if max(quanta) - min(quanta) > _LATTICE_ROUNDING * largest:
@@ -426,6 +408,13 @@ def plan_charfun(
             f"{max(quanta)!r}, beyond the rounding of their energies: they "
             "share no work lattice"
         )
+    if not protocol.is_closed:
+        end = {m: w1 for m, _, w1 in plan.resonant_modes}
+        params = [
+            replace(p, omega_k=(c.omega_k, end[c.k]),
+                    omega_p=None if c.p is None else (c.omega_p, end[c.p]))
+            for p, c in zip(params, plan.cases)
+        ]
     single = [params[g[0]] for g in plan.groups if len(g) == 1]
 
     def evaluate(u, v, records=single):
@@ -437,10 +426,11 @@ def plan_charfun(
         return g
 
     if protocol.is_closed:
-        return evaluate, quanta[0], None
+        return evaluate, quanta[0], None, 0.0
     swap = [replace(p, omega_k=p.omega_k[::-1], omega_p=p.omega_p and p.omega_p[::-1])
             for p in single]
-    return evaluate, quanta[0], partial(evaluate, records=swap)
+    dphi = grand_potential_diff([t[1:] for t in plan.resonant_modes], beta, hbar)
+    return evaluate, quanta[0], partial(evaluate, records=swap), dphi
 
 
 def _classical_ratio_coeff(variant: ResonanceKind, r: float | None) -> float:

@@ -61,10 +61,13 @@ radius again for the sphere).  An --oracle / --freeze basis,
 (charfun.plan_charfun) on the channel quantum hbar (omega_k +- omega_p),
 hbar * Omega at exact resonance.  Both refuse channels whose quanta
 differ by more than 8e-16 times the largest hbar * omega (no common
-lattice).  distribution also refuses an open protocol (lambda(tau) !=
-lambda0: no work lattice), both ending in "Re-run with --oracle", and
-takes a coupled group only under --symplectic; verify takes a coupled
-group as it is, under a closed protocol only.
+lattice).  distribution itself refuses an open protocol (lambda(tau) !=
+lambda0: no work lattice) before it builds G, both refusals ending in
+"Re-run with --oracle", and takes a coupled group only under
+--symplectic; verify takes a coupled group as it is, under a closed
+protocol only.  Each resonant mode's frequency at lambda(tau), which
+the energy checks, the oracle and an open protocol's G and dPhi use,
+is evaluated once, by the resonance classifier, into the plan.
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
 usage or config error, including every check above.  The numerical
@@ -99,7 +102,6 @@ from .cavity import (
     Polarization,
     RectangularGeometry,
     SphericalGeometry,
-    mode_frequency,
     mode_spectrum,
     spectrum_to_csv,
 )
@@ -109,7 +111,6 @@ from .charfun import (
     classical_alphas,
     classical_work_cdf,
     closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
-    grand_potential_diff,
     moments,
     plan_charfun,
 )
@@ -126,11 +127,9 @@ from .distributions import (
     verify_fluctuation_theorems,
 )
 from .driving import (
-    _RESONANCE_TOL,
     DrivingProtocol,
     ResonanceKind,
     classify_resonances,
-    group_frequencies,
     interaction_generator,
 )
 from .errors import CaveworkError, ConfigError
@@ -405,14 +404,9 @@ def _protocol_and_plan(cfg: RunConfig, spectrum: list):
             phi=cfg.phi,
             hbar=cfg.hbar,
         )
+        plan = classify_resonances(spectrum, protocol, cfg.geometry, cfg.polarization)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not _RESONANCE_TOL * omega > 0.0:
-        raise ConfigError(
-            f"omega_drive = {omega!r}: the resonance tolerance "
-            f"{_RESONANCE_TOL:g} * Omega underflows to 0"
-        )
-    plan = classify_resonances(spectrum, protocol, cfg.geometry, cfg.polarization)
     for case in plan.cases:
         g_tau = abs(case.strength * cfg.tau)
         limit = _MAX_SQUEEZING
@@ -425,7 +419,7 @@ def _protocol_and_plan(cfg: RunConfig, spectrum: list):
             )
     freqs = [w for case in plan.cases for w in (case.omega_k, case.omega_p) if w]
     if not protocol.is_closed:
-        freqs += [w1 for _, _, w1 in _mode_table(cfg, protocol, plan)]
+        freqs += [w1 for _, _, w1 in plan.resonant_modes]
     _check_energies(cfg.beta, cfg.hbar * omega, [cfg.hbar * w for w in freqs])
     return protocol, plan
 
@@ -450,17 +444,6 @@ def _check_energies(beta: float, quantum: float, energies) -> None:
         )
     if beta * min(energies, default=1.0) == 0.0:
         raise ConfigError("beta * hbar * omega of a resonant mode underflows to 0")
-
-
-def _mode_table(cfg: RunConfig, protocol: DrivingProtocol, plan) -> list:
-    """(mode, omega at lambda0, omega at lambda(tau)) of every resonant
-    mode, ordered by starting frequency; the plan holds the first."""
-    lam = protocol.lambda_tau
-    table = [
-        (m, w0, mode_frequency(cfg.geometry, cfg.polarization, m, lam))
-        for m, w0 in group_frequencies(list(plan.cases)).items()
-    ]
-    return sorted(table, key=lambda entry: (entry[1], entry[0]))
 
 
 def _write(path: str, text: str) -> None:
@@ -493,7 +476,7 @@ def _oracle_joint(cfg: RunConfig, protocol, plan) -> fock.JointDistribution:
     freeze_report.json write the residual only, since no run record
     holds the leak yet."""
     try:
-        space = fock.TruncatedFockSpace(_mode_table(cfg, protocol, plan), cfg.n_max)
+        space = fock.TruncatedFockSpace(plan.resonant_modes, cfg.n_max)
     except ValueError as exc:  # the basis size cap
         raise ConfigError(str(exc)) from None
     generator = interaction_generator(list(plan.cases), phi=protocol.phi)
@@ -566,9 +549,15 @@ def cmd_distribution(args) -> int:
             "homotopy engine, or --oracle for the truncated-Fock simulation"
         )
 
+    if not protocol.is_closed:
+        raise ConfigError(
+            "the boundary does not return to its start (lambda(tau) != lambda0): "
+            "the work support is incommensurate and the closed-form inversion "
+            "does not apply.  Re-run with --oracle"
+        )
     try:
-        evaluate, spacing, _ = plan_charfun(plan, protocol, cfg.beta)
-    except ValueError as exc:  # an open protocol, or channels off one lattice
+        evaluate, spacing, _, _ = plan_charfun(plan, protocol, cfg.beta)
+    except ValueError as exc:  # channels off one lattice
         raise ConfigError(f"{exc}.  Re-run with --oracle") from None
     if len(plan.cases) == 1:
         work, photons = extract_channel_marginals(
@@ -582,14 +571,12 @@ def cmd_distribution(args) -> int:
         oracle_dist = _oracle_joint(cfg, protocol, plan)
         worst = _marginal_deviation(work, photons, *oracle_dist.marginals(), spacing)
         if worst > _FREEZE_TOL:
-            print(
+            raise CaveworkError(
                 f"freeze refused: closed-form vs oracle deviation {worst:.3e} "
                 f"exceeds freeze_tol {_FREEZE_TOL:g} "
                 f"(residual mass {oracle_dist.residual_mass:.3e}); "
-                "raise n_max",
-                file=sys.stderr,
+                "raise n_max"
             )
-            return 1
         freeze_note = {
             "max_marginal_deviation": worst,
             "oracle_residual_mass": oracle_dist.residual_mass,
@@ -625,13 +612,8 @@ def cmd_verify(args) -> int:
     protocol, plan = _protocol_and_plan(cfg, _spectrum(cfg))
     if not plan.cases:  # plan_charfun takes its spacing from a channel
         raise ConfigError("verify needs a resonance channel, found none")
-    final, dphi = None, 0.0
-    if not protocol.is_closed:
-        table = _mode_table(cfg, protocol, plan)
-        final = {m: w1 for m, _, w1 in table}
-        dphi = grand_potential_diff([t[1:] for t in table], cfg.beta, hbar=cfg.hbar)
     try:
-        evaluate, spacing, reverse = plan_charfun(plan, protocol, cfg.beta, final)
+        evaluate, spacing, reverse, dphi = plan_charfun(plan, protocol, cfg.beta)
     except ValueError as exc:  # an open coupled group, or channels off one lattice
         raise ConfigError(str(exc)) from None
     # a line delta_n = per * m only where every channel has the same per

@@ -37,6 +37,7 @@ from .cavity import (
     ModeIndex,
     Polarization,
     coupling_coefficient,
+    mode_frequency,
     mode_index_str,
     moving_frequency_squared,
 )
@@ -150,11 +151,17 @@ class ResonanceCase:
 
 @dataclass(frozen=True)
 class ResonancePlan:
-    """Partition of matched cases into coupled groups, plus the rest."""
+    """Partition of matched cases into coupled groups, plus the rest.
+
+    resonant_modes holds (mode, omega at lambda0, omega at lambda(tau))
+    for every mode of a case, ordered by starting frequency, then index:
+    the table of fock.TruncatedFockSpace and of the endpoint bookkeeping.
+    """
 
     cases: tuple[ResonanceCase, ...]
     groups: tuple[tuple[int, ...], ...]
     adiabatic_modes: tuple[tuple[ModeIndex, float], ...]
+    resonant_modes: tuple[tuple[ModeIndex, float, float], ...]
 
     def case_groups(self) -> list[list[ResonanceCase]]:
         return [[self.cases[i] for i in g] for g in self.groups]
@@ -167,6 +174,10 @@ class ResonancePlan:
             "groups": [list(g) for g in self.groups],
             "adiabatic_modes": [
                 {"mode": list(m), "frequency": w} for m, w in self.adiabatic_modes
+            ],
+            "resonant_modes": [
+                {"mode": list(m), "frequency": w0, "frequency_tau": w1}
+                for m, w0, w1 in self.resonant_modes
             ],
         }
         return json.dumps(payload, indent=2)
@@ -256,13 +267,20 @@ def classify_resonances(
     tol defaults to 1e-9 * Omega; exact resonance is a modeling choice,
     and spectra are good to ~1e-12.  Channels whose strength vanishes
     identically are discarded.  A pair matching both the sum and the
-    difference condition within tol means tol is too coarse.
+    difference condition within tol means tol is too coarse.  Every
+    resonant mode's frequency at lambda(tau) is evaluated here, once,
+    into the plan's resonant_modes.
     """
     if not spectrum:
         raise ValueError("spectrum must be nonempty")
     omega = protocol.omega_drive
     if tol is None:
         tol = _RESONANCE_TOL * omega
+        if not tol > 0.0:
+            raise ValueError(
+                f"omega_drive = {omega!r}: the resonance tolerance "
+                f"{_RESONANCE_TOL:g} * Omega underflows to 0"
+            )
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
@@ -324,7 +342,11 @@ def classify_resonances(
     adiabatic = tuple(
         (m, w) for m, w in entries if m not in resonant
     )
-    return ResonancePlan(tuple(cases), groups, adiabatic)
+    lam = protocol.lambda_tau
+    table = tuple(
+        (m, w, mode_frequency(geom, pol, m, lam)) for m, w in entries if m in resonant
+    )
+    return ResonancePlan(tuple(cases), groups, adiabatic, table)
 
 
 def group_frequencies(group: "list[ResonanceCase]") -> dict[ModeIndex, float]:

@@ -68,9 +68,12 @@ _DIM_CAP = 20000
 class TruncatedFockSpace:
     """Product occupation basis for a handful of interacting modes.
 
-    modes: ordered (index, omega at start, omega at end) triples; the
-    two frequencies differ only for protocols that do not return the
-    boundary to its starting position.  Basis states enumerate
+    modes: ordered (index, omega at start, omega at end) triples, as
+    ResonancePlan.resonant_modes holds them.  The two frequencies differ
+    for protocols that do not return the boundary to its starting
+    position, and by rounding even for some that do: the closed sum_res,
+    diff_res and cumulative_sum configs end mode (0,2,4) 1 ulp above its
+    starting frequency.  Basis states enumerate
     occupations lexicographically with the last mode varying fastest.
     """
 

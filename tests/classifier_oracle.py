@@ -5,12 +5,19 @@ the sorted spectrum and groups cases with its connected-components
 routine.  This is the direct formulation it replaced: it tests every
 unordered pair with the same detuning predicates, in the same order,
 and merges cases that share a mode with a union-find, so the two must
-return equal plans and raise equal errors on every spectrum.
+return equal plans and raise equal errors on every spectrum.  Each
+resonant mode's frequency at lambda(tau) comes from mode_frequency.
 """
 
 from __future__ import annotations
 
-from cavework.cavity import Geometry, ModeIndex, Polarization, mode_index_str
+from cavework.cavity import (
+    Geometry,
+    ModeIndex,
+    Polarization,
+    mode_frequency,
+    mode_index_str,
+)
 from cavework.driving import (
     DrivingProtocol,
     ResonanceCase,
@@ -33,6 +40,11 @@ def classify_reference(
     omega = protocol.omega_drive
     if tol is None:
         tol = 1e-9 * omega
+        if not tol > 0.0:
+            raise ValueError(
+                f"omega_drive = {omega!r}: the resonance tolerance "
+                "1e-09 * Omega underflows to 0"
+            )
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
@@ -115,4 +127,9 @@ def classify_reference(
 
     resonant = {m for case in cases for m in case.modes}
     adiabatic = tuple((m, w) for m, w in entries if m not in resonant)
-    return ResonancePlan(tuple(cases), groups, adiabatic)
+    table = tuple(
+        (m, w, mode_frequency(geom, pol, m, protocol.lambda_tau))
+        for m, w in entries
+        if m in resonant
+    )
+    return ResonancePlan(tuple(cases), groups, adiabatic, table)

@@ -18,7 +18,12 @@ from scipy import optimize, special
 from cavework import charfun, cli, distributions, symplectic
 from cavework.bessel import BesselKind
 from cavework.distributions import CumulativeFit
-from cavework.driving import DrivingProtocol, ResonanceCase, ResonanceKind
+from cavework.driving import (
+    DrivingProtocol,
+    ResonanceCase,
+    ResonanceKind,
+    ResonancePlan,
+)
 from cavework.fock import JointDistribution
 
 # ---------------------------------------------------------------- criteria
@@ -115,6 +120,20 @@ def synthetic_case(kind: ResonanceKind, omega_k: float, omega_p: float | None,
     return ResonanceCase(kind, k, p, omega_k, omega_p, g_tau / tau, 0.0)
 
 
+def plan_of(cases, end=None, groups=None) -> ResonancePlan:
+    """A hand-built plan: one group per case unless groups says otherwise,
+    and every mode of the cases starting at its case frequency and ending
+    at end[mode] where given, else where it started, in the order of
+    classify_resonances (by starting frequency, then index)."""
+    start = {m: w for c in cases for m, w in zip(c.modes, (c.omega_k, c.omega_p))}
+    end = end or {}
+    table = sorted(((m, w, end.get(m, w)) for m, w in start.items()),
+                   key=lambda entry: (entry[1], entry[0]))
+    if groups is None:
+        groups = tuple((i,) for i in range(len(cases)))
+    return ResonancePlan(tuple(cases), groups, (), tuple(table))
+
+
 def to_dense(op) -> np.ndarray:
     """The dim x dim array of a Fock-oracle operator given as its
     (basis indices, block) pairs: V from quadratic_operator or U from
@@ -190,14 +209,17 @@ def drift_removed(params: charfun.CharfunParams, u, v):
 
 def channel_params(cfg) -> charfun.CharfunParams:
     """The one resonance channel of a run config as a parameter record,
-    with the final frequencies of an open protocol."""
+    ending at the plan's lambda(tau) frequencies on an open protocol."""
     protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
     (case,) = plan.cases
-    final = None
-    if not protocol.is_closed:
-        final = {m: w1 for m, _, w1 in cli._mode_table(cfg, protocol, plan)}
-    return charfun.CharfunParams.from_case(
-        case, cfg.beta, protocol.tau, hbar=cfg.hbar, final_frequencies=final
+    params = charfun.CharfunParams.from_case(case, cfg.beta, protocol.tau, hbar=cfg.hbar)
+    if protocol.is_closed:
+        return params
+    end = {m: w1 for m, _, w1 in plan.resonant_modes}
+    return dataclasses.replace(
+        params,
+        omega_k=(case.omega_k, end[case.k]),
+        omega_p=None if case.p is None else (case.omega_p, end[case.p]),
     )
 
 

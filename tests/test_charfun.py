@@ -23,7 +23,6 @@ from cavework.distributions import extract_marginal_work
 from cavework.driving import (
     DrivingProtocol,
     ResonanceKind,
-    ResonancePlan,
     interaction_generator,
 )
 from cavework.errors import DegenerateResonanceError
@@ -35,6 +34,7 @@ from conftest import (
     closed_protocol,
     classical_work_pdf,
     drift_removed,
+    plan_of,
     same_bits,
     synthetic_case,
     verify_channel,
@@ -267,10 +267,6 @@ def test_moments_variance_matches_lattice_sum_on_sweeps(name):
         assert var == pytest.approx(var_sum, rel=1e-7), hbar
 
 
-def _disjoint_plan(*cases) -> ResonancePlan:
-    return ResonancePlan(tuple(cases), tuple((i,) for i in range(len(cases))), ())
-
-
 def test_plan_charfun_factorizes_over_disjoint_channels():
     # a squeezed mode and a pair on two modes of their own, one quantum 5
     protocol = closed_protocol(5.0)
@@ -281,7 +277,7 @@ def test_plan_charfun_factorizes_over_disjoint_channels():
     )
     p1 = CharfunParams.from_case(case1, beta, tau)
     p2 = CharfunParams.from_case(case2, beta, tau)
-    evaluate, _, _ = charfun.plan_charfun(_disjoint_plan(case1, case2), protocol, beta)
+    evaluate, _, _, _ = charfun.plan_charfun(plan_of([case1, case2]), protocol, beta)
     u, v = 0.7, -0.4
     want = closed_form(p1, u, v) * closed_form(p2, u, v)
     assert evaluate(u, v) == pytest.approx(want, rel=1e-14)
@@ -297,9 +293,9 @@ def test_plan_charfun_is_the_product_on_the_first_channels_lattice():
         return dataclasses.replace(case, k=(0, 1, 1), p=(0, 1, 2))
 
     # quanta 5.0 and one ulp above it: the rounding of x_k + x_p
-    plan = _disjoint_plan(double, pair(2.0 + math.ulp(5.0)))
-    evaluate, spacing, reverse = charfun.plan_charfun(plan, protocol, beta)
-    assert reverse is None  # a closed protocol is its own reverse
+    plan = plan_of([double, pair(2.0 + math.ulp(5.0))])
+    evaluate, spacing, reverse, dphi = charfun.plan_charfun(plan, protocol, beta)
+    assert reverse is None and dphi == 0.0  # a closed protocol is its own reverse
     params = [CharfunParams.from_case(c, beta, tau) for c in plan.cases]
     assert spacing == charfun._drive_quantum(params[0]) == 5.0
     assert charfun._drive_quantum(params[1]) == math.nextafter(5.0, 6.0)
@@ -309,16 +305,13 @@ def test_plan_charfun_is_the_product_on_the_first_channels_lattice():
 
     # a quantum 1e-12 off shares no lattice with the first
     with pytest.raises(ValueError, match="share no work lattice"):
-        charfun.plan_charfun(_disjoint_plan(double, pair(2.0 + 1e-12)), protocol, beta)
-    # an open protocol has no work lattice at all
-    opened = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0, tau=tau / 4.0)
-    with pytest.raises(ValueError, match="does not return to its start"):
-        charfun.plan_charfun(_disjoint_plan(double), opened, beta)
+        charfun.plan_charfun(plan_of([double, pair(2.0 + 1e-12)]), protocol, beta)
 
 
 def test_plan_charfun_of_an_open_protocol_reverses_every_channel():
-    # given each mode's final frequency, an open plan's G is the product
-    # of the general forms, and its reverse swaps every endpoint pair
+    # an open plan's G is the product of the general forms, each mode
+    # ending at the plan's final frequency; its reverse swaps every
+    # endpoint pair, and dPhi sums over every resonant mode
     opened = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0, tau=0.4)
     tau, beta = opened.tau, 0.4
     double = synthetic_case(DOF, 2.5, None, 0.3, tau)
@@ -326,13 +319,13 @@ def test_plan_charfun_of_an_open_protocol_reverses_every_channel():
         synthetic_case(SUF, 3.0, 2.0, 0.2, tau), k=(0, 1, 1), p=(0, 1, 2)
     )
     final = {(0, 0, 1): 2.6, (0, 1, 1): 3.1, (0, 1, 2): 1.9}
-    evaluate, spacing, reverse = charfun.plan_charfun(
-        _disjoint_plan(double, pair), opened, beta, final
-    )
+    plan = plan_of([double, pair], final)
+    evaluate, spacing, reverse, dphi = charfun.plan_charfun(plan, opened, beta)
     assert spacing == 5.0
+    assert dphi == grand_potential_diff([(2.0, 1.9), (2.5, 2.6), (3.0, 3.1)], beta)
     records = [
-        CharfunParams.from_case(c, beta, tau, final_frequencies=final)
-        for c in (double, pair)
+        CharfunParams(DOF, beta, (2.5, 2.6), double.strength * tau),
+        CharfunParams(SUF, beta, (3.0, 3.1), pair.strength * tau, (2.0, 1.9)),
     ]
     swapped = [
         dataclasses.replace(
@@ -348,11 +341,8 @@ def test_plan_charfun_of_an_open_protocol_reverses_every_channel():
     shared = dataclasses.replace(
         synthetic_case(DIF, 7.5, 2.5, 0.2, tau), k=(0, 2, 1), p=(0, 0, 1)
     )
-    coupled = ResonancePlan((double, shared), ((0, 1),), ())
+    coupled = plan_of([double, shared], final, groups=((0, 1),))
     with pytest.raises(ValueError, match="needs a closed protocol"):
-        charfun.plan_charfun(coupled, opened, beta, final)
-    # without final frequencies an open plan keeps the lattice refusal
-    with pytest.raises(ValueError, match="does not return to its start"):
         charfun.plan_charfun(coupled, opened, beta)
 
 
@@ -590,12 +580,12 @@ def test_params_validation():
 
 
 def test_from_case_maps_endpoints():
+    # closed endpoints: an open protocol's end frequencies come from the
+    # plan, in plan_charfun
     tau = 2.0
     case = synthetic_case(SUF, 2.0, 1.0, 0.3, tau)
-    params = CharfunParams.from_case(
-        case, beta=0.5, tau=tau, final_frequencies={case.k: 2.2}
-    )
-    assert params.omega_k == (2.0, 2.2)
+    params = CharfunParams.from_case(case, beta=0.5, tau=tau)
+    assert params.omega_k == (2.0, 2.0)
     assert params.omega_p == (1.0, 1.0)
     assert params.g_tau == pytest.approx(0.3)
-    assert not params.is_closed
+    assert params.is_closed

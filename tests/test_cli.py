@@ -171,11 +171,15 @@ def test_open_protocol_demands_oracle(workdir):
     assert (out / "open_cumulative.csv").exists()
 
 
-def test_env_overrides(workdir, monkeypatch):
+def test_env_overrides(workdir, monkeypatch, capsys):
     cfg = str(CONFIGS / "double_res.cfg")
     with monkeypatch.context() as m:
         m.setattr(cli, "_FREEZE_TOL", 1e-12)
         assert main(["distribution", cfg, "--freeze"]) == 1
+    # the gate's refusal is an error line like every other exit 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: freeze refused: closed-form vs oracle deviation")
+    assert not (workdir / "out").exists()
     monkeypatch.setenv("CAVEWORK_N_MAX", "many")
     assert main(["distribution", write_cfg(workdir)]) == 2
 
@@ -260,6 +264,38 @@ def test_coupled_group_needs_symplectic_flag(workdir, monkeypatch):
     residual = float(lines[-1].split("=")[1])
     mass = sum(float(line.split(",")[1]) for line in lines[1:-1])
     assert mass + residual == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("open_endpoints", ["verify"]),
+    ("open_endpoints", ["distribution", "--oracle"]),
+    ("sum_res", ["distribution", "--oracle"]),
+    ("sum_res", ["distribution", "--freeze"]),
+])
+def test_one_lambda_tau_evaluation_per_resonant_mode(workdir, monkeypatch, name, argv):
+    # mode_frequency is wrapped under every name it is looked up by; the
+    # calls at lambda0 (coupling_strength's) are not counted
+    path = str(CONFIGS / f"{name}.cfg")
+    cfg = load_config(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # open_endpoints' strained epsilon
+        protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
+    assert protocol.lambda_tau != protocol.lambda0
+    original, lams = cavity.mode_frequency, []
+
+    def counted(geom, pol, mode, lam):
+        lams.append(lam)
+        return original(geom, pol, mode, lam)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.partition(".")[0] == "cavework" and (
+            getattr(module, "mode_frequency", None) is original
+        ):
+            monkeypatch.setattr(module, "mode_frequency", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([*argv, path]) == 0
+    assert lams.count(protocol.lambda_tau) == len(plan.resonant_modes) > 0
 
 
 def test_freeze_refusals_build_no_oracle(workdir, monkeypatch):

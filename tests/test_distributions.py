@@ -34,7 +34,6 @@ from cavework.driving import (
     DrivingProtocol,
     ResonanceCase,
     ResonanceKind,
-    ResonancePlan,
 )
 from cavework.errors import InversionError
 from conftest import (
@@ -43,6 +42,7 @@ from conftest import (
     compare_classical,
     joint_peaks,
     outer_tail,
+    plan_of,
     reference_comb,
     same_bits,
     verify_channel,
@@ -409,9 +409,10 @@ def test_verify_open_endpoints():
     assert rep.worst() < 1e-9
 
 
-def _quantum_five_plan(*kinds):
+def _quantum_five_plan(*kinds, end=None):
     """A plan of mode-disjoint channels that share the work quantum 5:
-    a squeezed mode at 2.5, a pair at 3 + 2, an exchange at 7 - 2."""
+    a squeezed mode at 2.5, a pair at 3 + 2, an exchange at 7 - 2, each
+    mode ending at end[mode] where given."""
     freqs = {DOF: (2.5, None), SUF: (3.0, 2.0), DIF: (7.0, 2.0)}
     cases = []
     for i, kind in enumerate(kinds):
@@ -419,7 +420,7 @@ def _quantum_five_plan(*kinds):
         cases.append(ResonanceCase(
             kind, (0, i, 1), None if wp is None else (0, i, 2), wk, wp, 0.2, 0.0
         ))
-    return ResonancePlan(tuple(cases), tuple((i,) for i in range(len(cases))), ())
+    return plan_of(cases, end)
 
 
 def _meets_every_gate(rep) -> bool:
@@ -440,10 +441,10 @@ def test_verify_closed_disjoint_plans(kinds):
     # potential needs only P(w)
     protocol = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0,
                                tau=2.0 * math.pi / 5.0)
-    evaluate, spacing, reverse = charfun.plan_charfun(
+    evaluate, spacing, reverse, dphi = charfun.plan_charfun(
         _quantum_five_plan(*kinds), protocol, 0.4
     )
-    assert reverse is None
+    assert reverse is None and dphi == 0.0
     rep = verify_fluctuation_theorems(evaluate, spacing, 0.4)
     assert _meets_every_gate(rep), rep
     assert rep.crooks_peakwise_error <= 1e-8
@@ -458,7 +459,7 @@ def test_verify_checks_the_line_only_for_a_shared_photon_count():
     shared = charfun.plan_charfun(_quantum_five_plan(DOF, SUF), protocol, 0.4)
     rep = verify_fluctuation_theorems(*shared[:2], 0.4, per=2)
     assert _meets_every_gate(rep), rep
-    evaluate, spacing, _ = charfun.plan_charfun(
+    evaluate, spacing, _, _ = charfun.plan_charfun(
         _quantum_five_plan(DOF, DIF), protocol, 0.4
     )
     for per in (2, 0):
@@ -470,11 +471,13 @@ def test_verify_open_two_channel_plan():
     # an open plan: the reverse swaps every channel's endpoints and dPhi
     # sums over all three modes; nothing is inverted
     protocol = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0, tau=0.4)
-    plan = _quantum_five_plan(DOF, SUF)
     final = {(0, 0, 1): 2.6, (0, 1, 1): 3.1, (0, 1, 2): 1.9}
-    evaluate, spacing, reverse = charfun.plan_charfun(plan, protocol, 0.4, final)
+    plan = _quantum_five_plan(DOF, SUF, end=final)
+    evaluate, spacing, reverse, dphi = charfun.plan_charfun(plan, protocol, 0.4)
     start = {(0, 0, 1): 2.5, (0, 1, 1): 3.0, (0, 1, 2): 2.0}
-    dphi = grand_potential_diff([(start[m], final[m]) for m in start], 0.4)
+    assert dphi == pytest.approx(
+        grand_potential_diff([(start[m], final[m]) for m in start], 0.4), rel=1e-14
+    )
     rep = verify_fluctuation_theorems(
         evaluate, spacing, 0.4, reverse=reverse, dphi=dphi
     )
@@ -719,7 +722,7 @@ def golden_marginals():
         for factor in (1.0, 0.37, 3.1):
             cfg = dataclasses.replace(base, beta=base.beta * factor)
             protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
-            evaluate, spacing, _ = charfun.plan_charfun(plan, protocol, cfg.beta)
+            evaluate, spacing, _, _ = charfun.plan_charfun(plan, protocol, cfg.beta)
             work = extract_marginal_work(lambda u: evaluate(u, 0.0), spacing)
             (case,) = plan.cases
             classical = None

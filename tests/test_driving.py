@@ -1,12 +1,15 @@
 """Protocol bookkeeping, resonance classification, generator structure."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from classifier_oracle import classify_reference
 from conftest import closed_protocol, synthetic_case
+from cavework import cli
 from cavework.cavity import (
     CylindricalGeometry,
     MovingWall,
@@ -31,6 +34,7 @@ from cavework.symplectic import charfun_general
 
 GEOM = RectangularGeometry(lx=0.9, ly=1.0)
 POL = Polarization.TE
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_protocol_validation():
@@ -158,6 +162,36 @@ def test_classify_detuning_tolerance():
     plan = classify_resonances(spec, proto, GEOM, POL, tol=1e-2 * off)
     assert len(plan.cases) == 1
     assert plan.cases[0].detuning == pytest.approx(2.0 * wk * 3e-4, rel=1e-9)
+
+
+def test_a_subnormal_drive_names_the_resonance_tolerance():
+    # 1e-9 * Omega underflows to 0 at a subnormal drive: the default
+    # tolerance's refusal names the drive, an explicit one names tol
+    spec = mode_spectrum(GEOM, POL, 1.0, 8.0)
+    proto = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5e-324, tau=1.0)
+    with pytest.raises(ValueError) as info:
+        classify_resonances(spec, proto, GEOM, POL)
+    assert str(info.value) == (
+        "omega_drive = 5e-324: the resonance tolerance 1e-09 * Omega underflows to 0"
+    )
+    with pytest.raises(ValueError, match="^tol must be positive$"):
+        classify_resonances(spec, proto, GEOM, POL, tol=0.0)
+
+
+def test_the_plan_holds_every_resonant_mode_at_both_ends(recwarn):
+    # open_endpoints ends at lambda(tau) = 1.1 lambda0: the plan's JSON
+    # prints (0,1,1) at lambda0 and at lambda(tau), the latter bit for
+    # bit mode_frequency's
+    cfg = cli.load_config(str(CONFIGS / "open_endpoints.cfg"))
+    spec = mode_spectrum(cfg.geometry, cfg.polarization, cfg.lambda0, cfg.cutoff)
+    protocol, plan = cli._protocol_and_plan(cfg, spec)
+    assert not protocol.is_closed
+    mode = (0, 1, 1)
+    w1 = mode_frequency(cfg.geometry, cfg.polarization, mode, protocol.lambda_tau)
+    [entry] = json.loads(plan.to_json())["resonant_modes"]
+    assert entry == {"mode": list(mode), "frequency": dict(spec)[mode],
+                     "frequency_tau": w1}
+    assert plan.resonant_modes == ((mode, dict(spec)[mode], w1),)
 
 
 def test_classify_ambiguity_guard():

@@ -87,6 +87,7 @@ from conftest import (  # noqa: E402
     marginal_deviation_reference,
     merge_close_reference,
     merge_peaks_reference,
+    plan_of,
     same_bits,
     synthetic_case,
     verify_channel,
@@ -574,6 +575,33 @@ def test_the_ray_path_keeps_the_trackers_bits_on_comb_points(plan):
         assert (ray is None and tracked is None) or same_bits(ray, tracked)
 
 
+@settings(PROPERTY, max_examples=20)  # milliseconds per example
+@given(resonance_plans(g_tau_max=2.0), st.sampled_from([-3, -1, 1, 2, 4]))
+def test_a_closed_protocol_takes_every_mode_at_lambda0_at_both_ends(plan, ulps):
+    # a closed protocol's plan may end a mode a few ulps off its start,
+    # as sum_res ends (0,2,4) 1 ulp (+2.2e-16 relative) above it; the
+    # closed forms still take the lambda0 frequency at both ends, so a
+    # channel's G keeps the bits of closed_form at omega0, with no
+    # reverse and no grand-potential difference
+    cases, _, beta = plan
+    protocol = closed_protocol(2.0)
+    assert protocol.tau == TAU and protocol.is_closed
+    for case in cases:
+        start = zip(case.modes, (case.omega_k, case.omega_p))
+        end = {m: w + ulps * math.ulp(w) for m, w in start}
+        evaluate, spacing, reverse, dphi = charfun.plan_charfun(
+            plan_of([case], end), protocol, beta
+        )
+        assert reverse is None and dphi == 0.0
+        params = CharfunParams.from_case(case, beta, TAU)
+        assert spacing == charfun._drive_quantum(params)
+        u = 2.0 * math.pi / spacing * np.arange(-8, 9)[:, None] / 16.0
+        v = np.linspace(-math.pi, math.pi, 5)
+        for shift in (0.0, 1j * beta):  # the real comb and the Crooks line
+            want = (1.0 + 0.0j) * closed_form(params, u + shift, v)
+            assert same_bits(evaluate(u + shift, v), want)
+
+
 @st.composite
 def work_marginals(draw) -> list[tuple[float, float]]:
     """Normalized (w, p) peaks, one to twelve of them.  Work values come
@@ -869,11 +897,12 @@ def test_concurrent_spectra_are_identical(geom, pol, cutoff):
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # each reference config with the commands it is run through; "oracle"
-# is distribution --oracle at CAVEWORK_N_MAX = 8
+# and "freeze" are distribution --oracle and --freeze at
+# CAVEWORK_N_MAX = 8, where --freeze on sum_res refuses with exit 1
 CLI_RUNS = {
     "double_res": ("distribution", "verify", "oracle"),
     "open_endpoints": ("distribution", "verify", "oracle"),
-    "sum_res": ("distribution", "verify", "oracle"),
+    "sum_res": ("distribution", "verify", "oracle", "freeze"),
     "diff_res": ("distribution", "verify", "oracle"),
     "moments_hot": ("moments",),
 }
@@ -908,6 +937,8 @@ def extreme_runs(draw):
 @example(run=("double_res", "distribution", "protocol", "hbar", "1e-320"))
 @example(run=("diff_res", "oracle", "thermal", "beta", "1e-300"))
 @example(run=("diff_res", "oracle", "thermal", "beta", "1e-12"))
+# the --freeze gate's exit 1 printed a line without the error prefix
+@example(run=("sum_res", "freeze", "protocol", "phi", "0"))
 def test_every_extreme_config_value_ends_in_a_documented_exit_code(run):
     # exit 0, 1 or 2 and nothing raised; an exit 2 writes no file, and
     # an exit 1 or 2 prints one error line
@@ -919,8 +950,9 @@ def test_every_extreme_config_value_ends_in_a_documented_exit_code(run):
     if not cp.has_section(section):
         cp.add_section(section)
     cp[section][key] = value
-    argv = ["distribution", "--oracle"] if command == "oracle" else [command]
-    env = {cli._ENV_N_MAX: "8"} if command == "oracle" else {}
+    argv = {"oracle": ["distribution", "--oracle"],
+            "freeze": ["distribution", "--freeze"]}.get(command, [command])
+    env = {cli._ENV_N_MAX: "8"} if command in ("oracle", "freeze") else {}
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
