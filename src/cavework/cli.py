@@ -1,8 +1,14 @@
 """Command-line front end: spectra, distributions, verification, moments.
 
-Runs are driven by a plain-text INI config.  All keys are listed here
-(and in ``cavework <command> --help``); only the geometry block and the
-inverse temperature are required, everything else has defaults.
+Runs are driven by a plain-text INI config, read in one pass: '[name]'
+opens a section, any other line splits at its first '=' or ':' into a
+lower-cased key and a value, '#' or ';' at the start of a line or after
+whitespace starts a comment, and a line indented deeper than its key
+line continues the value.  A repeated section or key, an empty key, a
+line with no '=' or ':', and text before the first section or after a
+header's ']' exit 2.  All keys are listed here (and in ``cavework
+<command> --help``); only the geometry block and the inverse
+temperature are required, everything else has defaults.
 
 ::
 
@@ -85,7 +91,6 @@ relabelled from the inverted P(w).
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import json
 import math
@@ -250,21 +255,90 @@ def _build_geometry(sec) -> tuple[Geometry, Polarization]:
     return geom, pol
 
 
+def _comment_start(line: str) -> int | None:
+    """Where an inline comment starts in line, or None.
+
+    A '#' or ';' at the start of the line or after whitespace starts a
+    comment.  The search runs in rounds over the n-th occurrence of
+    each prefix and stops at the first round in which one qualifies, as
+    the standard library's INI parser does: in 'a#b #c ;d' the comment
+    starts at ';'.
+    """
+    starts = {"#": -1, ";": -1}
+    while starts:
+        found, cut = {}, None
+        for prefix, start in starts.items():
+            i = line.find(prefix, start + 1)
+            if i >= 0:
+                found[prefix] = i
+                if (i == 0 or line[i - 1].isspace()) and (cut is None or i < cut):
+                    cut = i
+        if cut is not None:
+            return cut
+        starts = found
+    return None
+
+
+def _read_ini(path: str) -> dict[str, dict[str, str]]:
+    """section -> key -> value of an INI file, in file order."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
+
+    def refuse(why: str) -> ConfigError:
+        return ConfigError(f"cannot parse {path}: line {n}: {why}")
+
+    sections: dict[str, dict[str, list[str]]] = {}
+    name = section = key = None
+    indent = 0
+    for n, line in enumerate(lines, 1):
+        cut = _comment_start(line) if "#" in line or ";" in line else None
+        text = line[:cut].strip()
+        if not text:  # a blank line, not a comment, is kept inside a value
+            if cut is None and key is not None:
+                section[key].append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            section[key].append(text)
+            continue
+        indent = depth
+        if text[0] == "[":
+            if len(text) < 3 or text[-1] != "]":
+                raise refuse(f"not a section header: {text!r}")
+            name, key = text[1:-1], None
+            if name in sections:
+                raise refuse(f"repeated section [{name}]")
+            section = sections[name] = {}
+            continue
+        if section is None:
+            raise refuse("text before the first section")
+        at = min((i for i in (text.find("="), text.find(":")) if i >= 0), default=-1)
+        if at < 0:
+            raise refuse(f"no '=' or ':' in {text!r}")
+        key = text[:at].rstrip().lower()
+        if not key:
+            raise refuse("empty key")
+        if key in section:
+            raise refuse(f"repeated key '{key}' in [{name}]")
+        section[key] = [text[at + 1 :].strip()]
+    return {
+        name: {key: "\n".join(parts).rstrip() for key, parts in section.items()}
+        for name, section in sections.items()
+    }
+
+
 def load_config(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";")
-    )
-    try:
-        cp.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
+    ini = _read_ini(path)
 
-    for section in cp.sections():
+    for section in ini:
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
+        for key in ini[section]:
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
     unknown = [v for v in os.environ if v.startswith("CAVEWORK_") and v != _ENV_N_MAX]
@@ -273,29 +347,29 @@ def load_config(path: str) -> RunConfig:
             f"unknown environment variable {min(unknown)} (only {_ENV_N_MAX} is read)"
         )
 
-    if "geometry" not in cp:
+    if "geometry" not in ini:
         raise ConfigError("missing required section [geometry]")
-    if "thermal" not in cp or "beta" not in cp["thermal"]:
+    if "thermal" not in ini or "beta" not in ini["thermal"]:
         raise ConfigError("missing required key 'beta' in [thermal]")
 
-    geom, pol = _build_geometry(cp["geometry"])
-    proto = cp["protocol"] if "protocol" in cp else {}
+    geom, pol = _build_geometry(ini["geometry"])
+    proto = ini.get("protocol", {})
     lambda0 = _get_float(proto, "lambda0", 1.0, positive=True)
-    cutoff = _get_float(cp["geometry"], "cutoff", 8.0 / lambda0)
+    cutoff = _get_float(ini["geometry"], "cutoff", 8.0 / lambda0)
 
     sweep_var = None
     sweep_vals: tuple[float, ...] = ()
-    if "sweep" in cp:
-        sweep_var = cp["sweep"].get("variable", "beta").strip().lower()
+    if "sweep" in ini:
+        sweep_var = ini["sweep"].get("variable", "beta").strip().lower()
         if sweep_var not in ("beta", "hbar"):
             raise ConfigError(f"sweep variable must be beta or hbar, got {sweep_var!r}")
         # beta and hbar alike must be positive
-        raw = cp["sweep"].get("values", "")
+        raw = ini["sweep"].get("values", "")
         sweep_vals = tuple(_number("values", tok, positive=True) for tok in raw.split())
 
-    out = cp["output"] if "output" in cp else {}
+    out = ini.get("output", {})
 
-    numerics = cp["numerics"] if "numerics" in cp else {}
+    numerics = ini.get("numerics", {})
     raw_n_max = os.environ.get(_ENV_N_MAX, numerics.get("n_max", "40"))
     try:
         n_max = int(raw_n_max)
@@ -316,7 +390,7 @@ def load_config(path: str) -> RunConfig:
         tau=_get_float(proto, "tau", 0.0),
         phi=_get_float(proto, "phi", 0.0),
         hbar=_get_float(proto, "hbar", 1.0, positive=True),
-        beta=_get_float(cp["thermal"], "beta", positive=True),
+        beta=_get_float(ini["thermal"], "beta", positive=True),
         n_max=n_max,
         sweep_variable=sweep_var,
         sweep_values=sweep_vals,

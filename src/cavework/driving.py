@@ -58,6 +58,9 @@ __all__ = [
 # classify_resonances' default tolerance, relative to Omega
 _RESONANCE_TOL = 1e-9
 
+# the epsilon warning's registry: the default filter shows it once
+_WARNED: dict = {}
+
 
 @dataclass(frozen=True)
 class DrivingProtocol:
@@ -88,9 +91,10 @@ class DrivingProtocol:
                 f"epsilon={self.epsilon!r} is outside the perturbative regime (0, 0.5)"
             )
         if self.epsilon >= 0.1:
-            warnings.warn(
+            # a fixed location, so that stderr names no source line
+            warnings.warn_explicit(
                 f"epsilon={self.epsilon:g} strains the first-order expansion",
-                stacklevel=3,  # past the dataclass-generated __init__
+                UserWarning, "cavework", 0, registry=_WARNED,
             )
         if self.tau < 0.0:
             raise ValueError("tau must be nonnegative")
@@ -298,15 +302,20 @@ def classify_resonances(
                 )
 
     # a higher partner wp of wk lies near omega - wk (sum) or omega + wk
-    # (difference); bisection finds the candidates in a window wider than
-    # tol plus roundoff, and the detuning tests below decide each pair
+    # (difference); bisection finds every entry's candidates in a window
+    # wider than tol plus roundoff, the loop visits the entries that have
+    # one, in order, and the detuning tests below decide each pair
     win = 2.0 * tol + 1e-12 * (omega + freqs)
-    windows = [
-        (np.searchsorted(freqs, t - win), np.searchsorted(freqs, t + win, "right"))
-        for t in (omega - freqs, omega + freqs)
-    ]
-    for i, (mk, wk) in enumerate(entries):
-        near = {j for a, b in windows for j in range(max(a[i], i + 1), b[i])}
+    targets = omega + freqs * [[-1.0], [1.0]]  # omega - wk, omega + wk
+    above = np.arange(1, len(freqs) + 1)
+    lo = np.maximum(np.searchsorted(freqs, targets - win), above)
+    hi = np.searchsorted(freqs, targets + win, "right")
+    rows = np.flatnonzero((hi > lo).any(axis=0))
+    for i, (lo_s, lo_d), (hi_s, hi_d) in zip(
+        rows.tolist(), lo.T[rows].tolist(), hi.T[rows].tolist()
+    ):
+        mk, wk = entries[i]
+        near = {*range(lo_s, hi_s), *range(lo_d, hi_d)}
         for mp, wp in (entries[j] for j in sorted(near)):
             det_sum = abs(omega - (wk + wp))
             det_diff = abs(omega - abs(wk - wp))

@@ -40,7 +40,6 @@ applies the same rule to the work marginal across delta_n.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,6 +100,9 @@ class TruncatedFockSpace:
             )
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "n_max", n_max)
+        occ = np.indices([v + 1 for v in n_max]).reshape(len(n_max), -1).T.copy()
+        occ.flags.writeable = False
+        object.__setattr__(self, "_occupations", occ)
 
     @property
     def mode_count(self) -> int:
@@ -111,10 +113,11 @@ class TruncatedFockSpace:
         return int(np.prod([v + 1 for v in self.n_max]))
 
     def occupations(self) -> np.ndarray:
-        """(dimension, mode_count) int array, one basis state per row."""
-        return np.array(
-            list(itertools.product(*(range(v + 1) for v in self.n_max))), dtype=int
-        )
+        """(dimension, mode_count) int array, one basis state per row.
+
+        Built once per space and read-only, so every caller shares it.
+        """
+        return self._occupations
 
     def omega0(self) -> np.ndarray:
         return np.array([w0 for _, w0, _ in self.modes])
@@ -138,15 +141,15 @@ class TruncatedFockSpace:
 
 
 def _ladder(
-    space: TruncatedFockSpace, occ: np.ndarray, j: int, raising: bool
+    space: TruncatedFockSpace, j: int, raising: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """a_j (or its adjoint) as one target state and amplitude per state.
 
-    occ is space.occupations().  The operator sends basis state i to
-    amp[i] |target[i]>; target is -1 where the truncated operator
-    annihilates the state (a|0>, a^dagger|n_max>).
+    The operator sends basis state i to amp[i] |target[i]>; target is -1
+    where the truncated operator annihilates the state (a|0>,
+    a^dagger|n_max>).
     """
-    n = occ[:, j]
+    n = space.occupations()[:, j]
     stride = int(np.prod([v + 1 for v in space.n_max[j + 1 :]]))
     index = np.arange(space.dimension)
     if raising:
@@ -181,9 +184,8 @@ def quadratic_operator(
         slots = list(range(space.mode_count))
 
     # alpha = (a_1..a_n, a_1^dagger..a_n^dagger) as ladder tables
-    occ = space.occupations()
-    alpha = [_ladder(space, occ, j, False) for j in slots]
-    alpha += [_ladder(space, occ, j, True) for j in slots]
+    alpha = [_ladder(space, j, False) for j in slots]
+    alpha += [_ladder(space, j, True) for j in slots]
     dim = space.dimension
     empty = np.empty(0, dtype=int)
     terms = [(empty, empty, empty.astype(complex))]

@@ -465,6 +465,24 @@ def test_verify_open_endpoints_config(workdir):
         assert main(["verify", str(CONFIGS / "open_endpoints.cfg")]) == 0
 
 
+def test_the_epsilon_warning_names_no_source_line(workdir):
+    # stderr as a shell shows it, every warning printed: one line that
+    # does not move with the code and carries no install path
+    cfg = str(CONFIGS / "open_endpoints.cfg")
+    code = (
+        "import warnings; from cavework.cli import main; "
+        f"warnings.simplefilter('always'); raise SystemExit(main(['verify', {cfg!r}]))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=workdir,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == 0
+    assert run.stderr == (
+        "cavework:0: UserWarning: epsilon=0.12 strains the first-order expansion\n"
+    )
+
+
 def test_moments_sweep_shows_classical_flattening(workdir):
     def rel_slope(path):
         lines = path.read_text().strip().split("\n")

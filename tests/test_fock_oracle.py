@@ -8,6 +8,7 @@ against another part of the simulation itself.
 import ast
 import dataclasses
 import importlib
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -262,6 +263,20 @@ def test_space_validation():
         single_mode_space(n_max=fock._DIM_CAP)  # one state above the cap
     big = single_mode_space(n_max=fock._DIM_CAP - 1)
     assert big.dimension == fock._DIM_CAP
+
+
+@pytest.mark.parametrize("n_max", [(7,), (3, 5), (2, 1, 4)])
+def test_the_occupation_table_is_built_once_and_read_only(n_max):
+    modes = [((0, 0, k), float(k), float(k)) for k in range(1, len(n_max) + 1)]
+    space = TruncatedFockSpace(modes, n_max)
+    occ = space.occupations()
+    assert space.occupations() is occ
+    assert not occ.flags.writeable
+    with pytest.raises(ValueError):
+        occ[0, 0] = 1
+    product = np.array(list(itertools.product(*(range(v + 1) for v in space.n_max))))
+    assert occ.dtype == product.dtype and occ.flags.c_contiguous
+    np.testing.assert_array_equal(occ, product)
 
 
 def test_thermal_weights_are_geometric():
