@@ -35,6 +35,7 @@ still (deceptively) satisfying the Jarzynski identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -54,12 +55,15 @@ __all__ = [
     "grand_potential_diff",
     "moments",
     "plan_charfun",
+    "plan_params",
 ]
 
 _DEGENERATE_RATIO_TOL = 1e-6
 # channels share a work lattice when their quanta x_k +- x_p agree to
 # the rounding of those sums: a few ulps of the plan's largest energy
 _LATTICE_ROUNDING = 8e-16
+_MAX_THERMAL_EXPONENT = 700.0
+_MAX_COUPLING_EXPONENT = 710.0
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,14 @@ class CharfunParams:
     Frequencies are (start, end) pairs so the same record describes both
     the periodic case (equal entries) and a boundary that stops
     elsewhere.
+
+    The record holds the closed forms' float range, on every route that
+    builds it, and refuses with ValueError outside it.  With x = hbar
+    omega and h, c0 of closed_form, at both endpoints: beta x <= 700
+    (sinh^2(beta x / 2) overflows at 709.78); c0 at least the smallest
+    normal float, below which G(0, 0) drifts from 1; the quantum 2 |h|
+    and its u-period finite; 2 |g tau| + beta |h| <= 710 on a double or
+    sum channel, where sinh^2(g tau) cosh(beta h) stays below e^710 / 4.
     """
 
     variant: ResonanceKind
@@ -89,6 +101,7 @@ class CharfunParams:
         for w0, w1 in pairs:
             if not (0.0 < w0 < math.inf and 0.0 < w1 < math.inf):
                 raise ValueError("frequencies must be positive and finite")
+        g_exp = 2.0 * abs(self.g_tau)  # sinh^2(g tau) grows as e^g_exp / 4
         if self.variant is ResonanceKind.DOUBLE:
             if self.omega_p is not None:
                 raise ValueError("single-mode resonance takes no second mode")
@@ -96,11 +109,38 @@ class CharfunParams:
             if self.omega_p is None:
                 raise ValueError(f"{self.variant.value} resonance needs omega_p")
             if self.variant is ResonanceKind.DIFFERENCE:
+                g_exp = 0.0  # sin^2(g tau) is at most 1
                 r = self.omega_p[0] / self.omega_k[0]
                 if abs(r - 1.0) < _DEGENERATE_RATIO_TOL:
                     raise DegenerateResonanceError(
                         "difference resonance is degenerate for equal frequencies"
                     )
+        for end in (0, 1):  # the float range of the class docstring
+            xk, xp, h = _energies(self, end)
+            exponent = self.beta * max(xk, xp)
+            if not exponent <= _MAX_THERMAL_EXPONENT:
+                raise ValueError(
+                    f"beta * hbar * omega = {exponent:.6g} of a resonant mode exceeds "
+                    f"{_MAX_THERMAL_EXPONENT:g}; the thermal factors leave float range"
+                )
+            c0 = _sinh_half(self.beta, xk) * _sinh_half(self.beta, xp)
+            if c0 < sys.float_info.min:
+                raise ValueError(
+                    f"the thermal factor sinh(beta hbar omega_k / 2) sinh(beta hbar "
+                    f"omega_p / 2) = {c0!r} underflows below the smallest normal float"
+                )
+            quantum = 2.0 * abs(h)
+            if not (0.0 < quantum < math.inf and 2.0 * math.pi / quantum < math.inf):
+                raise ValueError(
+                    f"channel quantum hbar (omega_k +- omega_p) = {quantum!r}: it and "
+                    "its period 2 pi / quantum in u must be finite"
+                )
+            if not g_exp + self.beta * abs(h) <= _MAX_COUPLING_EXPONENT:
+                raise ValueError(
+                    f"2 |g| * tau + beta * |h| = {g_exp + self.beta * abs(h):.6g} of a "
+                    f"{self.variant.value} channel exceeds {_MAX_COUPLING_EXPONENT:g}: "
+                    "sinh^2(g tau) cosh(beta h) leaves float range"
+                )
 
     @classmethod
     def from_case(
@@ -132,11 +172,6 @@ def _sinh_half(beta: float, x: float) -> float:
     return math.sinh(beta * x / 2.0)
 
 
-def _coth(y: float) -> float:
-    """coth y for y >= 0; inf where y underflows to zero."""
-    return 1.0 / math.tanh(y) if y else math.inf
-
-
 def _points(u, v) -> list[np.ndarray]:
     """u and v as complex arrays of their common broadcast shape, so that
     G has that shape even where a form does not depend on v."""
@@ -154,21 +189,17 @@ def _real_points(u, v) -> list[np.ndarray] | None:
     return np.broadcast_arrays(u.astype(float), v.astype(float))
 
 
-# csin forms sin(x + iy) as (sin x cosh y, cos x sinh y) while |y| <= 709;
-# past that it scales its exponentials, and math.cosh soon overflows
-_CSIN_PLAIN = 709.0
-
-
 def _real_sines(x: np.ndarray, a: float, c0: float, amp: float):
     """c0 + sin(x) sin(x - ia) amp at real x as the complex evaluation
-    forms it, or None for a non-finite phase or a shift past _CSIN_PLAIN.
+    forms it, or None for a non-finite phase.
 
-    csin forms both sines from one sin and cos of x, and every cross term
+    csin forms both sines from one sin and cos of x (as it does while
+    |a| <= 709, which the record keeps), and every cross term
     of the complex products is an exact zero, so each value keeps its
     bits; only a zero imaginary part may differ in sign, which neither
     the square root nor the division into G passes on.
     """
-    if not (abs(a) <= _CSIN_PLAIN and np.isfinite(x).all()):
+    if not np.isfinite(x).all():
         return None
     s, c = np.sin(x), np.cos(x)
     out = np.empty(x.shape, dtype=complex)
@@ -275,12 +306,12 @@ def grand_potential_diff(pairs: Sequence, beta: float, hbar: float = 1.0) -> flo
     The zero-point halves are excluded, consistent with work counting
     only occupation quanta.
     """
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     total = 0.0
     for w0, w1 in pairs:
         w0, w1 = float(w0), float(w1)
-        if w0 <= 0.0 or w1 <= 0.0:
+        if not (w0 > 0.0 and w1 > 0.0):
             raise ValueError("frequencies must be positive")
         # -expm1(-x) keeps 1 - e^{-x} positive for every x > 0; 1 - exp(-x)
         # rounds to 0 below x = 1.1e-16
@@ -312,10 +343,9 @@ def _principal_open_double(
     cos(Re(u) dx) > (1 + A C) / (K + A C); the margin covers rounding of
     the phases, which grows with |Re u| and |v|.  A NaN fails every test.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ac = amp * np.cosh(beta * max(x0, x1))
-        # NaN past cosh's overflow, which certifies no point
-        ratio = (1.0 + ac) / (np.cosh(beta * min(x0, x1)) + ac)
+    # finite: the record bounds 2 |g tau| + beta max(x0, x1) by 710
+    ac = amp * np.cosh(beta * max(x0, x1))
+    ratio = (1.0 + ac) / (np.cosh(beta * min(x0, x1)) + ac)
     phi = u.real * (x1 - x0)
     ok = (v.imag == 0.0) & (u.imag >= 0.0) & (u.imag <= beta)
     ok &= np.abs(phi) <= math.pi
@@ -380,6 +410,24 @@ def _g(params: CharfunParams, u, v):
     return closed_form_general(params, u, v)
 
 
+def plan_params(
+    plan: ResonancePlan, protocol: DrivingProtocol, beta: float
+) -> list[CharfunParams]:
+    """A CharfunParams per channel of the plan: each mode at its lambda0
+    frequency at both ends for a closed protocol, else ending at its
+    lambda(tau) frequency.  ValueError outside the records' float range."""
+    tau, hbar = protocol.tau, protocol.hbar
+    params = [CharfunParams.from_case(c, beta, tau, hbar=hbar) for c in plan.cases]
+    if protocol.is_closed:
+        return params
+    end = {m: w1 for m, _, w1 in plan.resonant_modes}
+    return [
+        replace(p, omega_k=(c.omega_k, end[c.k]),
+                omega_p=None if c.p is None else (c.omega_p, end[c.p]))
+        for p, c in zip(params, plan.cases)
+    ]
+
+
 def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
     """(G(u, v) over broadcast arrays, work spacing, reverse G, dPhi) of a
     resonance plan: the closed forms of its mode-disjoint channels times
@@ -398,8 +446,7 @@ def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
             "the boundary does not return to its start (lambda(tau) != lambda0): "
             "the trace formula of a coupled group needs a closed protocol"
         )
-    tau, hbar = protocol.tau, protocol.hbar
-    params = [CharfunParams.from_case(c, beta, tau, hbar=hbar) for c in plan.cases]
+    params = plan_params(plan, protocol, beta)
     quanta = [_drive_quantum(p) for p in params]
     largest = max(x for p in params for x in _energies(p, 0)[:2])
     if max(quanta) - min(quanta) > _LATTICE_ROUNDING * largest:
@@ -408,13 +455,6 @@ def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
             f"{max(quanta)!r}, beyond the rounding of their energies: they "
             "share no work lattice"
         )
-    if not protocol.is_closed:
-        end = {m: w1 for m, _, w1 in plan.resonant_modes}
-        params = [
-            replace(p, omega_k=(c.omega_k, end[c.k]),
-                    omega_p=None if c.p is None else (c.omega_p, end[c.p]))
-            for p, c in zip(params, plan.cases)
-        ]
     single = [params[g[0]] for g in plan.groups if len(g) == 1]
 
     def evaluate(u, v, records=single):
@@ -429,7 +469,9 @@ def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
         return evaluate, quanta[0], None, 0.0
     swap = [replace(p, omega_k=p.omega_k[::-1], omega_p=p.omega_p and p.omega_p[::-1])
             for p in single]
-    dphi = grand_potential_diff([t[1:] for t in plan.resonant_modes], beta, hbar)
+    dphi = grand_potential_diff(
+        [t[1:] for t in plan.resonant_modes], beta, protocol.hbar
+    )
     return evaluate, quanta[0], partial(evaluate, records=swap), dphi
 
 
@@ -461,7 +503,7 @@ def classical_alphas(
     vanishes."""
     if variant is ResonanceKind.DOUBLE:
         raise ValueError("the two-sided exponential covers only two-mode cases")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     c = _classical_ratio_coeff(variant, r) * _coupling_amp(variant, g_tau)
     root = math.sqrt(1.0 + 4.0 / c) if c else math.inf
@@ -491,17 +533,22 @@ def moments(params: CharfunParams) -> tuple[float, float]:
     and variance = A h^2 [2 (c_k c_p +- 1) + A (c_p +- c_k)^2], + for
     the sum and - for the difference.  The single-mode form is the sum
     form at x_p = x_k under a square root, so it takes half of each.
-    Written with coth, neither overflows for large beta x.
+    Written with coth, neither overflows for large beta x; ValueError
+    where either leaves float range, as at a tiny beta x or a huge h.
     """
     if not params.is_closed:
         raise ValueError("endpoint frequencies differ; moments need a closed protocol")
     xk, xp, h = _energies(params, 0)
-    ck, cp = (_coth(params.beta * x / 2.0) for x in (xk, xp))
+    ck, cp = (1.0 / math.tanh(params.beta * x / 2.0) for x in (xk, xp))
     sign = -1.0 if params.variant is ResonanceKind.DIFFERENCE else 1.0
     amp = _coupling_amp(params.variant, params.g_tau)
     c = cp + sign * ck
     mean = amp * h * c
     var = amp * h * h * (2.0 * (ck * cp + sign) + amp * c * c)
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ValueError(
+            f"the work moments leave float range: mean {mean!r}, variance {var!r}"
+        )
     if params.variant is ResonanceKind.DOUBLE:
         return mean / 2.0, var / 2.0
     return mean, var

@@ -49,14 +49,13 @@ temperature are required, everything else has defaults.
 The environment variable CAVEWORK_N_MAX overrides n_max; any other
 CAVEWORK_* variable is refused like an unknown key.  Values are checked
 where they are parsed, the override included: numbers must be finite;
-lambda0, beta, hbar and every sweep value positive; n_max >= 1.  The
-drive quantum hbar * Omega and its u-period 2 pi / (hbar * Omega) must
-be finite, the resonance tolerance 1e-9 * Omega above 0, |g| * tau of
-a double or sum channel at most 355 (sinh^2 of it leaves float range at
-355.58), beta * hbar * omega of every resonant mode, at both endpoints
-and at every sweep value, at most 700 (sinh^2 of half of it leaves
-float range at 709.78) and above 0 (coth of half of it is infinite),
-and the work mean and variance at every sweep value finite.  A
+lambda0, beta, hbar and every sweep value positive; n_max >= 1; the
+resonance tolerance 1e-9 * Omega above 0.  The record
+charfun.CharfunParams holds the closed forms' float range (beta * hbar
+* omega <= 700, no thermal underflow, a finite channel quantum and
+u-period, 2 |g| tau + beta |h| <= 710) on every route, --oracle, the
+coupled one and each sweep value ('<variable> = <value>: ...')
+included, and charfun.moments refuses non-finite work moments.  A
 spectrum may take at most 4000000 entries (cavity._SPECTRUM_CAP) by its
 size estimate, made before any array: the (nx + 1)(ny + 1)(nz + 1)
 frequency grid of a box, (x + 1)^2 (y / pi + 1) for a curved shape, x
@@ -72,7 +71,7 @@ lambda0: no work lattice) before it builds G, both refusals ending in
 "Re-run with --oracle", and takes a coupled group only under
 --symplectic; verify takes a coupled group as it is, under a closed
 protocol only.  Each resonant mode's frequency at lambda(tau), which
-the energy checks, the oracle and an open protocol's G and dPhi use,
+the records, the oracle and an open protocol's G and dPhi use,
 is evaluated once, by the resonance classifier, into the plan.
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
@@ -111,13 +110,12 @@ from .cavity import (
     spectrum_to_csv,
 )
 from .charfun import (
-    CharfunParams,
-    _drive_quantum,
     classical_alphas,
     classical_work_cdf,
     closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
     moments,
     plan_charfun,
+    plan_params,
 )
 from .distributions import (
     _PHOTONS_PER_QUANTUM,
@@ -156,14 +154,6 @@ _ENV_N_MAX = "CAVEWORK_N_MAX"
 
 # --freeze gate: largest closed-form vs oracle marginal deviation
 _FREEZE_TOL = 5e-3
-
-# largest beta * hbar * omega of a resonant mode: sinh^2(x / 2) of the
-# thermal factors leaves float range at x = 709.78
-_MAX_THERMAL_EXPONENT = 700.0
-
-# largest |g| * tau of a double or sum channel: its coupling amplitude
-# sinh^2(|g| tau) leaves float range at 355.58
-_MAX_SQUEEZING = 355.0
 
 # cmd_verify gates; identities hold to roundoff, so these are generous
 _VERIFY_JARZYNSKI_TOL = 1e-10
@@ -479,45 +469,10 @@ def _protocol_and_plan(cfg: RunConfig, spectrum: list):
             hbar=cfg.hbar,
         )
         plan = classify_resonances(spectrum, protocol, cfg.geometry, cfg.polarization)
+        plan_params(plan, protocol, cfg.beta)  # the float range, on every route
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    for case in plan.cases:
-        g_tau = abs(case.strength * cfg.tau)
-        limit = _MAX_SQUEEZING
-        if case.kind is ResonanceKind.DIFFERENCE:  # sin^2 of any finite g tau
-            limit = sys.float_info.max
-        if not g_tau <= limit:
-            raise ConfigError(
-                f"|g| * tau = {g_tau:.6g} of a {case.kind.value} channel exceeds "
-                f"{limit:.6g}; its coupling amplitude leaves float range"
-            )
-    freqs = [w for case in plan.cases for w in (case.omega_k, case.omega_p) if w]
-    if not protocol.is_closed:
-        freqs += [w1 for _, _, w1 in plan.resonant_modes]
-    _check_energies(cfg.beta, cfg.hbar * omega, [cfg.hbar * w for w in freqs])
     return protocol, plan
-
-
-def _check_energies(beta: float, quantum: float, energies) -> None:
-    """Refuse a drive quantum hbar * Omega that is not finite or whose
-    u-period 2 pi / (hbar * Omega) is not, and beta times a resonant
-    mode's energy hbar * omega above _MAX_THERMAL_EXPONENT or
-    underflowing to 0."""
-    if not math.isfinite(quantum):
-        raise ConfigError(f"drive quantum hbar * Omega = {quantum!r} is not finite")
-    if not (quantum > 0.0 and math.isfinite(2.0 * math.pi / quantum)):
-        raise ConfigError(
-            f"drive quantum hbar * Omega = {quantum!r}: its period "
-            "2 pi / (hbar * Omega) in u is not finite"
-        )
-    exponent = beta * max(energies, default=0.0)
-    if not exponent <= _MAX_THERMAL_EXPONENT:  # NaN fails too
-        raise ConfigError(
-            f"beta * hbar * omega = {exponent:.6g} of a resonant mode exceeds "
-            f"{_MAX_THERMAL_EXPONENT:g}; the thermal factors leave float range"
-        )
-    if beta * min(energies, default=1.0) == 0.0:
-        raise ConfigError("beta * hbar * omega of a resonant mode underflows to 0")
 
 
 def _write(path: str, text: str) -> None:
@@ -725,18 +680,14 @@ def cmd_moments(args) -> int:
         )
     if not protocol.is_closed:
         raise ConfigError("moment sweeps assume a closed protocol")
-    base = CharfunParams.from_case(plan.cases[0], cfg.beta, protocol.tau, hbar=cfg.hbar)
-    freqs = [w for pair in base.frequency_pairs() for w in pair]
     lines = [f"{cfg.sweep_variable},mean_w,std_w"]
     for val in cfg.sweep_values:
-        params = dataclasses.replace(base, **{cfg.sweep_variable: val})
-        energies = [params.hbar * w for w in freqs]
-        _check_energies(params.beta, _drive_quantum(params), energies)
-        mean, var = moments(params)
-        if not (math.isfinite(mean) and math.isfinite(var)):
-            raise ConfigError(
-                f"{cfg.sweep_variable} = {val!r}: the work moments leave float range"
-            )
+        beta, hbar = (val, cfg.hbar) if cfg.sweep_variable == "beta" else (cfg.beta, val)
+        try:
+            [params] = plan_params(plan, dataclasses.replace(protocol, hbar=hbar), beta)
+            mean, var = moments(params)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.sweep_variable} = {val!r}: {exc}") from None
         lines.append(f"{val:.12g},{mean:.12g},{math.sqrt(var):.12g}")
     path = _out_path(cfg, "moments.csv")
     _write(path, "\n".join(lines) + "\n")

@@ -131,7 +131,7 @@ class TruncatedFockSpace:
 
     def thermal_weights(self, beta: float, hbar: float = 1.0) -> np.ndarray:
         """e^{-beta E0(n)} / Z with Z the analytic untruncated sum."""
-        if beta <= 0.0:
+        if not beta > 0.0:
             raise ValueError("beta must be positive")
         e0 = self.occupations() @ self.omega0()
         z_full = 1.0

@@ -205,8 +205,9 @@ def tracked_sqrt(
                     "radicand vanished along the branch path; perturb u or v"
                 )
             # the step continues the branch while the ratio cur / prev
-            # keeps a positive real part
-            ok = (cur * prev.conj()).real > 0.0
+            # keeps a positive real part; prev enters as its phase, so
+            # that the product stays in float range with the radicand
+            ok = (cur * (prev / np.abs(prev)).conj()).real > 0.0
             if not ok.all():
                 failed.append(live[~ok])
                 live, root, floor, cur = live[ok], root[ok], floor[ok], cur[ok]
@@ -334,7 +335,7 @@ def charfun_from_generator(
     n = generator.n
     if w.size != n:
         raise ValueError("one frequency per generator mode is required")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive")
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from cavework import charfun, cli, symplectic
 from cavework.charfun import (
     CharfunParams,
+    classical_alphas,
     classical_work_cdf,
     closed_form,
     closed_form_general,
@@ -26,6 +27,7 @@ from cavework.driving import (
     interaction_generator,
 )
 from cavework.errors import DegenerateResonanceError
+from cavework.fock import TruncatedFockSpace
 from cavework.symplectic import charfun_from_generator
 from conftest import (
     adiabatic_mode_factor,
@@ -577,6 +579,78 @@ def test_params_validation():
         )
     with pytest.raises(ValueError):
         CharfunParams(variant=DOF, beta=1.0, omega_k=(-1.0, 1.0), g_tau=0.3)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # each once reached G: OverflowError, overflow warnings, and a
+        # BranchTrackingError that blamed the tracker
+        dict(variant=DOF, beta=1.0, omega_k=(1.0, 1.0), g_tau=400.0),
+        dict(variant=DOF, beta=800.0, omega_k=(1.0, 1.0), g_tau=0.3),
+        dict(variant=DOF, beta=1.0, omega_k=(1.0, 1e-320), g_tau=0.3),
+        # beta x_k = 700.5 at the end only
+        dict(variant=SUF, beta=1.0, omega_k=(2.0, 700.5), omega_p=(1.0, 1.0), g_tau=0.3),
+        # a subnormal thermal factor: G(0, 0) = 0.99999992
+        dict(variant=DOF, beta=1.0, omega_k=(1e-154, 1e-154), g_tau=0.3),
+        # 2 |g tau| + beta h = 600 + 116 with |g tau| below the old 355
+        dict(variant=SUF, beta=11.0, omega_k=(14.0, 14.0), omega_p=(7.0, 7.0),
+             g_tau=-300.0),
+        # the channel quantum, then its u-period, past float range
+        dict(variant=SUF, beta=1e-300, omega_k=(1.0, 1.0), omega_p=(1.0, 1.0),
+             g_tau=0.3, hbar=1.7e308),
+        dict(variant=DIF, beta=1e300, omega_k=(2.0, 2.0), omega_p=(1.0, 1.0),
+             g_tau=0.3, hbar=1e-320),
+    ],
+    ids=["g_tau=400", "beta*omega=800", "beta*omega=1e-320", "open end 700.5",
+         "thermal underflow", "coupling overflow", "infinite quantum",
+         "infinite period"],
+)
+def test_records_refuse_values_outside_the_closed_forms_float_range(fields):
+    with pytest.raises(ValueError):
+        CharfunParams(**fields)
+
+
+def test_records_accept_the_edges_of_the_float_range():
+    # beta x = 700, 2 |g tau| + beta h = 710, and a thermal factor just
+    # above the smallest normal float
+    for params in (
+        CharfunParams(variant=DOF, beta=700.0, omega_k=(1.0, 1.0), g_tau=0.3),
+        CharfunParams(variant=DOF, beta=0.5, omega_k=(1.0, 1.0), g_tau=354.75),
+        CharfunParams(variant=DOF, beta=1.0, omega_k=(3e-154, 3e-154), g_tau=0.3),
+    ):
+        g = closed_form(params, np.array([0.0, 0.3]), np.array([0.0, 0.1]))
+        assert np.isfinite(g).all() and g[0] == 1.0 and abs(g[1]) <= 1.0
+
+
+def test_moments_refuse_values_past_float_range():
+    # h^2 = 1e400 with every thermal factor in range
+    params = CharfunParams(variant=DOF, beta=1e-198, omega_k=(1e200, 1e200), g_tau=0.3)
+    with pytest.raises(ValueError, match="leave float range"):
+        moments(params)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda beta: grand_potential_diff([(1.0, 1.1)], beta),
+        lambda beta: grand_potential_diff([(math.nan, 1.1)], 1.0),
+        lambda beta: classical_alphas(SUF, 0.5, 0.3, beta),
+        lambda beta: TruncatedFockSpace([((0, 0, 1), 1.0, 1.0)], 4).thermal_weights(
+            beta
+        ),
+        lambda beta: charfun_from_generator(
+            interaction_generator([synthetic_case(DOF, 1.0, None, 0.3, 1.0)]),
+            [1.0], 1.0, beta, 0.0, 0.0,
+        ),
+    ],
+    ids=["grand potential", "grand potential omega", "classical alphas",
+         "thermal weights", "generator charfun"],
+)
+def test_a_nan_temperature_is_refused(call):
+    # beta <= 0 let NaN through: nan, or all-NaN weights
+    with pytest.raises(ValueError):
+        call(math.nan)
 
 
 def test_from_case_maps_endpoints():

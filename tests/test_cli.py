@@ -632,6 +632,23 @@ INVALID_VALUES = {
     "unknown CAVEWORK_LATTICE_COUNT": (
         {"CAVEWORK_LATTICE_COUNT": "256"}, ["distribution"]
     ),
+    # the thermal factor sinh^2(beta hbar omega / 2) underflows to 0:
+    # the oracle's basis missed the thermal state and exited 1
+    "beta=1e-300 oracle": (
+        ("beta = 0.225", "beta = 1e-300"), ["distribution", "--oracle"]
+    ),
+    # sum_res at |g| tau = 300, beta h = 116: sinh^2(g tau) cosh(beta h)
+    # overflowed in the closed form, which exited 1 with RuntimeWarnings
+    "sum channel 2|g|tau + beta h > 710": (
+        [
+            ("cutoff = 4.6", "cutoff = 14.3"),
+            ("epsilon = 0.01", "epsilon = 0.0033761861855891476"),
+            ("= 2*w(0:1:1)", "= w(0:2:1)+w(0:2:4)"),
+            ("tau = 0.7071067811865475", "tau = 44721.35954999579"),
+            ("beta = 0.225", "beta = 11"),
+        ],
+        ["verify"],
+    ),
 }
 
 
@@ -643,10 +660,12 @@ def test_invalid_config_values_exit_2(
 ):
     extra = change if isinstance(change, str) else ""
     path = Path(write_cfg(workdir, tau=1.0 / math.sqrt(2.0), beta=0.225, extra=extra))
-    if isinstance(change, tuple):
+    if isinstance(change, (tuple, list)):
         text = path.read_text()
-        assert change[0] in text  # else the row would test the base config
-        path.write_text(text.replace(*change))
+        for old, new in [change] if isinstance(change, tuple) else change:
+            assert old in text  # else the row would test the base config
+            text = text.replace(old, new)
+        path.write_text(text)
     if isinstance(change, bytes):
         path.write_bytes(path.read_bytes() + change)
     if isinstance(change, dict):
@@ -682,12 +701,13 @@ def test_an_undriven_two_mode_channel_writes_the_point_law(workdir, name, key, v
     }
 
 
-@pytest.mark.parametrize("beta", ["1e-300", "1e-12"])
+@pytest.mark.parametrize("beta", ["1e-12"])
 def test_an_oracle_basis_that_misses_the_thermal_state_exits_1(
     workdir, monkeypatch, capsys, beta
 ):
-    # beta = 1e-300 divided by zero in thermal_weights; at 1e-12 no peak
-    # cleared the 1e-12 floor and CumulativeFit raised "empty marginal"
+    # no peak cleared the 1e-12 floor and CumulativeFit raised "empty
+    # marginal"; a thermal underflow (beta = 1e-300) exits 2 instead
+    # (INVALID_VALUES)
     monkeypatch.setenv("CAVEWORK_N_MAX", "8")
     cfg = workdir / "run.cfg"
     text = (CONFIGS / "diff_res.cfg").read_text()

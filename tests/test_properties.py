@@ -51,6 +51,7 @@ from cavework.charfun import (  # noqa: E402
     classical_work_cdf,
     closed_form,
     closed_form_general,
+    moments,
 )
 from cavework.distributions import CumulativeFit  # noqa: E402
 from cavework.driving import (  # noqa: E402
@@ -63,6 +64,7 @@ from cavework.driving import (  # noqa: E402
 from cavework.errors import (  # noqa: E402
     AmbiguousResonanceError,
     BranchTrackingError,
+    CaveworkError,
     DegenerateResonanceError,
 )
 from cavework.fock import (  # noqa: E402
@@ -341,8 +343,6 @@ REAL = (
 
 @settings(PROPERTY, max_examples=60)  # milliseconds per example
 @given(closed_records(), st.lists(st.tuples(REAL, REAL), min_size=1, max_size=8))
-# a shift beta hbar omega_k past 709, where csin rescales
-@example(CharfunParams(ResonanceKind.DOUBLE, 709.5, (1.0, 1.0), 0.3), [(0.3, 0.1)])
 def test_real_axis_sines_are_the_complex_evaluation(params, points):
     u, v = np.array(points).T
     batch = closed_form(params, u, v)
@@ -975,6 +975,91 @@ def test_every_extreme_config_value_ends_in_a_documented_exit_code(run):
     if code:
         [line] = err.getvalue().splitlines()
         assert line.startswith(("error:", "config error:"))
+
+
+RECORD_VALUES = (0.0, -1.0, 1e-320, 5e-324, 1e-300, 1e300, math.inf, math.nan,
+                 1e-12, 1e12)
+
+
+@st.composite
+def extreme_records(draw) -> dict:
+    """CharfunParams fields at closed or open endpoints: ordinary values,
+    up to three of them replaced by extreme ones."""
+    slots = ("beta", "g_tau", "hbar", "k0", "k1", "p0", "p1")
+    extreme = draw(st.sets(st.sampled_from(slots), max_size=3))
+    closed = draw(st.booleans())
+
+    def value(slot):
+        if slot in extreme:
+            return draw(st.sampled_from(RECORD_VALUES))
+        return draw(st.floats(0.1, 10.0))
+
+    def pair(mode):
+        start = value(f"{mode}0")
+        return start, start if closed and f"{mode}1" not in extreme else value(f"{mode}1")
+
+    kind = draw(st.sampled_from(ResonanceKind))
+    return dict(
+        variant=kind, beta=value("beta"), omega_k=pair("k"),
+        omega_p=None if kind is ResonanceKind.DOUBLE else pair("p"),
+        g_tau=value("g_tau"), hbar=value("hbar"),
+    )
+
+
+@settings(PROPERTY, max_examples=400)  # microseconds per refused record
+@given(
+    fields=extreme_records(),
+    points=st.lists(
+        st.tuples(st.floats(-0.5, 0.5), st.floats(-math.pi, math.pi)),
+        min_size=1, max_size=4,
+    ),
+)
+# the probes that reached G with no complaint from the record: an
+# OverflowError, overflow warnings, a BranchTrackingError
+@example(dict(variant=ResonanceKind.DOUBLE, beta=1.0, omega_k=(1.0, 1.0),
+              omega_p=None, g_tau=400.0, hbar=1.0), [(0.3, 0.1)])
+@example(dict(variant=ResonanceKind.DOUBLE, beta=800.0, omega_k=(1.0, 1.0),
+              omega_p=None, g_tau=0.3, hbar=1.0), [(0.3, 0.1)])
+@example(dict(variant=ResonanceKind.DOUBLE, beta=1.0, omega_k=(1.0, 1e-320),
+              omega_p=None, g_tau=0.3, hbar=1.0), [(0.3, 0.1)])
+# past the coupling bound at |g tau| = 300, a u-period past float range,
+# and a variance past it (h^2 = 1e400)
+@example(dict(variant=ResonanceKind.SUM, beta=11.0, omega_k=(14.0, 14.0),
+              omega_p=(7.0, 7.0), g_tau=-300.0, hbar=1.0), [(0.3, 0.1)])
+@example(dict(variant=ResonanceKind.DIFFERENCE, beta=1e300, omega_k=(2.0, 2.0),
+              omega_p=(1.0, 1.0), g_tau=0.3, hbar=1e-320), [(0.3, 0.1)])
+@example(dict(variant=ResonanceKind.DOUBLE, beta=1e-198, omega_k=(1e200, 1e200),
+              omega_p=None, g_tau=0.3, hbar=1.0), [(0.3, 0.1)])
+# a tracked open root whose radicand, near 1e164, overflowed the
+# tracker's step test cur * conj(prev)
+@example(dict(variant=ResonanceKind.DOUBLE, beta=6.0, omega_k=(9.0, 1.0),
+              omega_p=None, g_tau=1.0, hbar=7.0), [(0.0, 0.0)])
+def test_a_record_keeps_its_closed_forms_in_float_range(fields, points):
+    # construction refuses with ValueError, or every closed form at real
+    # points of one u-period is finite, at most 1 in modulus and 1 at the
+    # origin, or raises a CaveworkError; moments are finite or refused
+    try:
+        params = CharfunParams(**fields)
+    except ValueError:
+        return
+    frac, v = np.array([(0.0, 0.0), *points]).T
+    u = frac * 2.0 * math.pi / charfun._drive_quantum(params)
+    forms = [closed_form_general] + [closed_form] * params.is_closed
+    for form in forms:
+        try:
+            g = form(params, u, v)
+        except CaveworkError:
+            continue
+        assert np.isfinite(g).all(), (form.__name__, g)
+        assert np.abs(g).max() <= 1.0 + 1e-12, (form.__name__, g)
+        assert abs(g[0] - 1.0) <= 1e-12, (form.__name__, g)
+    if params.is_closed:
+        try:
+            mean, var = moments(params)
+        except ValueError as exc:
+            assert "leave float range" in str(exc)
+        else:
+            assert math.isfinite(mean) and math.isfinite(var)
 
 
 FAILING_PROPERTY = """
