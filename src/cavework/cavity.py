@@ -413,7 +413,8 @@ def mode_index_str(mode: ModeIndex) -> str:
 def spectrum_to_csv(
     spectrum: list[tuple[ModeIndex, float]], pol: Polarization
 ) -> str:
+    label = pol.value  # an Enum property: read once, not per row
     lines = ["mode_index,polarization,frequency"] + [
-        f"{i}:{j}:{k},{pol.value},{w:.12g}" for (i, j, k), w in spectrum
+        f"{i}:{j}:{k},{label},{w:.12g}" for (i, j, k), w in spectrum
     ]
     return "\n".join(lines) + "\n"

@@ -64,6 +64,8 @@ _DEGENERATE_RATIO_TOL = 1e-6
 _LATTICE_ROUNDING = 8e-16
 _MAX_THERMAL_EXPONENT = 700.0
 _MAX_COUPLING_EXPONENT = 710.0
+# (r + 1)^2 overflows past r = 1.3e154
+_MAX_CLASSICAL_RATIO = 1e150
 
 
 @dataclass(frozen=True)
@@ -180,13 +182,20 @@ def _points(u, v) -> list[np.ndarray]:
     )
 
 
-def _real_points(u, v) -> list[np.ndarray] | None:
-    """u and v as float arrays of their common broadcast shape, or None
-    if either is complex."""
+def _edge_points(u, v, beta: float):
+    """(Re u, v, top) as float arrays of their common broadcast shape for
+    points on an edge of the strip 0 <= Im u <= beta at real v: top is
+    False for real u, True where every u has imaginary part exactly beta.
+    None for a complex v or any other u."""
     u, v = np.asarray(u), np.asarray(v)
-    if np.iscomplexobj(u) or np.iscomplexobj(v):
+    if np.iscomplexobj(v):
         return None
-    return np.broadcast_arrays(u.astype(float), v.astype(float))
+    top = np.iscomplexobj(u)
+    if top:
+        if not (u.imag == beta).all():
+            return None
+        u = u.real
+    return *np.broadcast_arrays(u.astype(float), v.astype(float)), top
 
 
 def _real_sines(x: np.ndarray, a: float, c0: float, amp: float):
@@ -261,12 +270,15 @@ def closed_form(params: CharfunParams, u, v):
 
     u and v broadcast against each other; scalar input returns a Python
     complex.  At real (u, v) the two sines come from one real sin and
-    cos of z (_real_sines), bit for bit the complex evaluation, which
-    stays for complex or non-finite input.  The single-mode form takes
-    the principal square root on the strip 0 <= Im z <= beta x_k, which
-    holds every point the package evaluates: real (u, v), u = i beta and
-    u + i beta.  Only points off the strip track their root by
-    tracked_sqrt.
+    cos of z (_real_sines), bit for bit the complex evaluation.  So do
+    they on the strip's top edge, where every u has imaginary part
+    exactly beta and v is real: there Im z = beta h, z - i beta h is
+    real, and the product is the conjugate of the real-axis one at Re z.
+    Any other complex u, a complex v or non-finite input takes the
+    complex evaluation.  The single-mode form takes the principal square
+    root on the strip 0 <= Im z <= beta x_k, which holds every point the
+    package evaluates: real (u, v), u = i beta and u + i beta.  Only
+    points off the strip track their root by tracked_sqrt.
     """
     if not params.is_closed:
         raise ValueError("endpoint frequencies differ; use closed_form_general")
@@ -277,10 +289,13 @@ def closed_form(params: CharfunParams, u, v):
     num = sk if double else c0
     a = params.beta * h
     amp = _coupling_amp(params.variant, params.g_tau)
-    real = _real_points(u, v)
-    if real is not None:
+    edge = _edge_points(u, v, params.beta)
+    if edge is not None:
+        *real, top = edge
         den = _real_sines(_phase(params, h, *real), a, c0, amp)
         if den is not None:
+            if top:  # z - ia is real: the conjugate of the real-axis form
+                np.negative(den.imag, out=den.imag)
             return _result(num / (np.sqrt(den) if double else den))
 
     # the denominator at phase s z: G's at s = 1, the tracker's path below
@@ -478,8 +493,12 @@ def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
 def _classical_ratio_coeff(variant: ResonanceKind, r: float | None) -> float:
     if variant is ResonanceKind.DOUBLE:
         r = 1.0  # the sum form at omega_p = omega_k: (1 + 1)^2 / 1 = 4
-    if r is None or r <= 0.0:
-        raise ValueError("two-mode classical forms need a positive ratio r")
+    if r is None or not 1.0 / _MAX_CLASSICAL_RATIO <= r <= _MAX_CLASSICAL_RATIO:
+        raise ValueError(
+            f"two-mode classical forms need a positive ratio r within "
+            f"{_MAX_CLASSICAL_RATIO:g} of 1 either way, where (r +- 1)^2 / r "
+            f"stays in float range; got {r!r}"
+        )
     if variant is not ResonanceKind.DIFFERENCE:
         return (r + 1.0) ** 2 / r
     if abs(r - 1.0) < _DEGENERATE_RATIO_TOL:

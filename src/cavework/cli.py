@@ -480,20 +480,22 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _out_path(cfg: RunConfig, suffix: str) -> str:
+def _out_prefix(cfg: RunConfig) -> str:
+    """<directory>/<prefix>_, the start of every output file's path, with
+    the directory made: one call per command, whatever it writes."""
     try:
         os.makedirs(cfg.directory, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(
             f"[output] directory {cfg.directory}: {exc.strerror}"
         ) from None
-    return os.path.join(cfg.directory, f"{cfg.prefix}_{suffix}")
+    return os.path.join(cfg.directory, f"{cfg.prefix}_")
 
 
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
     spec = _spectrum(cfg)
-    path = _out_path(cfg, "spectrum.csv")
+    path = _out_prefix(cfg) + "spectrum.csv"
     _write(path, spectrum_to_csv(spec, cfg.polarization))
     print(f"wrote {path} ({len(spec)} modes)")
     return 0
@@ -514,11 +516,19 @@ def _oracle_joint(cfg: RunConfig, protocol, plan) -> fock.JointDistribution:
 
 
 def _write_distribution(
-    cfg: RunConfig, work, photons, classical_cdf=None, residual_mass=None
+    cfg: RunConfig, work, photons, classical_cdf=None, residual_mass=None,
+    freeze_note=None,
 ) -> None:
-    """The work, photon and cumulative CSVs.  An oracle run passes its
-    residual_mass: each file then ends in a `# residual_mass=` line, and
-    the cumulative renormalizes the work peaks to unit mass."""
+    """The work, photon and cumulative CSVs, after freeze_report.json
+    where a --freeze run passes its freeze_note.  An oracle run passes
+    its residual_mass: each file then ends in a `# residual_mass=` line,
+    and the cumulative renormalizes the work peaks to unit mass."""
+    out = _out_prefix(cfg)
+    if freeze_note is not None:
+        _write(
+            out + "freeze_report.json",
+            json.dumps(freeze_note, indent=2, sort_keys=True) + "\n",
+        )
     tail = ""
     if residual_mass is not None:
         tail = f"# residual_mass={format_prob(residual_mass)}\n"
@@ -526,11 +536,9 @@ def _write_distribution(
         fit = cumulative_and_fit([(w, p / total) for w, p in work])
     else:
         fit = cumulative_and_fit(work)
-    _write(_out_path(cfg, "work.csv"), marginal_to_csv(work, "work") + tail)
-    _write(_out_path(cfg, "photons.csv"), marginal_to_csv(photons, "photons") + tail)
-    _write(
-        _out_path(cfg, "cumulative.csv"), cumulative_to_csv(fit, classical_cdf) + tail
-    )
+    _write(out + "work.csv", marginal_to_csv(work, "work") + tail)
+    _write(out + "photons.csv", marginal_to_csv(photons, "photons") + tail)
+    _write(out + "cumulative.csv", cumulative_to_csv(fit, classical_cdf) + tail)
 
 
 def cmd_distribution(args) -> int:
@@ -596,6 +604,7 @@ def cmd_distribution(args) -> int:
         work = extract_marginal_work(lambda u: evaluate(u, 0.0), spacing)
         photons = extract_marginal_photons(lambda v: evaluate(0.0, v))
 
+    freeze_note = None
     if args.freeze:
         oracle_dist = _oracle_joint(cfg, protocol, plan)
         worst = _marginal_deviation(work, photons, *oracle_dist.marginals(), spacing)
@@ -612,10 +621,6 @@ def cmd_distribution(args) -> int:
             "n_max": cfg.n_max,
             "freeze_tol": _FREEZE_TOL,
         }
-        _write(
-            _out_path(cfg, "freeze_report.json"),
-            json.dumps(freeze_note, indent=2, sort_keys=True) + "\n",
-        )
         print(f"oracle agreement {worst:.3e} within freeze_tol; goldens written")
 
     classical_cdf = None
@@ -628,7 +633,7 @@ def cmd_distribution(args) -> int:
         if all(map(math.isfinite, classical_alphas(case.kind, r, g_tau, cfg.beta))):
             classical_cdf = partial(classical_work_cdf, case.kind, r, g_tau, cfg.beta)
 
-    _write_distribution(cfg, work, photons, classical_cdf)
+    _write_distribution(cfg, work, photons, classical_cdf, freeze_note=freeze_note)
     print(
         f"wrote {len(work)} work peaks / {len(photons)} photon peaks "
         f"under {cfg.directory}/{cfg.prefix}_*.csv"
@@ -652,7 +657,7 @@ def cmd_verify(args) -> int:
         per=pers.pop() if len(pers) == 1 else None,
         reverse=reverse, dphi=dphi, perturbation=args.perturb,
     )
-    path = _out_path(cfg, "report.json")
+    path = _out_prefix(cfg) + "report.json"
     _write(path, report.to_json())
     checks = [
         ("jarzynski", report.jarzynski_abs_error, _VERIFY_JARZYNSKI_TOL),
@@ -689,7 +694,7 @@ def cmd_moments(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"{cfg.sweep_variable} = {val!r}: {exc}") from None
         lines.append(f"{val:.12g},{mean:.12g},{math.sqrt(var):.12g}")
-    path = _out_path(cfg, "moments.csv")
+    path = _out_prefix(cfg) + "moments.csv"
     _write(path, "\n".join(lines) + "\n")
     print(f"wrote {path} ({len(cfg.sweep_values)} sweep points)")
     return 0

@@ -332,29 +332,30 @@ class VerificationReport:
 
 
 def _direct_exponential_average(
-    weights: dict[int, float], spacing: float, beta: float
+    probs_of: np.ndarray, spacing: float, beta: float
 ) -> float:
-    """Sum p(w) e^{-beta w} over the inverted work weights {m: p}, noise-aware.
+    """Sum p(w) e^{-beta w} over the inverted work weights, noise-aware;
+    probs_of[half + m] is the weight of peak m, for |m| <= half.
 
     The tilt amplifies the absolute roundoff of the Fourier weights by
     e^{beta |w|} on the negative-work side, so terms are accumulated
     only while the weights sit above the inversion noise floor and still
     decay; the result is exact to ~1e-12 for weak driving and degrades
-    gracefully (never diverges) when the tilted tail outruns f64.
+    gracefully (never diverges) when the tilted tail outruns f64.  Array
+    masks find the terms; they are summed in order of |m|, positive side
+    first, as a loop over m = 1..half would.
     """
-    half = max(abs(m) for m in weights)
-    total = weights[0]
-    for m in range(1, half + 1):
-        p = weights.get(m, 0.0)
-        if p > _NOISE_FLOOR:
-            total += p * math.exp(-beta * m * spacing)
-    prev = math.inf
-    for m in range(1, half + 1):
-        p = weights.get(-m, 0.0)
-        if p < _NOISE_FLOOR or p > prev:
-            break
+    half = probs_of.size // 2
+    pos, neg = probs_of[half + 1 :], probs_of[half - 1 :: -1]  # m = 1.., -1..
+    total = float(probs_of[half])
+    keep = np.flatnonzero(pos > _NOISE_FLOOR)
+    for m, p in zip((keep + 1).tolist(), pos[keep].tolist()):
+        total += p * math.exp(-beta * m * spacing)
+    # the negative side ends at the first weight below the floor or
+    # above the one before it
+    stop = (neg < _NOISE_FLOOR) | (neg > np.append(math.inf, neg[:-1]))
+    for m, p in enumerate(neg[: np.argmax(np.append(stop, True))].tolist(), 1):
         total += p * math.exp(beta * m * spacing)
-        prev = p
     return total
 
 
@@ -388,6 +389,12 @@ def verify_fluctuation_theorems(
     line support, that G is constant along spacing u + per v, with the
     periodicity points.
 
+    Besides the inversion, G is evaluated once per edge of the strip
+    0 <= Im u <= beta: on the top edge at i beta and the grid's
+    u + i beta, on the real axis at the origin, the periodicity points
+    and (closed) the grid's (-u, -v); an open protocol evaluates its
+    reverse once more, on (-u, -v).
+
     perturbation adds a constant to every G evaluation: a negative
     control that must break normalization and Jarzynski.
     """
@@ -396,27 +403,7 @@ def verify_fluctuation_theorems(
     def ev(g: Callable, u, v):
         return g(u, v) + perturbation
 
-    rhs = math.exp(-beta * dphi)
-    lhs = ev(evaluate, 1j * beta, 0.0)
-    jz_err = abs(lhs - rhs)
-    norm_err = abs(ev(evaluate, 0.0, 0.0) - 1.0)
-
-    direct_err = peak_err = None
-    if closed:
-        signed, probs = _work_weights(lambda u: ev(evaluate, u, 0.0), spacing)
-        total = sum(p for _, p in _floored_peaks(signed.tolist(), probs))
-        norm_err = max(norm_err, abs(total - 1.0))
-        weights = dict(zip(signed.tolist(), probs.tolist()))
-        direct_err = abs(_direct_exponential_average(weights, spacing, beta) - rhs)
-        # P_R = P_F on a closed protocol: pair work peak m with -m
-        peak_err = 0.0
-        for m, p in weights.items():
-            q = weights.get(-m, 0.0)
-            if p >= 1e-8 and q >= 1e-8:
-                tilted = q * math.exp(beta * (m * spacing - dphi))
-                peak_err = max(peak_err, abs(p - tilted) / max(p, tilted))
-
-    # Crooks on the grid: G_R(-u, -v) = G_F(u + i beta, v) e^{beta dPhi}
+    # the Crooks grid, and the periodicity points with their shifts
     period = 2.0 * math.pi / spacing
     grid = 64
     u, v = np.meshgrid(
@@ -424,23 +411,55 @@ def verify_fluctuation_theorems(
         2.0 * math.pi * (np.arange(grid) + 0.17) / grid,
         indexing="ij",
     )
-    left = ev(reverse or evaluate, -u, -v)
-    right = ev(evaluate, u + 1j * beta, v) * math.exp(beta * dphi)
-    crooks = float(np.abs(left - right).max())
-
-    # periodicity, and for a closed protocol the u-period and the line
     frac = np.array([0.21, 0.55])
     u0, v0 = frac * period, frac * 2.0 * math.pi
-    base = ev(evaluate, u0, v0)
     shifts = [(u0, v0 + 2.0 * math.pi)]
     if closed:
         shifts.append((u0 + period, v0))
     if closed and per is not None:
         dv = 1.3  # along spacing * u + per * v = const
         shifts.append((u0 - per * dv / spacing, v0 + dv))
-    per_err = max(
-        float(np.abs(ev(evaluate, su, sv) - base).max()) for su, sv in shifts
-    )
+
+    # the top edge: Jarzynski at u = i beta, the grid's Crooks side
+    top = ev(evaluate, np.append(1j * beta, (u + 1j * beta).ravel()),
+             np.append(0.0, v.ravel()))
+    # the real axis: the origin, the periodicity points, (closed) -u, -v
+    pairs = [(np.zeros(1), np.zeros(1)), (u0, v0), *shifts]
+    if closed:
+        pairs.append((-u.ravel(), -v.ravel()))
+    real = ev(evaluate, *map(np.concatenate, zip(*pairs)))
+
+    rhs = math.exp(-beta * dphi)
+    lhs = complex(top[0])
+    jz_err = abs(lhs - rhs)
+    norm_err = abs(complex(real[0]) - 1.0)
+
+    direct_err = peak_err = None
+    if closed:
+        signed, probs = _work_weights(lambda u: ev(evaluate, u, 0.0), spacing)
+        total = sum(p for _, p in _floored_peaks(signed.tolist(), probs))
+        norm_err = max(norm_err, abs(total - 1.0))
+        # probs_of[half + m]: the weight of peak m, 0 for a missing one
+        half = int(np.abs(signed).max())
+        probs_of = np.zeros(2 * half + 1)
+        probs_of[half + signed] = probs
+        direct_err = abs(_direct_exponential_average(probs_of, spacing, beta) - rhs)
+        # P_R = P_F on a closed protocol: pair work peak m with -m
+        mirror = probs_of[half - signed]
+        both = (probs >= 1e-8) & (mirror >= 1e-8)
+        peak_err = 0.0
+        for m, p, q in zip(*(x[both].tolist() for x in (signed, probs, mirror))):
+            tilted = q * math.exp(beta * (m * spacing - dphi))
+            peak_err = max(peak_err, abs(p - tilted) / max(p, tilted))
+
+    # Crooks on the grid: G_R(-u, -v) = G_F(u + i beta, v) e^{beta dPhi}
+    left = real[-u.size :] if closed else ev(reverse, -u, -v).ravel()
+    right = top[1:] * math.exp(beta * dphi)
+    crooks = float(np.abs(left - right).max())
+
+    # periodicity, and for a closed protocol the u-period and the line
+    base, *shifted = np.split(real[1 : 3 + 2 * len(shifts)], 1 + len(shifts))
+    per_err = max(float(np.abs(g - base).max()) for g in shifted)
 
     return VerificationReport(
         jarzynski_lhs=abs(lhs),

@@ -260,10 +260,12 @@ def _ray_sqrt(radicand, points, steps, anchor_tol):
     d0 = complex(np.ravel(radicand(0.0, su[:1], sv[:1]))[0])
     cur = np.asarray(radicand(1.0, su, sv), dtype=complex)
     prev = np.append(d0, cur[:-1])
+    # the tracker's tests; prev enters the step test as its phase, so that
+    # the product stays in float range with the radicand
     if not (
         d0.real > 0.0 and abs(d0.imag) <= anchor_tol * abs(d0)
-        and ((cur * prev.conj()).real > 0.0).all()
         and (np.abs(cur) >= 1e-14 * abs(d0)).all()
+        and ((cur * (prev / np.abs(prev)).conj()).real > 0.0).all()
     ):
         return tracked_sqrt(radicand, points, steps, anchor_tol)
     # the tracker's pick of near or -near at each step, as a sign chain

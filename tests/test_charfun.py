@@ -521,6 +521,44 @@ def test_non_finite_points_give_nan_without_tracking(bad, axis, monkeypatch):
     assert seen == []
 
 
+def test_only_the_top_edge_at_real_v_takes_the_real_sines(monkeypatch):
+    # u = x + i beta at a real v takes the real-axis sines of x,
+    # conjugated; a complex v, a u off the edge or a non-finite x takes
+    # the complex evaluation, on which the edge's values agree
+    seen = []
+    sines = charfun._real_sines
+
+    def recorded(x, a, c0, amp):
+        seen.append(x.size)
+        return sines(x, a, c0, amp)
+
+    monkeypatch.setattr(charfun, "_real_sines", recorded)
+    x, v = np.array([0.3, -1.7, 0.0]), np.array([0.1, -0.0, 2.5])
+    for variant in (DOF, SUF, DIF):
+        params = make_params(variant)
+        beta = params.beta
+        edge = closed_form(params, x + 1j * beta, v)
+        assert seen == [3]
+        assert same_bits(edge, closed_form(params, x + 1j * beta, v.astype(complex)))
+        off = [
+            (x + 1j * np.nextafter(beta, 0.0), v),
+            (np.append(x + 1j * beta, 0.3), np.append(v, 0.1)),  # one real u
+            (x + 1j * beta, v + 0j),
+        ]
+        for u, w in off:
+            closed_form(params, u, w)
+        assert seen == [3]
+        with warnings.catch_warnings():  # numpy may warn at the NaN
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = closed_form(
+                params, np.append(x, math.nan) + 1j * beta, np.append(v, 0.1)
+            )
+        assert seen == [3, 4]  # the sines refuse the batch: complex evaluation
+        assert same_bits(got[:3], closed_form(params, x + 1j * beta, v + 0j))
+        assert np.isnan(got[3])
+        seen.clear()
+
+
 def test_verify_tracks_no_open_endpoint_root(monkeypatch):
     seen = []
     tracker = symplectic.tracked_sqrt

@@ -508,6 +508,102 @@ def test_verify_inverts_once(monkeypatch):
     assert calls == []
 
 
+def test_verify_evaluates_g_once_per_edge_of_the_strip(monkeypatch):
+    # outside the work inversion, a closed plan costs one call on the
+    # real axis and one on the top edge Im u = beta; an open one adds one
+    # call of its reverse
+    calls, inside = [], []
+    weights = distributions._work_weights
+
+    def inverting(evaluate, spacing):
+        calls.append("inversion")
+        inside.append(True)
+        try:
+            return weights(evaluate, spacing)
+        finally:
+            inside.pop()
+
+    def counted(name, g):
+        def call(u, v):
+            if not inside:
+                calls.append(name)
+            return g(u, v)
+
+        return call
+
+    monkeypatch.setattr(distributions, "_work_weights", inverting)
+    for variant in (DOF, SUF, DIF):
+        params = params_for(variant, 0.8, 0.2)
+        verify_fluctuation_theorems(
+            counted("forward", lambda u, v: charfun._g(params, u, v)),
+            charfun._drive_quantum(params), params.beta,
+            per=distributions._PHOTONS_PER_QUANTUM[variant],
+        )
+        assert calls == ["forward", "forward", "inversion"]
+        calls.clear()
+    protocol = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=5.0, tau=0.4)
+    final = {(0, 0, 1): 2.6, (0, 1, 1): 3.1, (0, 1, 2): 1.9}
+    evaluate, spacing, reverse, dphi = charfun.plan_charfun(
+        _quantum_five_plan(DOF, SUF, end=final), protocol, 0.4
+    )
+    verify_fluctuation_theorems(
+        counted("forward", evaluate), spacing, 0.4,
+        reverse=counted("reverse", reverse), dphi=dphi,
+    )
+    assert calls == ["forward", "forward", "reverse"]
+
+
+def _peak_loops_reference(signed, probs, spacing, beta):
+    """(jarzynski_direct_error, crooks_peakwise_error) of a closed
+    protocol by loops over the weights as a dict {m: p}: m = 1..half on
+    each side for the tilted sum, every weight for the peak pairs."""
+    weights = dict(zip(signed.tolist(), probs.tolist()))
+    half = max(abs(m) for m in weights)
+    total = weights[0]
+    for m in range(1, half + 1):
+        p = weights.get(m, 0.0)
+        if p > distributions._NOISE_FLOOR:
+            total += p * math.exp(-beta * m * spacing)
+    prev = math.inf
+    for m in range(1, half + 1):
+        p = weights.get(-m, 0.0)
+        if p < distributions._NOISE_FLOOR or p > prev:
+            break
+        total += p * math.exp(beta * m * spacing)
+        prev = p
+    peak_err = 0.0
+    for m, p in weights.items():
+        q = weights.get(-m, 0.0)
+        if p >= 1e-8 and q >= 1e-8:
+            tilted = q * math.exp(beta * (m * spacing))
+            peak_err = max(peak_err, abs(p - tilted) / max(p, tilted))
+    return abs(total - 1.0), peak_err
+
+
+@pytest.mark.parametrize("factor", [0.37, 1.0, 3.1])
+@pytest.mark.parametrize("name", ["double_res", "sum_res", "diff_res", "cumulative_sum"])
+def test_the_peak_masks_keep_the_loops_bits(name, factor, monkeypatch):
+    # the direct Jarzynski sum and the peakwise Crooks ratio visit only
+    # the peaks that count, by array masks, with the loops' terms in the
+    # loops' order
+    params = _reference_params(name, factor)
+    inverted = []
+    weights = distributions._work_weights
+
+    def kept(evaluate, spacing):
+        inverted.append(weights(evaluate, spacing))
+        return inverted[-1]
+
+    monkeypatch.setattr(distributions, "_work_weights", kept)
+    rep = verify_channel(params)
+    [(signed, probs)] = inverted
+    want = _peak_loops_reference(
+        signed, probs, charfun._drive_quantum(params), params.beta
+    )
+    assert (rep.jarzynski_direct_error, rep.crooks_peakwise_error) == want
+    assert rep.crooks_peakwise_error > 0.0  # some peaks pair up
+
+
 def _reference_params(name: str, factor: float) -> CharfunParams:
     cfg = cli.load_config(str(CONFIGS / f"{name}.cfg"))
     cfg = dataclasses.replace(cfg, beta=cfg.beta * factor)

@@ -48,6 +48,7 @@ from cavework.cavity import (  # noqa: E402
 )
 from cavework.charfun import (  # noqa: E402
     CharfunParams,
+    classical_alphas,
     classical_work_cdf,
     closed_form,
     closed_form_general,
@@ -351,6 +352,22 @@ def test_real_axis_sines_are_the_complex_evaluation(params, points):
         single = closed_form(params, a, b)
         assert type(single) is complex
         assert same_bits(single, closed_form(params, complex(a), complex(b)))
+        assert same_bits(single, g)
+
+
+@settings(PROPERTY, max_examples=60)  # milliseconds per example
+@given(closed_records(), st.lists(st.tuples(REAL, REAL), min_size=1, max_size=8))
+def test_top_edge_sines_are_the_complex_evaluation(params, points):
+    # on Im u = beta, z - i beta h is real: the real-axis sines of Re z,
+    # conjugated, keep every bit of the complex evaluation (complex v)
+    beta = params.beta
+    u, v = np.array(points).T
+    batch = closed_form(params, u + 1j * beta, v)
+    assert same_bits(batch, closed_form(params, u + 1j * beta, v.astype(complex)))
+    for (a, b), g in zip(points, batch):
+        single = closed_form(params, complex(a, beta), b)
+        assert type(single) is complex
+        assert same_bits(single, closed_form(params, complex(a, beta), complex(b)))
         assert same_bits(single, g)
 
 
@@ -1034,6 +1051,12 @@ def extreme_records(draw) -> dict:
 # tracker's step test cur * conj(prev)
 @example(dict(variant=ResonanceKind.DOUBLE, beta=6.0, omega_k=(9.0, 1.0),
               omega_p=None, g_tau=1.0, hbar=7.0), [(0.0, 0.0)])
+# classical rates at a mode ratio of 2e299, whose (r + 1)^2 overflowed,
+# and of 1e312, which is inf
+@example(dict(variant=ResonanceKind.SUM, beta=1.0, omega_k=(5.0, 5.0),
+              omega_p=(1e300, 1e300), g_tau=0.3, hbar=1e-300), [(0.3, 0.1)])
+@example(dict(variant=ResonanceKind.DIFFERENCE, beta=1.0, omega_k=(1e-300, 1e-300),
+              omega_p=(1e12, 1e12), g_tau=0.3, hbar=7e-10), [(0.3, 0.1)])
 def test_a_record_keeps_its_closed_forms_in_float_range(fields, points):
     # construction refuses with ValueError, or every closed form at real
     # points of one u-period is finite, at most 1 in modulus and 1 at the
@@ -1060,6 +1083,16 @@ def test_a_record_keeps_its_closed_forms_in_float_range(fields, points):
             assert "leave float range" in str(exc)
         else:
             assert math.isfinite(mean) and math.isfinite(var)
+    if params.variant is not ResonanceKind.DOUBLE:
+        # the classical rates at the record's start: finite, or the point
+        # law's (-inf, inf) without coupling
+        r = params.omega_p[0] / params.omega_k[0]
+        try:
+            alphas = classical_alphas(params.variant, r, params.g_tau, params.beta)
+        except (ValueError, CaveworkError):
+            return
+        assert all(type(a) is float for a in alphas), alphas
+        assert all(map(math.isfinite, alphas)) or alphas == (-math.inf, math.inf), alphas
 
 
 FAILING_PROPERTY = """

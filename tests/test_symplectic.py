@@ -331,6 +331,21 @@ def test_a_comb_on_one_ray_costs_one_determinant_per_sample(tmp_path, monkeypatc
     assert points == [1, 256 + 64]
 
 
+def test_a_cold_comb_keeps_the_ray_step_test_in_float_range(tmp_path, monkeypatch):
+    # at beta = 20 (beta hbar omega = 109 and 326) the radicand along the
+    # work comb's ray passes 1e154, where the step test's product
+    # cur * conj(prev) overflowed; this suite turns the warning into an
+    # error.  The ray path still takes every step, with the tracker's bits.
+    group, protocol, _, spacing = coupled_group(tmp_path)
+    u = 2.0 * math.pi / spacing * np.arange(256) / 256
+    with monkeypatch.context() as m:
+        m.setattr(symplectic, "tracked_sqrt", None)  # no fallback
+        ray = charfun_general(group, protocol, 20.0, u, 0.0)
+    assert np.isfinite(ray).all()
+    monkeypatch.setattr(symplectic, "_ray_sqrt", tracked_sqrt)
+    assert same_bits(ray, charfun_general(group, protocol, 20.0, u, 0.0))
+
+
 class Tracked(Exception):
     pass
 
