@@ -42,9 +42,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .driving import DrivingProtocol, ResonanceCase, ResonanceKind, ResonancePlan
+from .driving import (
+    DrivingProtocol,
+    ResonanceCase,
+    ResonanceKind,
+    ResonancePlan,
+    group_frequencies,
+)
 from .errors import DegenerateResonanceError
-from .symplectic import charfun_general, tracked_sqrt
+from .symplectic import (
+    _MAX_THERMAL_EXPONENT,
+    charfun_general,
+    check_thermal_norm,
+    tracked_sqrt,
+)
 
 __all__ = [
     "CharfunParams",
@@ -62,7 +73,6 @@ _DEGENERATE_RATIO_TOL = 1e-6
 # channels share a work lattice when their quanta x_k +- x_p agree to
 # the rounding of those sums: a few ulps of the plan's largest energy
 _LATTICE_ROUNDING = 8e-16
-_MAX_THERMAL_EXPONENT = 700.0
 _MAX_COUPLING_EXPONENT = 710.0
 # (r + 1)^2 overflows past r = 1.3e154
 _MAX_CLASSICAL_RATIO = 1e150
@@ -430,9 +440,15 @@ def plan_params(
 ) -> list[CharfunParams]:
     """A CharfunParams per channel of the plan: each mode at its lambda0
     frequency at both ends for a closed protocol, else ending at its
-    lambda(tau) frequency.  ValueError outside the records' float range."""
+    lambda(tau) frequency.  ValueError outside the records' float range,
+    or for a coupled group whose thermal normalization leaves it
+    (symplectic.check_thermal_norm)."""
     tau, hbar = protocol.tau, protocol.hbar
     params = [CharfunParams.from_case(c, beta, tau, hbar=hbar) for c in plan.cases]
+    for group in plan.groups:
+        if len(group) > 1:
+            freq = group_frequencies([plan.cases[i] for i in group])
+            check_thermal_norm(beta * hbar * np.array(list(freq.values())))
     if protocol.is_closed:
         return params
     end = {m: w1 for m, _, w1 in plan.resonant_modes}

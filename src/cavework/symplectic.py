@@ -6,6 +6,11 @@ products map to matrix products and
 
     Tr J = [(-1)^n det([J] - I)]^(-1/2).
 
+A characteristic-function weight [J] = U^-1 E1 U E2 T (E1, E2, T
+diagonal) needs no inverse: det U = 1, as tr(sigma S) = 0 for symmetric
+S and the free phases have unit determinant, so det([J] - I) =
+det(E1 U E2 T - U), U with its rows and columns scaled, less U.
+
 The square root's branch is the delicate part.  Thermal-weighted traces
 are fixed by a reference eigenvalue pairing; characteristic-function
 evaluations are fixed by homotopy from (u, v) = (0, 0), where the
@@ -27,6 +32,7 @@ evolution appears conjugated, and the thermal shift is (u, v)-independent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,13 +40,17 @@ import numpy as np
 
 from .errors import BranchTrackingError, SymplecticityError, TraceDivergenceError
 
+# the largest beta hbar omega of the records' thermal factors, and of the
+# log of a coupled group's thermal normalization (sinh^2 overflows at 709.78)
+_MAX_THERMAL_EXPONENT = 700.0
+
 __all__ = [
     "QuadraticForm",
     "char_matrix",
     "charfun_from_generator",
     "charfun_general",
+    "check_thermal_norm",
     "sigma_matrix",
-    "symplectic_inverse",
     "trace_from_char",
     "tracked_sqrt",
 ]
@@ -144,18 +154,11 @@ def _diag_char(coeffs: np.ndarray) -> np.ndarray:
     return np.diag(np.concatenate([np.exp(c), np.exp(-c)]))
 
 
-def symplectic_inverse(m: np.ndarray) -> np.ndarray:
-    """M^-1 = -sigma M^T sigma for symplectic M; exact group inverse."""
-    n = m.shape[0] // 2
-    sig = sigma_matrix(n)
-    return -sig @ m.T @ sig
-
-
-def _branch_determinant(m: np.ndarray):
-    """(-1)^n det(M - I), over the last two axes of a matrix stack."""
-    n = m.shape[-1] // 2
+def _branch_determinant(x: np.ndarray):
+    """(-1)^n det(X), over the last two axes of a 2n x 2n matrix stack."""
+    n = x.shape[-1] // 2
     sign = -1.0 if n % 2 else 1.0
-    return sign * np.linalg.det(m - np.eye(2 * n))
+    return sign * np.linalg.det(x)
 
 
 def tracked_sqrt(
@@ -288,7 +291,7 @@ def trace_from_char(m: np.ndarray) -> complex:
     closer the branch is genuinely ambiguous and an error is raised.
     """
     m = np.asarray(m, dtype=complex)
-    d = _branch_determinant(m)
+    d = _branch_determinant(m - np.eye(m.shape[0]))
     if abs(d) < 1e-12:
         raise TraceDivergenceError(
             f"det([J]-I) = {d:.3e}; the trace diverges (unitary-like weight)"
@@ -311,6 +314,23 @@ def trace_from_char(m: np.ndarray) -> complex:
     )
 
 
+def check_thermal_norm(x: np.ndarray) -> None:
+    """Refuse, with ValueError, mode energies x = beta hbar omega > 0 of
+    one group whose thermal normalization, the trace formula's anchor
+    (-1)^n det(T - I) = prod 4 sinh^2(x / 2), lies below the smallest
+    normal float or above e^700.  It grows as e^{sum x}, so a group can
+    leave float range while each of its modes stays within 700."""
+    with np.errstate(divide="ignore"):  # an x that underflowed to 0
+        log_norm = float(np.sum(x + 2.0 * np.log(-np.expm1(-x))))
+    lowest = math.log(sys.float_info.min)
+    if not lowest <= log_norm <= _MAX_THERMAL_EXPONENT:
+        raise ValueError(
+            "the thermal normalization prod 4 sinh^2(beta hbar omega / 2) = "
+            f"e^{log_norm:.6g} over the group's modes leaves float range: its "
+            f"log must lie within [{lowest:.6g}, {_MAX_THERMAL_EXPONENT:g}]"
+        )
+
+
 def charfun_from_generator(
     generator: QuadraticForm,
     omegas: "np.ndarray | list",
@@ -325,37 +345,42 @@ def charfun_from_generator(
     The weight is U^+ e^{iuH+ivN} U e^{-iuH-ivN} e^{-beta H} with
     U = e^{-i H0 tau} e^{-i V tau}, V = 1/2 alpha S alpha the interaction
     generator, and H counted without zero-point shift (the shifts cancel
-    in this equal-endpoint ratio).  Branch of the trace square root is
-    carried by homotopy s*(u, v), s in [0, 1], anchored at the real
-    positive thermal determinant: continued once along the sorted
-    points where they lie on one ray from the origin (_ray_sqrt), by
-    tracked_sqrt otherwise.  u and v broadcast; the weights of all
-    points are stacked 2n x 2n matrices, and scalar input returns a
-    Python complex.
+    in this equal-endpoint ratio).  Its characteristic matrix is
+    [U]^-1 E1 [U] E2 T with E1, E2, T diagonal; det [U] = 1, since
+    sigma S has trace 0 for symmetric S and the free phases have unit
+    determinant, so the radicand is (-1)^n det(E1 [U] E2 T - [U]): per
+    point, [U] with its rows and columns scaled, less [U].  Branch of
+    the trace square root is carried by homotopy s*(u, v), s in [0, 1],
+    anchored at the real positive thermal determinant: continued once
+    along the sorted points where they lie on one ray from the origin
+    (_ray_sqrt), by tracked_sqrt otherwise.  u and v broadcast, and
+    scalar input returns a Python complex.  ValueError for a frequency
+    or tau that is not finite, a frequency, beta or hbar that is not
+    positive, or a thermal normalization out of float range
+    (check_thermal_norm).
     """
     w = np.asarray(omegas, dtype=float)
-    n = generator.n
-    if w.size != n:
+    if w.size != generator.n:
         raise ValueError("one frequency per generator mode is required")
-    if not beta > 0.0:
-        raise ValueError("beta must be positive")
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    if not np.all((w > 0.0) & (w < math.inf)):
+        raise ValueError("frequencies must be positive and finite")
+    if not (beta > 0.0 and hbar > 0.0):
+        raise ValueError("beta and hbar must be positive")
+    if not 0.0 <= tau < math.inf:
+        raise ValueError("tau must be nonnegative and finite")
+    check_thermal_norm(beta * hbar * w)
 
-    m_free = _diag_char(-1j * w * tau)
     m_int = char_matrix(QuadraticForm(-1j * tau * generator.S, generator.modes))
-    m_u = m_free @ m_int
-    m_u_inv = symplectic_inverse(m_u)
+    m_u = _diag_char(-1j * w * tau) @ m_int
     thermal = np.diag(_diag_char(-beta * hbar * w))
 
     def total(su: np.ndarray, sv: np.ndarray) -> np.ndarray:
-        # m_u_inv e1 m_u e2 m_thermal with the diagonal factors applied
-        # as column scalings, one matrix per point
+        # E1 U E2 T - U, one matrix per point: E1 scales the rows of U,
+        # E2 T its columns
         c1 = 1j * su[..., None] * hbar * w + 1j * sv[..., None]
-        e1 = np.concatenate([np.exp(c1), np.exp(-c1)], axis=-1)
-        e2 = np.concatenate([np.exp(-c1), np.exp(c1)], axis=-1)
-        left = np.matmul(m_u_inv * e1[..., None, :], m_u)
-        return left * e2[..., None, :] * thermal
+        e1 = np.exp(np.concatenate([c1, -c1], axis=-1))
+        e2 = np.exp(np.concatenate([-c1, c1], axis=-1))
+        return e1[..., :, None] * m_u * (e2 * thermal)[..., None, :] - m_u
 
     # every point starts from the same thermal weight
     d0 = _branch_determinant(total(np.zeros(1), np.zeros(1)))[0]

@@ -266,6 +266,37 @@ def test_coupled_group_needs_symplectic_flag(workdir, monkeypatch):
     assert mass + residual == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("beta", ["2", "5"])
+def test_the_coupled_group_verifies_in_the_cold_regime(workdir, beta):
+    # beta hbar omega = 11 and 33 at beta = 2, 27 and 82 at beta = 5: at
+    # u + i beta the weight scales the evolution's rows and columns by up
+    # to e^{beta hbar omega}, and the radicand must keep its digits there
+    cfg = workdir / "coupled.cfg"
+    cfg.write_text(COUPLED.replace("beta = 0.4", f"beta = {beta}"))
+    assert main(["verify", str(cfg)]) == 0
+    report = json.loads((workdir / "out" / "c_report.json").read_text())
+    assert report["jarzynski_abs_error"] <= cli._VERIFY_JARZYNSKI_TOL
+    assert report["crooks_max_error"] <= cli._VERIFY_CROOKS_TOL
+    assert report["periodicity_max_error"] <= cli._VERIFY_PERIODICITY_TOL
+    assert report["normalization_error"] <= cli._VERIFY_NORMALIZATION_TOL
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["distribution", "--symplectic"], ["distribution", "--oracle"],
+])
+def test_a_coupled_group_past_float_range_exits_2(workdir, capsys, argv):
+    # beta = 40: each mode's beta hbar omega stays within 700, but the
+    # group's thermal normalization is e^870, past float range; det
+    # overflowed with RuntimeWarnings and the anchor read nan
+    cfg = workdir / "coupled.cfg"
+    cfg.write_text(COUPLED.replace("beta = 0.4", "beta = 40"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], str(cfg), *argv[1:]]) == 2
+    assert "thermal normalization" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("name,argv", [
     ("open_endpoints", ["verify"]),
     ("open_endpoints", ["distribution", "--oracle"]),

@@ -189,9 +189,21 @@ def test_joint_weights_sum_to_the_work_weights(params):
     st.floats(-3.0, 3.0),
     st.floats(-math.pi, math.pi),
     st.floats(0.5, 4.0),
+    st.floats(0.8, 20.0),
+    st.booleans(),
 )
-def test_symplectic_route_matches_closed_form(params, u, v, tau):
+@example(
+    params=CharfunParams(
+        ResonanceKind.DOUBLE, beta=1.0, omega_k=(1.3, 1.3), g_tau=0.35
+    ),
+    u=1.0, v=0.5, tau=math.pi, cold=20.0, top_edge=True,
+)
+def test_symplectic_route_matches_closed_form(params, u, v, tau, cold, top_edge):
+    # beta hbar omega_k reaches 20; on the strip's top edge u + i beta the
+    # weight scales the evolution's rows and columns by up to e^cold
     wk = params.omega_k[0]
+    params = dataclasses.replace(params, beta=cold / wk)
+    u = complex(u, params.beta) if top_edge else u
     wp = None if params.omega_p is None else params.omega_p[0]
     case = synthetic_case(params.variant, wk, wp, params.g_tau, tau)
     omegas = [wk] if wp is None else [wk, wp]
@@ -199,7 +211,7 @@ def test_symplectic_route_matches_closed_form(params, u, v, tau):
         interaction_generator([case]), omegas, tau, params.beta, u, v
     )
     b = closed_form(params, u, v)
-    assert abs(a - b) <= 1e-9
+    assert abs(a - b) <= 1e-12 * abs(b)
 
 
 @settings(PROPERTY, max_examples=20)

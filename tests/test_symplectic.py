@@ -29,7 +29,6 @@ from cavework.symplectic import (
     charfun_from_generator,
     charfun_general,
     sigma_matrix,
-    symplectic_inverse,
     trace_from_char,
     tracked_sqrt,
 )
@@ -108,11 +107,6 @@ def test_char_matrix_matches_scipy_expm():
                 got = char_matrix(q)
                 assert np.abs(got - want).max() <= tol * np.abs(want).max()
     assert counts == set(range(6))
-
-
-def test_symplectic_inverse_is_group_inverse():
-    m = char_matrix(thermal_form(0.6))
-    assert np.allclose(symplectic_inverse(m) @ m, np.eye(2), atol=1e-12)
 
 
 def test_trace_thermal_weight_exact():
@@ -199,6 +193,38 @@ def test_charfun_general_rejects_open_protocols():
     assert not proto.is_closed
     with pytest.raises(ValueError):
         charfun_general([case], proto, 0.5, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("omega,tau,match", [
+    (-1.0, math.pi, "frequencies"),
+    (0.0, math.pi, "frequencies"),
+    (math.inf, math.pi, "frequencies"),
+    (math.nan, math.pi, "frequencies"),
+    (1e-320, math.pi, "thermal normalization"),  # it underflows
+    (1.0, math.nan, "tau"),
+    (1.0, math.inf, "tau"),
+])
+def test_charfun_from_generator_refuses_frequencies_and_times_out_of_range(
+    omega, tau, match
+):
+    # each returned a value, blamed the branch tracker, warned or blamed S
+    case = synthetic_case(ResonanceKind.DOUBLE, 1.0, None, 0.3, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            charfun_from_generator(
+                interaction_generator([case]), [omega], tau, 1.0, 0.3, 0.1
+            )
+
+
+def test_a_group_whose_thermal_normalization_overflows_is_refused(tmp_path):
+    # at beta = 40 each mode's beta hbar omega (218 and 653) stays within
+    # the records' 700, while prod 4 sinh^2(beta hbar omega / 2) is e^870
+    group, protocol, _, _ = coupled_group(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="thermal normalization"):
+            charfun_general(group, protocol, 40.0, 0.3, 0.0)
 
 
 def test_strong_drive_branch_follows_closed_form():
