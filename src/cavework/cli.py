@@ -68,11 +68,11 @@ hbar * Omega at exact resonance.  Both refuse channels whose quanta
 differ by more than 8e-16 times the largest hbar * omega (no common
 lattice).  distribution itself refuses an open protocol (lambda(tau) !=
 lambda0: no work lattice) before it builds G, both refusals ending in
-"Re-run with --oracle", and takes a coupled group only under
---symplectic; verify takes a coupled group as it is, under a closed
-protocol only.  Each resonant mode's frequency at lambda(tau), which
-the records, the oracle and an open protocol's G and dPhi use,
-is evaluated once, by the resonance classifier, into the plan.
+"Re-run with --oracle".  The plan picks the route: both take a coupled
+group, under a closed protocol only, and --symplectic selects nothing.
+Each resonant mode's frequency at lambda(tau), which the records, the
+oracle and an open protocol's G and dPhi use, is evaluated once, by
+the resonance classifier, into the plan.
 
 Exit codes: 0 success, 1 verification / numerical-gate failure, 2
 usage or config error, including every check above.  The numerical
@@ -83,8 +83,8 @@ gates include --freeze refusing a closed-form vs oracle deviation above
 Inverted probabilities (the prob and F_exact columns) are printed to
 12 significant digits or to 1e-14 absolute, whichever is coarser
 (distributions.format_prob), and so is the residual_mass tail of
---oracle CSVs.  For a single resonance channel P(delta_n) is
-relabelled from the inverted P(w).
+--oracle CSVs.  P(delta_n) is relabelled from the inverted P(w) where
+every channel shares one photon change per quantum, else inverted.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ from .charfun import (
     plan_params,
 )
 from .distributions import (
-    _PHOTONS_PER_QUANTUM,
     _marginal_deviation,
     cumulative_and_fit,
     cumulative_to_csv,
@@ -127,6 +126,7 @@ from .distributions import (
     extract_marginal_work,
     format_prob,
     marginal_to_csv,
+    photons_per_quantum,
     verify_fluctuation_theorems,
 )
 from .driving import (
@@ -358,6 +358,11 @@ def load_config(path: str) -> RunConfig:
         sweep_vals = tuple(_number("values", tok, positive=True) for tok in raw.split())
 
     out = ini.get("output", {})
+    directory, prefix = out.get("directory", "out"), out.get("prefix", "run")
+    if not directory:
+        raise ConfigError("output key 'directory' must not be empty")
+    if {os.sep, os.altsep} & set(prefix):
+        raise ConfigError(f"output key 'prefix' holds a path separator: {prefix!r}")
 
     numerics = ini.get("numerics", {})
     raw_n_max = os.environ.get(_ENV_N_MAX, numerics.get("n_max", "40"))
@@ -384,8 +389,8 @@ def load_config(path: str) -> RunConfig:
         n_max=n_max,
         sweep_variable=sweep_var,
         sweep_values=sweep_vals,
-        directory=out.get("directory", "out"),
-        prefix=out.get("prefix", "run"),
+        directory=directory,
+        prefix=prefix,
     )
 
 
@@ -394,11 +399,11 @@ def _resolve_mode_frequency(token: str, cfg: RunConfig, spectrum: list) -> float
     if token == "lowest":
         return spectrum[0][1]
     try:
-        mode = tuple(int(part) for part in token.split(":"))
-    except ValueError:
+        i, j, k = (int(part) for part in token.split(":"))
+    except ValueError:  # not three integers
         raise ConfigError(f"bad mode index {token!r} (want i:j:k or lowest)") from None
     for m, w in spectrum:
-        if m == mode:
+        if m == (i, j, k):
             return w
     raise ConfigError(
         f"mode {token} is not in the spectrum below cutoff {cfg.cutoff:g}; "
@@ -420,25 +425,22 @@ def resolve_omega_drive(cfg: RunConfig, spectrum: list) -> float:
     except ValueError:
         pass
     w = r"w\(([^)]*)\)"
+    freq = partial(_resolve_mode_frequency, cfg=cfg, spectrum=spectrum)
     m = re.fullmatch(rf"2\*{w}", expr)
     if m:
-        return 2.0 * _resolve_mode_frequency(m.group(1), cfg, spectrum)
+        return 2.0 * freq(m.group(1))
     m = re.fullmatch(rf"{w}\+{w}", expr)
     if m:
-        return _resolve_mode_frequency(m.group(1), cfg, spectrum) + (
-            _resolve_mode_frequency(m.group(2), cfg, spectrum)
-        )
+        return freq(m.group(1)) + freq(m.group(2))
     m = re.fullmatch(rf"{w}-{w}", expr)
     if m:
-        diff = _resolve_mode_frequency(m.group(1), cfg, spectrum) - (
-            _resolve_mode_frequency(m.group(2), cfg, spectrum)
-        )
+        diff = freq(m.group(1)) - freq(m.group(2))
         if diff == 0.0:
             raise ConfigError("difference selector resolves to zero frequency")
         return abs(diff)
     m = re.fullmatch(w, expr)
     if m:
-        return _resolve_mode_frequency(m.group(1), cfg, spectrum)
+        return freq(m.group(1))
     raise ConfigError(
         f"cannot parse omega_drive {cfg.omega_drive_expr!r}; "
         "use a number, 2*w(i:j:k), w(a)+w(b), w(a)-w(b) or w(lowest)"
@@ -485,7 +487,7 @@ def _out_prefix(cfg: RunConfig) -> str:
     the directory made: one call per command, whatever it writes."""
     try:
         os.makedirs(cfg.directory, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+    except OSError as exc:
         raise ConfigError(
             f"[output] directory {cfg.directory}: {exc.strerror}"
         ) from None
@@ -579,13 +581,6 @@ def cmd_distribution(args) -> int:
         )
         return 0
 
-    if not args.symplectic and any(len(g) > 1 for g in plan.case_groups()):
-        raise ConfigError(
-            "resonance channels share modes (coupled group); the factorized "
-            "closed forms do not apply.  Re-run with --symplectic to use the "
-            "homotopy engine, or --oracle for the truncated-Fock simulation"
-        )
-
     if not protocol.is_closed:
         raise ConfigError(
             "the boundary does not return to its start (lambda(tau) != lambda0): "
@@ -596,13 +591,14 @@ def cmd_distribution(args) -> int:
         evaluate, spacing, _, _ = plan_charfun(plan, protocol, cfg.beta)
     except ValueError as exc:  # channels off one lattice
         raise ConfigError(f"{exc}.  Re-run with --oracle") from None
-    if len(plan.cases) == 1:
-        work, photons = extract_channel_marginals(
-            lambda u: evaluate(u, 0.0), spacing, plan.cases[0].kind
-        )
-    else:
+    per = photons_per_quantum(plan)
+    if per is None:  # no line delta_n = per * m: invert G(0, v) too
         work = extract_marginal_work(lambda u: evaluate(u, 0.0), spacing)
         photons = extract_marginal_photons(lambda v: evaluate(0.0, v))
+    else:
+        work, photons = extract_channel_marginals(
+            lambda u: evaluate(u, 0.0), spacing, per
+        )
 
     freeze_note = None
     if args.freeze:
@@ -650,11 +646,8 @@ def cmd_verify(args) -> int:
         evaluate, spacing, reverse, dphi = plan_charfun(plan, protocol, cfg.beta)
     except ValueError as exc:  # an open coupled group, or channels off one lattice
         raise ConfigError(str(exc)) from None
-    # a line delta_n = per * m only where every channel has the same per
-    pers = {_PHOTONS_PER_QUANTUM[case.kind] for case in plan.cases}
     report = verify_fluctuation_theorems(
-        evaluate, spacing, cfg.beta,
-        per=pers.pop() if len(pers) == 1 else None,
+        evaluate, spacing, cfg.beta, per=photons_per_quantum(plan),
         reverse=reverse, dphi=dphi, perturbation=args.perturb,
     )
     path = _out_prefix(cfg) + "report.json"
@@ -726,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--symplectic", action="store_true",
-        help="allow coupled resonance groups via the homotopy engine",
+        help="no effect: the plan picks the route, coupled groups included",
     )
     p.add_argument(
         "--adiabatic-ok", action="store_true",

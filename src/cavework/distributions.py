@@ -6,8 +6,8 @@ Fourier sum, not a quadrature: sampling G on one u-period and applying
 an FFT returns the peak weights directly.  The comb doubles its number
 of samples, keeping the samples it has, until the outer half of the
 lattice carries negligible mass.  One 1-D inverter does this for P(w)
-from G(u, 0) and P(delta_n) from G(0, v); a single channel's joint law
-is P(w) on the line delta_n = per * m, so it needs no joint inversion.
+from G(u, 0) and P(delta_n) from G(0, v); where every channel moves per
+photons per quantum, the joint law is P(w) on the line delta_n = per * m.
 Every characteristic function handed to it evaluates elementwise over
 a coordinate array; the inverter samples it in blocks of at most
 _BLOCK points.
@@ -30,7 +30,7 @@ import numpy as np
 from .charfun import (
     closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
 )
-from .driving import ResonanceKind
+from .driving import ResonanceKind, ResonancePlan
 from .errors import InversionError
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "format_prob",
     "format_probs",
     "marginal_to_csv",
+    "photons_per_quantum",
     "verify_fluctuation_theorems",
 ]
 
@@ -199,23 +200,27 @@ _PHOTONS_PER_QUANTUM = {
 }
 
 
+def photons_per_quantum(plan: ResonancePlan) -> int | None:
+    """The photon-number change per drive quantum that every channel of
+    the plan shares (2 for double and sum, 0 for difference), or None."""
+    pers = {_PHOTONS_PER_QUANTUM[case.kind] for case in plan.cases}
+    return pers.pop() if len(pers) == 1 else None
+
+
 def extract_channel_marginals(
-    charfun_eval: Callable[[np.ndarray], np.ndarray],
-    spacing: float,
-    kind: ResonanceKind,
+    charfun_eval: Callable[[np.ndarray], np.ndarray], spacing: float, per: int
 ) -> tuple[list[tuple[float, float]], list[tuple[int, float]]]:
-    """P(w) and P(delta_n) of a single resonance channel from one inversion.
+    """P(w) and P(delta_n) from one inversion, per from photons_per_quantum.
 
     Each drive quantum w = spacing of work creates a photon pair
-    (squeezing, two-mode squeezing) or moves one photon between the two
-    modes (beam splitter), so delta_n = 2m or 0 exactly at w = m *
+    (squeezing, two-mode squeezing) or moves one photon between two
+    modes (beam splitter), so delta_n = per * m exactly at w = m *
     spacing.  P(delta_n) is that relabelling of the P(w) weights, summed
     before the peak floor, so the two marginals cannot disagree about
     the same event.
     """
     signed, probs = _work_weights(charfun_eval, spacing)
     work = _floored_peaks(signed * spacing, probs)
-    per = _PHOTONS_PER_QUANTUM[kind]
     if per:  # one work peak per photon peak
         return work, _floored_peaks(per * signed, probs)
     return work, _floored_peaks([0], [math.fsum(probs.tolist())])
@@ -383,11 +388,9 @@ def verify_fluctuation_theorems(
     With no chemical potential the Crooks factor e^{beta (w - dPhi)}
     does not depend on delta_n, so the peakwise check pairs peak m of
     the direct sum's work weights with -m for any plan: one 1-D
-    inversion in all.  per is the photon-number change per quantum
-    that every channel shares (2 for double and sum, 0 for difference)
-    or None if they differ; given it, a closed check also takes the
-    line support, that G is constant along spacing u + per v, with the
-    periodicity points.
+    inversion in all.  per is the plan's photons_per_quantum; given it,
+    a closed check also takes the line support, that G is constant
+    along spacing u + per v, with the periodicity points.
 
     Besides the inversion, G is evaluated once per edge of the strip
     0 <= Im u <= beta: on the top edge at i beta and the grid's

@@ -167,9 +167,6 @@ class ResonancePlan:
     adiabatic_modes: tuple[tuple[ModeIndex, float], ...]
     resonant_modes: tuple[tuple[ModeIndex, float, float], ...]
 
-    def case_groups(self) -> list[list[ResonanceCase]]:
-        return [[self.cases[i] for i in g] for g in self.groups]
-
     def to_json(self) -> str:
         payload = {
             "cases": [

@@ -318,16 +318,22 @@ def check_thermal_norm(x: np.ndarray) -> None:
     """Refuse, with ValueError, mode energies x = beta hbar omega > 0 of
     one group whose thermal normalization, the trace formula's anchor
     (-1)^n det(T - I) = prod 4 sinh^2(x / 2), lies below the smallest
-    normal float or above e^700.  It grows as e^{sum x}, so a group can
-    leave float range while each of its modes stays within 700."""
-    with np.errstate(divide="ignore"):  # an x that underflowed to 0
+    normal float or above e^700 (a group can leave that range while each
+    x stays within 700), or whose anchor computes as 0: an e^x rounds to 1."""
+    with np.errstate(divide="ignore", over="ignore"):  # x of 0, or past 709
         log_norm = float(np.sum(x + 2.0 * np.log(-np.expm1(-x))))
+        unit = np.exp(x) == 1.0
     lowest = math.log(sys.float_info.min)
     if not lowest <= log_norm <= _MAX_THERMAL_EXPONENT:
         raise ValueError(
             "the thermal normalization prod 4 sinh^2(beta hbar omega / 2) = "
             f"e^{log_norm:.6g} over the group's modes leaves float range: its "
             f"log must lie within [{lowest:.6g}, {_MAX_THERMAL_EXPONENT:g}]"
+        )
+    if unit.any():
+        raise ValueError(
+            "the thermal diagonal e^(beta hbar omega) at beta hbar omega = "
+            f"{float(x.min()):.6g} rounds to 1: the anchor det(U T - U) is 0"
         )
 
 

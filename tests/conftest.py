@@ -339,7 +339,7 @@ def format_prob_reference(p: float) -> str:
     return f"{p:.{digits}g}"
 
 
-def channel_marginals_reference(signed, probs, spacing: float, kind):
+def channel_marginals_reference(signed, probs, spacing: float, per: int):
     """(P(w), P(delta_n)) of one channel from its work weights, one
     sample at a time: each weight goes to delta_n = per * m, every group
     is summed by math.fsum, and peaks at or below 1e-12 are dropped.
@@ -348,7 +348,6 @@ def channel_marginals_reference(signed, probs, spacing: float, kind):
     def floored(labels, ps):
         return sorted((x, float(p)) for x, p in zip(labels, ps) if p > 1e-12)
 
-    per = distributions._PHOTONS_PER_QUANTUM[kind]
     by_dn: dict[int, list[float]] = {}
     for m, p in zip(signed.tolist(), probs.tolist()):
         by_dn.setdefault(per * m, []).append(p)

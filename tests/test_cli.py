@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavework import cavity, charfun, cli, fock
+from cavework import cavity, charfun, cli, distributions, fock
 from cavework.cli import load_config, main, resolve_omega_drive
 from cavework.errors import ConfigError
 
@@ -139,6 +139,15 @@ def test_bad_omega_drive_exits_2(workdir):
     ) == 2
 
 
+@pytest.mark.parametrize("token", ["1:1", "1:1:1:1"])
+def test_a_mode_index_needs_three_integers(workdir, capsys, token):
+    # 1:1 was looked up as a two-part mode and reported as missing from
+    # the spectrum, with advice to raise a cutoff that could never help
+    assert main(["distribution", write_cfg(workdir, drive=f"2*w({token})")]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"config error: bad mode index '{token}' (want i:j:k or lowest)"
+
+
 def test_tau_zero_gives_point_distribution(workdir):
     cfg = write_cfg(workdir, tau=0.0)
     assert main(["distribution", cfg]) == 0
@@ -222,11 +231,22 @@ prefix = c
 """
 
 
-def test_coupled_group_needs_symplectic_flag(workdir, monkeypatch):
+def _csv_bytes(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
+
+
+def test_the_plan_picks_the_coupled_route_with_or_without_the_flag(
+    workdir, monkeypatch
+):
+    # --symplectic still parses and selects nothing: the plan's coupled
+    # group takes the trace formula either way, and the files match
     cfg = workdir / "coupled.cfg"
     cfg.write_text(COUPLED)
-    assert main(["distribution", str(cfg)]) == 2
     assert main(["distribution", str(cfg), "--symplectic"]) == 0
+    flagged = _csv_bytes(workdir / "out")
+    assert sorted(flagged) == ["c_cumulative.csv", "c_photons.csv", "c_work.csv"]
+    assert main(["distribution", str(cfg)]) == 0
+    assert _csv_bytes(workdir / "out") == flagged
     lines = (workdir / "out" / "c_work.csv").read_text().strip().split("\n")
     assert lines[0] == "w,prob"
     probs = {}
@@ -282,18 +302,25 @@ def test_the_coupled_group_verifies_in_the_cold_regime(workdir, beta):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify"], ["distribution", "--symplectic"], ["distribution", "--oracle"],
+    ["verify"], ["distribution"], ["distribution", "--oracle"],
 ])
-def test_a_coupled_group_past_float_range_exits_2(workdir, capsys, argv):
+@pytest.mark.parametrize("beta,cause", [
+    ("40", "thermal normalization"), ("1e-70", "thermal diagonal"),
+])
+def test_a_coupled_group_past_float_range_exits_2(workdir, capsys, argv, beta, cause):
     # beta = 40: each mode's beta hbar omega stays within 700, but the
     # group's thermal normalization is e^870, past float range; det
-    # overflowed with RuntimeWarnings and the anchor read nan
+    # overflowed with RuntimeWarnings and the anchor read nan.  beta =
+    # 1e-70: the normalization e^-636 is in range, but e^(beta hbar
+    # omega) rounds to 1, so the anchor det(U T - U) is exactly 0; verify
+    # blamed the branch tracker and --oracle asked for a larger n_max
     cfg = workdir / "coupled.cfg"
-    cfg.write_text(COUPLED.replace("beta = 0.4", "beta = 40"))
+    cfg.write_text(COUPLED.replace("beta = 0.4", f"beta = {beta}"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([argv[0], str(cfg), *argv[1:]]) == 2
-    assert "thermal normalization" in capsys.readouterr().err
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error:") and cause in err
     assert not (workdir / "out").exists()
 
 
@@ -333,11 +360,14 @@ def test_freeze_refusals_build_no_oracle(workdir, monkeypatch):
     def no_oracle(*args, **kwargs):
         raise AssertionError("a refused --freeze run built the Fock oracle")
 
-    monkeypatch.setattr(fock, "build_evolution", no_oracle)
-    monkeypatch.setenv("CAVEWORK_N_MAX", "6")
+    # a coupled group is no refusal: its trace formula meets the oracle
     cfg = workdir / "coupled.cfg"
     cfg.write_text(COUPLED)
-    assert main(["distribution", str(cfg), "--freeze"]) == 2
+    assert main(["distribution", str(cfg), "--freeze"]) == 0
+    report = json.loads((workdir / "out" / "c_freeze_report.json").read_text())
+    assert report["max_marginal_deviation"] < 1e-12
+    monkeypatch.setattr(fock, "build_evolution", no_oracle)
+    monkeypatch.setenv("CAVEWORK_N_MAX", "6")
     with pytest.warns(UserWarning):
         assert main(
             ["distribution", str(CONFIGS / "open_endpoints.cfg"), "--freeze"]
@@ -355,7 +385,7 @@ def _work_column(path: Path) -> list[str]:
         ("sum_res", [], 2e-10),
         ("diff_res", [], 2e-10),
         ("double_res", ["--freeze"], 2e-10),
-        ("coupled", ["--symplectic"], 1e-10),
+        ("coupled", [], 1e-10),
     ],
     ids=["double", "sum", "difference", "double freeze", "coupled"],
 )
@@ -389,6 +419,52 @@ OFF_LATTICE = BASE.replace("ly = 1.0", "ly = 1.00000000001").format(
     lx=1.0, cutoff=6.0, epsilon=0.01, drive="2*w(0:1:1)",
     tau=2.0 * math.pi / 8.885765876272304, beta=0.5,
 )
+
+
+# two double channels on the modes (1,0,1) and (0,1,1) of a square box:
+# one frequency on separate modes, so every channel moves two photons per
+# quantum and the joint law lies on the line delta_n = 2m
+DEGENERATE = OFF_LATTICE.replace("ly = 1.00000000001", "ly = 1.0").replace(
+    "2*w(0:1:1)", "2*w(1:0:1)"
+)
+
+
+def test_channels_that_share_a_photon_change_relabel_their_photon_law(
+    workdir, monkeypatch
+):
+    cfg = workdir / "degenerate.cfg"
+    cfg.write_text(DEGENERATE)
+    loaded = load_config(str(cfg))
+    protocol, plan = cli._protocol_and_plan(loaded, cli._spectrum(loaded))
+    assert [len(g) for g in plan.groups] == [1, 1]
+    assert distributions.photons_per_quantum(plan) == 2
+    evaluate, spacing, _, _ = charfun.plan_charfun(plan, protocol, loaded.beta)
+    work, photons = distributions.extract_channel_marginals(
+        lambda u: evaluate(u, 0.0), spacing, 2
+    )
+    direct = distributions.extract_marginal_photons(lambda v: evaluate(0.0, v))
+    assert [dn for dn, _ in photons] == [dn for dn, _ in direct]
+    for (dn, p), (_, q) in zip(photons, direct):
+        assert abs(p - q) <= 1e-12, dn
+
+    # the CLI writes the relabelled law and inverts no G(0, v)
+    def no_inversion(*args, **kwargs):
+        raise AssertionError("the photon law was inverted, not relabelled")
+
+    monkeypatch.setattr(cli, "extract_marginal_photons", no_inversion)
+    assert main(["distribution", str(cfg)]) == 0
+    written = (workdir / "out" / "t_photons.csv").read_text()
+    assert written == distributions.marginal_to_csv(photons, "photons")
+    # verify checks the line delta_n = 2m and passes every gate
+    pers, verifier = [], cli.verify_fluctuation_theorems
+
+    def recorded(*args, **kwargs):
+        pers.append(kwargs["per"])
+        return verifier(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_fluctuation_theorems", recorded)
+    assert main(["verify", str(cfg)]) == 0
+    assert pers == [2]
 
 
 @pytest.mark.parametrize("name", ["open_endpoints", "off_lattice"])
@@ -760,6 +836,32 @@ def test_output_directory_that_is_a_file_exits_2(workdir, capsys):
     assert (workdir / "out").read_text() == ""
 
 
+@pytest.mark.parametrize("argv", [["spectrum"], ["distribution", "--freeze"]])
+@pytest.mark.parametrize("key,value", [("directory", ""), ("prefix", "nosuch/run")])
+def test_an_output_path_is_refused_before_any_work(workdir, capsys, argv, key, value):
+    # an empty directory ended in a FileNotFoundError traceback from
+    # os.makedirs; a prefix through a missing directory did so after the
+    # whole computation, and after freeze_report.json under --freeze
+    cfg = Path(write_cfg(workdir, tau=1.0 / math.sqrt(2.0), beta=0.225))
+    cfg.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", cfg.read_text()))
+    assert main([argv[0], str(cfg), *argv[1:]]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"config error: output key '{key}'")
+    assert [p for p in workdir.rglob("*") if p != cfg] == []
+
+
+def test_an_output_directory_that_cannot_be_made_exits_2(workdir, capsys):
+    # every OSError of os.makedirs is a config error, not only a file in
+    # the way: here a directory name longer than any file system takes
+    cfg = Path(write_cfg(workdir))
+    long_name = "directory = " + "d" * 300
+    cfg.write_text(cfg.read_text().replace("directory = out", long_name))
+    assert main(["spectrum", str(cfg)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("config error: [output] directory ddd")
+    assert [p for p in workdir.rglob("*") if p != cfg] == []
+
+
 def test_fock_basis_above_the_cap_exits_2(workdir, monkeypatch, capsys):
     # one mode at n_max = 20000 is one state above the cap; the space is
     # refused from its cutoffs alone, before any array is allocated
@@ -823,7 +925,7 @@ def test_import_loads_no_scipy(workdir):
     runs = [
         ["spectrum", write_cfg(workdir)],
         ["distribution", str(CONFIGS / "double_res.cfg")],
-        ["distribution", "coupled.cfg", "--symplectic"],
+        ["distribution", "coupled.cfg"],
         ["distribution", str(CONFIGS / "diff_res.cfg"), "--oracle"],
         ["distribution", str(CONFIGS / "open_endpoints.cfg"), "--oracle"],
         ["distribution", str(CONFIGS / "sum_res.cfg"), "--freeze"],

@@ -107,7 +107,7 @@ def test_channel_photons_relabel_the_work_inversion():
         work, photons = extract_channel_marginals(
             lambda u: closed_form(params, u, 0.0),
             spacing,
-            params.variant,
+            distributions._PHOTONS_PER_QUANTUM[params.variant],
         )
         assert work == extract_marginal_work(
             lambda u: closed_form(params, u, 0.0), spacing
@@ -647,9 +647,10 @@ def test_channel_marginals_keep_the_bits_of_the_per_sample_relabelling(name, fac
     def evaluate(u):
         return charfun._g(params, u, 0.0)
 
-    got = extract_channel_marginals(evaluate, spacing, params.variant)
+    per = distributions._PHOTONS_PER_QUANTUM[params.variant]
+    got = extract_channel_marginals(evaluate, spacing, per)
     signed, probs = distributions._work_weights(evaluate, spacing)
-    want = channel_marginals_reference(signed, probs, spacing, params.variant)
+    want = channel_marginals_reference(signed, probs, spacing, per)
     for mine, ref in zip(got, want):
         assert same_bits(np.array(mine, dtype=float), np.array(ref, dtype=float))
     assert all(type(dn) is int for dn, _ in got[1])

@@ -201,6 +201,7 @@ def test_charfun_general_rejects_open_protocols():
     (math.inf, math.pi, "frequencies"),
     (math.nan, math.pi, "frequencies"),
     (1e-320, math.pi, "thermal normalization"),  # it underflows
+    (1e-17, math.pi, "thermal diagonal"),  # e^(beta hbar omega) rounds to 1
     (1.0, math.nan, "tau"),
     (1.0, math.inf, "tau"),
 ])
