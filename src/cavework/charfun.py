@@ -4,7 +4,8 @@ Single-resonance results for a boundary returning to its starting
 position, their generalization to unequal endpoint positions, G of a
 whole resonance plan with its work lattice, its reverse protocol and
 its grand-potential difference (plan_charfun, the one builder of G for
-the distribution and verify commands), grand potentials, classical
+the distribution and verify commands, with a coupled group's G from
+the trace formula by charfun_general), grand potentials, classical
 (hbar -> 0) limits, and the work mean and variance as exact cumulants
 of G.
 
@@ -48,17 +49,19 @@ from .driving import (
     ResonanceKind,
     ResonancePlan,
     group_frequencies,
+    interaction_generator,
 )
 from .errors import DegenerateResonanceError
 from .symplectic import (
     _MAX_THERMAL_EXPONENT,
-    charfun_general,
+    charfun_from_generator,
     check_thermal_norm,
     tracked_sqrt,
 )
 
 __all__ = [
     "CharfunParams",
+    "charfun_general",
     "classical_alphas",
     "classical_work_cdf",
     "closed_form",
@@ -459,11 +462,29 @@ def plan_params(
     ]
 
 
+def charfun_general(group, protocol: DrivingProtocol, beta: float, u, v):
+    """G(u, v) over broadcast u and v for one coupled resonance group of
+    a protocol that returns the boundary to its start, by the trace
+    formula symplectic.charfun_from_generator.  An open protocol takes
+    the general-endpoint closed forms or the truncated-Fock oracle."""
+    if not protocol.is_closed:
+        raise ValueError(
+            "protocol does not return the boundary to its start; "
+            "use the general-endpoint closed forms or the Fock oracle"
+        )
+    gen = interaction_generator(group, phi=protocol.phi)
+    freq = group_frequencies(group)
+    return charfun_from_generator(
+        gen, [freq[m] for m in gen.modes], protocol.tau, beta, u, v,
+        hbar=protocol.hbar,
+    )
+
+
 def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
     """(G(u, v) over broadcast arrays, work spacing, reverse G, dPhi) of a
     resonance plan: the closed forms of its mode-disjoint channels times
-    symplectic.charfun_general of each coupled group, on the first
-    channel's quantum.  A closed protocol is its own reverse, given as
+    charfun_general of each coupled group, on the first channel's
+    quantum.  A closed protocol is its own reverse, given as
     None, with dPhi = 0; its closed forms take every mode at its lambda0
     frequency at both ends.  An open one ends each mode at the plan's
     lambda(tau) frequency and needs no coupled group; its reverse swaps

@@ -14,14 +14,14 @@ det(E1 U E2 T - U), U with its rows and columns scaled, less U.
 The square root's branch is the delicate part.  Thermal-weighted traces
 are fixed by a reference eigenvalue pairing; characteristic-function
 evaluations are fixed by homotopy from (u, v) = (0, 0), where the
-normalized value is exactly 1.  That homotopy is tracked_sqrt; it tracks
-a whole array of evaluation points at once.  The trace formula continues
-it once along a comb's ray instead, at one determinant per point, and
-falls back to tracked_sqrt off a ray or on a failed step.  The
-single-mode closed forms in charfun need it only at points where no
-bound proves their principal root to be the branch: off a strip of the
-phase for closed endpoints, and outside a certificate on Re u for open
-ones.
+normalized value is exactly 1.  One rule, _continue, carries a root
+along a path's stops; tracked_sqrt lays out the stops point by point,
+and the trace formula's _ray_sqrt along a comb's ray at one determinant
+per point, falling back to tracked_sqrt off a ray or on a failed step.
+The single-mode closed forms in charfun need the tracker only at points
+where no bound proves their principal root to be the branch: off a
+strip of the phase for closed endpoints, and outside a certificate on
+Re u for open ones.
 
 Scalar prefactors (the 1/2-shifts of normal ordering) are never folded
 into the matrices.  In the characteristic-function ratio they cancel
@@ -48,7 +48,6 @@ __all__ = [
     "QuadraticForm",
     "char_matrix",
     "charfun_from_generator",
-    "charfun_general",
     "check_thermal_norm",
     "sigma_matrix",
     "trace_from_char",
@@ -148,17 +147,43 @@ def char_matrix(q: QuadraticForm) -> np.ndarray:
     return m
 
 
-def _diag_char(coeffs: np.ndarray) -> np.ndarray:
-    """Characteristic matrix of exp(sum c_j a_j^+ a_j): diag(e^c, e^-c)."""
-    c = np.asarray(coeffs, dtype=complex)
-    return np.diag(np.concatenate([np.exp(c), np.exp(-c)]))
-
-
 def _branch_determinant(x: np.ndarray):
     """(-1)^n det(X), over the last two axes of a 2n x 2n matrix stack."""
     n = x.shape[-1] // 2
     sign = -1.0 if n % 2 else 1.0
     return sign * np.linalg.det(x)
+
+
+def _anchor(d0, size: int, anchor_tol: float) -> np.ndarray:
+    """Anchors radicand(0) at size points, each real positive to anchor_tol."""
+    d0 = np.broadcast_to(np.asarray(d0, dtype=complex), (size,))
+    bad = ~((np.abs(d0.imag) <= anchor_tol * np.abs(d0)) & (d0.real > 0.0))
+    if bad.any():
+        raise BranchTrackingError(
+            f"branch anchor {complex(d0[bad][0]):.3e} is not positive real"
+        )
+    return d0
+
+
+def _continue(start: np.ndarray, cur: np.ndarray):
+    """The branch rule: sqrt(start[i]) continued along row i of cur, the
+    radicands at one path's stops.  Per stop: whether the radicand
+    vanished (below 1e-14 of start), whether the step to it passed (the
+    ratio cur / prev has a positive real part) and the root, which holds
+    while every step up to it passed."""
+    prev = np.concatenate([start[:, None], cur[:, :-1]], axis=1)
+    # prev enters as its phase, so that the product stays in float range
+    # with the radicand; a vanished prev has none
+    with np.errstate(invalid="ignore"):
+        ok = (cur * (prev / np.abs(prev)).conj()).real > 0.0
+    # the relative argument lies within (-pi/2, pi/2), so of the two roots
+    # of cur the one within pi/4 of the last continues the branch: a sign
+    # chain over the principal roots
+    near = np.sqrt(cur)
+    last = np.concatenate([np.sqrt(start)[:, None], near[:, :-1]], axis=1)
+    turn = np.where((near * last.conj()).real > 0.0, 1.0, -1.0)
+    root = np.where(np.cumprod(turn, axis=1) > 0.0, near, -near)
+    return np.abs(cur) < 1e-14 * np.abs(start)[:, None], ok, root
 
 
 def tracked_sqrt(
@@ -173,65 +198,41 @@ def tracked_sqrt(
     radicand(s, *pts) evaluates at one path parameter s, elementwise over
     flat arrays pts holding some of the points.  Every anchor
     radicand(0) must be real positive to a relative anchor_tol (a thermal
-    normalization or determinant in every use here).  Each root is
-    carried over `steps` equal steps in s.  A point whose step ratio
-    radicand(s) / radicand(s - 1/steps) has a non-positive real part
-    drops out of the pass and is re-run from s = 0 at twice the steps,
-    up to 64 times the starting count.  A pass ends as soon as all of its
-    points have dropped out, so a batch costs what its points cost one
-    by one.  The single-mode closed forms call it only for points where
+    normalization or determinant in every use here).  A pass carries
+    each root by _continue over `steps` equal steps in s; a point with a
+    failed step is re-run at twice the steps, up to 64 times the
+    starting count, so a batch costs what its points cost one by one.  A
+    radicand that vanishes at or before a point's first failed step is
+    refused.  The single-mode closed forms call it only for points where
     the principal root is not certified to be the branch.
     """
     pts = np.broadcast_arrays(*map(np.asarray, points))
     shape = pts[0].shape
     pts = [p.ravel() for p in pts]
-    size = pts[0].size
-    d0 = np.broadcast_to(np.asarray(radicand(0.0, *pts), dtype=complex), (size,))
-    bad = ~((np.abs(d0.imag) <= anchor_tol * np.abs(d0)) & (d0.real > 0.0))
-    if bad.any():
-        raise BranchTrackingError(
-            f"branch anchor {complex(d0[bad][0]):.3e} is not positive real"
-        )
-    out = np.empty(size, dtype=complex)
-    live = np.arange(size)
+    d0 = _anchor(radicand(0.0, *pts), pts[0].size, anchor_tol)
+    out = np.empty(d0.size, dtype=complex)
+    live = np.arange(d0.size)
     limit = 64 * steps
     while True:
-        prev = d0[live]
-        root = np.sqrt(prev)
-        floor = 1e-14 * np.abs(prev)
         sub = [p[live] for p in pts]
-        failed = []
-        for j in range(1, steps + 1):
-            cur = np.asarray(radicand(j / steps, *sub), dtype=complex)
-            if (np.abs(cur) < floor).any():
-                raise BranchTrackingError(
-                    "radicand vanished along the branch path; perturb u or v"
-                )
-            # the step continues the branch while the ratio cur / prev
-            # keeps a positive real part; prev enters as its phase, so
-            # that the product stays in float range with the radicand
-            ok = (cur * (prev / np.abs(prev)).conj()).real > 0.0
-            if not ok.all():
-                failed.append(live[~ok])
-                live, root, floor, cur = live[ok], root[ok], floor[ok], cur[ok]
-                sub = [p[ok] for p in sub]
-                if not live.size:
-                    break
-            # the relative argument lies within (-pi/2, pi/2), so of the
-            # two roots of cur the one within pi/4 of the last continues
-            # the branch
-            near = np.sqrt(cur)
-            root = np.where((near * root.conj()).real > 0.0, near, -near)
-            prev = cur
-        out[live] = root
-        if not failed:
+        cur = [radicand(j / steps, *sub) for j in range(1, steps + 1)]
+        vanished, ok, root = _continue(d0[live], np.stack(cur, 1, dtype=complex))
+        # a stop is reached while every step before it passed
+        passed = np.logical_and.accumulate(ok, axis=1)
+        if (vanished & np.insert(passed[:, :-1], 0, True, axis=1)).any():
+            raise BranchTrackingError(
+                "radicand vanished along the branch path; perturb u or v"
+            )
+        failed = ~passed[:, -1]
+        out[live[~failed]] = root[~failed, -1]
+        if not failed.any():
             return out.reshape(shape)
         if steps >= limit:
             raise BranchTrackingError(
                 f"radicand winds too fast even at {steps} steps; "
                 "perturb the evaluation point"
             )
-        live = np.concatenate(failed)
+        live = live[failed]
         steps *= 2
 
 
@@ -241,11 +242,10 @@ def _ray_sqrt(radicand, points, steps, anchor_tol):
     finite, at least one, and not scalar.
 
     Each point's homotopy segment then lies on the farthest point's, so
-    one continuation across the sorted points, merged with the
-    tracker's `steps` steps to the farthest, reaches every root with no
-    step longer than the tracker's: N + steps radicands in one batch.
-    Off such a ray, or when the anchor or any step fails the tracker's
-    tests, tracked_sqrt runs unchanged.
+    _continue along one path, the sorted points merged with the tracker's
+    `steps` stops to the farthest, reaches every root with no step longer
+    than the tracker's: N + steps radicands in one batch.  Off such a
+    ray, or where a stop vanishes or a step fails, tracked_sqrt runs.
     """
     u, v = np.broadcast_arrays(*map(np.asarray, points))
     on_u = not v.any()
@@ -256,27 +256,18 @@ def _ray_sqrt(radicand, points, steps, anchor_tol):
         or not (t.size and np.isfinite(t).all() and (t >= 0.0).all())
     ):
         return tracked_sqrt(radicand, points, steps, anchor_tol)
+    d0 = _anchor(radicand(0.0, u.ravel(), v.ravel()), t.size, anchor_tol)
     grid, zero = t.max() * np.arange(1, steps + 1) / steps, np.zeros(steps)
     order = np.argsort(np.concatenate([t, grid]), kind="stable")
     su = np.concatenate([u.ravel(), grid if on_u else zero])[order]
     sv = np.concatenate([v.ravel(), zero if on_u else grid])[order]
-    d0 = complex(np.ravel(radicand(0.0, su[:1], sv[:1]))[0])
     cur = np.asarray(radicand(1.0, su, sv), dtype=complex)
-    prev = np.append(d0, cur[:-1])
-    # the tracker's tests; prev enters the step test as its phase, so that
-    # the product stays in float range with the radicand
-    if not (
-        d0.real > 0.0 and abs(d0.imag) <= anchor_tol * abs(d0)
-        and (np.abs(cur) >= 1e-14 * abs(d0)).all()
-        and ((cur * (prev / np.abs(prev)).conj()).real > 0.0).all()
-    ):
+    vanished, ok, root = _continue(d0[:1], cur[None])
+    if vanished.any() or not ok.all():
         return tracked_sqrt(radicand, points, steps, anchor_tol)
-    # the tracker's pick of near or -near at each step, as a sign chain
-    near = np.sqrt(cur)
-    turn = (near * np.append(np.sqrt(d0), near[:-1]).conj()).real > 0.0
-    root = np.empty_like(near)
-    root[order] = np.where(np.cumprod(np.where(turn, 1.0, -1.0)) > 0.0, near, -near)
-    return root[: t.size].reshape(u.shape)
+    out = np.empty_like(cur)
+    out[order] = root[0]
+    return out[: t.size].reshape(u.shape)
 
 
 def trace_from_char(m: np.ndarray) -> complex:
@@ -316,11 +307,17 @@ def trace_from_char(m: np.ndarray) -> complex:
 
 def check_thermal_norm(x: np.ndarray) -> None:
     """Refuse, with ValueError, mode energies x = beta hbar omega > 0 of
-    one group whose thermal normalization, the trace formula's anchor
-    (-1)^n det(T - I) = prod 4 sinh^2(x / 2), lies below the smallest
-    normal float or above e^700 (a group can leave that range while each
-    x stays within 700), or whose anchor computes as 0: an e^x rounds to 1."""
-    with np.errstate(divide="ignore", over="ignore"):  # x of 0, or past 709
+    one group with an x above 700, as the records do, or whose thermal
+    normalization, the trace formula's anchor (-1)^n det(T - I) =
+    prod 4 sinh^2(x / 2), lies below the smallest normal float or above
+    e^700 (a group can leave that range while each x stays within 700),
+    or whose anchor computes as 0: an e^x rounds to 1."""
+    if not np.all(x <= _MAX_THERMAL_EXPONENT):
+        raise ValueError(
+            "the thermal diagonal e^(beta hbar omega) at beta hbar omega = "
+            f"{float(np.max(x)):.6g} > {_MAX_THERMAL_EXPONENT:g} leaves float range"
+        )
+    with np.errstate(divide="ignore"):  # an x of 0
         log_norm = float(np.sum(x + 2.0 * np.log(-np.expm1(-x))))
         unit = np.exp(x) == 1.0
     lowest = math.log(sys.float_info.min)
@@ -374,11 +371,14 @@ def charfun_from_generator(
         raise ValueError("beta and hbar must be positive")
     if not 0.0 <= tau < math.inf:
         raise ValueError("tau must be nonnegative and finite")
-    check_thermal_norm(beta * hbar * w)
+    x = beta * hbar * w
+    check_thermal_norm(x)
 
     m_int = char_matrix(QuadraticForm(-1j * tau * generator.S, generator.modes))
-    m_u = _diag_char(-1j * w * tau) @ m_int
-    thermal = np.diag(_diag_char(-beta * hbar * w))
+    # the free phases and the thermal factor are diagonal: a vector each
+    phases = np.exp(np.concatenate([-1j * w * tau, 1j * w * tau]))
+    m_u = phases[:, None] * m_int
+    thermal = np.exp(np.concatenate([-x, x]))
 
     def total(su: np.ndarray, sv: np.ndarray) -> np.ndarray:
         # E1 U E2 T - U, one matrix per point: E1 scales the rows of U,
@@ -399,25 +399,3 @@ def charfun_from_generator(
     g = np.sqrt(d0) / _ray_sqrt(radicand, (u, v), steps=64, anchor_tol=1e-9)
     return complex(g) if g.ndim == 0 else g
 
-
-def charfun_general(group, protocol, beta: float, u, v):
-    """G(u, v) for one coupled resonance group of a closed protocol, over
-    broadcast u and v as in charfun_from_generator.
-
-    Closed means the boundary returns to its starting position; the
-    general-endpoint case is handled by the closed-form route or the
-    truncated-Fock oracle instead.
-    """
-    from . import driving  # deferred: driving builds on this module's types
-
-    if not protocol.is_closed:
-        raise ValueError(
-            "protocol does not return the boundary to its start; "
-            "use the general-endpoint closed forms or the Fock oracle"
-        )
-    gen = driving.interaction_generator(group, phi=protocol.phi)
-    freq = driving.group_frequencies(group)
-    omegas = [freq[mode] for mode in gen.modes]
-    return charfun_from_generator(
-        gen, omegas, protocol.tau, beta, u, v, hbar=protocol.hbar
-    )

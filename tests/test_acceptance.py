@@ -39,6 +39,7 @@ from cavework.cavity import (
 )
 from cavework.charfun import (
     CharfunParams,
+    charfun_general,
     closed_form,
     closed_form_general,
     grand_potential_diff,
@@ -57,7 +58,6 @@ from overlap_oracle import overlap_integral_oracle
 from cavework.symplectic import (
     QuadraticForm,
     char_matrix,
-    charfun_general,
     trace_from_char,
 )
 

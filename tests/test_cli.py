@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: configs, exit codes, files, determinism."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavework import cavity, charfun, cli, distributions, fock
+from cavework import cavity, charfun, cli, distributions, fock, symplectic
 from cavework.cli import load_config, main, resolve_omega_drive
 from cavework.errors import ConfigError
 
@@ -943,6 +944,24 @@ def test_import_loads_no_scipy(workdir):
         cwd=workdir, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip().split("\n")[-1] == f"{[0] * len(runs)} []"
+
+
+def test_symplectic_loads_no_other_cavework_module():
+    # the trace formula is a leaf: the coupled group's G is built in
+    # charfun, so symplectic reaches no resonance or plan type, and it
+    # defers no import to a call
+    tree = ast.parse(Path(symplectic.__file__).read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert all(n in tree.body for n in imports)
+    code = (
+        "import sys, cavework.symplectic; "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cavework'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == ["cavework", "cavework.errors", "cavework.symplectic"]
 
 
 def _ini_keys(block: str) -> dict[str, set[str]]:

@@ -19,7 +19,7 @@ from cavework.cavity import (
     mode_frequency,
     mode_spectrum,
 )
-from cavework.charfun import CharfunParams
+from cavework.charfun import CharfunParams, charfun_general
 from cavework.distributions import extract_marginal_work
 from cavework.driving import (
     DrivingProtocol,
@@ -30,7 +30,6 @@ from cavework.driving import (
 )
 from cavework.errors import AmbiguousResonanceError, DegenerateResonanceError
 from cavework.fock import TruncatedFockSpace
-from cavework.symplectic import charfun_general
 
 GEOM = RectangularGeometry(lx=0.9, ly=1.0)
 POL = Polarization.TE

@@ -48,6 +48,7 @@ from cavework.cavity import (  # noqa: E402
 )
 from cavework.charfun import (  # noqa: E402
     CharfunParams,
+    charfun_general,
     classical_alphas,
     classical_work_cdf,
     closed_form,
@@ -74,11 +75,8 @@ from cavework.fock import (  # noqa: E402
     build_evolution,
     two_point_measurement,
 )
-from cavework.symplectic import (  # noqa: E402
-    charfun_from_generator,
-    charfun_general,
-    tracked_sqrt,
-)
+from cavework.symplectic import charfun_from_generator, tracked_sqrt  # noqa: E402
+import branch_oracle  # noqa: E402
 from classifier_oracle import classify_reference  # noqa: E402
 from conftest import (  # noqa: E402
     channel_product,
@@ -602,6 +600,157 @@ def test_the_ray_path_keeps_the_trackers_bits_on_comb_points(plan):
         with mock.patch.object(symplectic, "_ray_sqrt", tracked_sqrt):
             tracked = _comb_outcome(cases, beta, u, v)
         assert (ray is None and tracked is None) or same_bits(ray, tracked)
+
+
+def _branch_outcome(root, radicand, points, steps, anchor_tol):
+    """A square-root path's roots, or the type and message it raised."""
+    try:
+        return root(radicand, points, steps, anchor_tol)
+    except (BranchTrackingError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+
+
+def assert_one_branch_rule(radicand, points, steps, anchor_tol):
+    """tracked_sqrt and, on (u, v) points, _ray_sqrt return the bits of
+    their references in branch_oracle, or raise what those raise."""
+    pairs = [(tracked_sqrt, branch_oracle.tracked_sqrt)]
+    if len(points) == 2:
+        pairs.append((symplectic._ray_sqrt, branch_oracle._ray_sqrt))
+    for new, old in pairs:
+        got = _branch_outcome(new, radicand, points, steps, anchor_tol)
+        want = _branch_outcome(old, radicand, points, steps, anchor_tol)
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want
+        else:
+            assert same_bits(got, want)
+
+
+def _winding(tilt, c, k, power):
+    """tilt (1 - s p / c) e^(i k (s p)^power) at p = u + v: it winds k
+    radians over s p in [0, 1] at power 1, ever faster at power 2, and
+    vanishes where s p = c."""
+    def radicand(s, u, v):
+        p = s * (u + v)
+        return tilt * (1.0 - p / c) * np.exp(1j * k * p**power)
+
+    return radicand
+
+
+# nonnegative values, stops s = j / 16 of p = 1 among them
+RAY_VALUES = st.lists(
+    st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.5]) | st.floats(0.0, 1.5),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _layout(kind, values):
+    """(u, v) points: on the u or the v ray, off every ray, or scalar."""
+    t = np.array(values)
+    return {
+        "u ray": (t, 0.0),
+        "v ray": (0.0, t),
+        "mixed": (t, t[::-1]),
+        "negative": (-t, 0.0),
+        "scalar": (float(t[0]), 0.0),
+    }[kind]
+
+
+@settings(PROPERTY, max_examples=100)  # milliseconds per example
+@given(
+    tilt=st.sampled_from([1.0, 1.0 + 1e-13j, 1.0 + 1e-10j, 1.0 + 1e-8j, -1.0]),
+    c=st.sampled_from([math.inf, 0.5, 1.0]) | st.integers(1, 16).map(lambda j: j / 16),
+    k=st.sampled_from([0.0, 42.0, 2048.0 * math.pi / 3.0]) | st.floats(0.0, 120.0),
+    power=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["u ray", "v ray", "mixed", "negative", "scalar"]),
+    values=RAY_VALUES,
+    steps=st.sampled_from([16, 64]),
+    anchor_tol=st.sampled_from([1e-12, 1e-9]),
+)
+# a step that fails at 16 and passes at 32, alone and in a batch
+@example(1.0, math.inf, 42.0, 1, "scalar", [1.0], 16, 1e-12)
+@example(1.0, math.inf, 42.0, 1, "u ray", [1.0, 0.1, 0.2], 16, 1e-12)
+@example(1.0, math.inf, 42.0, 1, "mixed", [1.0, 0.1, 0.2], 16, 1e-12)
+# winding too fast at every step count, before a stop that vanishes too
+@example(1.0, math.inf, 2048.0 * math.pi / 3.0, 1, "u ray", [0.5, 1.0], 16, 1e-12)
+@example(1.0, 0.5, 2048.0 * math.pi / 3.0, 1, "u ray", [1.0], 16, 1e-12)
+# p = 1 vanishes at s = 1/16, before its first failed step at s = 3/16,
+# and at s = 1/2, after it: the re-run at 64 steps reaches it
+@example(1.0, 1.0 / 16.0, 100.0, 2, "mixed", [0.5, 0.2], 16, 1e-12)
+@example(1.0, 0.5, 100.0, 2, "mixed", [0.5, 0.2], 16, 1e-12)
+@example(1.0, 0.5, 100.0, 2, "u ray", [1.0, 0.3], 16, 1e-12)
+# anchors tilted within and past each tolerance
+@example(1.0 + 1e-10j, math.inf, 3.0, 1, "u ray", [1.0], 64, 1e-9)
+@example(1.0 + 1e-10j, math.inf, 3.0, 1, "u ray", [1.0], 16, 1e-12)
+@example(1.0 + 1e-8j, math.inf, 3.0, 1, "v ray", [1.0], 64, 1e-9)
+def test_the_branch_rule_keeps_the_reference_paths_bits_on_winding_radicands(
+    tilt, c, k, power, kind, values, steps, anchor_tol
+):
+    radicand = _winding(tilt, c, k, power)
+    assert_one_branch_rule(radicand, _layout(kind, values), steps, anchor_tol)
+
+
+@settings(PROPERTY, max_examples=40)  # milliseconds per example
+@given(
+    double_records(),
+    st.lists(
+        st.tuples(st.floats(-20.0, 20.0), st.booleans(), st.floats(0.01, 2.0)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+# at g tau = 2.6 continuation winds too fast at u = 2 - i beta / 2
+@example(CharfunParams(ResonanceKind.DOUBLE, 0.1, (2.0, 2.0), 2.6), [(2.0, False, 0.5)])
+def test_the_branch_rule_keeps_the_reference_paths_bits_off_the_strip(params, points):
+    # u below the strip's lower edge or above its upper one, v = 0: every
+    # point reaches the tracker
+    u = np.array([
+        re + 1j * params.beta * (-f if below else 1.0 + f) for re, below, f in points
+    ])
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append((*args, *kwargs.values()))
+        return tracked_sqrt(*args, **kwargs)
+
+    with mock.patch.object(charfun, "tracked_sqrt", recorded):
+        with contextlib.suppress(BranchTrackingError):
+            closed_form(params, u, 0.0)
+    assert len(calls) == 1
+    assert_one_branch_rule(*calls[0])
+
+
+@PROPERTY
+@given(resonance_plans(g_tau_max=2.0).filter(lambda plan: plan[1]))
+def test_the_branch_rule_keeps_the_reference_paths_bits_on_a_coupled_group(plan):
+    # the work comb, the photon comb, the periodicity probe, the
+    # Jarzynski point and a small Crooks grid's two sides
+    cases, _, beta = plan
+    quantum = charfun._drive_quantum(CharfunParams.from_case(cases[0], beta, TAU))
+    period = 2.0 * math.pi / quantum
+    u, v = np.meshgrid(
+        period * np.arange(6) / 6, 2.0 * math.pi * np.arange(5) / 5, indexing="ij"
+    )
+    points = [
+        (period * np.arange(256) / 256, 0.0),
+        (0.0, 2.0 * math.pi * np.arange(64) / 64),
+        (period * np.array([1.13, 1.41, 1.77]), 0.0),
+        (1j * beta, 0.0),
+        (u + 1j * beta, v),
+        (-u, -v),
+    ]
+    calls, ray = [], symplectic._ray_sqrt
+
+    def recorded(*args, **kwargs):
+        calls.append((*args, *kwargs.values()))
+        return ray(*args, **kwargs)
+
+    with mock.patch.object(symplectic, "_ray_sqrt", recorded):
+        for u, v in points:
+            _comb_outcome(cases, beta, u, v)
+    assert len(calls) == len(points)
+    for call in calls:
+        assert_one_branch_rule(*call)
 
 
 @settings(PROPERTY, max_examples=20)  # milliseconds per example

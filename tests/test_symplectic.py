@@ -15,8 +15,8 @@ import scipy.linalg as sla
 
 from conftest import same_bits, synthetic_case
 from test_cli import COUPLED
-from cavework import cli, symplectic
-from cavework.charfun import CharfunParams, closed_form, plan_charfun
+from cavework import charfun, cli, symplectic
+from cavework.charfun import CharfunParams, charfun_general, closed_form, plan_charfun
 from cavework.driving import DrivingProtocol, ResonanceKind, interaction_generator
 from cavework.errors import (
     BranchTrackingError,
@@ -27,7 +27,6 @@ from cavework.symplectic import (
     QuadraticForm,
     char_matrix,
     charfun_from_generator,
-    charfun_general,
     sigma_matrix,
     trace_from_char,
     tracked_sqrt,
@@ -218,6 +217,16 @@ def test_charfun_from_generator_refuses_frequencies_and_times_out_of_range(
             )
 
 
+def test_a_mode_past_the_records_thermal_bound_is_refused_in_a_group():
+    # x = [750, 1e-12]: the group's log normalization, about 695, is in
+    # range, but e^750 overflowed in the thermal diagonal
+    gen = QuadraticForm(np.zeros((4, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="beta hbar omega = 750 "):
+            charfun_from_generator(gen, [750.0, 1e-12], math.pi, 1.0, 0.3, 0.0)
+
+
 def test_a_group_whose_thermal_normalization_overflows_is_refused(tmp_path):
     # at beta = 40 each mode's beta hbar omega (218 and 653) stays within
     # the records' 700, while prod 4 sinh^2(beta hbar omega / 2) is e^870
@@ -252,9 +261,10 @@ def test_tracked_sqrt_refines_past_a_fast_step():
         return np.exp(42j * s * x)
 
     root = tracked_sqrt(radicand, (1.0,), steps=16, anchor_tol=1e-12)
-    # 16 steps of 2.625 rad leave the right half plane at the first
-    # step; one refinement to 32 steps of 1.3125 rad continues the branch
-    assert calls == 1 + 1 + 32
+    # 16 steps of 2.625 rad leave the right half plane at the first step,
+    # and a pass takes all of its steps; one refinement to 32 steps of
+    # 1.3125 rad continues the branch
+    assert calls == 1 + 16 + 32
     assert abs(root - cmath.exp(21j)) < 1e-12
     # the continued root is the negative of the principal one
     assert abs(root + cmath.sqrt(cmath.exp(42j))) < 1e-12
@@ -297,13 +307,14 @@ def test_tracked_sqrt_refines_only_the_failing_points():
 
         return tracked_sqrt(radicand, (x,), steps=16, anchor_tol=1e-12), calls
 
-    # x = 1 turns 2.625 rad per step and needs 32 steps; the others pass
-    # at 16, so the batch costs exactly what its points cost one by one
+    # x = 1 turns 2.625 rad per step and needs a second pass at 32 steps;
+    # the others pass at 16, so the batch costs exactly what its points
+    # cost one by one
     xs = np.array([[1.0, 0.1], [0.2, 1.0], [-0.05, 0.3]])
     root, calls = counted(xs)
     alone = [counted(x) for x in xs.ravel()]
-    assert [c for _, c in alone] == [34, 17, 17, 34, 17, 17]
-    assert calls == sum(c for _, c in alone) == 136
+    assert [c for _, c in alone] == [49, 17, 17, 49, 17, 17]
+    assert calls == sum(c for _, c in alone) == 166
     assert root.shape == xs.shape
     assert np.allclose(root.ravel(), [r for r, _ in alone], rtol=1e-14, atol=0.0)
     assert np.allclose(root, np.exp(21j * xs), rtol=0.0, atol=1e-12)
@@ -333,7 +344,7 @@ def test_the_ray_path_keeps_the_trackers_bits_on_the_coupled_config(
         calls.append((args, kwargs, generator(*args, **kwargs)))
         return calls[-1][2]
 
-    monkeypatch.setattr(symplectic, "charfun_from_generator", recorded)
+    monkeypatch.setattr(charfun, "charfun_from_generator", recorded)
     assert cli.main(["distribution", "coupled.cfg", "--symplectic"]) == 0
     assert [g.size for _, _, g in calls] == [3, 3, 256, 64]
     monkeypatch.setattr(symplectic, "_ray_sqrt", tracked_sqrt)
