@@ -489,9 +489,11 @@ def plan_charfun(plan: ResonancePlan, protocol: DrivingProtocol, beta: float):
     frequency at both ends.  An open one ends each mode at the plan's
     lambda(tau) frequency and needs no coupled group; its reverse swaps
     every channel's endpoints, and dPhi is grand_potential_diff over the
-    plan's resonant modes.  Raises ValueError for an open protocol with a
-    coupled group, and for channels whose quanta differ beyond their
-    rounding."""
+    plan's resonant modes.  Raises ValueError for a plan with no channel,
+    for an open protocol with a coupled group, and for channels whose
+    quanta differ beyond their rounding."""
+    if not plan.cases:
+        raise ValueError("the plan has no resonance channel, so no work lattice")
     coupled = [[plan.cases[i] for i in g] for g in plan.groups if len(g) > 1]
     if not protocol.is_closed and coupled:
         raise ValueError(

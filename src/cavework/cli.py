@@ -70,6 +70,8 @@ lattice).  distribution itself refuses an open protocol (lambda(tau) !=
 lambda0: no work lattice) before it builds G, both refusals ending in
 "Re-run with --oracle".  The plan picks the route: both take a coupled
 group, under a closed protocol only, and --symplectic selects nothing.
+moments sums the exact means and variances (charfun.moments) of
+mode-disjoint channels under a closed protocol; a coupled group exits 2.
 Each resonant mode's frequency at lambda(tau), which the records, the
 oracle and an open protocol's G and dPhi use, is evaluated once, by
 the resonance classifier, into the plan.
@@ -84,7 +86,8 @@ Inverted probabilities (the prob and F_exact columns) are printed to
 12 significant digits or to 1e-14 absolute, whichever is coarser
 (distributions.format_prob), and so is the residual_mass tail of
 --oracle CSVs.  P(delta_n) is relabelled from the inverted P(w) where
-every channel shares one photon change per quantum, else inverted.
+every channel shares one photon change per quantum, else inverted from
+G(0, v) (distributions.extract_channel_marginals).
 """
 
 from __future__ import annotations
@@ -106,6 +109,7 @@ from .cavity import (
     Polarization,
     RectangularGeometry,
     SphericalGeometry,
+    mode_index_str,
     mode_spectrum,
     spectrum_to_csv,
 )
@@ -122,8 +126,6 @@ from .distributions import (
     cumulative_and_fit,
     cumulative_to_csv,
     extract_channel_marginals,
-    extract_marginal_photons,
-    extract_marginal_work,
     format_prob,
     marginal_to_csv,
     photons_per_quantum,
@@ -591,14 +593,9 @@ def cmd_distribution(args) -> int:
         evaluate, spacing, _, _ = plan_charfun(plan, protocol, cfg.beta)
     except ValueError as exc:  # channels off one lattice
         raise ConfigError(f"{exc}.  Re-run with --oracle") from None
-    per = photons_per_quantum(plan)
-    if per is None:  # no line delta_n = per * m: invert G(0, v) too
-        work = extract_marginal_work(lambda u: evaluate(u, 0.0), spacing)
-        photons = extract_marginal_photons(lambda v: evaluate(0.0, v))
-    else:
-        work, photons = extract_channel_marginals(
-            lambda u: evaluate(u, 0.0), spacing, per
-        )
+    work, photons = extract_channel_marginals(
+        evaluate, spacing, photons_per_quantum(plan)
+    )
 
     freeze_note = None
     if args.freeze:
@@ -646,9 +643,11 @@ def cmd_verify(args) -> int:
         evaluate, spacing, reverse, dphi = plan_charfun(plan, protocol, cfg.beta)
     except ValueError as exc:  # an open coupled group, or channels off one lattice
         raise ConfigError(str(exc)) from None
+    shift = args.perturb  # the negative control moves the forward and reverse G
     report = verify_fluctuation_theorems(
-        evaluate, spacing, cfg.beta, per=photons_per_quantum(plan),
-        reverse=reverse, dphi=dphi, perturbation=args.perturb,
+        lambda u, v: evaluate(u, v) + shift, spacing, cfg.beta,
+        per=photons_per_quantum(plan), dphi=dphi,
+        reverse=reverse and (lambda u, v: reverse(u, v) + shift),
     )
     path = _out_prefix(cfg) + "report.json"
     _write(path, report.to_json())
@@ -672,18 +671,24 @@ def cmd_moments(args) -> int:
     if cfg.sweep_variable is None or not cfg.sweep_values:
         raise ConfigError("moments needs a [sweep] section with values")
     protocol, plan = _protocol_and_plan(cfg, _spectrum(cfg))
-    if len(plan.cases) != 1:
-        raise ConfigError(
-            f"moments handles exactly one resonance channel, found {len(plan.cases)}"
-        )
+    if not plan.cases:
+        raise ConfigError("moments needs a resonance channel, found none")
+    for group in plan.groups:
+        if len(group) > 1:
+            modes = sorted({m for i in group for m in plan.cases[i].modes})
+            raise ConfigError(
+                "moments takes mode-disjoint channels; the channels on modes "
+                f"{', '.join(map(mode_index_str, modes))} form one coupled group"
+            )
     if not protocol.is_closed:
         raise ConfigError("moment sweeps assume a closed protocol")
     lines = [f"{cfg.sweep_variable},mean_w,std_w"]
     for val in cfg.sweep_values:
         beta, hbar = (val, cfg.hbar) if cfg.sweep_variable == "beta" else (cfg.beta, val)
         try:
-            [params] = plan_params(plan, dataclasses.replace(protocol, hbar=hbar), beta)
-            mean, var = moments(params)
+            params = plan_params(plan, dataclasses.replace(protocol, hbar=hbar), beta)
+            # independent channels: the cumulants add
+            mean, var = map(sum, zip(*map(moments, params)))
         except ValueError as exc:
             raise ConfigError(f"{cfg.sweep_variable} = {val!r}: {exc}") from None
         lines.append(f"{val:.12g},{mean:.12g},{math.sqrt(var):.12g}")

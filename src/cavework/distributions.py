@@ -5,12 +5,12 @@ multiples of the drive quantum, so inversion is an exact discrete
 Fourier sum, not a quadrature: sampling G on one u-period and applying
 an FFT returns the peak weights directly.  The comb doubles its number
 of samples, keeping the samples it has, until the outer half of the
-lattice carries negligible mass.  One 1-D inverter does this for P(w)
-from G(u, 0) and P(delta_n) from G(0, v); where every channel moves per
-photons per quantum, the joint law is P(w) on the line delta_n = per * m.
-Every characteristic function handed to it evaluates elementwise over
-a coordinate array; the inverter samples it in blocks of at most
-_BLOCK points.
+lattice carries negligible mass.  The inverters and the verifier take
+G(u, v) of charfun.plan_charfun, elementwise over broadcast arrays, and
+read their own axis: one 1-D comb inverts P(w) from G(u, 0) and
+P(delta_n) from G(0, v), in blocks of at most _BLOCK points.  Where
+every channel moves per photons per quantum, the joint law is P(w) on
+the line delta_n = per * m, and P(delta_n) is relabelled from it.
 
 Also here: cumulative step functions with Gaussian fits and their
 Kolmogorov-Smirnov distance, and the fluctuation-theorem verifier that
@@ -27,9 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charfun import (
-    closed_form,  # noqa: F401  (perfbench/selftest.py traces it under this name)
-)
+from .charfun import closed_form  # noqa: F401  (the benchmark tracer wraps it here)
 from .driving import ResonanceKind, ResonancePlan
 from .errors import InversionError
 
@@ -152,43 +150,38 @@ def _merge_runs(w, dn, p, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return wp, dn[new], tot
 
 
-def _work_weights(
-    charfun_eval: Callable[[np.ndarray], np.ndarray], spacing: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _work_weights(evaluate: Callable, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """Signed lattice indices and validated weights of P(w) on the comb
-    w = m * spacing, spacing the channel quantum hbar (omega_k +- omega_p)."""
+    w = m * spacing, spacing the channel quantum hbar (omega_k +- omega_p),
+    from G(u, 0)."""
     if not 0.0 < spacing < math.inf:
         raise ValueError("lattice spacing must be positive and finite")
     period = 2.0 * math.pi / spacing
     u = np.array([0.13, 0.41, 0.77]) * period
-    a, b = charfun_eval(u + period), charfun_eval(u)
+    a, b = evaluate(u + period, 0.0), evaluate(u, 0.0)
     if (np.abs(a - b) > 1e-8 * np.maximum(1.0, np.abs(b))).any():
         raise InversionError(
             "characteristic function is not periodic on this lattice "
             "(incommensurate work support); use the Fock simulation"
         )
-    return _adaptive_comb(charfun_eval, period, 256)
+    return _adaptive_comb(lambda u: evaluate(u, 0.0), period, 256)
 
 
 def extract_marginal_work(
-    charfun_eval: Callable[[np.ndarray], np.ndarray], spacing: float
+    evaluate: Callable, spacing: float
 ) -> list[tuple[float, float]]:
     """Peak weights of P(w) on the comb w = m * spacing by exact Fourier
-    inversion.
-
-    Asserts u-periodicity first: an aperiodic G means the support is not
-    this comb (unequal endpoint positions), where the truncated-Fock
-    simulation is the appropriate tool.
+    inversion of G(u, 0).  An aperiodic G(u, 0) is refused first: its
+    support is not this comb (unequal endpoint positions), which is the
+    truncated-Fock simulation's case.
     """
-    signed, probs = _work_weights(charfun_eval, spacing)
+    signed, probs = _work_weights(evaluate, spacing)
     return _floored_peaks(signed * spacing, probs)
 
 
-def extract_marginal_photons(
-    charfun_eval: Callable[[np.ndarray], np.ndarray],
-) -> list[tuple[int, float]]:
+def extract_marginal_photons(evaluate: Callable) -> list[tuple[int, float]]:
     """Weights of P(delta_n) from G(0, v); the v-period is exactly 2 pi."""
-    signed, probs = _adaptive_comb(charfun_eval, 2.0 * math.pi, 64)
+    signed, probs = _adaptive_comb(lambda v: evaluate(0.0, v), 2.0 * math.pi, 64)
     return _floored_peaks(signed.tolist(), probs)
 
 
@@ -208,18 +201,21 @@ def photons_per_quantum(plan: ResonancePlan) -> int | None:
 
 
 def extract_channel_marginals(
-    charfun_eval: Callable[[np.ndarray], np.ndarray], spacing: float, per: int
+    evaluate: Callable, spacing: float, per: int | None
 ) -> tuple[list[tuple[float, float]], list[tuple[int, float]]]:
-    """P(w) and P(delta_n) from one inversion, per from photons_per_quantum.
+    """P(w) and P(delta_n) of G(u, v), per from photons_per_quantum.
 
     Each drive quantum w = spacing of work creates a photon pair
     (squeezing, two-mode squeezing) or moves one photon between two
     modes (beam splitter), so delta_n = per * m exactly at w = m *
-    spacing.  P(delta_n) is that relabelling of the P(w) weights, summed
-    before the peak floor, so the two marginals cannot disagree about
-    the same event.
+    spacing.  P(delta_n) is that relabelling of the P(w) weights,
+    summed before the peak floor, so the two marginals cannot disagree
+    about the same event; with per None it is inverted from G(0, v).
     """
-    signed, probs = _work_weights(charfun_eval, spacing)
+    if per is None:
+        work = extract_marginal_work(evaluate, spacing)
+        return work, extract_marginal_photons(evaluate)
+    signed, probs = _work_weights(evaluate, spacing)
     work = _floored_peaks(signed * spacing, probs)
     if per:  # one work peak per photon peak
         return work, _floored_peaks(per * signed, probs)
@@ -324,13 +320,8 @@ class VerificationReport:
     normalization_error: float
 
     def worst(self) -> float:
-        vals = [
-            self.jarzynski_abs_error,
-            self.crooks_max_error,
-            self.periodicity_max_error,
-            self.normalization_error,
-        ]
-        return max(vals)
+        return max(self.jarzynski_abs_error, self.crooks_max_error,
+                   self.periodicity_max_error, self.normalization_error)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -374,7 +365,6 @@ def verify_fluctuation_theorems(
     per: int | None = None,
     reverse: Callable | None = None,
     dphi: float = 0.0,
-    perturbation: float = 0.0,
 ) -> VerificationReport:
     """Check Jarzynski and Crooks identities; errors are data, not raises.
 
@@ -396,15 +386,10 @@ def verify_fluctuation_theorems(
     0 <= Im u <= beta: on the top edge at i beta and the grid's
     u + i beta, on the real axis at the origin, the periodicity points
     and (closed) the grid's (-u, -v); an open protocol evaluates its
-    reverse once more, on (-u, -v).
-
-    perturbation adds a constant to every G evaluation: a negative
-    control that must break normalization and Jarzynski.
+    reverse once more, on (-u, -v).  A negative control (the CLI's
+    --perturb) shifts the forward and the reverse G before the call.
     """
     closed = reverse is None
-
-    def ev(g: Callable, u, v):
-        return g(u, v) + perturbation
 
     # the Crooks grid, and the periodicity points with their shifts
     period = 2.0 * math.pi / spacing
@@ -424,22 +409,21 @@ def verify_fluctuation_theorems(
         shifts.append((u0 - per * dv / spacing, v0 + dv))
 
     # the top edge: Jarzynski at u = i beta, the grid's Crooks side
-    top = ev(evaluate, np.append(1j * beta, (u + 1j * beta).ravel()),
-             np.append(0.0, v.ravel()))
+    top = evaluate(np.append(1j * beta, (u + 1j * beta).ravel()),
+                   np.append(0.0, v.ravel()))
     # the real axis: the origin, the periodicity points, (closed) -u, -v
     pairs = [(np.zeros(1), np.zeros(1)), (u0, v0), *shifts]
     if closed:
         pairs.append((-u.ravel(), -v.ravel()))
-    real = ev(evaluate, *map(np.concatenate, zip(*pairs)))
+    real = evaluate(*map(np.concatenate, zip(*pairs)))
 
     rhs = math.exp(-beta * dphi)
     lhs = complex(top[0])
-    jz_err = abs(lhs - rhs)
     norm_err = abs(complex(real[0]) - 1.0)
 
     direct_err = peak_err = None
     if closed:
-        signed, probs = _work_weights(lambda u: ev(evaluate, u, 0.0), spacing)
+        signed, probs = _work_weights(evaluate, spacing)
         total = sum(p for _, p in _floored_peaks(signed.tolist(), probs))
         norm_err = max(norm_err, abs(total - 1.0))
         # probs_of[half + m]: the weight of peak m, 0 for a missing one
@@ -456,7 +440,7 @@ def verify_fluctuation_theorems(
             peak_err = max(peak_err, abs(p - tilted) / max(p, tilted))
 
     # Crooks on the grid: G_R(-u, -v) = G_F(u + i beta, v) e^{beta dPhi}
-    left = real[-u.size :] if closed else ev(reverse, -u, -v).ravel()
+    left = real[-u.size :] if closed else reverse(-u, -v).ravel()
     right = top[1:] * math.exp(beta * dphi)
     crooks = float(np.abs(left - right).max())
 
@@ -467,7 +451,7 @@ def verify_fluctuation_theorems(
     return VerificationReport(
         jarzynski_lhs=abs(lhs),
         jarzynski_rhs=rhs,
-        jarzynski_abs_error=jz_err,
+        jarzynski_abs_error=abs(lhs - rhs),
         jarzynski_direct_error=direct_err,
         crooks_max_error=crooks,
         crooks_peakwise_error=peak_err,

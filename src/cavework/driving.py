@@ -270,10 +270,15 @@ def classify_resonances(
     identically are discarded.  A pair matching both the sum and the
     difference condition within tol means tol is too coarse.  Every
     resonant mode's frequency at lambda(tau) is evaluated here, once,
-    into the plan's resonant_modes.
+    into the plan's resonant_modes.  A mode listed twice is refused.
     """
     if not spectrum:
         raise ValueError("spectrum must be nonempty")
+    seen: set = set()
+    for mode, _ in spectrum:
+        if mode in seen:
+            raise ValueError(f"spectrum lists mode {mode_index_str(mode)} twice")
+        seen.add(mode)
     omega = protocol.omega_drive
     if tol is None:
         tol = _RESONANCE_TOL * omega

@@ -228,10 +228,11 @@ def verify_channel(params: charfun.CharfunParams, perturbation: float = 0.0):
     charfun._g, looked up at each call so that a test may patch it, the
     endpoint-swapped record as the reverse of an open protocol, its
     grand-potential difference, the channel quantum and its photons per
-    quantum."""
+    quantum.  perturbation shifts the forward and the reverse G, as the
+    CLI's verify --perturb does."""
 
     def g_of(record):
-        return lambda u, v: charfun._g(record, u, v)
+        return lambda u, v: charfun._g(record, u, v) + perturbation
 
     reverse, dphi = None, 0.0
     if not params.is_closed:
@@ -249,7 +250,6 @@ def verify_channel(params: charfun.CharfunParams, perturbation: float = 0.0):
         per=distributions._PHOTONS_PER_QUANTUM[params.variant],
         reverse=reverse,
         dphi=dphi,
-        perturbation=perturbation,
     )
 
 

@@ -457,9 +457,7 @@ def test_criterion_6_classical_limit():
         ks = []
         for beta in betas:
             params = CharfunParams(variant, beta, (2.0, 2.0), 0.3, (1.0, 1.0))
-            marginal = extract_marginal_work(
-                lambda u: closed_form(params, u, 0.0), quantum
-            )
+            marginal = extract_marginal_work(partial(closed_form, params), quantum)
             ks.append(
                 compare_classical(
                     marginal,

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +238,7 @@ def test_quantum_charfun_approaches_classical_limit():
 def test_moments_match_lattice_average():
     # exact cumulants vs. explicit sum over inverted peak weights
     params = make_params(SUF, beta=0.4, wk=2.0, wp=1.0, g_tau=0.3)
-    peaks = extract_marginal_work(lambda u: closed_form(params, u, 0.0), 3.0)
+    peaks = extract_marginal_work(partial(closed_form, params), 3.0)
     mean_sum = sum(w * p for w, p in peaks)
     var_sum = sum((w - mean_sum) ** 2 * p for w, p in peaks)
     mean, var = moments(params)
@@ -261,7 +262,7 @@ def test_moments_variance_matches_lattice_sum_on_sweeps(name):
     for hbar in cfg.sweep_values:
         params = dataclasses.replace(base, hbar=hbar)
         peaks = extract_marginal_work(
-            lambda u: closed_form(params, u, 0.0), hbar * protocol.omega_drive
+            partial(closed_form, params), hbar * protocol.omega_drive
         )
         mean_sum = sum(w * p for w, p in peaks)
         var_sum = sum((w - mean_sum) ** 2 * p for w, p in peaks)
@@ -346,6 +347,14 @@ def test_plan_charfun_of_an_open_protocol_reverses_every_channel():
     coupled = plan_of([double, shared], final, groups=((0, 1),))
     with pytest.raises(ValueError, match="needs a closed protocol"):
         charfun.plan_charfun(coupled, opened, beta)
+
+
+def test_plan_charfun_refuses_a_plan_with_no_channel():
+    # the work lattice is a channel's quantum: with none there is no
+    # lattice, and the refusal says so rather than max() of nothing
+    protocol = closed_protocol(2.0)
+    with pytest.raises(ValueError, match="no resonance channel, so no work lattice"):
+        charfun.plan_charfun(plan_of([]), protocol, 1.0)
 
 
 def test_array_charfuns_match_pointwise_at_strong_drive(monkeypatch):

@@ -440,10 +440,8 @@ def test_channels_that_share_a_photon_change_relabel_their_photon_law(
     assert [len(g) for g in plan.groups] == [1, 1]
     assert distributions.photons_per_quantum(plan) == 2
     evaluate, spacing, _, _ = charfun.plan_charfun(plan, protocol, loaded.beta)
-    work, photons = distributions.extract_channel_marginals(
-        lambda u: evaluate(u, 0.0), spacing, 2
-    )
-    direct = distributions.extract_marginal_photons(lambda v: evaluate(0.0, v))
+    work, photons = distributions.extract_channel_marginals(evaluate, spacing, 2)
+    direct = distributions.extract_marginal_photons(evaluate)
     assert [dn for dn, _ in photons] == [dn for dn, _ in direct]
     for (dn, p), (_, q) in zip(photons, direct):
         assert abs(p - q) <= 1e-12, dn
@@ -452,7 +450,7 @@ def test_channels_that_share_a_photon_change_relabel_their_photon_law(
     def no_inversion(*args, **kwargs):
         raise AssertionError("the photon law was inverted, not relabelled")
 
-    monkeypatch.setattr(cli, "extract_marginal_photons", no_inversion)
+    monkeypatch.setattr(distributions, "extract_marginal_photons", no_inversion)
     assert main(["distribution", str(cfg)]) == 0
     written = (workdir / "out" / "t_photons.csv").read_text()
     assert written == distributions.marginal_to_csv(photons, "photons")
@@ -616,6 +614,71 @@ def test_moments_sweep_to_a_hot_limit_stays_finite(workdir):
     lines = (workdir / "out" / "t_moments.csv").read_text().strip().split("\n")
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "1e-100"]
     assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(","))
+
+
+SWEEP_BETA = "\n[sweep]\nvariable = beta\nvalues = 0.5 2\n"
+
+
+def test_moments_sums_the_cumulants_of_mode_disjoint_channels(workdir):
+    # two double channels on separate modes are independent, so their
+    # means and variances add: the sweep matches the inverted P(w)
+    cfg = workdir / "degenerate.cfg"
+    cfg.write_text(DEGENERATE + SWEEP_BETA)
+    assert main(["moments", str(cfg)]) == 0
+    lines = (workdir / "out" / "t_moments.csv").read_text().strip().split("\n")
+    assert lines[0] == "beta,mean_w,std_w"
+    loaded = load_config(str(cfg))
+    protocol, plan = cli._protocol_and_plan(loaded, cli._spectrum(loaded))
+    assert [len(g) for g in plan.groups] == [1, 1]
+    for line, beta in zip(lines[1:], loaded.sweep_values, strict=True):
+        value, mean, std = map(float, line.split(","))
+        assert value == beta
+        evaluate, spacing, _, _ = charfun.plan_charfun(plan, protocol, beta)
+        peaks = distributions.extract_marginal_work(evaluate, spacing)
+        mean_w = math.fsum(w * p for w, p in peaks)
+        var_w = math.fsum((w - mean_w) ** 2 * p for w, p in peaks)
+        assert mean == pytest.approx(mean_w, rel=1e-6), beta
+        assert std**2 == pytest.approx(var_w, rel=1e-6), beta
+
+
+def test_moments_refuses_a_coupled_group_by_its_modes(workdir, capsys):
+    cfg = workdir / "coupled.cfg"
+    cfg.write_text(COUPLED + SWEEP_BETA)
+    assert main(["moments", str(cfg)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (
+        "config error: moments takes mode-disjoint channels; the channels on "
+        "modes 0:1:1, 0:1:5 form one coupled group"
+    )
+    assert [p for p in workdir.rglob("*") if p != cfg] == []
+
+
+@pytest.mark.filterwarnings("ignore:epsilon=0.12 strains")
+def test_the_open_endpoint_negative_control_shifts_both_g(workdir, capsys):
+    # --perturb shifts the forward and the reverse G before the verifier
+    # sees them; an open protocol is the one plan whose Crooks grid reads
+    # the reverse, where the two shifts nearly cancel
+    path = str(CONFIGS / "open_endpoints.cfg")
+    assert main(["verify", "--perturb", "1e-3", path]) == 1
+    cfg = load_config(path)
+    protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
+    evaluate, spacing, reverse, dphi = charfun.plan_charfun(plan, protocol, cfg.beta)
+
+    def shifted(g):
+        return lambda u, v: g(u, v) + 1e-3
+
+    want = distributions.verify_fluctuation_theorems(
+        shifted(evaluate), spacing, cfg.beta,
+        per=distributions.photons_per_quantum(plan),
+        reverse=shifted(reverse), dphi=dphi,
+    )
+    report = workdir / "out" / "open_endpoints" / "open_report.json"
+    assert report.read_text() == want.to_json()
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.endswith("FAIL")]
+    assert failed == ["jarzynski", "crooks", "normalization"]
+    assert want.jarzynski_abs_error > 5e-4 and want.normalization_error > 5e-4
+    assert cli._VERIFY_CROOKS_TOL < want.crooks_max_error < 1e-4
 
 
 @pytest.mark.filterwarnings("ignore:epsilon=0.12 strains")

@@ -54,7 +54,7 @@ DIF = ResonanceKind.DIFFERENCE
 
 
 def comb_eval(weights: dict, spacing: float):
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u: np.ndarray, v) -> np.ndarray:
         return sum(p * np.exp(1j * u * m * spacing) for m, p in weights.items())
 
     return g
@@ -63,7 +63,7 @@ def comb_eval(weights: dict, spacing: float):
 def test_work_lattice_validation():
     for spacing in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="spacing"):
-            extract_marginal_work(lambda u: np.ones_like(u, dtype=complex), spacing)
+            extract_marginal_work(lambda u, v: np.ones_like(u, dtype=complex), spacing)
 
 
 def test_synthetic_comb_round_trip():
@@ -77,13 +77,13 @@ def test_synthetic_comb_round_trip():
 
 
 def test_unit_charfun_is_a_delta_at_zero():
-    peaks = extract_marginal_work(lambda u: 1.0 + 0.0j, 2.0)
+    peaks = extract_marginal_work(lambda u, v: 1.0 + 0.0j, 2.0)
     assert peaks == [(0.0, 1.0)]
 
 
 def test_photon_support_parity():
     dof = CharfunParams(variant=DOF, beta=0.6, omega_k=(1.0, 1.0), g_tau=0.4)
-    peaks = extract_marginal_photons(lambda v: closed_form(dof, 0.0, v))
+    peaks = extract_marginal_photons(functools.partial(closed_form, dof))
     assert sum(p for _, p in peaks) == pytest.approx(1.0, abs=1e-10)
     assert all(dn % 2 == 0 for dn, _ in peaks)
     assert any(dn >= 4 for dn, _ in peaks)
@@ -91,7 +91,7 @@ def test_photon_support_parity():
     dif = CharfunParams(
         variant=DIF, beta=0.6, omega_k=(2.0, 2.0), omega_p=(1.0, 1.0), g_tau=0.4
     )
-    peaks = extract_marginal_photons(lambda v: closed_form(dif, 0.0, v))
+    peaks = extract_marginal_photons(functools.partial(closed_form, dif))
     assert len(peaks) == 1
     assert peaks[0][0] == 0
     assert peaks[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -104,15 +104,12 @@ def test_channel_photons_relabel_the_work_inversion():
         (params_for(DIF, 0.3, 0.4), 1.0),
     ]
     for params, spacing in cases:
+        evaluate = functools.partial(closed_form, params)
         work, photons = extract_channel_marginals(
-            lambda u: closed_form(params, u, 0.0),
-            spacing,
-            distributions._PHOTONS_PER_QUANTUM[params.variant],
+            evaluate, spacing, distributions._PHOTONS_PER_QUANTUM[params.variant]
         )
-        assert work == extract_marginal_work(
-            lambda u: closed_form(params, u, 0.0), spacing
-        )
-        direct = extract_marginal_photons(lambda v: closed_form(params, 0.0, v))
+        assert work == extract_marginal_work(evaluate, spacing)
+        direct = extract_marginal_photons(evaluate)
         assert [dn for dn, _ in photons] == [dn for dn, _ in direct]
         for (_, p), (_, q) in zip(photons, direct):
             assert p == pytest.approx(q, abs=1e-15)
@@ -126,7 +123,7 @@ def test_channel_photons_relabel_the_work_inversion():
 
 def test_incommensurate_support_is_rejected():
     # two frequencies with irrational ratio cannot share a lattice
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u: np.ndarray, v) -> np.ndarray:
         return 0.5 * np.exp(1j * u) + 0.5 * np.exp(1j * u * math.sqrt(2.0))
 
     with pytest.raises(InversionError, match="Fock"):
@@ -141,7 +138,7 @@ def test_negative_weights_are_rejected():
 
 
 def test_imaginary_weights_are_rejected():
-    def g(u: np.ndarray) -> np.ndarray:
+    def g(u: np.ndarray, v) -> np.ndarray:
         return 1.0 + 1e-6j * (np.exp(1j * u) - 1.0)
 
     with pytest.raises(InversionError, match="imaginary"):
@@ -349,9 +346,7 @@ def test_cumulative_fit_moments_and_cdf():
 
 def test_strong_drive_is_visibly_non_gaussian():
     params = params_for(DOF, beta=1.0, g_tau=1.2, wk=1.0)
-    peaks = extract_marginal_work(
-        lambda u: closed_form(params, u, 0.0), 2.0
-    )
+    peaks = extract_marginal_work(functools.partial(closed_form, params), 2.0)
     fit = cumulative_and_fit(peaks)
     assert fit.sup_distance > 0.01
 
@@ -360,9 +355,7 @@ def test_classical_comparison_tracks_temperature():
     g_tau, r = 0.3, 0.5
     for beta, bound, hot in [(0.05, 0.1, True), (2.5, 0.3, False)]:
         params = params_for(SUF, beta=beta, g_tau=g_tau)
-        peaks = extract_marginal_work(
-            lambda u: closed_form(params, u, 0.0), 3.0
-        )
+        peaks = extract_marginal_work(functools.partial(closed_form, params), 3.0)
         ks = compare_classical(
             peaks, lambda w: classical_work_cdf(SUF, r, g_tau, beta, w)
         )
@@ -619,11 +612,9 @@ def test_joint_law_of_a_single_channel_is_its_work_law_on_a_line(name, factor):
     params = _reference_params(name, factor)
     spacing = charfun._drive_quantum(params)
     per = distributions._PHOTONS_PER_QUANTUM[params.variant]
-    signed, work = distributions._work_weights(
-        lambda u: charfun._g(params, u, 0.0), spacing
-    )
-    counts = (len(work), max(64, per * len(work)))
     evaluate = functools.partial(charfun._g, params)
+    signed, work = distributions._work_weights(evaluate, spacing)
+    counts = (len(work), max(64, per * len(work)))
     (su, sv), coeff = joint_peaks(evaluate, spacing, counts)
     assert outer_tail(coeff) < distributions._TAIL_TOL
     joint = np.clip(coeff.real, 0.0, None)
@@ -643,10 +634,7 @@ def test_channel_marginals_keep_the_bits_of_the_per_sample_relabelling(name, fac
     # delta_n = per * m, the exchange channel one fsum of them at 0
     params = _reference_params(name, factor)
     spacing = charfun._drive_quantum(params)
-
-    def evaluate(u):
-        return charfun._g(params, u, 0.0)
-
+    evaluate = functools.partial(charfun._g, params)
     per = distributions._PHOTONS_PER_QUANTUM[params.variant]
     got = extract_channel_marginals(evaluate, spacing, per)
     signed, probs = distributions._work_weights(evaluate, spacing)
@@ -781,9 +769,7 @@ def test_one_ks_method_is_bit_identical_to_both_loops():
     g_tau, r = 0.3, 0.5
     for beta in (0.05, 2.5):
         params = params_for(SUF, beta=beta, g_tau=g_tau)
-        peaks = extract_marginal_work(
-            lambda u: closed_form(params, u, 0.0), 3.0
-        )
+        peaks = extract_marginal_work(functools.partial(closed_form, params), 3.0)
         fit = cumulative_and_fit(peaks)
         assert fit.sup_distance == _reference_ks(fit, fit.gaussian_cdf)
         classical = lambda w: classical_work_cdf(SUF, r, g_tau, beta, w)  # noqa: E731
@@ -820,7 +806,7 @@ def golden_marginals():
             cfg = dataclasses.replace(base, beta=base.beta * factor)
             protocol, plan = cli._protocol_and_plan(cfg, cli._spectrum(cfg))
             evaluate, spacing, _, _ = charfun.plan_charfun(plan, protocol, cfg.beta)
-            work = extract_marginal_work(lambda u: evaluate(u, 0.0), spacing)
+            work = extract_marginal_work(evaluate, spacing)
             (case,) = plan.cases
             classical = None
             if case.kind is not DOF:

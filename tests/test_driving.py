@@ -66,8 +66,8 @@ def _charfun(beta=1.0, hbar=1.0, omega_k=(1.0, 1.0)):
         lambda: _charfun(hbar=NAN),
         lambda: _charfun(omega_k=(NAN, NAN)),
         lambda: _charfun(omega_k=(INF, INF)),
-        lambda: extract_marginal_work(lambda u: np.ones_like(u, dtype=complex), NAN),
-        lambda: extract_marginal_work(lambda u: np.ones_like(u, dtype=complex), INF),
+        lambda: extract_marginal_work(lambda u, v: np.ones_like(u, dtype=complex), NAN),
+        lambda: extract_marginal_work(lambda u, v: np.ones_like(u, dtype=complex), INF),
         lambda: TruncatedFockSpace([((0, 1, 1), NAN, 1.0)], 2),
         lambda: TruncatedFockSpace([((0, 1, 1), 1.0, INF)], 2),
         lambda: RectangularGeometry(INF, 1.0),
@@ -309,6 +309,18 @@ def test_simultaneous_channels_share_a_group():
     assert kinds == ["difference", "double"]
     assert len(plan.groups) == 1 and set(plan.groups[0]) == {0, 1}
     assert not plan.adiabatic_modes
+
+
+def test_a_spectrum_that_lists_a_mode_twice_is_refused():
+    # the doubled mode would meet the drive twice, as two double cases in
+    # one coupled group, squeezed at twice its strength
+    geom = RectangularGeometry(lx=1.0, ly=0.7071)
+    spec = mode_spectrum(geom, POL, 1.0, 8.0)
+    w = mode_frequency(geom, POL, (1, 0, 1), 1.0)
+    proto = DrivingProtocol(lambda0=1.0, epsilon=0.01, omega_drive=2.0 * w, tau=1.0)
+    assert len(classify_resonances(spec, proto, geom, POL).cases) == 1
+    with pytest.raises(ValueError, match="spectrum lists mode 1:0:1 twice"):
+        classify_resonances(spec + [((1, 0, 1), w)], proto, geom, POL)
 
 
 def test_classify_a_thousand_mode_spectrum_like_the_reference():

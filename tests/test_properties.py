@@ -79,6 +79,7 @@ from cavework.symplectic import charfun_from_generator, tracked_sqrt  # noqa: E4
 import branch_oracle  # noqa: E402
 from classifier_oracle import classify_reference  # noqa: E402
 from conftest import (  # noqa: E402
+    channel_marginals_reference,
     channel_product,
     charfun_numeric,
     closed_protocol,
@@ -140,7 +141,7 @@ def test_fluctuation_theorems_hold(params):
 @given(closed_params())
 def test_moments_are_the_lattice_sum_of_the_work_weights(params):
     peaks = distributions.extract_marginal_work(
-        lambda u: closed_form(params, u, 0.0), charfun._drive_quantum(params)
+        functools.partial(closed_form, params), charfun._drive_quantum(params)
     )
     mean_sum = math.fsum(w * p for w, p in peaks)
     var_sum = math.fsum((w - mean_sum) ** 2 * p for w, p in peaks)
@@ -168,12 +169,10 @@ def test_joint_weights_sum_to_the_work_weights(params):
     # a joint grid on the work comb's M u-samples: summed over delta_n,
     # its weights are the work weights
     spacing = charfun._drive_quantum(params)
-    signed, work = distributions._work_weights(
-        lambda u: closed_form(params, u, 0.0), spacing
-    )
+    evaluate = functools.partial(closed_form, params)
+    signed, work = distributions._work_weights(evaluate, spacing)
     per = distributions._PHOTONS_PER_QUANTUM[params.variant]
     counts = (len(work), max(64, per * len(work)))
-    evaluate = functools.partial(closed_form, params)
     (su, _), coeff = joint_peaks(evaluate, spacing, counts)
     summed = dict(zip(su.tolist(), coeff.real.sum(axis=1).tolist()))
     direct = dict(zip(signed.tolist(), work.tolist()))
@@ -778,6 +777,70 @@ def test_a_closed_protocol_takes_every_mode_at_lambda0_at_both_ends(plan, ulps):
         for shift in (0.0, 1j * beta):  # the real comb and the Crooks line
             want = (1.0 + 0.0j) * closed_form(params, u + shift, v)
             assert same_bits(evaluate(u + shift, v), want)
+
+
+def _on_one_quantum(cases, t: float) -> list[ResonanceCase]:
+    """The channels of a resonance_plans draw retuned so that each moves
+    the drive quantum 2 of closed_protocol(2.0): a double's mode sits at
+    1, a pair with neither mode placed puts k at 2 t, and the other mode
+    of a sum then sits at 2 minus the placed one, of a difference at it
+    plus 2.  Each pair keeps its higher mode as k."""
+    w = {c.k: 1.0 for c in cases if c.p is None}
+    for c in cases:
+        if c.p is None:
+            continue
+        if c.k not in w and c.p not in w:
+            w[c.k] = 2.0 * t
+        known, other = (c.k, c.p) if c.k in w else (c.p, c.k)
+        if other not in w:
+            w[other] = 2.0 - w[known] if c.kind is ResonanceKind.SUM else w[known] + 2.0
+    out = []
+    for c in cases:
+        k, p = (c.k, c.p) if c.p is None or w[c.k] >= w[c.p] else (c.p, c.k)
+        out.append(dataclasses.replace(
+            c, k=k, p=p, omega_k=w[k], omega_p=None if p is None else w[p]
+        ))
+    return out
+
+
+def _lowest_frequency(cases) -> float:
+    return min(w for c in cases for w in (c.omega_k, c.omega_p) if w is not None)
+
+
+def _sliced_route(evaluate, spacing: float, per: int | None):
+    """(P(w), P(delta_n)) as the CLI once took them from 1-D slices of
+    G: the work comb on G(u, 0) relabelled one sample at a time where
+    the channels share per, else the photon comb on G(0, v) as well."""
+    comb = distributions._adaptive_comb
+    signed, probs = comb(lambda u: evaluate(u, 0.0), 2.0 * math.pi / spacing, 256)
+    work, photons = channel_marginals_reference(signed, probs, spacing, per or 0)
+    if per is None:
+        signed, probs = comb(lambda v: evaluate(0.0, v), 2.0 * math.pi, 64)
+        photons = channel_marginals_reference(signed, probs, 1.0, 1)[1]
+    return work, photons
+
+
+@settings(PROPERTY, max_examples=30)  # milliseconds per example
+@given(resonance_plans(), st.floats(0.3, 0.7))
+def test_channel_marginals_take_the_plans_g_as_the_slices_did(plan, t):
+    # the inverters read their own axis of the plan's G(u, v): the same
+    # bits as the 1-D slices, with P(delta_n) relabelled for a shared
+    # photon change per quantum and inverted from G(0, v) otherwise
+    drawn, coupled, beta = plan
+    cases = _on_one_quantum(drawn, t)
+    # beta times the lowest frequency stays where resonance_plans put it
+    beta *= _lowest_frequency(drawn) / _lowest_frequency(cases)
+    resonance_plan = plan_of(cases, groups=((0, 1),) if coupled else None)
+    evaluate, spacing, _, _ = charfun.plan_charfun(
+        resonance_plan, closed_protocol(2.0), beta
+    )
+    assert spacing == pytest.approx(2.0, rel=1e-15)
+    per = distributions.photons_per_quantum(resonance_plan)
+    got = distributions.extract_channel_marginals(evaluate, spacing, per)
+    want = _sliced_route(evaluate, spacing, per)
+    for mine, ref in zip(got, want, strict=True):
+        assert same_bits(np.array(mine, dtype=float), np.array(ref, dtype=float))
+    assert all(type(dn) is int for dn, _ in got[1])
 
 
 @st.composite
